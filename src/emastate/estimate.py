@@ -11,7 +11,12 @@ Fitting maximizes the filter log-likelihood with BFGS over centrally
 differenced gradients, multi-started from perturbations of a heuristic
 initialization (lag-one regression for the transition matrix, residual
 moments for the variances).  Pooled fits share one parameter vector across
-participants and simply restart the filter at each participant boundary.
+participants, each participant's filter starting from the initial
+distribution.  For discrete-time Kalman fits of matrix models the
+participants are stacked once, padded to the longest series; each objective
+is then one stacked filter pass, and each gradient one pass over all 2k
+central-difference points times all participants.  Scalar, continuous-time
+and particle fits filter one series at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ from scipy.optimize import minimize
 
 from .dataset import EmaDataset, Participant
 from .errors import EmaError
-from .filtering import kalman_filter, kalman_filter_ct, particle_filter
+from .filtering import (_kalman_stack, _series_arrays, kalman_filter, kalman_filter_ct,
+                        particle_filter)
 from .model import ModelSpec, validate_model
 from .simulate import DisturbanceEvent, encode_disturbance
 
@@ -313,14 +319,57 @@ def _series_loglik(spec: ModelSpec, p: Participant, options: FitOptions) -> floa
     return r.log_likelihood
 
 
-def _central_diff_grad(f, x: np.ndarray, step: float) -> np.ndarray:
-    g = np.empty_like(x)
+def _central_diff_grad(f_many, x: np.ndarray, step: float) -> np.ndarray:
+    """Central differences with h_i = step * max(1, |x_i|); ``f_many`` gets
+    the 2k points x + h_i e_i, x - h_i e_i (in that order) in one call."""
+    h = step * np.maximum(1.0, np.abs(x))
+    points = []
     for i in range(x.size):
-        h = step * max(1.0, abs(x[i]))
-        xp = x.copy(); xp[i] += h
-        xm = x.copy(); xm[i] -= h
-        g[i] = (f(xp) - f(xm)) / (2.0 * h)
-    return g
+        xp = x.copy(); xp[i] += h[i]
+        xm = x.copy(); xm[i] -= h[i]
+        points += [xp, xm]
+    f = np.asarray(f_many(points), dtype=float)
+    return (f[0::2] - f[1::2]) / (2.0 * h)
+
+
+def _stack_participants(spec: ModelSpec, participants: Sequence[Participant]):
+    """Participants' series as (R, T_max, .) arrays plus an observed mask;
+    pings past a participant's end count as unobserved."""
+    R, T = len(participants), max(p.n_pings for p in participants)
+    y = np.zeros((R, T, spec.n_obs))
+    obs = np.zeros((R, T, spec.n_obs), dtype=bool)
+    u = np.zeros((R, T, spec.n_inputs))
+    for r, part in enumerate(participants):
+        Y, missing, U = _series_arrays(spec, part.Y, part.missing, part.U)
+        k = Y.shape[0]
+        y[r, :k], obs[r, :k], u[r, :k] = Y, ~missing, U
+    return y, obs, u
+
+
+def _stacked_objectives(par: Parameterization, stack, penalty: float,
+                        thetas) -> np.ndarray:
+    """Negative pooled log-likelihood at each point, from one Kalman pass
+    over a (points, participants) stack; a point whose spec or any of whose
+    participants fails gets the penalty."""
+    y, obs, u = stack
+    out = np.full(len(thetas), penalty)
+    specs = {}
+    for i, theta in enumerate(thetas):
+        try:
+            with np.errstate(all="ignore"):
+                specs[i] = par.unpack(theta)
+        except EmaError as err:
+            if err.code not in _RECOVERABLE:
+                raise
+    if not specs:
+        return out
+    A, Sigma, G, H, Theta, mu0, P0 = (
+        np.stack([getattr(s, name) for s in specs.values()])[:, None]
+        for name in ("A", "Sigma", "G", "H", "Theta", "initial_mean", "initial_cov"))
+    res = _kalman_stack(y, obs, u, mu0, P0, H, Theta, [(A, Sigma, G)] * (y.shape[1] - 1))
+    ok = (res.fail == 0).all(axis=1)
+    out[list(specs)] = np.where(ok, -res.loglik.sum(axis=1), penalty)
+    return out
 
 
 def _heuristic_start(par: Parameterization, participants: Sequence[Participant]) -> None:
@@ -368,22 +417,36 @@ def _fit_single(par: Parameterization, participants: Sequence[Participant],
                 options: FitOptions, n_obs_used: int, seed_seq,
                 pid: str | None) -> "FitResult":
     penalty = 1e12
+    tpl = par.template
 
-    def objective(theta):
-        try:
-            with np.errstate(all="ignore"):   # non-finite points are penalized
-                spec = par.unpack(theta)
-                total = sum(_series_loglik(spec, p, options) for p in participants)
-        except EmaError as err:
-            if err.code in _RECOVERABLE:      # a different theta may cure these
+    if (options.likelihood == "kalman" and tpl.time_mode == "discrete"
+            and tpl.n_states * tpl.n_obs > 1):
+        stack = _stack_participants(tpl, participants)
+
+        def objectives(thetas):
+            return _stacked_objectives(par, stack, penalty, thetas)
+
+        def objective(theta):
+            return float(objectives([theta])[0])
+    else:
+        def objective(theta):
+            try:
+                with np.errstate(all="ignore"):   # non-finite points are penalized
+                    spec = par.unpack(theta)
+                    total = sum(_series_loglik(spec, p, options) for p in participants)
+            except EmaError as err:
+                if err.code in _RECOVERABLE:      # a different theta may cure these
+                    return penalty
+                raise
+            if not np.isfinite(total):
                 return penalty
-            raise
-        if not np.isfinite(total):
-            return penalty
-        return -total
+            return -total
+
+        def objectives(thetas):
+            return [objective(theta) for theta in thetas]
 
     def grad(theta):
-        return _central_diff_grad(objective, theta, options.fd_step)
+        return _central_diff_grad(objectives, theta, options.fd_step)
 
     rng = np.random.default_rng(seed_seq)
     theta0 = par.start_vector()

@@ -2,9 +2,15 @@
 
 Linear-Gaussian models get the exact Kalman filter and fixed-interval
 smoother, with missing channels dropped from each update (a fully missing
-ping keeps the prediction untouched).  Continuous-time specs are filtered by
-discretizing each inter-ping gap exactly.  Models with count, ordinal, or
-dichotomous channels fall back to a bootstrap particle filter.
+ping keeps the prediction untouched).  Matrix models (n * p > 1) run one
+recursion, vectorized over a stack of members that each carry their own
+series and spec arrays: a filter call is a stack of one, and a pooled fit
+stacks participants and finite-difference points into one pass.  Missing
+channels are removed with zeroed selection rows instead of per-ping
+sub-blocks.  1-state, 1-channel models keep a pure-float loop.
+Continuous-time specs are filtered by discretizing each inter-ping gap
+exactly.  Models with count, ordinal, or dichotomous channels fall back to a
+bootstrap particle filter.
 
 Covariance updates use the Joseph form plus explicit symmetrization: EMA
 series are long and round-off accumulates.
@@ -12,6 +18,7 @@ series are long and round-off accumulates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +88,8 @@ class SmoothResult:
         return "\n".join(lines) + "\n"
 
 
-def _normalize_series(spec: ModelSpec, y, missing, u):
+def _series_arrays(spec: ModelSpec, y, missing, u):
+    """Shape-checked (y, missing, u) of one series; NaN cells count as missing."""
     y = np.atleast_2d(np.asarray(y, dtype=float))
     T = y.shape[0]
     if y.shape[1] != spec.n_obs:
@@ -101,6 +109,20 @@ def _normalize_series(spec: ModelSpec, y, missing, u):
         if u.shape != (T, spec.n_inputs):
             raise EmaError("INVALID_MODEL",
                            f"U has shape {u.shape}, expected ({T}, {spec.n_inputs})")
+        if not math.isfinite(u.sum()) and not np.isfinite(u).all():
+            t = int(np.argmax(~np.isfinite(u).all(axis=1)))
+            raise EmaError("NA_IN_U", f"input at ping {t} is missing or non-finite")
+    return y, missing, u
+
+
+def _normalize_series(spec: ModelSpec, y, missing, u):
+    """As :func:`_series_arrays`, and every observed cell must be finite."""
+    y, missing, u = _series_arrays(spec, y, missing, u)
+    if np.isinf(y).any():
+        bad = (np.isinf(y) & ~missing).any(axis=1)
+        if bad.any():
+            raise EmaError("NON_FINITE",
+                           f"observed value at ping {int(np.argmax(bad))} is infinite")
     return y, missing, u
 
 
@@ -142,62 +164,183 @@ def _kalman_pass_scalar(y, missing, u, mu0, P0, H, Theta, transitions):
 
     shape = (T, 1, 1)
     return (pred_m.reshape(T, 1), pred_P.reshape(shape),
-            filt_m.reshape(T, 1), filt_P.reshape(shape), ll,
-            [np.array([[g]]) for g in gains])
+            filt_m.reshape(T, 1), filt_P.reshape(shape), ll, gains.reshape(shape))
 
 
-def _kalman_pass(y, missing, u, mu0, P0, H, Theta, transitions):
-    """Shared predict/update recursion.
+_SINGULAR, _NON_FINITE = 1, 2     # per-member failure codes of a stacked pass
 
-    ``transitions[k]`` supplies (A, Sigma, G) for the step into ping k+1.
-    Returns everything the smoother needs as well.
-    """
-    T, p = y.shape
-    n = mu0.size
-    if n == 1 and p == 1:
-        return _kalman_pass_scalar(y, missing, u, mu0, P0, H, Theta, transitions)
-    pred_m = np.empty((T, n)); pred_P = np.empty((T, n, n))
-    filt_m = np.empty((T, n)); filt_P = np.empty((T, n, n))
-    ll = np.zeros(T)
-    gain_terms = [None] * T        # (I - K H_obs) per ping, for the lag-one pass
-    I_n = np.eye(n)
 
-    m, P = mu0.copy(), P0.copy()
-    for t in range(T):
-        if t > 0:
-            A, Sigma, G = transitions[t - 1]
-            m = A @ m + (G @ u[t - 1] if G.shape[1] else np.zeros(n))
-            P = A @ P @ A.T + Sigma
-            P = 0.5 * (P + P.T)
-        pred_m[t], pred_P[t] = m, P
+@dataclass
+class _StackPass:
+    """Output of :func:`_kalman_stack`; ``fail`` is 0 or a failure code."""
 
-        obs = ~missing[t]
-        if not obs.any():
-            filt_m[t], filt_P[t] = m, P
-            gain_terms[t] = I_n
-            continue
-        Ho = H[obs]
-        v = y[t, obs] - Ho @ m
-        S = Ho @ P @ Ho.T + Theta[np.ix_(obs, obs)]
-        S = 0.5 * (S + S.T)
-        w = np.linalg.eigvalsh(S)
-        if w[0] <= 0.0 or w[-1] > COND_LIMIT * w[0]:
+    loglik: np.ndarray              # B (lean) or B + (T,) (stored)
+    fail: np.ndarray                # B
+    fail_ping: np.ndarray           # B; first failing ping, -1 if unknown
+    fail_eig: np.ndarray            # B + (2,); eigenvalue range of S there
+    moments: tuple | None = None    # pred_m, pred_P, filt_m, filt_P, gains
+
+    def raise_failure(self) -> None:
+        """Raise the failure of a single-member pass, if any."""
+        code, t = int(self.fail), int(self.fail_ping)
+        if code == _SINGULAR:
+            lo, hi = self.fail_eig
             raise EmaError("SINGULAR_INNOVATION",
                            f"innovation covariance at ping {t} is numerically "
-                           f"singular (eigenvalues {w.min():.3g}..{w.max():.3g})")
-        cf = cho_factor(S, lower=True)
-        K = cho_solve(cf, Ho @ P).T
-        m = m + K @ v
-        IKH = I_n - K @ Ho
-        P = IKH @ P @ IKH.T + K @ Theta[np.ix_(obs, obs)] @ K.T
-        P = 0.5 * (P + P.T)
-        filt_m[t], filt_P[t] = m, P
-        gain_terms[t] = IKH
-        logdet = 2.0 * np.log(np.diag(cf[0])).sum()
-        ll[t] = -0.5 * (obs.sum() * np.log(2.0 * np.pi) + logdet
-                        + v @ cho_solve(cf, v))
+                           f"singular (eigenvalues {lo:.3g}..{hi:.3g})")
+        if code == _NON_FINITE:
+            raise EmaError("NON_FINITE",
+                           f"innovation or its covariance is non-finite at ping {t}")
 
-    return pred_m, pred_P, filt_m, filt_P, ll, gain_terms
+
+def _kalman_stack(y, obs, u, mu0, P0, H, Theta, trans, store=False) -> _StackPass:
+    """One predict/update recursion over a stack of members.
+
+    Every argument's leading axes broadcast to the stack shape B, so members
+    may share data (participants) or spec arrays (finite-difference points):
+    ``y``/``obs`` (..., T, p), ``u`` (..., T, q), ``mu0`` (..., n),
+    ``P0``/``H``/``Theta`` (..., n, n)/(..., p, n)/(..., p, p).
+    ``trans[k]`` is (A, Sigma, G) for the step into ping k+1.
+
+    Unobserved cells leave the update by the selection device of Durbin &
+    Koopman (2012, *Time Series Analysis by State Space Methods*, ch. 4,
+    missing observations): that channel's H row, residual and Theta row
+    and column are zeroed and it gets its own innovation variance c, so it
+    decouples and adds nothing.  c is an observed diagonal entry of S, which
+    lies in [lambda_min, lambda_max] of the observed block, so the padded
+    eigenvalue check equals the check on that block; log c is taken back
+    out of the log-determinant.
+
+    A member whose S is non-finite or fails the eigenvalue check fails alone
+    (``fail``/``fail_ping``) and stops updating; the others run on.  With
+    ``store`` the per-ping moments, gains (I - K H) and likelihood terms are
+    kept; otherwise only each member's summed log-likelihood.
+    """
+    T, p = y.shape[-2:]
+    n = mu0.shape[-1]
+    shapes = [y.shape[:-2], mu0.shape[:-1], P0.shape[:-2], H.shape[:-2],
+              Theta.shape[:-2]]
+    if trans:
+        shapes += [np.shape(x)[:-2] for x in trans[0]]
+    batch = np.broadcast_shapes(*shapes)
+    I_n, I_p = np.eye(n), np.eye(p)
+    Ht = H.swapaxes(-1, -2)
+    log_2pi = np.log(2.0 * np.pi)
+
+    # masks of the data stack, per ping
+    flat = obs.reshape((-1,) + obs.shape[-2:])
+    any_obs = flat.any(axis=(0, 2)).tolist()
+    all_obs = flat.all(axis=(0, 2)).tolist()
+    obs_pair = obs[..., :, None] & obs[..., None, :]
+    miss_diag = (~obs)[..., None] * I_p
+    member_any = obs.any(-1)
+    n_obs = obs.sum(-1)
+
+    m = np.broadcast_to(mu0, batch + (n,))
+    P = np.broadcast_to(P0, batch + (n, n))
+    fail = np.zeros(batch, dtype=int)
+    fail_ping = np.full(batch, -1)
+    fail_eig = np.zeros(batch + (2,))
+    failed = None                   # bool mask once any member has failed
+    ll = np.zeros(batch + (T,) if store else batch)
+    if store:
+        pm = np.zeros(batch + (T, n)); pP = np.zeros(batch + (T, n, n))
+        fm = np.zeros_like(pm); fP = np.zeros_like(pP); gains = np.zeros_like(pP)
+
+    last = None
+    with np.errstate(all="ignore"):     # failures are detected explicitly
+        for t in range(T):
+            if t:
+                if trans[t - 1] is not last:
+                    last = trans[t - 1]
+                    A, Sigma, G = last
+                    At = A.swapaxes(-1, -2)
+                m = (A @ m[..., None])[..., 0]
+                if G.shape[-1]:
+                    m = m + (G @ u[..., t - 1, :, None])[..., 0]
+                P = A @ P @ At + Sigma
+                P = 0.5 * (P + P.swapaxes(-1, -2))
+            if store:
+                pm[..., t, :], pP[..., t, :, :] = m, P
+            if not any_obs[t]:
+                if store:
+                    fm[..., t, :], fP[..., t, :, :], gains[..., t, :, :] = m, P, I_n
+                continue
+
+            HP = H @ P
+            S = HP @ Ht + Theta
+            v = y[..., t, :] - (H @ m[..., None])[..., 0]
+            log_pad = 0.0
+            if not all_obs[t]:
+                o = obs[..., t, :]
+                HP = np.where(o[..., None], HP, 0.0)
+                v = np.where(o, v, 0.0)
+                S = np.where(obs_pair[..., t, :, :], S, 0.0)
+                c = np.where(member_any[..., t],
+                             np.diagonal(S, 0, -2, -1).max(-1), 1.0)
+                S = S + c[..., None, None] * miss_diag[..., t, :, :]
+                log_pad = (p - n_obs[..., t]) * np.log(c)
+            S = 0.5 * (S + S.swapaxes(-1, -2))
+
+            if not math.isfinite(S.sum()):
+                new = ~np.isfinite(S).all((-2, -1)) & (fail == 0)
+                fail = np.where(new, _NON_FINITE, fail)
+                fail_ping = np.where(new, t, fail_ping)
+                failed = fail != 0
+            if failed is not None:
+                S = np.where(failed[..., None, None], I_p, S)
+            w = np.linalg.eigvalsh(S)
+            ok = (w[..., 0] > 0.0) & (w[..., -1] <= COND_LIMIT * w[..., 0])
+            if not ok.all():
+                fail = np.where(ok, fail, _SINGULAR)
+                fail_ping = np.where(ok, fail_ping, t)
+                fail_eig = np.where(ok[..., None], fail_eig, w[..., [0, -1]])
+                failed = fail != 0
+                S = np.where(failed[..., None, None], I_p, S)
+            if failed is not None:
+                if failed.all():
+                    break
+                HP = np.where(failed[..., None, None], 0.0, HP)
+                v = np.where(failed[..., None], 0.0, v)
+
+            X = np.linalg.solve(S, np.concatenate([HP, v[..., None]], axis=-1))
+            K = X[..., :n].swapaxes(-1, -2)
+            m = m + (K @ v[..., None])[..., 0]
+            IKH = I_n - K @ H
+            P = IKH @ P @ IKH.swapaxes(-1, -2) + K @ Theta @ X[..., :n]
+            P = 0.5 * (P + P.swapaxes(-1, -2))
+            step = -0.5 * (n_obs[..., t] * log_2pi + np.log(w).sum(-1) - log_pad
+                           + (v * X[..., n]).sum(-1))
+            if store:
+                fm[..., t, :], fP[..., t, :, :], gains[..., t, :, :] = m, P, IKH
+                ll[..., t] = step
+            else:
+                ll = ll + step
+
+        total = ll.sum(-1) if store else ll
+        new = ~np.isfinite(total) & (fail == 0)
+    if new.any():
+        fail = np.where(new, _NON_FINITE, fail)
+        if store:
+            fail_ping = np.where(new, np.argmax(~np.isfinite(ll), -1), fail_ping)
+    return _StackPass(ll, fail, fail_ping, fail_eig,
+                      (pm, pP, fm, fP, gains) if store else None)
+
+
+def _filter_pass(y, missing, u, mu0, P0, H, Theta, trans):
+    """Single-series pass with every moment kept: the float loop when
+    n = p = 1, the stacked recursion with one member otherwise."""
+    if mu0.size == 1 and y.shape[1] == 1:
+        out = _kalman_pass_scalar(y, missing, u, mu0, P0, H, Theta, trans)
+        ll = out[4]
+        if not math.isfinite(ll.sum()):
+            t = int(np.argmax(~np.isfinite(ll)))
+            raise EmaError("NON_FINITE",
+                           f"innovation or its variance is non-finite at ping {t}")
+        return out
+    res = _kalman_stack(y, ~missing, u, mu0, P0, H, Theta, trans, store=True)
+    res.raise_failure()
+    return (*res.moments[:4], res.loglik, res.moments[4])
 
 
 def _require_gaussian(spec: ModelSpec) -> None:
@@ -224,7 +367,7 @@ def kalman_filter(spec: ModelSpec, y, missing=None, u=None,
     if timestamps is None:
         timestamps = np.arange(T, dtype=float)
     trans = [(spec.A, spec.Sigma, spec.G)] * max(T - 1, 0)
-    pm, pP, fm, fP, ll, _ = _kalman_pass(y, missing, u, spec.initial_mean,
+    pm, pP, fm, fP, ll, _ = _filter_pass(y, missing, u, spec.initial_mean,
                                          spec.initial_cov, spec.H, spec.Theta, trans)
     return FilterResult(np.asarray(timestamps, dtype=float), pm, pP, fm, fP, ll,
                         float(ll.sum()), int(missing.any(axis=1).sum()), missing)
@@ -261,7 +404,7 @@ def kalman_filter_ct(spec: ModelSpec, timestamps, y, missing=None,
     if timestamps.size != y.shape[0]:
         raise EmaError("INVALID_MODEL", "timestamps and series lengths differ")
     trans = _gap_transitions(spec, timestamps)
-    pm, pP, fm, fP, ll, _ = _kalman_pass(y, missing, u, spec.initial_mean,
+    pm, pP, fm, fP, ll, _ = _filter_pass(y, missing, u, spec.initial_mean,
                                          spec.initial_cov, spec.H, spec.Theta, trans)
     return FilterResult(timestamps, pm, pP, fm, fP, ll, float(ll.sum()),
                         int(missing.any(axis=1).sum()), missing)
@@ -285,7 +428,7 @@ def kalman_smooth(spec: ModelSpec, y, missing=None, u=None,
             timestamps = np.arange(T0, dtype=float)
         trans = [(spec.A, spec.Sigma, spec.G)] * max(T0 - 1, 0)
 
-    pm, pP, fm, fP, _, gain = _kalman_pass(y, missing, u, spec.initial_mean,
+    pm, pP, fm, fP, _, gain = _filter_pass(y, missing, u, spec.initial_mean,
                                            spec.initial_cov, spec.H, spec.Theta, trans)
     T, n = fm.shape
     sm = fm.copy()

@@ -365,3 +365,89 @@ def test_fit_continuous_time_model_on_irregular_pings():
     assert r.spec_hat.time_mode == "continuous"
     assert abs(r.spec_hat.A[0, 0] - ct_truth.A[0, 0]) < 0.25
     assert es.validate_model(r.spec_hat).errors == []
+
+
+# --- stacked likelihood of matrix models -------------------------------------
+
+VAR2_MAP = es.ParameterMap({"A": [["free", "free"], ["free", "free"]],
+                            "Sigma": [["free", "fixed"], ["fixed", "free"]],
+                            "Theta": [["free", "fixed"], ["fixed", "free"]]})
+
+
+def var2_cohort():
+    """Fixed pooled 2x2 cohort, 20 % MCAR, one participant shorter."""
+    truth = es.ModelSpec(A=[[0.6, 0.15], [0.1, 0.5]], Sigma=np.diag([1.0, 0.8]),
+                         H=np.eye(2), Theta=np.diag([0.4, 0.4]))
+    data = simulate(truth, T=40, seed=41, n_participants=3,
+                    miss=es.MissingnessSpec("MCAR", 0.2))
+    p = data.participants[2]
+    data.participants[2] = es.Participant(p.pid, p.timestamps[:28], p.Y[:28],
+                                          p.missing[:28], p.U[:28])
+    return truth, data
+
+
+def per_series_objective(par, participants, options):
+    from emastate.estimate import _series_loglik
+
+    def f(theta):
+        spec = par.unpack(theta)
+        return -sum(_series_loglik(spec, p, options) for p in participants)
+    return f
+
+
+def test_stacked_gradient_equals_per_series_central_differences():
+    from emastate.estimate import (_central_diff_grad, _stack_participants,
+                                   _stacked_objectives)
+    truth, data = var2_cohort()
+    par = Parameterization(truth, VAR2_MAP)
+    stack = _stack_participants(truth, data.participants)
+    f = per_series_objective(par, data.participants, FAST)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        theta = par.start_vector() + rng.normal(scale=0.1, size=par.n_free)
+        want = _central_diff_grad(lambda pts: [f(x) for x in pts], theta, FAST.fd_step)
+        got = _central_diff_grad(
+            lambda pts: _stacked_objectives(par, stack, 1e12, pts), theta, FAST.fd_step)
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
+        assert _stacked_objectives(par, stack, 1e12, [theta])[0] == pytest.approx(
+            f(theta), rel=1e-12)
+
+
+def test_stacked_fit_reaches_per_series_optimum():
+    from scipy.optimize import minimize
+    from emastate.estimate import _central_diff_grad, _heuristic_start
+    truth, data = var2_cohort()
+    opts = FitOptions(n_restarts=1, max_iter=200, tol=1e-3, seed=0)
+    r = es.fit(truth, VAR2_MAP, data, options=opts)
+
+    par = Parameterization(truth, VAR2_MAP)
+    _heuristic_start(par, data.participants)
+    f = per_series_objective(par, data.participants, opts)
+    ref = minimize(f, par.start_vector(), method="BFGS",
+                   jac=lambda x: _central_diff_grad(lambda pts: [f(q) for q in pts],
+                                                    x, opts.fd_step),
+                   options={"gtol": opts.tol, "maxiter": opts.max_iter})
+    assert r.converged
+    assert abs(r.log_likelihood - (-ref.fun)) < 1e-6
+
+
+def test_overflowing_point_is_penalized_not_raised():
+    from emastate.estimate import _stack_participants, _stacked_objectives
+    truth, data = var2_cohort()
+    par = Parameterization(truth, VAR2_MAP)
+    stack = _stack_participants(truth, data.participants)
+    theta = par.start_vector()
+    huge = theta.copy()
+    huge[[k for k, s in enumerate(par.slots) if s.transform == "log_sd"][0]] = 400.0
+    out = _stacked_objectives(par, stack, 1e12, [theta, huge])
+    assert np.isfinite(out[0]) and out[0] < 1e12
+    assert out[1] == 1e12
+
+
+def test_matrix_fit_on_infinite_data_reports_nonfinite_likelihood():
+    truth, data = var2_cohort()
+    data.participants[0].Y[4, 1] = np.inf
+    data.participants[0].missing[4, 1] = False
+    with pytest.raises(EmaError) as exc:
+        es.fit(truth, VAR2_MAP, data, options=FAST)
+    assert exc.value.code == "NONFINITE_LIKELIHOOD"

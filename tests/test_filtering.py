@@ -341,3 +341,49 @@ def test_smooth_result_export_table():
     lines = s.to_delimited().strip().splitlines()
     assert lines[0] == "t,mean.s1,var.s1"
     assert len(lines) == 5
+
+
+# --- non-finite inputs and innovations ----------------------------------------
+
+def _var2(**kw):
+    args = dict(A=[[0.5, 0.1], [0.0, 0.4]], Sigma=np.eye(2), H=np.eye(2),
+                Theta=0.5 * np.eye(2), initial_cov=np.eye(2))
+    args.update(kw)
+    return es.ModelSpec(**args)
+
+
+def test_non_finite_innovation_is_typed():
+    # the predicted covariance overflows, so S is infinite from ping 1 on
+    scalar = es.ModelSpec(A=[[1e200]], Sigma=[[1.0]], Theta=[[0.5]], initial_cov=[[1.0]])
+    matrix = _var2(A=1e200 * np.eye(2))
+    for spec in (scalar, matrix):
+        with pytest.raises(EmaError) as exc:
+            es.kalman_filter(spec, np.zeros((5, spec.n_obs)))
+        assert exc.value.code == "NON_FINITE"
+
+
+def test_non_finite_input_rejected():
+    for spec in (es.ModelSpec(A=[[0.5]], Sigma=[[1.0]], G=[[1.0]], Theta=[[0.5]]),
+                 _var2(G=[[1.0], [0.5]])):
+        u = np.zeros((5, 1))
+        u[2, 0] = np.nan
+        with pytest.raises(EmaError) as exc:
+            es.kalman_filter(spec, np.zeros((5, spec.n_obs)), u=u)
+        assert exc.value.code == "NA_IN_U"
+        assert "ping 2" in exc.value.message
+
+
+def test_infinite_observed_value_rejected_but_masked_one_ignored():
+    for spec in (es.ModelSpec(A=[[0.5]], Sigma=[[1.0]], Theta=[[0.5]]), _var2()):
+        p = spec.n_obs
+        y = np.zeros((5, p))
+        y[3, p - 1] = -np.inf
+        with pytest.raises(EmaError) as exc:
+            es.kalman_filter(spec, y)
+        assert exc.value.code == "NON_FINITE"
+        missing = np.zeros((5, p), dtype=bool)
+        missing[3, p - 1] = True
+        y_nan = y.copy()
+        y_nan[3, p - 1] = np.nan
+        assert (es.kalman_filter(spec, y, missing).log_likelihood
+                == es.kalman_filter(spec, y_nan).log_likelihood)
