@@ -161,8 +161,7 @@ def _cmd_filter(args) -> int:
     for p in data.participants:
         if use_particle:
             r = particle_filter(spec, p.Y, args.particles, args.seed, p.missing,
-                                p.U, p.timestamps if spec.time_mode == "continuous"
-                                else None)
+                                p.U, p.timestamps)
         elif spec.time_mode == "continuous":
             r = kalman_filter_ct(spec, p.timestamps, p.Y, p.missing, p.U)
         else:

@@ -312,8 +312,7 @@ def _series_loglik(spec: ModelSpec, p: Participant, options: FitOptions) -> floa
             r = kalman_filter(spec, p.Y, p.missing, p.U)
     elif options.likelihood == "particle":
         r = particle_filter(spec, p.Y, options.n_particles, options.particle_seed,
-                            p.missing, p.U,
-                            p.timestamps if spec.time_mode == "continuous" else None)
+                            p.missing, p.U, p.timestamps)
     else:
         raise EmaError("BAD_PARAMETER_MAP", f"unknown likelihood {options.likelihood!r}")
     return r.log_likelihood

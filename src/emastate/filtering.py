@@ -9,7 +9,11 @@ stacks participants and finite-difference points into one pass.  Missing
 channels are removed with zeroed selection rows instead of per-ping
 sub-blocks.  1-state, 1-channel models keep a pure-float loop.
 Continuous-time specs are filtered by discretizing each inter-ping gap
-exactly.  Models with count, ordinal, or dichotomous channels fall back to a
+exactly; every entry point gets its series, timestamps and per-step
+transitions from one front end.  The smoother's lag-one covariance needs no
+filter gains: Cov(x[t+1], x[t] | all) = P_s[t+1] J[t]' with J[t] the smoother
+gain (Sarkka 2013, *Bayesian Filtering and Smoothing*, RTS smoother).
+Models with count, ordinal, or dichotomous channels fall back to a
 bootstrap particle filter.
 
 Covariance updates use the Joseph form plus explicit symmetrization: EMA
@@ -134,7 +138,6 @@ def _kalman_pass_scalar(y, missing, u, mu0, P0, H, Theta, transitions):
     pred_m = np.empty(T); pred_P = np.empty(T)
     filt_m = np.empty(T); filt_P = np.empty(T)
     ll = np.zeros(T)
-    gains = np.ones(T)
     have_u = u.shape[1] > 0
     log2pi = np.log(2.0 * np.pi)
 
@@ -159,12 +162,11 @@ def _kalman_pass_scalar(y, missing, u, mu0, P0, H, Theta, transitions):
         ikh = 1.0 - k * h
         P = ikh * P * ikh + k * theta * k
         filt_m[t] = m; filt_P[t] = P
-        gains[t] = ikh
         ll[t] = -0.5 * (log2pi + np.log(s) + v * v / s)
 
     shape = (T, 1, 1)
     return (pred_m.reshape(T, 1), pred_P.reshape(shape),
-            filt_m.reshape(T, 1), filt_P.reshape(shape), ll, gains.reshape(shape))
+            filt_m.reshape(T, 1), filt_P.reshape(shape), ll)
 
 
 _SINGULAR, _NON_FINITE = 1, 2     # per-member failure codes of a stacked pass
@@ -178,7 +180,7 @@ class _StackPass:
     fail: np.ndarray                # B
     fail_ping: np.ndarray           # B; first failing ping, -1 if unknown
     fail_eig: np.ndarray            # B + (2,); eigenvalue range of S there
-    moments: tuple | None = None    # pred_m, pred_P, filt_m, filt_P, gains
+    moments: tuple | None = None    # pred_m, pred_P, filt_m, filt_P
 
     def raise_failure(self) -> None:
         """Raise the failure of a single-member pass, if any."""
@@ -213,8 +215,8 @@ def _kalman_stack(y, obs, u, mu0, P0, H, Theta, trans, store=False) -> _StackPas
 
     A member whose S is non-finite or fails the eigenvalue check fails alone
     (``fail``/``fail_ping``) and stops updating; the others run on.  With
-    ``store`` the per-ping moments, gains (I - K H) and likelihood terms are
-    kept; otherwise only each member's summed log-likelihood.
+    ``store`` the per-ping moments and likelihood terms are kept; otherwise
+    only each member's summed log-likelihood.
     """
     T, p = y.shape[-2:]
     n = mu0.shape[-1]
@@ -245,7 +247,7 @@ def _kalman_stack(y, obs, u, mu0, P0, H, Theta, trans, store=False) -> _StackPas
     ll = np.zeros(batch + (T,) if store else batch)
     if store:
         pm = np.zeros(batch + (T, n)); pP = np.zeros(batch + (T, n, n))
-        fm = np.zeros_like(pm); fP = np.zeros_like(pP); gains = np.zeros_like(pP)
+        fm = np.zeros_like(pm); fP = np.zeros_like(pP)
 
     last = None
     with np.errstate(all="ignore"):     # failures are detected explicitly
@@ -264,7 +266,7 @@ def _kalman_stack(y, obs, u, mu0, P0, H, Theta, trans, store=False) -> _StackPas
                 pm[..., t, :], pP[..., t, :, :] = m, P
             if not any_obs[t]:
                 if store:
-                    fm[..., t, :], fP[..., t, :, :], gains[..., t, :, :] = m, P, I_n
+                    fm[..., t, :], fP[..., t, :, :] = m, P
                 continue
 
             HP = H @ P
@@ -312,7 +314,7 @@ def _kalman_stack(y, obs, u, mu0, P0, H, Theta, trans, store=False) -> _StackPas
             step = -0.5 * (n_obs[..., t] * log_2pi + np.log(w).sum(-1) - log_pad
                            + (v * X[..., n]).sum(-1))
             if store:
-                fm[..., t, :], fP[..., t, :, :], gains[..., t, :, :] = m, P, IKH
+                fm[..., t, :], fP[..., t, :, :] = m, P
                 ll[..., t] = step
             else:
                 ll = ll + step
@@ -324,7 +326,7 @@ def _kalman_stack(y, obs, u, mu0, P0, H, Theta, trans, store=False) -> _StackPas
         if store:
             fail_ping = np.where(new, np.argmax(~np.isfinite(ll), -1), fail_ping)
     return _StackPass(ll, fail, fail_ping, fail_eig,
-                      (pm, pP, fm, fP, gains) if store else None)
+                      (pm, pP, fm, fP) if store else None)
 
 
 def _filter_pass(y, missing, u, mu0, P0, H, Theta, trans):
@@ -340,37 +342,7 @@ def _filter_pass(y, missing, u, mu0, P0, H, Theta, trans):
         return out
     res = _kalman_stack(y, ~missing, u, mu0, P0, H, Theta, trans, store=True)
     res.raise_failure()
-    return (*res.moments[:4], res.loglik, res.moments[4])
-
-
-def _require_gaussian(spec: ModelSpec) -> None:
-    if not spec.all_gaussian:
-        raise EmaError("LIKELIHOOD_MODE_MISMATCH",
-                       "the Kalman filter applies only to all-Gaussian channels; "
-                       "use particle_filter for count/ordinal/dichotomous data")
-
-
-def kalman_filter(spec: ModelSpec, y, missing=None, u=None,
-                  timestamps=None) -> FilterResult:
-    """Exact filter for a discrete-time all-Gaussian spec.
-
-    Missing channels are dropped from that ping's update and from the
-    likelihood; the prediction-error decomposition therefore covers observed
-    cells only.
-    """
-    if spec.time_mode != "discrete":
-        raise EmaError("INVALID_MODEL", "kalman_filter expects a discrete-time spec; "
-                                        "use kalman_filter_ct")
-    _require_gaussian(spec)
-    y, missing, u = _normalize_series(spec, y, missing, u)
-    T = y.shape[0]
-    if timestamps is None:
-        timestamps = np.arange(T, dtype=float)
-    trans = [(spec.A, spec.Sigma, spec.G)] * max(T - 1, 0)
-    pm, pP, fm, fP, ll, _ = _filter_pass(y, missing, u, spec.initial_mean,
-                                         spec.initial_cov, spec.H, spec.Theta, trans)
-    return FilterResult(np.asarray(timestamps, dtype=float), pm, pP, fm, fP, ll,
-                        float(ll.sum()), int(missing.any(axis=1).sum()), missing)
+    return (*res.moments, res.loglik)
 
 
 def _gap_transitions(spec: ModelSpec, timestamps: np.ndarray):
@@ -388,6 +360,58 @@ def _gap_transitions(spec: ModelSpec, timestamps: np.ndarray):
     return trans
 
 
+def _prepare(spec: ModelSpec, y, missing, u, timestamps):
+    """Checked (y, missing, u) of one series, its timestamps, and ``trans``:
+    ``trans[k]`` is (A, Sigma, G) for the step into ping k+1.
+
+    Timestamps default to 0, 1, 2, ... and are required in continuous time,
+    where each gap is discretized exactly; discrete time uses the spec's own
+    matrices for every step.
+    """
+    y, missing, u = _normalize_series(spec, y, missing, u)
+    T = y.shape[0]
+    continuous = spec.time_mode == "continuous"
+    if timestamps is None:
+        if continuous:
+            raise EmaError("INVALID_MODEL", "a continuous-time spec needs timestamps")
+        timestamps = np.arange(T, dtype=float)
+    timestamps = np.asarray(timestamps, dtype=float).reshape(-1)
+    if timestamps.size != T:
+        raise EmaError("INVALID_MODEL", f"{timestamps.size} timestamps for {T} pings")
+    if continuous:
+        trans = _gap_transitions(spec, timestamps)
+    else:
+        trans = [(spec.A, spec.Sigma, spec.G)] * max(T - 1, 0)
+    return y, missing, u, timestamps, trans
+
+
+def _kalman(spec: ModelSpec, y, missing, u, timestamps):
+    """The Kalman filter of any all-Gaussian spec, plus the transitions it used."""
+    if not spec.all_gaussian:
+        raise EmaError("LIKELIHOOD_MODE_MISMATCH",
+                       "the Kalman filter applies only to all-Gaussian channels; "
+                       "use particle_filter for count/ordinal/dichotomous data")
+    y, missing, u, timestamps, trans = _prepare(spec, y, missing, u, timestamps)
+    pm, pP, fm, fP, ll = _filter_pass(y, missing, u, spec.initial_mean,
+                                      spec.initial_cov, spec.H, spec.Theta, trans)
+    return FilterResult(timestamps, pm, pP, fm, fP, ll, float(ll.sum()),
+                        int(missing.any(axis=1).sum()), missing), trans
+
+
+def kalman_filter(spec: ModelSpec, y, missing=None, u=None,
+                  timestamps=None) -> FilterResult:
+    """Exact filter for a discrete-time all-Gaussian spec.
+
+    Missing channels are dropped from that ping's update and from the
+    likelihood; the prediction-error decomposition therefore covers observed
+    cells only.
+    """
+    if spec.time_mode != "discrete":
+        raise EmaError("INVALID_MODEL", "kalman_filter expects a discrete-time spec; "
+                                        "use kalman_filter_ct")
+    return _kalman(spec, y, missing, u, timestamps)[0]
+
+
 def kalman_filter_ct(spec: ModelSpec, timestamps, y, missing=None,
                      u=None) -> FilterResult:
     """Filter a continuous-time spec over arbitrarily spaced pings.
@@ -398,62 +422,36 @@ def kalman_filter_ct(spec: ModelSpec, timestamps, y, missing=None,
     """
     if spec.time_mode != "continuous":
         raise EmaError("INVALID_MODEL", "kalman_filter_ct expects a continuous-time spec")
-    _require_gaussian(spec)
-    timestamps = np.asarray(timestamps, dtype=float).reshape(-1)
-    y, missing, u = _normalize_series(spec, y, missing, u)
-    if timestamps.size != y.shape[0]:
-        raise EmaError("INVALID_MODEL", "timestamps and series lengths differ")
-    trans = _gap_transitions(spec, timestamps)
-    pm, pP, fm, fP, ll, _ = _filter_pass(y, missing, u, spec.initial_mean,
-                                         spec.initial_cov, spec.H, spec.Theta, trans)
-    return FilterResult(timestamps, pm, pP, fm, fP, ll, float(ll.sum()),
-                        int(missing.any(axis=1).sum()), missing)
+    return _kalman(spec, y, missing, u, timestamps)[0]
 
 
 def kalman_smooth(spec: ModelSpec, y, missing=None, u=None,
                   timestamps=None) -> SmoothResult:
-    """Fixed-interval (RTS) smoother; works for both time modes."""
-    if spec.time_mode == "continuous":
-        if timestamps is None:
-            raise EmaError("INVALID_MODEL", "continuous-time smoothing needs timestamps")
-        timestamps = np.asarray(timestamps, dtype=float).reshape(-1)
-        _require_gaussian(spec)
-        y, missing, u = _normalize_series(spec, y, missing, u)
-        trans = _gap_transitions(spec, timestamps)
-    else:
-        _require_gaussian(spec)
-        y, missing, u = _normalize_series(spec, y, missing, u)
-        T0 = y.shape[0]
-        if timestamps is None:
-            timestamps = np.arange(T0, dtype=float)
-        trans = [(spec.A, spec.Sigma, spec.G)] * max(T0 - 1, 0)
+    """Fixed-interval (RTS) smoother; works for both time modes.
 
-    pm, pP, fm, fP, _, gain = _filter_pass(y, missing, u, spec.initial_mean,
-                                           spec.initial_cov, spec.H, spec.Theta, trans)
+    With the smoother gain J[t] = P_f[t] A' P_pred[t+1]^{-1}, the lag-one
+    covariance is Cov(x[t+1], x[t] | all) = P_s[t+1] J[t]' (Sarkka 2013,
+    *Bayesian Filtering and Smoothing*, RTS smoother).
+    """
+    r, trans = _kalman(spec, y, missing, u, timestamps)
+    pm, pP, fm, fP = r.predicted_mean, r.predicted_cov, r.filtered_mean, r.filtered_cov
     T, n = fm.shape
     sm = fm.copy()
     sP = fP.copy()
-    J = [None] * max(T - 1, 0)
+    lag1 = np.empty((max(T - 1, 0), n, n))
     for t in range(T - 2, -1, -1):
         A_next = trans[t][0]
-        # J_t = P_f[t] A' P_pred[t+1]^{-1}; pseudo-inverse guards Sigma = 0 cases
+        # pseudo-inverse guards a singular prediction (Sigma = 0 cases)
         Pp = pP[t + 1]
         try:
             Jt = np.linalg.solve(Pp, A_next @ fP[t]).T
         except np.linalg.LinAlgError:
             Jt = (np.linalg.pinv(Pp) @ (A_next @ fP[t])).T
-        J[t] = Jt
+        lag1[t] = sP[t + 1] @ Jt.T
         sm[t] = fm[t] + Jt @ (sm[t + 1] - pm[t + 1])
         sP[t] = fP[t] + Jt @ (sP[t + 1] - Pp) @ Jt.T
         sP[t] = 0.5 * (sP[t] + sP[t].T)
-
-    lag1 = np.empty((max(T - 1, 0), n, n))
-    if T > 1:
-        lag1[T - 2] = gain[T - 1] @ trans[T - 2][0] @ fP[T - 2]
-        for t in range(T - 3, -1, -1):
-            lag1[t] = (fP[t + 1] @ J[t].T
-                       + J[t + 1] @ (lag1[t + 1] - trans[t + 1][0] @ fP[t + 1]) @ J[t].T)
-    return SmoothResult(np.asarray(timestamps, dtype=float), sm, sP, lag1)
+    return SmoothResult(r.timestamps, sm, sP, lag1)
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +479,8 @@ def _channel_loglik(spec: ModelSpec, particles: np.ndarray, y_t: np.ndarray,
         Hg = spec.H[gauss]
         Tg = spec.Theta[np.ix_(gauss, gauss)]
         resid = y_t[gauss][None, :] - particles @ Hg.T
+        if not np.isfinite(Tg).all():
+            raise EmaError("NON_FINITE", "Gaussian channel error covariance is non-finite")
         w_eig = np.linalg.eigvalsh(0.5 * (Tg + Tg.T))
         if w_eig[0] <= 0.0 or w_eig[-1] > COND_LIMIT * w_eig[0]:
             raise EmaError("SINGULAR_INNOVATION",
@@ -530,19 +530,9 @@ def particle_filter(spec: ModelSpec, y, n_particles: int, rng_seed: int,
     """
     if n_particles < 100:
         raise EmaError("PARTICLES_TOO_FEW", f"need >= 100 particles, got {n_particles}")
-    y, missing, u = _normalize_series(spec, y, missing, u)
+    y, missing, u, timestamps, trans = _prepare(spec, y, missing, u, timestamps)
     T = y.shape[0]
     n = spec.n_states
-    continuous = spec.time_mode == "continuous"
-    if continuous:
-        if timestamps is None:
-            raise EmaError("INVALID_MODEL", "continuous-time particle filter needs timestamps")
-        timestamps = np.asarray(timestamps, dtype=float).reshape(-1)
-        trans = _gap_transitions(spec, timestamps)
-    else:
-        if timestamps is None:
-            timestamps = np.arange(T, dtype=float)
-        trans = [(spec.A, spec.Sigma, spec.G)] * max(T - 1, 0)
 
     rng = np.random.default_rng(rng_seed)
     L0 = psd_sqrt(spec.initial_cov)
@@ -587,6 +577,5 @@ def particle_filter(spec: ModelSpec, y, n_particles: int, rng_seed: int,
             particles = particles[idx]
             log_w = np.full(n_particles, -np.log(n_particles))
 
-    return FilterResult(np.asarray(timestamps, dtype=float), pred_m, pred_P,
-                        filt_m, filt_P, ll, float(ll.sum()),
+    return FilterResult(timestamps, pred_m, pred_P, filt_m, filt_P, ll, float(ll.sum()),
                         int(missing.any(axis=1).sum()), missing)

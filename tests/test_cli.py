@@ -152,6 +152,25 @@ def test_filter_command_exports_table(tmp_path, model_file, scenario_file):
     assert len(lines) == 1 + 2 * 120
 
 
+def test_filter_methods_write_the_same_time_column(tmp_path, model_file):
+    scenario = _write(tmp_path / "sc.json", {
+        "schedule": {"kind": "fixed", "horizon": 20.0, "interval": 2.0},
+        "n_participants": 2})
+    data_out = tmp_path / "d.csv"
+    main(["simulate", "--model", model_file, "--scenario", scenario,
+          "--out", str(data_out), "--seed", "23"])
+    cols = {}
+    for method in ("kalman", "particle"):
+        out = tmp_path / f"{method}.csv"
+        rc = main(["filter", "--data", str(data_out), "--model", model_file,
+                   "--method", method, "--particles", "200", "--seed", "1",
+                   "--out", str(out)])
+        assert rc == 0
+        cols[method] = [row.split(",")[:2] for row in out.read_text().splitlines()]
+    assert cols["particle"] == cols["kalman"]
+    assert [t for _, t in cols["kalman"][1:4]] == ["0", "2", "4"]
+
+
 def test_compare_emits_full_table(tmp_path, model_file, scenario_file):
     data_out = tmp_path / "d.csv"
     main(["simulate", "--model", model_file, "--scenario", scenario_file,

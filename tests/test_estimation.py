@@ -444,6 +444,25 @@ def test_overflowing_point_is_penalized_not_raised():
     assert out[1] == 1e12
 
 
+def test_particle_objective_penalizes_overflowing_theta(monkeypatch):
+    from scipy.optimize import OptimizeResult
+    from emastate import estimate
+
+    truth = ar1_truth()
+    data = simulate(truth, T=20, seed=23)
+    seen = []
+
+    def one_look(fun, x0, jac, **kwargs):
+        seen.append(fun(x0 + 1000.0))       # the Theta log-sd overflows to inf
+        return OptimizeResult(x=x0, fun=fun(x0), jac=np.zeros_like(x0), status=0)
+
+    monkeypatch.setattr(estimate, "minimize", one_look)
+    opts = FitOptions(n_restarts=1, likelihood="particle", n_particles=100,
+                      particle_seed=1)
+    es.fit(truth, es.ParameterMap({"Theta": [["free"]]}), data, options=opts)
+    assert seen == [1e12]
+
+
 def test_matrix_fit_on_infinite_data_reports_nonfinite_likelihood():
     truth, data = var2_cohort()
     data.participants[0].Y[4, 1] = np.inf

@@ -211,20 +211,47 @@ def test_smoother_t1_equals_filter():
     assert np.allclose(s.smoothed_cov, r.filtered_cov)
 
 
+def _smoother_case(name):
+    """(spec, oracle spec, Y, missing, timestamps) for the smoother oracle test."""
+    dense = es.ModelSpec(A=[[0.5, 0.2], [-0.1, 0.6]],
+                         Sigma=[[1.0, 0.3], [0.3, 0.8]],
+                         H=[[1.0, 0.0], [0.5, 1.0]],
+                         Theta=[[0.5, 0.1], [0.1, 0.4]],
+                         initial_mean=[0.2, -0.1], initial_cov=np.eye(2))
+    if name == "dense-2x2":
+        Y, missing = _simulate_series(dense, 3, 9)
+        missing[0, 1] = True
+        return dense, dense, Y, missing, None
+    if name == "scalar":            # the float loop
+        spec = es.ModelSpec(A=[[0.7]], Sigma=[[1.0]], Theta=[[0.4]],
+                            initial_mean=[0.5], initial_cov=[[2.0]])
+        Y, missing = _simulate_series(spec, 5, 10)
+        missing[2, 0] = True
+        return spec, spec, Y, missing, None
+    if name == "ct-even-grid":
+        ct = es.to_continuous(dense.with_matrices(A=np.array([[0.6, 0.1], [0.0, 0.7]])), 2.0)
+        Y, missing = _simulate_series(dense, 4, 11, miss_frac=0.25)
+        return ct, es.discretize(ct, 2.0), Y, missing, 2.0 * np.arange(4)
+    # a noiseless random-walk state: the predicted covariance is singular,
+    # so the smoother gain takes the pseudo-inverse
+    rw = es.ModelSpec(A=[[1.0, 0.0], [0.2, 0.5]], Sigma=[[0.0, 0.0], [0.0, 1.0]],
+                      H=[[1.0, 0.0], [0.5, 1.0]], Theta=[[0.5, 0.1], [0.1, 0.4]],
+                      initial_mean=[0.3, 0.0], initial_cov=[[0.0, 0.0], [0.0, 1.0]],
+                      random_walk_states=[0])
+    Y, missing = _simulate_series(rw, 4, 12)
+    missing[1, 0] = True
+    return rw, rw, Y, missing, None
+
+
 def test_smoother_matches_joint_gaussian_oracle():
-    spec = es.ModelSpec(A=[[0.5, 0.2], [-0.1, 0.6]],
-                        Sigma=[[1.0, 0.3], [0.3, 0.8]],
-                        H=[[1.0, 0.0], [0.5, 1.0]],
-                        Theta=[[0.5, 0.1], [0.1, 0.4]],
-                        initial_mean=[0.2, -0.1], initial_cov=np.eye(2))
-    Y, missing = _simulate_series(spec, 3, 9)
-    missing[0, 1] = True
-    Y[0, 1] = np.nan
-    s = es.kalman_smooth(spec, Y, missing)
-    o = gaussian_joint(spec, Y, missing)
-    assert np.allclose(s.smoothed_mean, o["smoothed_mean"], atol=1e-8)
-    assert np.allclose(s.smoothed_cov, o["smoothed_cov"], atol=1e-8)
-    assert np.allclose(s.lag_one_cov, o["lag_one_cov"], atol=1e-8)
+    for case in ("dense-2x2", "scalar", "ct-even-grid", "random-walk-singular"):
+        spec, oracle_spec, Y, missing, timestamps = _smoother_case(case)
+        Y[missing] = np.nan
+        s = es.kalman_smooth(spec, Y, missing, timestamps=timestamps)
+        o = gaussian_joint(oracle_spec, Y, missing)
+        assert np.allclose(s.smoothed_mean, o["smoothed_mean"], atol=1e-8), case
+        assert np.allclose(s.smoothed_cov, o["smoothed_cov"], atol=1e-8), case
+        assert np.allclose(s.lag_one_cov, o["lag_one_cov"], atol=1e-8), case
 
 
 def test_smoothing_never_inflates_covariance():
@@ -285,6 +312,27 @@ def test_particle_graded_response_runs_and_weights():
     lo = r.filtered_mean[y <= 2, 0].mean()
     hi = r.filtered_mean[y >= 3, 0].mean()
     assert hi > lo
+
+
+@pytest.mark.parametrize("n_times", [4, 6])
+@pytest.mark.parametrize("entry, mode", [
+    ("kalman_filter", "discrete"), ("kalman_filter_ct", "continuous"),
+    ("kalman_smooth", "discrete"), ("kalman_smooth", "continuous"),
+    ("particle_filter", "discrete"), ("particle_filter", "continuous")])
+def test_timestamps_must_match_series_length(entry, mode, n_times):
+    spec = es.ModelSpec(A=[[0.5 if mode == "discrete" else -0.5]], Sigma=[[1.0]],
+                        Theta=[[0.5]], initial_cov=[[1.0]], time_mode=mode)
+    y = np.zeros((5, 1))
+    t = np.arange(n_times, dtype=float)
+    calls = {
+        "kalman_filter": lambda: es.kalman_filter(spec, y, timestamps=t),
+        "kalman_filter_ct": lambda: es.kalman_filter_ct(spec, t, y),
+        "kalman_smooth": lambda: es.kalman_smooth(spec, y, timestamps=t),
+        "particle_filter": lambda: es.particle_filter(spec, y, 100, 0, timestamps=t),
+    }
+    with pytest.raises(EmaError) as exc:
+        calls[entry]()
+    assert exc.value.code == "INVALID_MODEL"
 
 
 def test_particles_too_few_rejected():
@@ -360,6 +408,14 @@ def test_non_finite_innovation_is_typed():
         with pytest.raises(EmaError) as exc:
             es.kalman_filter(spec, np.zeros((5, spec.n_obs)))
         assert exc.value.code == "NON_FINITE"
+
+
+@pytest.mark.parametrize("theta_diag", [[np.inf, 0.0], [np.nan, 1.0]])
+def test_particle_non_finite_gaussian_theta_is_typed(theta_diag):
+    spec = _var2().with_matrices(Theta=np.diag(theta_diag))
+    with pytest.raises(EmaError) as exc:
+        es.particle_filter(spec, np.zeros((3, 2)), 100, 0)
+    assert exc.value.code == "NON_FINITE"
 
 
 def test_non_finite_input_rejected():
