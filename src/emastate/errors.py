@@ -32,6 +32,7 @@ VALIDATION_CODES = frozenset(
         "UNKNOWN_KEY",
         "BAD_PARAMETER_MAP",
         "BAD_SCENARIO",
+        "NO_OBSERVATIONS",
     }
 )
 
@@ -46,6 +47,7 @@ NUMERICAL_CODES = frozenset(
         "DEGENERATE_WEIGHTS",
         "NONFINITE_LIKELIHOOD",
         "CALIBRATION_FAILED",
+        "NOT_PSD",
     }
 )
 

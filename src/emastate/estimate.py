@@ -553,6 +553,11 @@ def fit(template: ModelSpec, pmap: ParameterMap, data: EmaDataset,
                        "kalman likelihood requires all-Gaussian channels; "
                        "request the particle likelihood instead")
 
+    empty = [p.pid for p in data.participants if p.missing.all()]
+    if empty and (mode == "idiographic" or len(empty) == len(data.participants)):
+        raise EmaError("NO_OBSERVATIONS", f"participant {empty[0]} has no observed cell"
+                       if mode == "idiographic" else "no participant has an observed cell")
+
     par = Parameterization(template, pmap)
     if par.n_free == 0:
         raise EmaError("NO_FREE_PARAMS", "the parameter map leaves nothing to estimate")

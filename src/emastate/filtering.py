@@ -31,7 +31,8 @@ from scipy.special import expit, gammaln, logsumexp
 
 from .errors import EmaError
 from .model import (GAUSSIAN, GRADED_RESPONSE, BERNOULLI_LOGISTIC, POISSON,
-                    ModelSpec, discretize, psd_sqrt)
+                    ModelSpec, _discretize_gaps, psd_sqrt)
+from .model import discretize  # noqa: F401  (perfbench/spans.py wraps it here)
 
 COND_LIMIT = 1e12
 
@@ -345,21 +346,6 @@ def _filter_pass(y, missing, u, mu0, P0, H, Theta, trans):
     return (*res.moments, res.loglik)
 
 
-def _gap_transitions(spec: ModelSpec, timestamps: np.ndarray):
-    """Per-gap exact discretization, cached over repeated gap lengths."""
-    cache: dict = {}
-    trans = []
-    for dt in np.diff(timestamps):
-        if dt <= 0:
-            raise EmaError("NON_MONOTONE_TIME", "timestamps must be strictly increasing")
-        key = round(float(dt), 12)
-        if key not in cache:
-            d = discretize(spec, float(dt))
-            cache[key] = (d.A, d.Sigma, d.G)
-        trans.append(cache[key])
-    return trans
-
-
 def _prepare(spec: ModelSpec, y, missing, u, timestamps):
     """Checked (y, missing, u) of one series, its timestamps, and ``trans``:
     ``trans[k]`` is (A, Sigma, G) for the step into ping k+1.
@@ -379,7 +365,10 @@ def _prepare(spec: ModelSpec, y, missing, u, timestamps):
     if timestamps.size != T:
         raise EmaError("INVALID_MODEL", f"{timestamps.size} timestamps for {T} pings")
     if continuous:
-        trans = _gap_transitions(spec, timestamps)
+        gaps = np.diff(timestamps)
+        if (gaps <= 0).any():
+            raise EmaError("NON_MONOTONE_TIME", "timestamps must be strictly increasing")
+        trans = _discretize_gaps(spec, gaps)
     else:
         trans = [(spec.A, spec.Sigma, spec.G)] * max(T - 1, 0)
     return y, missing, u, timestamps, trans

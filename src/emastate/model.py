@@ -38,12 +38,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def psd_sqrt(M: np.ndarray) -> np.ndarray:
-    """Factor L with L L' = M for symmetric PSD M (zero matrices allowed)."""
+    """Factor L with L L' = M for M symmetric PSD within round-off (as
+    :func:`validate_model` means it; zero matrices allowed), else ``NOT_PSD``."""
     if not M.size:
         return np.asarray(M, dtype=float)
     try:
         return np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
+        why = _psd_violation(M)
+        if why is not None:
+            raise EmaError("NOT_PSD", f"cannot factor the matrix: {why}")
         w, V = np.linalg.eigh(0.5 * (M + M.T))
         return V * np.sqrt(np.clip(w, 0.0, None))
 
@@ -413,31 +417,61 @@ def _pin_random_walk_rows(A: np.ndarray, rw: frozenset[int], time_mode: str) -> 
     # expm/logm keep pinned rows only to round-off; restore them exactly.
     A = A.copy()
     for i in rw:
-        A[i, :] = 0.0
-        A[i, i] = 1.0 if time_mode == "discrete" else 0.0
+        A[..., i, :] = 0.0
+        A[..., i, i] = 1.0 if time_mode == "discrete" else 0.0
     return A
 
 
-def noise_integral(A_c: np.ndarray, Sigma_c: np.ndarray, dt: float) -> np.ndarray:
-    """integral_0^dt exp(A s) Sigma exp(A' s) ds via the block-matrix trick."""
-    n = A_c.shape[0]
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = -A_c
-    M[:n, n:] = Sigma_c
-    M[n:, n:] = A_c.T
-    F = expm(M * dt)
-    Ad = F[n:, n:].T          # = expm(A_c * dt)
-    Sd = Ad @ F[:n, n:]
-    return 0.5 * (Sd + Sd.T)
+def _expm_integral(A_c: np.ndarray, dt) -> np.ndarray:
+    """integral_0^dt exp(A s) ds, also for singular A; stacked A and dt broadcast."""
+    n, Z = A_c.shape[-1], np.zeros_like(A_c)
+    return expm(np.block([[A_c, Z + np.eye(n)], [Z, Z]]) * dt)[..., :n, n:]
 
 
-def _expm_integral(A_c: np.ndarray, dt: float) -> np.ndarray:
-    """integral_0^dt exp(A s) ds (well-defined even for singular A)."""
-    n = A_c.shape[0]
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = A_c
-    M[:n, n:] = np.eye(n)
-    return expm(M * dt)[:n, n:]
+def _discretize_gaps(spec: ModelSpec, dts, drifts=None) -> list[tuple]:
+    """Exact (A_d, Sigma_d, G_d) per gap of ``dts``, under the spec's drift or
+    one drift per gap (``drifts``, (K, n, n)).  Gaps with equal drift and
+    equal to 12 decimals share one tuple, built at the first of them.
+
+    Van Loan's (1978, *IEEE TAC* 23:395) block exponentials run at h =
+    dt / 2^s, the least s with ||A||_1 h <= 1/2 (no cancellation), then s
+    doublings A(2h) = A(h)^2, Sigma(2h) = Sigma(h) + A(h) Sigma(h) A(h)',
+    G(2h) = G(h) + A(h) G(h) (Higham 2005, *SIAM J. Matrix Anal. Appl.* 26:1179).
+    """
+    dts = np.asarray(dts, dtype=float).reshape(-1)
+    bad = ~((dts > 0) & np.isfinite(dts))
+    if bad.any():
+        raise EmaError("INVALID_MODEL", f"dt must be positive and finite, got {dts[bad][0]}")
+    keys = [(None if drifts is None else drifts[i].tobytes(), round(dt, 12))
+            for i, dt in enumerate(dts.tolist())]
+    first: dict = {}
+    rep = [first.setdefault(key, i) for i, key in enumerate(keys)]
+    idx = list(first.values())
+    dts, n = dts[idx], spec.n_states
+    A_c = np.broadcast_to(spec.A if drifts is None else drifts[idx], (len(idx), n, n))
+    norm = np.abs(A_c).sum(-2).max(-1)      # a non-finite drift fails below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s = np.where(np.isfinite(norm) & (norm * dts > 0.5),
+                     np.ceil(np.log2(norm) + np.log2(dts) + 1.0), 0).astype(int)
+        h = np.ldexp(dts, -s)[:, None, None]
+        A_d = _pin_random_walk_rows(expm(A_c * h), spec.random_walk_states, "discrete")
+        Z = np.zeros_like(A_c)
+        F = expm(np.block([[-A_c, Z + spec.Sigma], [Z, A_c.swapaxes(-1, -2)]]) * h)
+        Sigma_d = F[:, n:, n:].swapaxes(-1, -2) @ F[:, :n, n:]
+        G_d = (_expm_integral(A_c, h) @ spec.G if spec.n_inputs
+               else np.zeros((len(idx), n, 0)))
+        for j in range(s.max(initial=0)):
+            k = s > j
+            a = A_d[k]
+            Sigma_d[k] += a @ Sigma_d[k] @ a.swapaxes(-1, -2)
+            G_d[k] += a @ G_d[k]
+            A_d[k] = a @ a
+        Sigma_d = 0.5 * (Sigma_d + Sigma_d.swapaxes(-1, -2))
+    bad = ~np.isfinite(np.concatenate([A_d, Sigma_d, G_d], axis=-1)).all((1, 2))
+    if bad.any():
+        raise EmaError("NON_FINITE", f"matrix exponential overflowed at dt={dts[bad][0]}")
+    shared = dict(zip(idx, zip(A_d, Sigma_d, G_d)))
+    return [shared[i] for i in rep]
 
 
 def discretize(spec: ModelSpec, dt: float) -> ModelSpec:
@@ -446,23 +480,11 @@ def discretize(spec: ModelSpec, dt: float) -> ModelSpec:
     The transition matrix is the matrix exponential of the drift scaled by
     dt; the innovation covariance is the stochastic integral of the
     continuous noise over the step, and inputs are held constant across the
-    step (zero-order hold).
+    step (zero-order hold).  Both stay exact for gaps of any length.
     """
     if spec.time_mode != "continuous":
         raise EmaError("INVALID_MODEL", "discretize expects a continuous-time spec")
-    if not dt > 0:
-        raise EmaError("INVALID_MODEL", f"dt must be positive, got {dt}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        A_d = expm(spec.A * dt)
-        Sigma_d = noise_integral(spec.A, spec.Sigma, dt)
-        if spec.n_inputs:
-            G_d = _expm_integral(spec.A, dt) @ spec.G
-        else:
-            G_d = spec.G
-    if not (np.all(np.isfinite(A_d)) and np.all(np.isfinite(Sigma_d))
-            and np.all(np.isfinite(G_d))):
-        raise EmaError("NON_FINITE", f"matrix exponential overflowed at dt={dt}")
-    A_d = _pin_random_walk_rows(A_d, spec.random_walk_states, "discrete")
+    [(A_d, Sigma_d, G_d)] = _discretize_gaps(spec, [dt])
     return replace(spec, A=A_d, Sigma=Sigma_d, G=G_d, time_mode="discrete",
                    initial_mean=spec.initial_mean, initial_cov=spec.initial_cov)
 

@@ -21,7 +21,8 @@ from scipy.special import expit
 from .dataset import EmaDataset, Participant, default_names
 from .errors import EmaError
 from .model import (GAUSSIAN, GRADED_RESPONSE, BERNOULLI_LOGISTIC, POISSON,
-                    ModelSpec, discretize, psd_sqrt, require_valid)
+                    ModelSpec, _discretize_gaps, psd_sqrt, require_valid)
+from .model import discretize  # noqa: F401  (perfbench/spans.py wraps it here)
 
 HOURS_PER_DAY = 24.0
 DEFAULT_WEEKEND = frozenset({5, 6})     # Saturday, Sunday with Monday == 0
@@ -319,58 +320,38 @@ def _build_inputs(spec: ModelSpec, timestamps: np.ndarray,
 def _simulate_participant(spec: ModelSpec, timestamps: np.ndarray, U: np.ndarray,
                           regimes: RegimeSchedule | None, tvp: TvpSchedule | None,
                           rng: np.random.Generator) -> np.ndarray:
-    """State recursion + measurement; returns the (T, n_obs) observations."""
+    """State recursion + measurement; returns the (T, n_obs) observations.
+    The step into ping k uses ping k's regime drift and tvp value."""
     n = spec.n_states
     T = timestamps.size
-    continuous = spec.time_mode == "continuous"
+    regs = regimes.regimes if regimes is not None else ()
+    drift_of = [np.asarray(spec.A, dtype=float)] + [
+        np.asarray(spec.A if r.A is None else r.A, dtype=float) for r in regs]
+    if any(A.shape != (n, n) for A in drift_of):
+        raise EmaError("BAD_SCENARIO", f"every regime A must be {n}x{n}")
+    offset_of = [np.zeros(n)] + [np.zeros(n) if r.mean_offset is None else
+                                 np.asarray(r.mean_offset, dtype=float).reshape(n) for r in regs]
+    segs = [regimes.segment(t) for t in timestamps] if regs else [0] * T
 
-    def seg_A(seg: int) -> np.ndarray:
-        if regimes is not None and seg > 0 and regimes.regimes[seg - 1].A is not None:
-            return np.asarray(regimes.regimes[seg - 1].A, dtype=float)
-        return np.asarray(spec.A)
-
-    def seg_mu(seg: int) -> np.ndarray:
-        if regimes is not None and seg > 0:
-            off = regimes.regimes[seg - 1].mean_offset
-            if off is not None:
-                return np.asarray(off, dtype=float).reshape(n)
-        return np.zeros(n)
-
-    def step_matrices(A_base: np.ndarray, dt: float) -> tuple:
-        if continuous:
-            sub = ModelSpec(A=A_base, Sigma=spec.Sigma, G=spec.G,
-                            time_mode="continuous", initial_cov=np.zeros((n, n)),
-                            random_walk_states=spec.random_walk_states)
-            d = discretize(sub, dt)
-            return d.A, psd_sqrt(d.Sigma), d.G
-        return A_base, L_sigma, spec.G
-
-    L_sigma = psd_sqrt(spec.Sigma) if not continuous else None
+    drifts = np.array([drift_of[seg] for seg in segs[1:]]).reshape(T - 1, n, n)
+    if tvp is not None:
+        drifts[:, tvp.target[0], tvp.target[1]] = [tvp.value(t) for t in timestamps[1:]]
+    if spec.time_mode == "continuous":
+        trans = _discretize_gaps(spec, np.diff(timestamps), drifts)
+    else:
+        trans = [(A, spec.Sigma, spec.G) for A in drifts]
+    factors = {id(S): S for _, S, _ in trans}
+    factors = {i: psd_sqrt(S) for i, S in factors.items()}
     L_theta = psd_sqrt(spec.Theta)
     L0 = psd_sqrt(spec.initial_cov)
-    step_cache: dict = {}
 
     Y = np.empty((T, spec.n_obs))
     z = spec.initial_mean + L0 @ rng.standard_normal(n)
-    seg = regimes.segment(timestamps[0]) if regimes is not None else 0
-    x = z + seg_mu(seg)
-    Y[0] = _measure_ping(spec, x, rng, L_theta)
-
+    Y[0] = _measure_ping(spec, z + offset_of[segs[0]], rng, L_theta)
     for k in range(1, T):
-        dt = timestamps[k] - timestamps[k - 1]
-        seg_next = regimes.segment(timestamps[k]) if regimes is not None else 0
-        if tvp is not None:
-            A_base = seg_A(seg_next).copy()
-            A_base[tvp.target] = tvp.value(timestamps[k])
-            Ak, Lk, Gk = step_matrices(A_base, dt)
-        else:
-            key = (seg_next, round(dt, 12))
-            if key not in step_cache:
-                step_cache[key] = step_matrices(seg_A(seg_next), dt)
-            Ak, Lk, Gk = step_cache[key]
-        z = Ak @ z + Gk @ U[k - 1] + Lk @ rng.standard_normal(n)
-        x = z + seg_mu(seg_next)
-        Y[k] = _measure_ping(spec, x, rng, L_theta)
+        A, S, G = trans[k - 1]
+        z = A @ z + G @ U[k - 1] + factors[id(S)] @ rng.standard_normal(n)
+        Y[k] = _measure_ping(spec, z + offset_of[segs[k]], rng, L_theta)
     return Y
 
 

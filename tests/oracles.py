@@ -16,10 +16,7 @@ def gaussian_joint(spec, Y, missing, U=None):
     smoothed lag-one cross-covariances, and the log-likelihood of the
     observed cells.
     """
-    n, p = spec.n_states, spec.n_obs
-    T = Y.shape[0]
-    A, H = spec.A, spec.H
-
+    n, T, A = spec.n_states, Y.shape[0], spec.A
     mx = np.zeros((T, n))
     mx[0] = spec.initial_mean
     for t in range(1, T):
@@ -38,8 +35,38 @@ def gaussian_joint(spec, Y, missing, U=None):
             Pb[t, s] = Pb[s, t].T
 
     Cx = np.block([[Pb[s, t] for t in range(T)] for s in range(T)])
+    return _condition_on_cells(mx, Cx, spec.H, spec.Theta, Y, missing)
+
+
+def ct_gaussian_joint(spec, timestamps, Y, missing):
+    """:func:`gaussian_joint` for a stable continuous-time spec started in
+    its stationary law (mean 0, ``initial_cov`` = P_inf) without inputs.
+
+    Built without discretizing any gap: Cov(x_t, x_s) = expm(A (t - s)) P_inf
+    for t >= s, with P_inf solving A P + P A' + Sigma = 0.
+    """
+    from scipy.linalg import expm, solve_continuous_lyapunov
+
+    t = np.asarray(timestamps, dtype=float)
+    T, n = t.size, spec.n_states
+    P_inf = solve_continuous_lyapunov(spec.A, -spec.Sigma)
+    P_inf = 0.5 * (P_inf + P_inf.T)
+    Pb = np.zeros((T, T, n, n))
+    for s in range(T):
+        for u in range(s, T):
+            Pb[u, s] = expm(spec.A * (t[u] - t[s])) @ P_inf
+            Pb[s, u] = Pb[u, s].T
+    Cx = np.block([[Pb[s, u] for u in range(T)] for s in range(T)])
+    return _condition_on_cells(np.zeros((T, n)), Cx, spec.H, spec.Theta, Y, missing)
+
+
+def _condition_on_cells(mx, Cx, H, Theta, Y, missing):
+    """Predicted/filtered/smoothed moments and log-likelihood from the state
+    means (T, n) and joint state covariance (T n, T n)."""
+    T, n = mx.shape
+    p = H.shape[0]
     Hb = np.kron(np.eye(T), H)
-    Cy = Hb @ Cx @ Hb.T + np.kron(np.eye(T), spec.Theta)
+    Cy = Hb @ Cx @ Hb.T + np.kron(np.eye(T), Theta)
     Cxy = Cx @ Hb.T
     mx_flat = mx.reshape(-1)
     my = Hb @ mx_flat

@@ -122,6 +122,25 @@ def test_fit_idiographic_one_participant_matches_pooled(tmp_path, model_file):
         outs["idiographic"]["log_likelihood"], abs=1e-6)
 
 
+def test_fit_with_an_unobserved_participant_exits_2(tmp_path, model_file, scenario_file,
+                                                    capsys):
+    data_out = tmp_path / "d.csv"
+    main(["simulate", "--model", model_file, "--scenario", scenario_file,
+          "--out", str(data_out), "--seed", "5"])
+    data = es.read_dataset(data_out)
+    p = data.participants[1]
+    p.missing[:] = True
+    p.Y[:] = np.nan
+    es.write_dataset(data, data_out)
+    model = dict(AR1_MODEL); model["G"] = [[0.0]]; model["n_inputs"] = 1
+    tpl = _write(tmp_path / "tpl.json", {"model": model, "parameters": {"A": [["free"]]}})
+    rc = main(["fit", "--data", str(data_out), "--template", tpl, "--mode", "idiographic",
+               "--out", str(tmp_path / "f.json"), "--seed", "1"])
+    assert rc == 2
+    assert f"NO_OBSERVATIONS: participant {p.pid}" in capsys.readouterr().err
+    assert not (tmp_path / "f.json").exists()
+
+
 def test_fit_particle_on_gaussian_warns_but_runs(tmp_path, model_file, capsys):
     scenario = {"schedule": {"kind": "fixed", "horizon": 40.0, "interval": 1.0}}
     sc = _write(tmp_path / "s.json", scenario)

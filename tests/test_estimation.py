@@ -283,6 +283,22 @@ def test_nonfinite_likelihood_at_every_start_reported():
     assert exc.value.code == "NONFINITE_LIKELIHOOD"
 
 
+@pytest.mark.parametrize("mode, blank", [("idiographic", [1]), ("pooled", [0, 1, 2])])
+def test_participant_without_observations_is_reported_before_any_search(
+        monkeypatch, mode, blank):
+    data = simulate(ar1_truth(), T=30, n_participants=3)
+    for i in blank:
+        p = data.participants[i]
+        p.missing[:] = True
+        p.Y[:] = np.nan
+    monkeypatch.setattr(es.estimate, "minimize", lambda *a, **k: pytest.fail("searched"))
+    with pytest.raises(EmaError) as exc:
+        es.fit(ar1_truth(), AR1_MAP, data, mode=mode, options=FAST)
+    assert exc.value.code == "NO_OBSERVATIONS"
+    if mode == "idiographic":
+        assert data.participants[1].pid in exc.value.message
+
+
 def test_fit_result_serialization_reports_absent_standard_errors():
     data = simulate(ar1_truth(), T=100, seed=19)
     r = es.fit(ar1_truth(), AR1_MAP, data, options=FAST)

@@ -4,7 +4,8 @@ import pytest
 import emastate as es
 from emastate.errors import EmaError
 
-from oracles import gaussian_joint, poisson_t2_loglik, random_stable_spec
+from oracles import (ct_gaussian_joint, gaussian_joint, poisson_t2_loglik,
+                     random_stable_spec)
 
 
 def _simulate_series(spec, T, seed, miss_frac=0.0):
@@ -198,6 +199,43 @@ def test_ct_single_observation_is_one_bayes_update():
     k = P0 / (P0 + th)
     assert abs(r.filtered_mean[0, 0] - (1.0 + k * (0.4 - 1.0))) < 1e-12
     assert abs(r.filtered_cov[0, 0, 0] - (1 - k) * P0 * (1 - k) - k * th * k) < 1e-12
+
+
+def test_ct_filter_and_smoother_across_multi_day_gaps_match_joint_oracle():
+    """Weekend (72 h) and 500 h gaps: far beyond where a one-shot Van Loan
+    block cancels (|lambda| dt ~ 50 and ~ 460 here)."""
+    ct = es.to_continuous(_var2(), 1.0).with_matrices(initial_cov=None)  # stationary
+    t = np.array([0.0, 1.0, 2.5, 74.5, 75.0, 76.3, 576.3, 577.0, 578.1])
+    rng = np.random.default_rng(21)
+    Y = rng.normal(size=(t.size, 2))
+    missing = rng.uniform(size=Y.shape) < 0.2
+    missing[3] = [True, False]
+    Y[missing] = np.nan
+    o = ct_gaussian_joint(ct, t, Y, missing)
+    r = es.kalman_filter_ct(ct, t, Y, missing)
+    s = es.kalman_smooth(ct, Y, missing, timestamps=t)
+    assert abs(r.log_likelihood - o["log_likelihood"]) < 1e-8
+    for got, want in ((r.predicted_cov, "predicted_cov"), (r.filtered_mean, "filtered_mean"),
+                      (r.filtered_cov, "filtered_cov"), (s.smoothed_mean, "smoothed_mean"),
+                      (s.smoothed_cov, "smoothed_cov"), (s.lag_one_cov, "lag_one_cov")):
+        assert np.allclose(got, o[want], rtol=0.0, atol=1e-8), want
+
+
+@pytest.mark.parametrize("gap", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", ["kalman_filter_ct", "kalman_smooth", "particle_filter"])
+def test_non_finite_gap_is_typed(entry, gap):
+    spec = es.ModelSpec(A=[[-0.5]], Sigma=[[1.0]], Theta=[[0.5]], initial_cov=[[1.0]],
+                        time_mode="continuous")
+    y = np.zeros((4, 1))
+    t = np.array([0.0, 1.0, 2.0, 2.0 + gap])
+    calls = {
+        "kalman_filter_ct": lambda: es.kalman_filter_ct(spec, t, y),
+        "kalman_smooth": lambda: es.kalman_smooth(spec, y, timestamps=t),
+        "particle_filter": lambda: es.particle_filter(spec, y, 100, 0, timestamps=t),
+    }
+    with pytest.raises(EmaError) as exc:
+        calls[entry]()
+    assert exc.value.code == "INVALID_MODEL"
 
 
 # --- smoother ----------------------------------------------------------------

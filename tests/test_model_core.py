@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg import expm, solve_continuous_lyapunov
 
 import emastate as es
-from emastate.errors import EmaError
+from emastate.errors import NUMERICAL_CODES, EmaError
+from emastate.model import _discretize_gaps, psd_sqrt
 
 from oracles import trapezoid_noise_integral
 
@@ -145,6 +148,89 @@ def test_non_finite_discretization_rejected():
     assert exc.value.code == "NON_FINITE"
 
 
+def _drift(seed, n, stable):
+    """A random n x n drift; shifted so every eigenvalue has real part at
+    most -0.05 when ``stable``."""
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-1.0, 1.0, (n, n))
+    if stable:
+        A -= (np.linalg.eigvals(A).real.max() + rng.uniform(0.05, 1.0)) * np.eye(n)
+    L = rng.uniform(-1.0, 1.0, (n, n))
+    return rng, A, L @ L.T + 0.01 * np.eye(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+       log_dts=st.lists(st.floats(-2.0, 4.0), min_size=1, max_size=6))
+def test_gap_noise_matches_lyapunov_form_for_stable_drifts(seed, n, log_dts):
+    """Sigma_d = P_inf - A_d P_inf A_d' for gaps of 0.01 h to 10^4 h.  The
+    reference itself loses |P_inf| * eps to cancellation, so the error is
+    measured against |P_inf|."""
+    _, A, Sigma = _drift(seed, n, stable=True)
+    spec = es.ModelSpec(A=A, Sigma=Sigma, time_mode="continuous", initial_cov=np.eye(n))
+    P = solve_continuous_lyapunov(A, -Sigma)
+    dts = 10.0 ** np.array(log_dts)
+    for (A_d, Sigma_d, _), dt in zip(_discretize_gaps(spec, dts), dts):
+        E = expm(A * dt)
+        assert np.abs(A_d - E).max() <= 1e-12 * max(1.0, np.abs(E).max())
+        assert np.abs(Sigma_d - (P - E @ P @ E.T)).max() <= 1e-12 * np.abs(P).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), walk=st.booleans(),
+       a=st.floats(0.01, 40.0), b=st.floats(0.01, 40.0))
+def test_gap_transitions_compose_as_a_semigroup(seed, n, walk, a, b):
+    """Any drift, random-walk rows and inputs included: A(a+b) = A(a) A(b),
+    Sigma(a+b) = Sigma(a) + A(a) Sigma(b) A(a)', G(a+b) = G(a) + A(a) G(b)."""
+    rng, A, Sigma = _drift(seed, n, stable=False)
+    if walk:
+        A[0] = 0.0
+    spec = es.ModelSpec(A=A, Sigma=Sigma, G=rng.uniform(-1.0, 1.0, (n, 2)),
+                        time_mode="continuous", initial_cov=np.eye(n),
+                        random_walk_states={0} if walk else set())
+    (A_a, S_a, G_a), (A_b, S_b, G_b), (A_ab, S_ab, G_ab) = _discretize_gaps(spec, [a, b, a + b])
+    for lhs, rhs in ((A_ab, A_a @ A_b), (S_ab, S_a + A_a @ S_b @ A_a.T),
+                     (G_ab, G_a + A_a @ G_b)):
+        assert np.abs(lhs - rhs).max() <= 1e-10 * max(np.abs(lhs).max(), np.abs(rhs).max())
+    if walk:
+        assert A_ab[0, 0] == 1.0 and not A_ab[0, 1:].any()
+
+
+@pytest.mark.parametrize("tvp", [False, True])
+def test_gap_stack_slices_equal_one_gap_discretize_bit_for_bit(tvp):
+    rng, A, Sigma = _drift(3, 3, stable=True)
+    spec = es.ModelSpec(A=A, Sigma=Sigma, G=rng.normal(size=(3, 2)), time_mode="continuous",
+                        initial_cov=np.eye(3))
+    dts = np.array([0.05, 0.4, 2.0, 3.7, 24.0, 72.0, 500.0, 2.0, 0.4])
+    drifts = None
+    if tvp:
+        drifts = np.repeat(A[None], dts.size, axis=0)
+        drifts[:, 0, 0] += np.linspace(-0.3, 0.2, dts.size)
+    trans = _discretize_gaps(spec, dts, drifts)
+    for i, (A_d, Sigma_d, G_d) in enumerate(trans):
+        one = es.discretize(spec if drifts is None else spec.with_matrices(A=drifts[i]), dts[i])
+        assert np.array_equal(A_d, one.A) and np.array_equal(Sigma_d, one.Sigma)
+        assert np.array_equal(G_d, one.G)
+    # equal gaps share one tuple only under equal drifts
+    assert (trans[2] is trans[7]) == (not tvp) and (trans[1] is trans[8]) == (not tvp)
+
+
+def test_astronomical_gap_on_stable_drift_reaches_stationary_law():
+    spec = es.to_continuous(es.ModelSpec(A=[[0.5, 0.1], [0.0, 0.4]], Sigma=np.eye(2)), 1.0)
+    d = es.discretize(spec, 1e300)
+    P = solve_continuous_lyapunov(spec.A, -spec.Sigma)
+    assert not d.A.any()
+    assert np.allclose(d.Sigma, P, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -1.0])
+def test_discretize_rejects_bad_gap(dt):
+    spec = es.ModelSpec(A=[[-0.5]], Sigma=[[1.0]], time_mode="continuous", initial_cov=[[1.0]])
+    with pytest.raises(EmaError) as exc:
+        es.discretize(spec, dt)
+    assert exc.value.code == "INVALID_MODEL"
+
+
 # --- stationary moments ------------------------------------------------------
 
 def test_stationary_white_noise():
@@ -235,6 +321,43 @@ def test_psd_tolerance_absorbs_roundoff():
                         Sigma=[[1.0, 0.0], [0.0, eps]])
     codes = {code for code, _ in es.validate_model(spec).errors}
     assert "NON_PSD_SIGMA" not in codes
+
+
+def test_psd_sqrt_rejects_a_clearly_indefinite_matrix():
+    with pytest.raises(EmaError) as exc:
+        psd_sqrt(np.diag([1.0, -5.0]))
+    assert exc.value.code == "NOT_PSD" and "NOT_PSD" in NUMERICAL_CODES
+
+
+def test_psd_sqrt_clips_only_round_off():
+    V = np.linalg.qr(np.random.default_rng(4).normal(size=(3, 3)))[0]
+    M = V @ np.diag([2.0, 1.0, -1e-13]) @ V.T
+    M = 0.5 * (M + M.T)
+    L = psd_sqrt(M)
+    assert np.abs(L @ L.T - M).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), rank=st.integers(0, 4),
+       wobble=st.floats(0.0, 0.9))
+def test_psd_sqrt_factors_whatever_validation_accepts(seed, n, rank, wobble):
+    """Rank-deficient covariances plus symmetric round-off up to the
+    validation tolerance: a spec that validates has factorable Sigma, Theta
+    and initial_cov."""
+    rng = np.random.default_rng(seed)
+
+    def cov():
+        B = rng.normal(size=(n, min(rank, n)))
+        M = B @ B.T
+        E = rng.normal(size=(n, n))
+        E = (E + E.T) / (2.0 * max(np.abs(np.linalg.eigvalsh(E + E.T)).max(), 1e-300))
+        return M + wobble * 1e-10 * abs(np.trace(M)) * E
+
+    spec = es.ModelSpec(A=0.5 * np.eye(n), Sigma=cov(), Theta=cov(), initial_cov=cov())
+    assume(not es.validate_model(spec).errors)
+    for M in (spec.Sigma, spec.Theta, spec.initial_cov):
+        L = psd_sqrt(M)
+        assert np.abs(L @ L.T - M).max() <= 2e-10 * abs(np.trace(M)) + 1e-14
 
 
 def test_spec_matrices_are_immutable():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_continuous_lyapunov
 
 import emastate as es
 from emastate.errors import EmaError
@@ -186,6 +187,22 @@ def test_tvp_sigmoid_trajectory_changes_persistence():
                      np.corrcoef(late[:-1], late[1:])[0, 1]))
     lag1 = np.array(lag1)
     assert lag1[:, 1].mean() > lag1[:, 0].mean() + 0.3
+
+
+def test_weekend_gaps_simulate_the_stationary_law():
+    """At a 72 h interval pings are all but independent draws from the
+    stationary law, so Cov(y) = P_inf + Theta; each entry's sample mean of
+    y_i y_j must lie within 4 batch-means standard errors of it."""
+    disc = es.ModelSpec(A=[[0.5, 0.1], [0.0, 0.4]], Sigma=np.eye(2), Theta=0.5 * np.eye(2))
+    ct = es.to_continuous(disc, 1.0).with_matrices(initial_cov=None)
+    sched = es.PingSchedule(kind="fixed", horizon=72.0 * 2000, interval=72.0)
+    Y = es.simulate_dataset(ct, sched, rng_seed=31).participants[0].Y
+    assert Y.shape == (2000, 2) and np.isfinite(Y).all()
+    target = solve_continuous_lyapunov(ct.A, -ct.Sigma) + ct.Theta
+    for i in range(2):
+        for j in range(i + 1):
+            prod = Y[:, i] * Y[:, j]
+            assert abs(prod.mean() - target[i, j]) < 4.0 * batch_means_se(prod), (i, j)
 
 
 def test_downsampling_rmse_monotone_in_thinning():
