@@ -29,8 +29,9 @@ from scipy.optimize import minimize
 
 from .dataset import EmaDataset, Participant
 from .errors import EmaError
-from .filtering import (_kalman_stack, _series_arrays, kalman_filter, kalman_filter_ct,
-                        particle_filter)
+from .filtering import (_kalman_stack, _particle_pass, _series_arrays, kalman_filter,
+                        kalman_filter_ct)
+from .filtering import particle_filter  # noqa: F401  (perfbench/spans.py wraps it here)
 from .model import ModelSpec, validate_model
 from .simulate import DisturbanceEvent, encode_disturbance
 
@@ -311,8 +312,9 @@ def _series_loglik(spec: ModelSpec, p: Participant, options: FitOptions) -> floa
         else:
             r = kalman_filter(spec, p.Y, p.missing, p.U)
     elif options.likelihood == "particle":
-        r = particle_filter(spec, p.Y, options.n_particles, options.particle_seed,
-                            p.missing, p.U, p.timestamps)
+        ll = _particle_pass(spec, p.Y, options.n_particles, options.particle_seed,
+                            p.missing, p.U, p.timestamps, store=False)[2]
+        return float(ll.sum())
     else:
         raise EmaError("BAD_PARAMETER_MAP", f"unknown likelihood {options.likelihood!r}")
     return r.log_likelihood

@@ -14,7 +14,8 @@ transitions from one front end.  The smoother's lag-one covariance needs no
 filter gains: Cov(x[t+1], x[t] | all) = P_s[t+1] J[t]' with J[t] the smoother
 gain (Sarkka 2013, *Bayesian Filtering and Smoothing*, RTS smoother).
 Models with count, ordinal, or dichotomous channels fall back to a
-bootstrap particle filter.
+bootstrap particle filter; fits run its likelihood-only pass, which keeps
+no moments and gives the filter's log-likelihood to the bit.
 
 Covariance updates use the Joseph form plus explicit symmetrization: EMA
 series are long and round-off accumulates.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import expit, gammaln, logsumexp
+from scipy.special import expit, gammaln
 
 from .errors import EmaError
 from .model import (GAUSSIAN, GRADED_RESPONSE, BERNOULLI_LOGISTIC, POISSON,
@@ -447,63 +448,208 @@ def kalman_smooth(spec: ModelSpec, y, missing=None, u=None,
 # Particle filter for non-Gaussian measurement families
 # ---------------------------------------------------------------------------
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a 1-D float array, in the arithmetic of
+    ``scipy.special.logsumexp`` (scipy 1.17), without its per-call dispatch.
+
+    The m entries equal to the maximum are split out of the sum, which is
+    then ``log1p(s) + log(m) + max`` with s the mean excess over them; the
+    result is bit-equal to scipy's on every input, including ties, -inf,
+    +inf and NaN entries (Blanchard, Higham & Higham 2021, *IMA J. Numer.
+    Anal.* 41:2311, on this shifted form).
+    """
+    a_max = a.max()
+    top = a == a_max
+    m = float(np.count_nonzero(top))
+    with np.errstate(all="ignore"):
+        e = np.exp(a - a_max)
+        e[top] = 0.0
+        s = e.sum()
+        if s != 0:
+            s = s / m
+        return np.log1p(s) + np.log(m) + a_max
+
+
 def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     N = weights.size
     positions = (rng.uniform() + np.arange(N)) / N
     return np.minimum(np.searchsorted(np.cumsum(weights), positions), N - 1)
 
 
-def _channel_loglik(spec: ModelSpec, particles: np.ndarray, y_t: np.ndarray,
-                    obs: np.ndarray) -> np.ndarray:
-    """Log of the observation density at y_t for every particle.
+def _weighted_moments(particles: np.ndarray, wts: np.ndarray):
+    mean = wts @ particles
+    d = particles - mean
+    cov = (d * wts[:, None]).T @ d
+    return mean, 0.5 * (cov + cov.T)
 
-    Observed Gaussian channels enter jointly through their Theta sub-block;
-    each observed non-Gaussian channel contributes its pmf; missing channels
-    contribute nothing (weight one).
-    """
-    N = particles.shape[0]
-    logw = np.zeros(N)
-    gauss = np.array([c.family == GAUSSIAN for c in spec.channels]) & obs
-    if gauss.any():
-        Hg = spec.H[gauss]
-        Tg = spec.Theta[np.ix_(gauss, gauss)]
-        resid = y_t[gauss][None, :] - particles @ Hg.T
-        if not np.isfinite(Tg).all():
-            raise EmaError("NON_FINITE", "Gaussian channel error covariance is non-finite")
-        w_eig = np.linalg.eigvalsh(0.5 * (Tg + Tg.T))
-        if w_eig[0] <= 0.0 or w_eig[-1] > COND_LIMIT * w_eig[0]:
-            raise EmaError("SINGULAR_INNOVATION",
-                           "Gaussian channel error covariance is singular")
-        cf = cho_factor(Tg, lower=True)
-        maha = np.einsum("ij,ij->i", resid, cho_solve(cf, resid.T).T)
-        logdet = 2.0 * np.log(np.diag(cf[0])).sum()
-        logw += -0.5 * (gauss.sum() * np.log(2.0 * np.pi) + logdet + maha)
+
+def _check_observations(spec: ModelSpec, y: np.ndarray, missing: np.ndarray) -> None:
+    """Every observed cell of a non-Gaussian channel must be a value its
+    family can produce: a non-negative integer count (Poisson), a category
+    in 1..K (graded response), 0 or 1 (Bernoulli)."""
     for j, ch in enumerate(spec.channels):
-        if not obs[j] or ch.family == GAUSSIAN:
-            continue
-        s = particles[:, ch.state_index]
+        v = y[:, j]
+        whole = v == np.floor(v)
         if ch.family == POISSON:
-            rate = ch.scale * (np.exp(s) if ch.link == "log" else s)
-            lp = np.full(particles.shape[0], -np.inf)
-            ok = rate > 0
-            k = y_t[j]
-            lp[ok] = k * np.log(rate[ok]) - rate[ok] - gammaln(k + 1.0)
-            logw += lp
+            ok, what = whole & (v >= 0), "a non-negative integer count"
         elif ch.family == GRADED_RESPONSE:
-            th = np.asarray(ch.thresholds)
-            k = int(y_t[j])
-            if not 1 <= k <= th.size + 1:
-                raise EmaError("INVALID_MODEL",
-                               f"channel {j}: category {y_t[j]} outside 1..{th.size + 1}")
-            upper = (expit(ch.discrimination * (s - th[k - 2]))
-                     if k >= 2 else np.ones_like(s))
-            lower = (expit(ch.discrimination * (s - th[k - 1]))
-                     if k <= th.size else np.zeros_like(s))
-            logw += np.log(np.maximum(upper - lower, 1e-300))
+            K = len(ch.thresholds) + 1
+            ok, what = whole & (v >= 1) & (v <= K), f"a category in 1..{K}"
         elif ch.family == BERNOULLI_LOGISTIC:
-            p = expit(ch.discrimination * (s - ch.thresholds[0]))
-            logw += np.log(np.maximum(p if y_t[j] >= 0.5 else 1.0 - p, 1e-300))
-    return logw
+            ok, what = (v == 0) | (v == 1), "0 or 1"
+        else:
+            continue
+        bad = ~ok & ~missing[:, j]
+        if bad.any():
+            t = int(np.argmax(bad))
+            raise EmaError("INVALID_MODEL",
+                           f"channel {j}: value {v[t]:g} at ping {t} is not {what}")
+
+
+def _observation_density(spec: ModelSpec, y: np.ndarray, missing: np.ndarray):
+    """``density(particles, t)``: the log observation density of y[t] at
+    every particle.
+
+    Observed Gaussian channels enter jointly through their Theta sub-block,
+    whose checks and Cholesky factor are computed once per pattern of
+    observed Gaussian channels, at the first ping that shows it; each
+    observed non-Gaussian channel contributes its pmf; missing channels
+    contribute nothing (weight one).  Overflow inside the density is left to
+    show as NaN or +inf, which the filter reports.
+    """
+    _check_observations(spec, y, missing)
+    gauss = np.array([c.family == GAUSSIAN for c in spec.channels])
+    thresholds = [np.asarray(c.thresholds) for c in spec.channels]
+    log_2pi = np.log(2.0 * np.pi)
+    blocks = {}
+
+    def gaussian_block(g, t):
+        key = g.tobytes()
+        if key not in blocks:
+            Tg = spec.Theta[np.ix_(g, g)]
+            if not np.isfinite(Tg).all():
+                raise EmaError("NON_FINITE", f"Gaussian channel error covariance "
+                                             f"is non-finite (ping {t})")
+            w_eig = np.linalg.eigvalsh(0.5 * (Tg + Tg.T))
+            if w_eig[0] <= 0.0 or w_eig[-1] > COND_LIMIT * w_eig[0]:
+                raise EmaError("SINGULAR_INNOVATION", f"Gaussian channel error "
+                                                      f"covariance is singular (ping {t})")
+            cf = cho_factor(Tg, lower=True)
+            logdet = 2.0 * np.log(np.diag(cf[0])).sum()
+            blocks[key] = (spec.H[g].T, cf, g.sum() * log_2pi + logdet)
+        return blocks[key]
+
+    def density(particles, t):
+        obs = ~missing[t]
+        y_t = y[t]
+        logw = np.zeros(particles.shape[0])
+        g = gauss & obs
+        with np.errstate(all="ignore"):
+            if g.any():
+                HgT, cf, const = gaussian_block(g, t)
+                resid = y_t[g][None, :] - particles @ HgT
+                maha = np.einsum("ij,ij->i", resid, cho_solve(cf, resid.T).T)
+                logw += -0.5 * (const + maha)
+            for j, ch in enumerate(spec.channels):
+                if not obs[j] or gauss[j]:
+                    continue
+                s = particles[:, ch.state_index]
+                if ch.family == POISSON:
+                    rate = ch.scale * (np.exp(s) if ch.link == "log" else s)
+                    lp = np.full(particles.shape[0], -np.inf)
+                    ok = rate > 0
+                    k = y_t[j]
+                    lp[ok] = k * np.log(rate[ok]) - rate[ok] - gammaln(k + 1.0)
+                    logw += lp
+                elif ch.family == GRADED_RESPONSE:
+                    th = thresholds[j]
+                    k = int(y_t[j])
+                    upper = (expit(ch.discrimination * (s - th[k - 2]))
+                             if k >= 2 else np.ones_like(s))
+                    lower = (expit(ch.discrimination * (s - th[k - 1]))
+                             if k <= th.size else np.zeros_like(s))
+                    logw += np.log(np.maximum(upper - lower, 1e-300))
+                elif ch.family == BERNOULLI_LOGISTIC:
+                    p = expit(ch.discrimination * (s - ch.thresholds[0]))
+                    logw += np.log(np.maximum(p if y_t[j] >= 0.5 else 1.0 - p, 1e-300))
+        return logw
+
+    return density
+
+
+def _particle_pass(spec: ModelSpec, y, n_particles: int, rng_seed: int, missing,
+                   u, timestamps, store: bool):
+    """The bootstrap recursion of :func:`particle_filter`.
+
+    Returns (timestamps, missing, per-ping log-likelihood terms, moments);
+    the moments (predicted and filtered means and covariances) only with
+    ``store``.  The normalized weights are recomputed only when the log
+    weights change, and without ``store`` only when a resample reads them,
+    so the likelihood of both modes is the same to the bit.  The effective
+    sample size is checked only after an update: with no observed channel
+    the weights are those that passed the last check (or are uniform).
+    """
+    if n_particles < 100:
+        raise EmaError("PARTICLES_TOO_FEW", f"need >= 100 particles, got {n_particles}")
+    y, missing, u, timestamps, trans = _prepare(spec, y, missing, u, timestamps)
+    density = _observation_density(spec, y, missing)
+    T, n, N = y.shape[0], spec.n_states, n_particles
+
+    rng = np.random.default_rng(rng_seed)
+    L0 = psd_sqrt(spec.initial_cov)
+    chol = {}
+    for tr in trans:
+        if id(tr) not in chol:
+            chol[id(tr)] = psd_sqrt(tr[1])
+
+    particles = spec.initial_mean + rng.standard_normal((N, n)) @ L0.T
+    log_w = flat_log_w = np.full(N, -np.log(N))
+    wts = flat_wts = np.exp(flat_log_w - _logsumexp(flat_log_w))
+    ll = np.zeros(T)
+    observed = (~missing).any(axis=1).tolist()
+    if store:
+        pred_m = np.empty((T, n)); pred_P = np.empty((T, n, n))
+        filt_m = np.empty((T, n)); filt_P = np.empty((T, n, n))
+
+    for t in range(T):
+        if t > 0:
+            A, _, G = trans[t - 1]
+            L = chol[id(trans[t - 1])]
+            drift = (G @ u[t - 1]) if G.shape[1] else 0.0
+            particles = particles @ A.T + drift + rng.standard_normal((N, n)) @ L.T
+        if store:
+            pred_m[t], pred_P[t] = _weighted_moments(particles, wts)
+        if not observed[t]:
+            if store:
+                filt_m[t], filt_P[t] = pred_m[t], pred_P[t]
+            continue
+
+        incr = density(particles, t)
+        if not incr.sum() < np.inf:
+            bad = np.isnan(incr) | (incr == np.inf)
+            if bad.any():
+                raise EmaError("NON_FINITE", f"observation density of particle "
+                                             f"{int(np.argmax(bad))} is NaN or +inf "
+                                             f"at ping {t}")
+        log_w = log_w + incr
+        tot = _logsumexp(log_w)
+        if not np.isfinite(tot):
+            raise EmaError("DEGENERATE_WEIGHTS",
+                           f"all particle weights vanished at ping {t}")
+        ll[t] = tot          # log sum of W_prev * incremental weight
+        log_w = log_w - tot
+        if store:
+            wts = np.exp(log_w - _logsumexp(log_w))
+            filt_m[t], filt_P[t] = _weighted_moments(particles, wts)
+
+        ess = 1.0 / np.exp(_logsumexp(2.0 * log_w))
+        if ess < N / 2.0:
+            if not store:
+                wts = np.exp(log_w - _logsumexp(log_w))
+            particles = particles[_systematic_resample(wts, rng)]
+            log_w, wts = flat_log_w, flat_wts
+
+    return timestamps, missing, ll, (pred_m, pred_P, filt_m, filt_P) if store else None
 
 
 def particle_filter(spec: ModelSpec, y, n_particles: int, rng_seed: int,
@@ -515,56 +661,10 @@ def particle_filter(spec: ModelSpec, y, n_particles: int, rng_seed: int,
     The likelihood estimate sums, per ping, the log of the weighted mean of
     the incremental weights; with resampling at every ping this reduces to
     the plain mean, and either way the estimator of the likelihood itself is
-    unbiased.
+    unbiased.  An observation density that is NaN or +inf raises
+    ``NON_FINITE``; weights that all vanish raise ``DEGENERATE_WEIGHTS``.
     """
-    if n_particles < 100:
-        raise EmaError("PARTICLES_TOO_FEW", f"need >= 100 particles, got {n_particles}")
-    y, missing, u, timestamps, trans = _prepare(spec, y, missing, u, timestamps)
-    T = y.shape[0]
-    n = spec.n_states
-
-    rng = np.random.default_rng(rng_seed)
-    L0 = psd_sqrt(spec.initial_cov)
-    chol_cache = {id(tr): psd_sqrt(tr[1]) for tr in trans} if trans else {}
-
-    particles = spec.initial_mean + rng.standard_normal((n_particles, n)) @ L0.T
-    log_w = np.full(n_particles, -np.log(n_particles))
-
-    pred_m = np.empty((T, n)); pred_P = np.empty((T, n, n))
-    filt_m = np.empty((T, n)); filt_P = np.empty((T, n, n))
-    ll = np.zeros(T)
-
-    def weighted_moments(pts, lw):
-        wts = np.exp(lw - logsumexp(lw))
-        mean = wts @ pts
-        d = pts - mean
-        cov = (d * wts[:, None]).T @ d
-        return mean, 0.5 * (cov + cov.T)
-
-    for t in range(T):
-        if t > 0:
-            A, _, G = trans[t - 1]
-            L = chol_cache[id(trans[t - 1])]
-            drift = (G @ u[t - 1]) if G.shape[1] else 0.0
-            particles = particles @ A.T + drift + rng.standard_normal((n_particles, n)) @ L.T
-        pred_m[t], pred_P[t] = weighted_moments(particles, log_w)
-
-        obs = ~missing[t]
-        if obs.any():
-            incr = _channel_loglik(spec, particles, y[t], obs)
-            tot = logsumexp(log_w + incr)
-            if not np.isfinite(tot):
-                raise EmaError("DEGENERATE_WEIGHTS",
-                               f"all particle weights vanished at ping {t}")
-            ll[t] = tot          # log sum of W_prev * incremental weight
-            log_w = log_w + incr - tot
-        filt_m[t], filt_P[t] = weighted_moments(particles, log_w)
-
-        ess = 1.0 / np.exp(logsumexp(2.0 * log_w))
-        if ess < n_particles / 2.0:
-            idx = _systematic_resample(np.exp(log_w - logsumexp(log_w)), rng)
-            particles = particles[idx]
-            log_w = np.full(n_particles, -np.log(n_particles))
-
-    return FilterResult(timestamps, pred_m, pred_P, filt_m, filt_P, ll, float(ll.sum()),
+    timestamps, missing, ll, moments = _particle_pass(
+        spec, y, n_particles, rng_seed, missing, u, timestamps, store=True)
+    return FilterResult(timestamps, *moments, ll, float(ll.sum()),
                         int(missing.any(axis=1).sum()), missing)

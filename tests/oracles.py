@@ -197,6 +197,98 @@ def graded_response_stationary_probs(a, sigma2, discrimination, thresholds,
     return probs
 
 
+def bootstrap_filter(spec, y, missing, u, trans, n_particles, seed):
+    """Reference bootstrap particle filter, written plainly.
+
+    It draws its random numbers in the package's order (initial particles,
+    one normal block per step, one uniform per systematic resample when the
+    ESS falls below N/2), normalizes with ``scipy.special.logsumexp``
+    wherever a normalized weight is read, and evaluates every ping's
+    observation density and both weighted moments afresh.  ``trans[k]`` is
+    (A, Sigma, G) for the step into ping k+1.  Returns (pred_m, pred_P,
+    filt_m, filt_P, loglik terms).
+    """
+    from scipy.linalg import cho_factor, cho_solve
+    from scipy.special import expit, gammaln, logsumexp
+
+    T, n, N = y.shape[0], spec.n_states, n_particles
+    rng = np.random.default_rng(seed)
+
+    def density(pts, y_t, obs):
+        logw = np.zeros(N)
+        gauss = np.array([c.family == "gaussian" for c in spec.channels]) & obs
+        if gauss.any():
+            Hg = spec.H[gauss]
+            Tg = spec.Theta[np.ix_(gauss, gauss)]
+            resid = y_t[gauss][None, :] - pts @ Hg.T
+            cf = cho_factor(Tg, lower=True)
+            maha = np.einsum("ij,ij->i", resid, cho_solve(cf, resid.T).T)
+            logdet = 2.0 * np.log(np.diag(cf[0])).sum()
+            logw += -0.5 * (gauss.sum() * np.log(2.0 * np.pi) + logdet + maha)
+        for j, ch in enumerate(spec.channels):
+            if not obs[j] or ch.family == "gaussian":
+                continue
+            s = pts[:, ch.state_index]
+            if ch.family == "poisson":
+                rate = ch.scale * (np.exp(s) if ch.link == "log" else s)
+                lp = np.full(N, -np.inf)
+                ok = rate > 0
+                k = y_t[j]
+                lp[ok] = k * np.log(rate[ok]) - rate[ok] - gammaln(k + 1.0)
+                logw += lp
+            elif ch.family == "graded_response":
+                th = np.asarray(ch.thresholds)
+                k = int(y_t[j])
+                upper = (expit(ch.discrimination * (s - th[k - 2]))
+                         if k >= 2 else np.ones_like(s))
+                lower = (expit(ch.discrimination * (s - th[k - 1]))
+                         if k <= th.size else np.zeros_like(s))
+                logw += np.log(np.maximum(upper - lower, 1e-300))
+            else:
+                p = expit(ch.discrimination * (s - ch.thresholds[0]))
+                logw += np.log(np.maximum(p if y_t[j] >= 0.5 else 1.0 - p, 1e-300))
+        return logw
+
+    def moments(pts, lw):
+        wts = np.exp(lw - logsumexp(lw))
+        mean = wts @ pts
+        d = pts - mean
+        cov = (d * wts[:, None]).T @ d
+        return mean, 0.5 * (cov + cov.T)
+
+    L0 = np.linalg.cholesky(spec.initial_cov)
+    pts = spec.initial_mean + rng.standard_normal((N, n)) @ L0.T
+    log_w = np.full(N, -np.log(N))
+    pred_m = np.empty((T, n)); pred_P = np.empty((T, n, n))
+    filt_m = np.empty((T, n)); filt_P = np.empty((T, n, n))
+    ll = np.zeros(T)
+    for t in range(T):
+        if t > 0:
+            A, Sigma, G = trans[t - 1]
+            drift = (G @ u[t - 1]) if G.shape[1] else 0.0
+            L = np.linalg.cholesky(Sigma)
+            pts = pts @ A.T + drift + rng.standard_normal((N, n)) @ L.T
+        pred_m[t], pred_P[t] = moments(pts, log_w)
+        obs = ~missing[t]
+        if obs.any():
+            incr = density(pts, y[t], obs)
+            tot = logsumexp(log_w + incr)
+            ll[t] = tot
+            log_w = log_w + incr - tot
+        filt_m[t], filt_P[t] = moments(pts, log_w)
+        if 1.0 / np.exp(logsumexp(2.0 * log_w)) < N / 2.0:
+            idx = _systematic_resample(np.exp(log_w - logsumexp(log_w)), rng)
+            pts = pts[idx]
+            log_w = np.full(N, -np.log(N))
+    return pred_m, pred_P, filt_m, filt_P, ll
+
+
+def _systematic_resample(weights, rng):
+    N = weights.size
+    positions = (rng.uniform() + np.arange(N)) / N
+    return np.minimum(np.searchsorted(np.cumsum(weights), positions), N - 1)
+
+
 def batch_means_se(indicator, n_batches=50):
     """Monte-Carlo standard error of the mean of a correlated 0/1 series."""
     x = np.asarray(indicator, dtype=float)

@@ -1,11 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import cho_factor
+from scipy.special import logsumexp
 
 import emastate as es
 from emastate.errors import EmaError
+from emastate.filtering import _logsumexp, _particle_pass, _prepare
+from emastate.model import psd_sqrt
 
-from oracles import (ct_gaussian_joint, gaussian_joint, poisson_t2_loglik,
-                     random_stable_spec)
+from oracles import (bootstrap_filter, ct_gaussian_joint, gaussian_joint,
+                     poisson_t2_loglik, random_stable_spec)
 
 
 def _simulate_series(spec, T, seed, miss_frac=0.0):
@@ -481,3 +488,159 @@ def test_infinite_observed_value_rejected_but_masked_one_ignored():
         y_nan[3, p - 1] = np.nan
         assert (es.kalman_filter(spec, y, missing).log_likelihood
                 == es.kalman_filter(spec, y_nan).log_likelihood)
+
+
+# --- particle filter: exact arithmetic, one pass, checked observations -------
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 5000),
+       offset=st.sampled_from([-1e3, 0.0, 1e3]), spread=st.floats(1e-3, 50.0),
+       ties=st.integers(0, 5), neg_inf=st.floats(0.0, 1.0),
+       special=st.sampled_from(["none", "all -inf", "+inf", "nan", "+inf and nan"]))
+def test_logsumexp_is_bit_equal_to_scipy(seed, size, offset, spread, ties, neg_inf,
+                                         special):
+    rng = np.random.default_rng(seed)
+    a = offset + spread * rng.standard_normal(size)
+    a[rng.integers(0, size, ties)] = a.max()
+    a[rng.uniform(size=size) < neg_inf] = -np.inf
+    if special == "all -inf":
+        a[:] = -np.inf
+    elif special != "none":
+        a[rng.integers(0, size)] = np.inf if special.startswith("+inf") else np.nan
+        if special == "+inf and nan":
+            a[rng.integers(0, size)] = np.nan
+    ours = np.float64(_logsumexp(a))
+    assert ours.tobytes() == np.float64(logsumexp(a)).tobytes()
+
+
+def _particle_case(name):
+    """(spec, y, missing, timestamps) of one of the reference-comparison cases."""
+    rng = np.random.default_rng(31)
+    likert = (es.MeasurementChannel(family="graded_response", discrimination=1.5,
+                                    thresholds=(-1.5, -0.5, 0.5, 1.5)),
+              es.MeasurementChannel(family="poisson", state_index=1, link="log",
+                                    scale=2.0))
+    if name == "gaussian 2x2":
+        spec = random_stable_spec(rng)
+    elif name == "graded + poisson":
+        spec = es.ModelSpec(A=np.diag([0.6, 0.5]), Sigma=np.diag([0.5, 0.3]),
+                            H=np.eye(2), Theta=np.zeros((2, 2)), channels=likert)
+    elif name == "bernoulli":
+        ch = es.MeasurementChannel(family="bernoulli_logistic", discrimination=1.2,
+                                   thresholds=(0.3,))
+        spec = es.ModelSpec(A=[[0.7]], Sigma=[[0.6]], H=[[1.0]], Theta=[[0.0]],
+                            channels=(ch,))
+    else:
+        spec = es.ModelSpec(A=[[-0.4, 0.1], [0.0, -0.7]], Sigma=np.diag([0.5, 0.3]),
+                            H=np.eye(2), Theta=np.zeros((2, 2)), channels=likert,
+                            initial_cov=np.eye(2), time_mode="continuous")
+    if spec.time_mode == "continuous":
+        sched = es.PingSchedule(kind="random_window", horizon=96.0, pings_per_day=6,
+                                windows=((9.0, 21.0),))
+    else:
+        sched = es.PingSchedule(kind="fixed", horizon=80.0, interval=1.0)
+    p = es.simulate_dataset(spec, sched, rng_seed=32).participants[0]
+    missing = rng.uniform(size=p.Y.shape) < 0.25
+    return spec, np.where(missing, np.nan, p.Y), missing, p.timestamps
+
+
+PARTICLE_CASES = ["gaussian 2x2", "graded + poisson", "bernoulli", "continuous time"]
+
+
+@pytest.mark.parametrize("case", PARTICLE_CASES)
+def test_particle_filter_matches_reference_bit_for_bit(case):
+    spec, y, missing, times = _particle_case(case)
+    y, missing, u, _, trans = _prepare(spec, y, missing, None, times)
+    ref = bootstrap_filter(spec, y, missing, u, trans, 500, 4)
+    r = es.particle_filter(spec, y, 500, 4, missing, timestamps=times)
+    ours = (r.predicted_mean, r.predicted_cov, r.filtered_mean, r.filtered_cov,
+            r.loglik_contributions)
+    for got, want in zip(ours, ref):
+        assert got.tobytes() == want.tobytes()
+    assert r.log_likelihood == float(ref[4].sum())
+
+
+@pytest.mark.parametrize("case", PARTICLE_CASES)
+def test_likelihood_only_pass_equals_the_filter_bit_for_bit(case):
+    spec, y, missing, times = _particle_case(case)
+    *_, ll, moments = _particle_pass(spec, y, 500, 9, missing, None, times, store=False)
+    assert moments is None
+    assert float(ll.sum()) == es.particle_filter(spec, y, 500, 9, missing,
+                                                 timestamps=times).log_likelihood
+
+
+def test_state_noise_factored_once_per_distinct_transition(monkeypatch):
+    from emastate import filtering
+    calls = []
+
+    def counting(M):
+        calls.append(M)
+        return psd_sqrt(M)
+
+    monkeypatch.setattr(filtering, "psd_sqrt", counting)
+    spec = es.ModelSpec(A=[[0.5]], Sigma=[[1.0]], Theta=[[0.5]])
+    es.particle_filter(spec, np.zeros((500, 1)), 100, 0)
+    assert len(calls) == 2          # the initial covariance and one Sigma
+
+
+def test_gaussian_block_factored_once_per_missingness_pattern(monkeypatch):
+    from emastate import filtering
+    calls = []
+
+    def counting(M, **kw):
+        calls.append(M)
+        return cho_factor(M, **kw)
+
+    monkeypatch.setattr(filtering, "cho_factor", counting)
+    spec = _var2()
+    y = np.zeros((60, 2))
+    missing = np.zeros((60, 2), dtype=bool)
+    missing[10:20, 0] = True
+    missing[30:35, 1] = True
+    missing[40:45] = True
+    es.particle_filter(spec, y, 100, 0, missing)
+    assert [M.shape for M in calls] == [(2, 2), (1, 1), (1, 1)]
+
+
+def test_gaussian_block_error_raised_at_first_ping_of_its_pattern():
+    spec = _var2().with_matrices(Theta=np.diag([0.5, np.nan]))
+    missing = np.zeros((6, 2), dtype=bool)
+    missing[:3, 1] = True
+    with pytest.raises(EmaError) as exc:
+        es.particle_filter(spec, np.zeros((6, 2)), 100, 0, missing)
+    assert exc.value.code == "NON_FINITE"
+    assert "ping 3" in exc.value.message
+
+
+def test_overflowing_observation_density_is_non_finite_without_warnings():
+    ch = es.MeasurementChannel(family="poisson", scale=1.0, link="log")
+    spec = es.ModelSpec(A=[[0.5]], Sigma=[[1.0]], H=[[1.0]], Theta=[[0.0]],
+                        channels=(ch,), initial_mean=[800.0], initial_cov=[[1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmaError) as exc:
+            es.particle_filter(spec, np.array([[2.0], [3.0]]), 200, 0)
+    assert exc.value.code == "NON_FINITE"
+    assert "ping 0" in exc.value.message
+
+
+@pytest.mark.parametrize("family, value", [
+    ("poisson", -1.0), ("poisson", 2.5), ("graded_response", 2.5),
+    ("graded_response", 0.0), ("graded_response", 6.0),
+    ("bernoulli_logistic", 0.5), ("bernoulli_logistic", 2.0)])
+def test_impossible_observation_rejected_once_naming_channel_and_ping(family, value):
+    th = {"poisson": (), "graded_response": (-1.5, -0.5, 0.5, 1.5),
+          "bernoulli_logistic": (0.0,)}[family]
+    ch = es.MeasurementChannel(family=family, link="log", thresholds=th)
+    gauss = es.MeasurementChannel(family="gaussian")
+    spec = es.ModelSpec(A=[[0.5]], Sigma=[[1.0]], H=[[1.0], [1.0]],
+                        Theta=np.diag([0.5, 0.0]), channels=(gauss, ch))
+    y = np.ones((5, 2))
+    y[2, 1] = value
+    with pytest.raises(EmaError) as exc:
+        es.particle_filter(spec, y, 100, 0)
+    assert exc.value.code == "INVALID_MODEL"
+    assert "channel 1" in exc.value.message and "ping 2" in exc.value.message
+    missing = np.zeros((5, 2), dtype=bool)
+    missing[2, 1] = True            # the same value in a missing cell is ignored
+    assert np.isfinite(es.particle_filter(spec, y, 100, 0, missing).log_likelihood)
