@@ -12,11 +12,12 @@ differenced gradients, multi-started from perturbations of a heuristic
 initialization (lag-one regression for the transition matrix, residual
 moments for the variances).  Pooled fits share one parameter vector across
 participants, each participant's filter starting from the initial
-distribution.  For discrete-time Kalman fits of matrix models the
-participants are stacked once, padded to the longest series; each objective
-is then one stacked filter pass, and each gradient one pass over all 2k
-central-difference points times all participants.  Scalar, continuous-time
-and particle fits filter one series at a time.
+distribution.  For discrete-time Kalman fits the participants are stacked
+once, padded to the longest series; each objective is then one stacked
+filter pass, and each gradient one pass over all 2k central-difference
+points times all participants.  Scalar (1x1) fits get the same values, bit
+for bit, as filtering each series alone.  Continuous-time and particle fits
+filter one series at a time.
 """
 
 from __future__ import annotations
@@ -334,8 +335,9 @@ def _central_diff_grad(f_many, x: np.ndarray, step: float) -> np.ndarray:
 
 
 def _stack_participants(spec: ModelSpec, participants: Sequence[Participant]):
-    """Participants' series as (R, T_max, .) arrays plus an observed mask;
-    pings past a participant's end count as unobserved."""
+    """Participants' series as (R, T_max, .) arrays plus an observed mask and
+    each participant's ping count; pings past a participant's end count as
+    unobserved."""
     R, T = len(participants), max(p.n_pings for p in participants)
     y = np.zeros((R, T, spec.n_obs))
     obs = np.zeros((R, T, spec.n_obs), dtype=bool)
@@ -344,15 +346,17 @@ def _stack_participants(spec: ModelSpec, participants: Sequence[Participant]):
         Y, missing, U = _series_arrays(spec, part.Y, part.missing, part.U)
         k = Y.shape[0]
         y[r, :k], obs[r, :k], u[r, :k] = Y, ~missing, U
-    return y, obs, u
+    return y, obs, u, np.array([p.n_pings for p in participants])
 
 
 def _stacked_objectives(par: Parameterization, stack, penalty: float,
                         thetas) -> np.ndarray:
     """Negative pooled log-likelihood at each point, from one Kalman pass
     over a (points, participants) stack; a point whose spec or any of whose
-    participants fails gets the penalty."""
-    y, obs, u = stack
+    participants fails, or whose total is not finite, gets the penalty.
+    Participant totals are added left to right, as the per-series sum of
+    :func:`_series_loglik` values does."""
+    y, obs, u, lengths = stack
     out = np.full(len(thetas), penalty)
     specs = {}
     for i, theta in enumerate(thetas):
@@ -367,9 +371,12 @@ def _stacked_objectives(par: Parameterization, stack, penalty: float,
     A, Sigma, G, H, Theta, mu0, P0 = (
         np.stack([getattr(s, name) for s in specs.values()])[:, None]
         for name in ("A", "Sigma", "G", "H", "Theta", "initial_mean", "initial_cov"))
-    res = _kalman_stack(y, obs, u, mu0, P0, H, Theta, [(A, Sigma, G)] * (y.shape[1] - 1))
-    ok = (res.fail == 0).all(axis=1)
-    out[list(specs)] = np.where(ok, -res.loglik.sum(axis=1), penalty)
+    res = _kalman_stack(y, obs, u, mu0, P0, H, Theta, [(A, Sigma, G)] * (y.shape[1] - 1),
+                        lengths=lengths)
+    with np.errstate(all="ignore"):       # failed members may hold inf or NaN
+        total = np.add.accumulate(res.loglik, axis=1)[:, -1]
+    ok = (res.fail == 0).all(axis=1) & np.isfinite(total)
+    out[list(specs)] = np.where(ok, -total, penalty)
     return out
 
 
@@ -420,8 +427,7 @@ def _fit_single(par: Parameterization, participants: Sequence[Participant],
     penalty = 1e12
     tpl = par.template
 
-    if (options.likelihood == "kalman" and tpl.time_mode == "discrete"
-            and tpl.n_states * tpl.n_obs > 1):
+    if options.likelihood == "kalman" and tpl.time_mode == "discrete":
         stack = _stack_participants(tpl, participants)
 
         def objectives(thetas):

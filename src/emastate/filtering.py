@@ -2,12 +2,14 @@
 
 Linear-Gaussian models get the exact Kalman filter and fixed-interval
 smoother, with missing channels dropped from each update (a fully missing
-ping keeps the prediction untouched).  Matrix models (n * p > 1) run one
-recursion, vectorized over a stack of members that each carry their own
-series and spec arrays: a filter call is a stack of one, and a pooled fit
-stacks participants and finite-difference points into one pass.  Missing
-channels are removed with zeroed selection rows instead of per-ping
-sub-blocks.  1-state, 1-channel models keep a pure-float loop.
+ping keeps the prediction untouched).  One recursion runs vectorized over a
+stack of members that each carry their own series and spec arrays: a matrix
+filter call is a stack of one, and a pooled fit stacks participants and
+finite-difference points into one pass.  Missing channels are removed with
+zeroed selection rows instead of per-ping sub-blocks.  A single series of a
+1-state, 1-channel model runs a pure-float loop; a stack of such members
+runs that loop's arithmetic elementwise, which gives every member the
+loop's numbers bit for bit, or, with only a few members, the loop itself.
 Continuous-time specs are filtered by discretizing each inter-ping gap
 exactly; every entry point gets its series, timestamps and per-step
 transitions from one front end.  The smoother's lag-one covariance needs no
@@ -142,23 +144,28 @@ def _kalman_pass_scalar(y, missing, u, mu0, P0, H, Theta, transitions):
     ll = np.zeros(T)
     have_u = u.shape[1] > 0
     log2pi = np.log(2.0 * np.pi)
+    ys, miss = y[:, 0].tolist(), missing[:, 0].tolist()   # Python floats: same values
 
     m = float(mu0[0]); P = float(P0[0, 0])
+    last = None
     for t in range(T):
         if t > 0:
-            A, Sigma, G = transitions[t - 1]
-            a = float(A[0, 0])
-            m = a * m + (float(G[0] @ u[t - 1]) if have_u else 0.0)
-            P = a * P * a + float(Sigma[0, 0])
+            if transitions[t - 1] is not last:
+                last = transitions[t - 1]
+                a, sigma, g = float(last[0][0, 0]), float(last[1][0, 0]), last[2][0]
+            m = a * m + (float(g @ u[t - 1]) if have_u else 0.0)
+            P = a * P * a + sigma
         pred_m[t] = m; pred_P[t] = P
-        if missing[t, 0]:
+        if miss[t]:
             filt_m[t] = m; filt_P[t] = P
             continue
         s = h * P * h + theta
         if s <= 0.0:
-            raise EmaError("SINGULAR_INNOVATION",
+            err = EmaError("SINGULAR_INNOVATION",
                            f"innovation variance {s:.3g} <= 0 at ping {t}")
-        v = y[t, 0] - h * m
+            err.ping, err.variance = t, s     # read by _scalar_members
+            raise err
+        v = ys[t] - h * m
         k = P * h / s
         m = m + k * v
         ikh = 1.0 - k * h
@@ -197,7 +204,8 @@ class _StackPass:
                            f"innovation or its covariance is non-finite at ping {t}")
 
 
-def _kalman_stack(y, obs, u, mu0, P0, H, Theta, trans, store=False) -> _StackPass:
+def _kalman_stack(y, obs, u, mu0, P0, H, Theta, trans, store=False,
+                  lengths=None) -> _StackPass:
     """One predict/update recursion over a stack of members.
 
     Every argument's leading axes broadcast to the stack shape B, so members
@@ -219,6 +227,15 @@ def _kalman_stack(y, obs, u, mu0, P0, H, Theta, trans, store=False) -> _StackPas
     (``fail``/``fail_ping``) and stops updating; the others run on.  With
     ``store`` the per-ping moments and likelihood terms are kept; otherwise
     only each member's summed log-likelihood.
+
+    A 1x1 stack (n = p = 1) runs :func:`_scalar_stack`, or with fewer than
+    ``_STACK_MIN_MEMBERS`` members :func:`_scalar_members`; either way its
+    members equal :func:`_kalman_pass_scalar` on their own series bit for
+    bit.  There
+    ``lengths`` (broadcast to B; all T by default) counts the pings of each
+    member's own series, and a member's total sums its terms over those pings
+    only, as the total of a single series does.  The matrix recursion adds
+    its terms as it goes, so padding pings, which add zero, change nothing.
     """
     T, p = y.shape[-2:]
     n = mu0.shape[-1]
@@ -227,6 +244,11 @@ def _kalman_stack(y, obs, u, mu0, P0, H, Theta, trans, store=False) -> _StackPas
     if trans:
         shapes += [np.shape(x)[:-2] for x in trans[0]]
     batch = np.broadcast_shapes(*shapes)
+    if n == p == 1:
+        L = np.broadcast_to(T if lengths is None else lengths, batch)
+        if math.prod(batch) < _STACK_MIN_MEMBERS:
+            return _scalar_members(y, obs, u, mu0, P0, H, Theta, trans, store, L)
+        return _scalar_stack(y, obs, u, mu0, P0, H, Theta, trans, store, L)
     I_n, I_p = np.eye(n), np.eye(p)
     Ht = H.swapaxes(-1, -2)
     log_2pi = np.log(2.0 * np.pi)
@@ -329,6 +351,161 @@ def _kalman_stack(y, obs, u, mu0, P0, H, Theta, trans, store=False) -> _StackPas
             fail_ping = np.where(new, np.argmax(~np.isfinite(ll), -1), fail_ping)
     return _StackPass(ll, fail, fail_ping, fail_eig,
                       (pm, pP, fm, fP) if store else None)
+
+
+# Measured crossover (CHANGES.md): a 1x1 stack of fewer members runs the float
+# loop per member, which ties or wins there; the elementwise recursion costs
+# about the same per ping whatever the member count.
+_STACK_MIN_MEMBERS = 5
+
+
+def _scalar_stack(y, obs, u, mu0, P0, H, Theta, trans, store, L) -> _StackPass:
+    """The 1x1 case of :func:`_kalman_stack`: the float loop's arithmetic,
+    in its order, elementwise over the members.
+
+    The state is the pair [P, m], so one ufunc steps both.  Every product
+    and sum is the float loop's own; operands are at most commuted, and
+    ``y - h m`` is taken as ``y + (-1 h m)``, which IEEE arithmetic leaves
+    exact.  G u is computed for all pings before the loop with the float
+    loop's dot product.  The likelihood terms and the check s <= 0 need
+    only s and v, so they run over all pings after the loop.  A failing
+    member's later values are not meaningful; the others are untouched.
+    """
+    T = y.shape[-2]
+    batch = L.shape
+    nb = len(batch)
+
+    def pings_first(x):
+        """(..., T) to (T, ...), the other axes right-aligned to the batch."""
+        x = x.transpose(x.ndim - 1, *range(x.ndim - 1))
+        return x.reshape(x.shape[:1] + (1,) * (nb + 1 - x.ndim) + x.shape[1:])
+
+    def pair(first, second, lead=()):
+        """[first, second] on a new axis before the batch axes, materialized
+        to lead + (2,) + B: ufuncs on broadcast operands cost twice as much."""
+        out = np.empty(lead + (2,) + batch)
+        row = (Ellipsis, 0) + (slice(None),) * nb
+        out[row] = first
+        out[row[:1] + (1,) + row[2:]] = second
+        return out
+
+    if trans:
+        if len(set(map(id, trans))) == 1:
+            A, Sigma, G = (x[..., None, :, :] for x in trans[0])
+        else:
+            A, Sigma, G = (np.stack(np.broadcast_arrays(*x), axis=-3) for x in zip(*trans))
+        a = pings_first(A[..., 0, 0])
+        a_a, a_one = pair(a, a, (T - 1,)), pair(a, 1.0, (T - 1,))
+        gu = pings_first((u[..., :-1, None, :] @ G[..., 0, :, None])[..., 0, 0])
+        sig_gu = pair(pings_first(Sigma[..., 0, 0]), gu, (T - 1,))    # [Sigma, G u]
+    h, theta = H[..., 0, 0], Theta[..., 0, 0]
+    h_h, h_neg = pair(h, h), pair(h, -1.0)
+    theta_y = pair(theta, pings_first(y[..., 0]), (T,))
+    o = pings_first(obs[..., 0])
+    miss = ~o
+    any_obs = o.reshape(T, -1).any(1).tolist()
+    all_obs = o.reshape(T, -1).all(1).tolist()
+
+    sv = np.zeros((T, 4) + batch)           # per ping: s, v, -h, theta
+    sv[:, 2], sv[:, 3] = -h, theta
+    pred = np.empty((T, 2) + batch)         # per ping: [P, m] predicted
+    filt = np.empty_like(pred)              # and filtered
+    pred[0, 0], pred[0, 1] = P0[..., 0, 0], mu0[..., 0]
+    with np.errstate(all="ignore"):     # failures are detected after the loop
+        for t in range(T):
+            x_p = pred[t]
+            if t:
+                step = x * a_a[t - 1]
+                step *= a_one[t - 1]
+                np.add(step, sig_gu[t - 1], out=x_p)     # [a P a + Sigma, a m + G u]
+            if not any_obs[t]:
+                x = x_p
+                continue
+            s_v = sv[t]
+            hx = x_p * h_h                              # [h P, h m]
+            np.add(theta_y[t], hx * h_neg, out=s_v[:2])  # [s, v]
+            k = hx[0] / s_v[0]
+            kq = k * s_v[1:]                            # [k v, -k h, k theta]
+            x = filt[t]
+            np.add(x_p[1], kq[0], out=x[1])             # m + k v
+            ikh = 1.0 + kq[1]
+            joseph = ikh * x_p[0]
+            joseph *= ikh
+            np.add(joseph, kq[2] * k, out=x[0])        # ikh P ikh + k theta k
+            if not all_obs[t]:
+                np.copyto(x, x_p, where=miss[t])
+
+        s, v = sv[:, 0], sv[:, 1]
+        terms = np.where(o, -0.5 * (np.log(2.0 * np.pi) + np.log(s) + v * v / s), 0.0)
+        ll = terms.transpose(*range(1, nb + 1), 0).copy()      # B + (T,)
+        total = np.empty(batch)
+        for n in np.unique(L):          # each member over its own pings
+            own = L == n
+            total[own] = ll[own][:, :n].sum(-1)
+
+    bad = (s <= 0.0) & o
+    singular = bad.any(0)
+    ping = np.where(singular, bad.argmax(0), np.argmax(~np.isfinite(ll), -1))
+    fail = np.where(singular, _SINGULAR, np.where(np.isfinite(total), 0, _NON_FINITE))
+    fail_eig = np.zeros(batch + (2,))
+    if singular.any():
+        s_at = np.take_along_axis(s, ping[None], 0)[0]
+        fail_eig[singular] = s_at[singular, None]
+    moments = None
+    if store:
+        filt = np.where(o[:, None], filt, pred)
+        moments = tuple(arr[:, i].transpose(*range(1, nb + 1), 0)[(...,) + (None,) * (2 - i)]
+                        for arr in (pred, filt) for i in (1, 0))     # pm, pP, fm, fP
+    return _StackPass(ll if store else total, fail, np.where(fail != 0, ping, -1),
+                      fail_eig, moments)
+
+
+def _scalar_members(y, obs, u, mu0, P0, H, Theta, trans, store, L) -> _StackPass:
+    """A small 1x1 stack: :func:`_kalman_pass_scalar` per member, on views
+    of the stack's arrays; the same :class:`_StackPass` as
+    :func:`_scalar_stack`, bit for bit."""
+    T = y.shape[-2]
+    batch = L.shape
+    shared = len(set(map(id, trans))) <= 1
+    ll = np.zeros(batch + (T,))
+    total = np.zeros(batch)
+    fail = np.zeros(batch, dtype=int)
+    fail_ping = np.full(batch, -1)
+    fail_eig = np.zeros(batch + (2,))
+    moments = ([np.zeros(batch + (T,) + (1,) * k) for k in (1, 2, 1, 2)]
+               if store else None)
+
+    with np.errstate(all="ignore"):     # failures are reported per member
+        for idx in np.ndindex(batch):
+            def member(x, core=2):
+                """This member's view of x, whose leading axes broadcast to B."""
+                lead = x.shape[:x.ndim - core]
+                return x[tuple(i if n > 1 else 0
+                               for i, n in zip(idx[len(batch) - len(lead):], lead))]
+
+            if shared:
+                steps = [tuple(map(member, trans[0]))] * len(trans) if trans else []
+            else:
+                steps = [tuple(map(member, tr)) for tr in trans]
+            try:
+                out = _kalman_pass_scalar(member(y), ~member(obs), member(u),
+                                          member(mu0, 1), member(P0), member(H),
+                                          member(Theta), steps)
+            except EmaError as err:
+                if err.code != "SINGULAR_INNOVATION":
+                    raise
+                fail[idx], fail_ping[idx], fail_eig[idx] = _SINGULAR, err.ping, err.variance
+                continue
+            ll[idx] = out[4]
+            total[idx] = out[4][:L[idx]].sum()
+            if store:
+                for stored, x in zip(moments, out):
+                    stored[idx] = x
+
+    new = (fail == 0) & ~np.isfinite(total)
+    fail = np.where(new, _NON_FINITE, fail)
+    fail_ping = np.where(new, np.argmax(~np.isfinite(ll), -1), fail_ping)
+    return _StackPass(ll if store else total, fail, fail_ping, fail_eig, moments)
 
 
 def _filter_pass(y, missing, u, mu0, P0, H, Theta, trans):

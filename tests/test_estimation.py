@@ -486,3 +486,98 @@ def test_matrix_fit_on_infinite_data_reports_nonfinite_likelihood():
     with pytest.raises(EmaError) as exc:
         es.fit(truth, VAR2_MAP, data, options=FAST)
     assert exc.value.code == "NONFINITE_LIKELIHOOD"
+
+
+# --- stacked likelihood of scalar models --------------------------------------
+
+AR1X_MAP = es.ParameterMap({"A": [["free"]], "G": [["free"]], "Sigma": [["free"]],
+                            "Theta": [["free"]]})
+
+
+def ar1_cohort():
+    """Fixed pooled 1x1 cohort with an input: 8 participants, 20 % MCAR, the
+    third one shorter."""
+    truth = es.ModelSpec(A=[[0.5]], Sigma=[[1.0]], G=[[0.8]], Theta=[[0.5]])
+    sched = es.PingSchedule(kind="fixed", horizon=40.0, interval=1.0)
+    events = [es.DisturbanceEvent(onset=20.0, coding="persistent", magnitude=1.0)]
+    data = es.simulate_dataset(truth, sched, n_participants=8, events=events, rng_seed=43)
+    data = es.inject_missingness(data, es.MissingnessSpec("MCAR", 0.2), 44)
+    p = data.participants[2]
+    data.participants[2] = es.Participant(p.pid, p.timestamps[:28], p.Y[:28],
+                                          p.missing[:28], p.U[:28])
+    return truth, data
+
+
+def _fit_fields(r):
+    return (r.theta_hat.tobytes(), r.log_likelihood, r.restart_objectives,
+            r.gradient_norm, r.converged)
+
+
+@pytest.mark.parametrize("mode", ["pooled", "idiographic"])
+def test_scalar_fit_does_not_depend_on_the_stack_dispatch(monkeypatch, mode):
+    truth, data = ar1_cohort()
+    fits = []
+    for threshold in (1, 10**9):      # always elementwise / always the float loop
+        monkeypatch.setattr(es.filtering, "_STACK_MIN_MEMBERS", threshold)
+        r = es.fit(truth, AR1X_MAP, data, mode=mode, options=FAST)
+        fits.append([_fit_fields(x) for x in (r if mode == "idiographic" else [r])])
+    assert fits[0] == fits[1]
+
+
+def test_scalar_stacked_objective_equals_per_series_sum_bit_for_bit(monkeypatch):
+    from emastate.estimate import _stack_participants, _stacked_objectives
+    truth, data = ar1_cohort()
+    par = Parameterization(truth, AR1X_MAP)
+    stack = _stack_participants(truth, data.participants)
+    f = per_series_objective(par, data.participants, FAST)
+    rng = np.random.default_rng(5)
+    thetas = [par.start_vector() + rng.normal(scale=0.3, size=par.n_free)
+              for _ in range(4)]
+    for threshold in (1, 10**9):
+        monkeypatch.setattr(es.filtering, "_STACK_MIN_MEMBERS", threshold)
+        got = _stacked_objectives(par, stack, 1e12, thetas)
+        assert got.tolist() == [f(x) for x in thetas]
+
+
+def test_scalar_overflowing_point_is_penalized_not_raised():
+    from emastate.estimate import _stack_participants, _stacked_objectives
+    truth, data = ar1_cohort()
+    par = Parameterization(truth, AR1X_MAP)
+    stack = _stack_participants(truth, data.participants)
+    theta = par.start_vector()
+    huge = theta.copy()
+    huge[[k for k, s in enumerate(par.slots) if s.transform == "log_sd"][0]] = 400.0
+    out = _stacked_objectives(par, stack, 1e12, [theta, huge])
+    assert np.isfinite(out[0]) and out[0] < 1e12
+    assert out[1] == 1e12
+
+
+def test_scalar_fit_on_infinite_data_reports_nonfinite_likelihood():
+    truth, data = ar1_cohort()
+    data.participants[0].Y[4, 0] = np.inf
+    data.participants[0].missing[4, 0] = False
+    with pytest.raises(EmaError) as exc:
+        es.fit(truth, AR1X_MAP, data, options=FAST)
+    assert exc.value.code == "NONFINITE_LIKELIHOOD"
+
+
+def test_unit_root_scalar_fit_follows_the_per_series_search():
+    from scipy.optimize import minimize
+    from emastate.estimate import _central_diff_grad, _heuristic_start
+    _, data = ar1_cohort()
+    rw = es.ModelSpec(A=[[1.0]], Sigma=[[1.0]], G=[[0.0]], Theta=[[0.5]],
+                      initial_cov=[[4.0]], random_walk_states={0})
+    rw_map = es.ParameterMap({"G": [["free"]], "Sigma": [["free"]], "Theta": [["free"]]})
+    opts = FitOptions(n_restarts=1, max_iter=120, tol=1e-3, seed=0)
+    r = es.fit(rw, rw_map, data, options=opts)
+
+    par = Parameterization(rw, rw_map)
+    _heuristic_start(par, data.participants)
+    f = per_series_objective(par, data.participants, opts)
+    ref = minimize(f, par.start_vector(), method="BFGS",
+                   jac=lambda x: _central_diff_grad(lambda pts: [f(q) for q in pts],
+                                                    x, opts.fd_step),
+                   options={"gtol": opts.tol, "maxiter": opts.max_iter})
+    assert r.spec_hat.A[0, 0] == 1.0
+    assert r.theta_hat.tobytes() == ref.x.tobytes()
+    assert r.log_likelihood == -ref.fun

@@ -3,7 +3,9 @@
 One pass runs a (specs, participants) stack: every member must reproduce
 the joint-normal log-likelihood of its own observed cells, whatever the
 missingness pattern or the padding of a shorter participant, and a member
-that fails must fail alone.
+that fails must fail alone.  A 1x1 stack must reproduce the float loop,
+``_kalman_pass_scalar``, bit for bit on either side of the member count
+at which it stops running that loop per member.
 """
 
 import numpy as np
@@ -12,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import emastate as es
 from emastate.errors import EmaError
-from emastate.filtering import _kalman_stack
+from emastate import filtering
+from emastate.filtering import _kalman_pass_scalar, _kalman_stack
 
 from oracles import gaussian_joint, random_stable_spec
 
@@ -132,3 +135,100 @@ def test_padding_keeps_the_eigenvalue_check_of_the_observed_block():
         r = es.kalman_filter(spec, Y, missing)
         want = gaussian_joint(spec, Y, missing)["log_likelihood"]
         assert np.isclose(r.log_likelihood, want, rtol=1e-8)
+
+
+# --- the 1x1 branch: each member is the float loop, bit for bit --------------
+
+def _scalar_stack_case(rng, n_specs, n_people, q, miss_frac, per_step=False):
+    """Random 1x1 specs (one a random walk) over ragged participants with
+    MCAR cells, fully missing runs and maybe one all-missing participant;
+    with ``per_step`` every step gets its own transition, as in continuous
+    time."""
+    lengths = rng.integers(1, 40, size=n_people)
+    T = int(lengths.max())
+    y = np.zeros((n_people, T, 1)); obs = np.zeros((n_people, T, 1), dtype=bool)
+    u = np.zeros((n_people, T, q))
+    for r, L in enumerate(lengths):
+        y[r, :L] = rng.normal(scale=2.0, size=(L, 1))
+        obs[r, :L] = rng.uniform(size=(L, 1)) >= miss_frac
+        u[r, :L] = rng.normal(size=(L, q))
+    if n_people > 1 and rng.uniform() < 0.3:
+        obs[int(rng.integers(n_people))] = False
+    y[~obs] = np.nan
+
+    def arr(*shape_and_draw):
+        return np.array(shape_and_draw[0]).reshape((n_specs, 1) + shape_and_draw[1])
+
+    a = rng.uniform(-1.2, 1.2, size=n_specs)
+    a[int(rng.integers(n_specs))] = 1.0
+    spec = dict(A=arr(a, (1, 1)), Sigma=arr(rng.uniform(0.0, 2.0, n_specs), (1, 1)),
+                G=arr(rng.normal(size=(n_specs, q)), (1, q)),
+                H=arr(rng.normal(size=n_specs), (1, 1)),
+                Theta=arr(rng.uniform(0.01, 2.0, n_specs), (1, 1)),
+                mu0=arr(rng.normal(size=n_specs), (1,)),
+                P0=arr(rng.uniform(0.0, 3.0, n_specs), (1, 1)))
+    step = (spec["A"], spec["Sigma"], spec["G"])
+    spec["trans"] = ([tuple(x * rng.uniform(0.5, 1.0) for x in step) for _ in range(T - 1)]
+                     if per_step else [step] * (T - 1))
+    return y, obs, u, lengths, spec
+
+
+def _stack_1x1(y, obs, u, lengths, spec, store):
+    return _kalman_stack(y, obs, u, spec["mu0"], spec["P0"], spec["H"], spec["Theta"],
+                         spec["trans"], store=store, lengths=lengths)
+
+
+def _float_loop(y, obs, u, lengths, spec, i, r):
+    L = lengths[r]
+    m = {k: v[i, 0] for k, v in spec.items() if k != "trans"}
+    steps = [tuple(x[i, 0] for x in step) for step in spec["trans"][:L - 1]]
+    return _kalman_pass_scalar(y[r, :L], ~obs[r, :L], u[r, :L], m["mu0"], m["P0"],
+                               m["H"], m["Theta"], steps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_specs=st.integers(1, 4), n_people=st.integers(1, 6), q=st.integers(0, 1),
+       miss_frac=st.floats(0.0, 0.9), threshold=st.sampled_from([1, 10**9]),
+       per_step=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_scalar_stack_members_equal_the_float_loop_bit_for_bit(
+        n_specs, n_people, q, miss_frac, threshold, per_step, seed):
+    rng = np.random.default_rng(seed)
+    case = _scalar_stack_case(rng, n_specs, n_people, q, miss_frac, per_step)
+    y, obs, u, lengths, spec = case
+    with pytest.MonkeyPatch.context() as mp:     # elementwise or one loop per member
+        mp.setattr(filtering, "_STACK_MIN_MEMBERS", threshold)
+        lean = _stack_1x1(*case, store=False)
+        stored = _stack_1x1(*case, store=True)
+    assert not lean.fail.any() and not stored.fail.any()
+    for i in range(n_specs):
+        for r in range(n_people):
+            L = lengths[r]
+            *moments, terms = _float_loop(*case, i, r)
+            assert stored.loglik[i, r, :L].tobytes() == terms.tobytes()
+            assert lean.loglik[i, r] == terms.sum()
+            for got, want in zip(stored.moments, moments):
+                assert got[i, r, :L].tobytes() == want.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_specs=st.integers(2, 4), n_people=st.integers(1, 4),
+       threshold=st.sampled_from([1, 10**9]), seed=st.integers(0, 2**32 - 1))
+def test_scalar_member_with_zero_innovation_variance_fails_alone(n_specs, n_people,
+                                                                  threshold, seed):
+    rng = np.random.default_rng(seed)
+    y, obs, u, lengths, spec = _scalar_stack_case(rng, n_specs, n_people, 1, 0.4)
+    for r, L in enumerate(lengths):       # every participant observes something
+        obs[r, int(rng.integers(L))] = True
+    y[obs] = rng.normal(size=int(obs.sum()))
+    k = int(rng.integers(n_specs))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(filtering, "_STACK_MIN_MEMBERS", threshold)
+        clean = _stack_1x1(y, obs, u, lengths, spec, store=False)
+        spec["H"][k], spec["Theta"][k] = 0.0, 0.0        # s = 0 at its first observed ping
+        res = _stack_1x1(y, obs, u, lengths, spec, store=False)
+
+    assert (res.fail[k] == filtering._SINGULAR).all()
+    np.testing.assert_array_equal(res.fail_ping[k], obs[:, :, 0].argmax(axis=1))
+    others = np.arange(n_specs) != k
+    assert not res.fail[others].any()
+    assert res.loglik[others].tobytes() == clean.loglik[others].tobytes()
