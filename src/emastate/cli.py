@@ -20,7 +20,9 @@ import numpy as np
 from . import dataio
 from .errors import IO_CODES, NUMERICAL_CODES, EmaError
 from .estimate import FitOptions, ParameterMap, fit, rank_fits
-from .filtering import kalman_filter, kalman_filter_ct, particle_filter
+from .filtering import _kalman_cohort, particle_filter
+# perfbench/spans.py wraps the two Kalman filters where this module binds them
+from .filtering import kalman_filter, kalman_filter_ct  # noqa: F401
 from .figures import columns_to_delimited, figure_series
 from .model import ModelSpec, validate_model
 from .simulate import run_scenario, scenario_from_dict
@@ -156,16 +158,14 @@ def _cmd_filter(args) -> int:
         args.method == "auto" and not spec.all_gaussian)
     if use_particle and args.seed is None:
         raise EmaError("BAD_SCENARIO", "--seed is mandatory for the particle filter")
+    if use_particle:
+        results = (particle_filter(spec, p.Y, args.particles, args.seed, p.missing,
+                                   p.U, p.timestamps) for p in data.participants)
+    else:
+        results = _kalman_cohort(spec, data.participants)
     blocks = []
     total_ll = 0.0
-    for p in data.participants:
-        if use_particle:
-            r = particle_filter(spec, p.Y, args.particles, args.seed, p.missing,
-                                p.U, p.timestamps)
-        elif spec.time_mode == "continuous":
-            r = kalman_filter_ct(spec, p.timestamps, p.Y, p.missing, p.U)
-        else:
-            r = kalman_filter(spec, p.Y, p.missing, p.U, timestamps=p.timestamps)
+    for p, r in zip(data.participants, results):
         total_ll += r.log_likelihood
         table = r.to_delimited(data.y_names)
         rows = table.splitlines()

@@ -30,8 +30,8 @@ from scipy.optimize import minimize
 
 from .dataset import EmaDataset, Participant
 from .errors import EmaError
-from .filtering import (_kalman_stack, _particle_pass, _series_arrays, kalman_filter,
-                        kalman_filter_ct)
+from .filtering import (_kalman_stack, _particle_pass, _series_arrays, _stack_series,
+                        kalman_filter, kalman_filter_ct)
 from .filtering import particle_filter  # noqa: F401  (perfbench/spans.py wraps it here)
 from .model import ModelSpec, validate_model
 from .simulate import DisturbanceEvent, encode_disturbance
@@ -335,18 +335,9 @@ def _central_diff_grad(f_many, x: np.ndarray, step: float) -> np.ndarray:
 
 
 def _stack_participants(spec: ModelSpec, participants: Sequence[Participant]):
-    """Participants' series as (R, T_max, .) arrays plus an observed mask and
-    each participant's ping count; pings past a participant's end count as
-    unobserved."""
-    R, T = len(participants), max(p.n_pings for p in participants)
-    y = np.zeros((R, T, spec.n_obs))
-    obs = np.zeros((R, T, spec.n_obs), dtype=bool)
-    u = np.zeros((R, T, spec.n_inputs))
-    for r, part in enumerate(participants):
-        Y, missing, U = _series_arrays(spec, part.Y, part.missing, part.U)
-        k = Y.shape[0]
-        y[r, :k], obs[r, :k], u[r, :k] = Y, ~missing, U
-    return y, obs, u, np.array([p.n_pings for p in participants])
+    """Participants' series stacked by :func:`~emastate.filtering._stack_series`."""
+    return _stack_series([_series_arrays(spec, p.Y, p.missing, p.U) for p in participants],
+                         spec.n_obs, spec.n_inputs)
 
 
 def _stacked_objectives(par: Parameterization, stack, penalty: float,

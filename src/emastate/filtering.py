@@ -11,10 +11,16 @@ zeroed selection rows instead of per-ping sub-blocks.  A single series of a
 runs that loop's arithmetic elementwise, which gives every member the
 loop's numbers bit for bit, or, with only a few members, the loop itself.
 Continuous-time specs are filtered by discretizing each inter-ping gap
-exactly; every entry point gets its series, timestamps and per-step
-transitions from one front end.  The smoother's lag-one covariance needs no
-filter gains: Cov(x[t+1], x[t] | all) = P_s[t+1] J[t]' with J[t] the smoother
-gain (Sarkka 2013, *Bayesian Filtering and Smoothing*, RTS smoother).
+exactly (one batched truncated-Taylor kernel for all gaps of a series, its
+truncation error below 2^-53; see :func:`emastate.model._gap_transitions`);
+every entry point gets its series, timestamps and per-step transitions from
+one front end.  CLI ``filter`` runs a whole cohort as one stacked pass per
+chunk of participants, with all gaps discretized in one call and each ping's
+transitions gathered per member; every participant gets the numbers, and
+the errors, of its own filter call.  The smoother solves for all its gains
+J[t] at once, before the backward loop; its lag-one covariance needs no
+filter gains: Cov(x[t+1], x[t] | all) = P_s[t+1] J[t]' (Sarkka 2013,
+*Bayesian Filtering and Smoothing*, RTS smoother).
 Models with count, ordinal, or dichotomous channels fall back to a
 bootstrap particle filter; fits run its likelihood-only pass, which keeps
 no moments and gives the filter's log-likelihood to the bit.
@@ -34,7 +40,7 @@ from scipy.special import expit, gammaln
 
 from .errors import EmaError
 from .model import (GAUSSIAN, GRADED_RESPONSE, BERNOULLI_LOGISTIC, POISSON,
-                    ModelSpec, _discretize_gaps, psd_sqrt)
+                    ModelSpec, _discretize_gaps, _gap_transitions, psd_sqrt)
 from .model import discretize  # noqa: F401  (perfbench/spans.py wraps it here)
 
 COND_LIMIT = 1e12
@@ -190,18 +196,21 @@ class _StackPass:
     fail_ping: np.ndarray           # B; first failing ping, -1 if unknown
     fail_eig: np.ndarray            # B + (2,); eigenvalue range of S there
     moments: tuple | None = None    # pred_m, pred_P, filt_m, filt_P
+    scalar: bool = False            # a 1x1 pass: S is the variance s
 
-    def raise_failure(self) -> None:
-        """Raise the failure of a single-member pass, if any."""
-        code, t = int(self.fail), int(self.fail_ping)
+    def raise_failure(self, member=()) -> None:
+        """Raise the failure of one member (of a single-member pass by
+        default), if any, in the words of that member's own filter call."""
+        code, t = int(self.fail[member]), int(self.fail_ping[member])
         if code == _SINGULAR:
-            lo, hi = self.fail_eig
+            lo, hi = self.fail_eig[member]
             raise EmaError("SINGULAR_INNOVATION",
-                           f"innovation covariance at ping {t} is numerically "
-                           f"singular (eigenvalues {lo:.3g}..{hi:.3g})")
+                           f"innovation variance {lo:.3g} <= 0 at ping {t}" if self.scalar
+                           else f"innovation covariance at ping {t} is numerically "
+                                f"singular (eigenvalues {lo:.3g}..{hi:.3g})")
         if code == _NON_FINITE:
-            raise EmaError("NON_FINITE",
-                           f"innovation or its covariance is non-finite at ping {t}")
+            what = "variance" if self.scalar else "covariance"
+            raise EmaError("NON_FINITE", f"innovation or its {what} is non-finite at ping {t}")
 
 
 def _kalman_stack(y, obs, u, mu0, P0, H, Theta, trans, store=False,
@@ -339,7 +348,7 @@ def _kalman_stack(y, obs, u, mu0, P0, H, Theta, trans, store=False,
                            + (v * X[..., n]).sum(-1))
             if store:
                 fm[..., t, :], fP[..., t, :, :] = m, P
-                ll[..., t] = step
+                ll[..., t] = np.where(member_any[..., t], step, 0.0)    # not -0.0
             else:
                 ll = ll + step
 
@@ -457,7 +466,7 @@ def _scalar_stack(y, obs, u, mu0, P0, H, Theta, trans, store, L) -> _StackPass:
         moments = tuple(arr[:, i].transpose(*range(1, nb + 1), 0)[(...,) + (None,) * (2 - i)]
                         for arr in (pred, filt) for i in (1, 0))     # pm, pP, fm, fP
     return _StackPass(ll if store else total, fail, np.where(fail != 0, ping, -1),
-                      fail_eig, moments)
+                      fail_eig, moments, scalar=True)
 
 
 def _scalar_members(y, obs, u, mu0, P0, H, Theta, trans, store, L) -> _StackPass:
@@ -505,7 +514,7 @@ def _scalar_members(y, obs, u, mu0, P0, H, Theta, trans, store, L) -> _StackPass
     new = (fail == 0) & ~np.isfinite(total)
     fail = np.where(new, _NON_FINITE, fail)
     fail_ping = np.where(new, np.argmax(~np.isfinite(ll), -1), fail_ping)
-    return _StackPass(ll if store else total, fail, fail_ping, fail_eig, moments)
+    return _StackPass(ll if store else total, fail, fail_ping, fail_eig, moments, scalar=True)
 
 
 def _filter_pass(y, missing, u, mu0, P0, H, Theta, trans):
@@ -524,13 +533,11 @@ def _filter_pass(y, missing, u, mu0, P0, H, Theta, trans):
     return (*res.moments, res.loglik)
 
 
-def _prepare(spec: ModelSpec, y, missing, u, timestamps):
-    """Checked (y, missing, u) of one series, its timestamps, and ``trans``:
-    ``trans[k]`` is (A, Sigma, G) for the step into ping k+1.
+def _series(spec: ModelSpec, y, missing, u, timestamps):
+    """Checked (y, missing, u) of one series and its timestamps.
 
-    Timestamps default to 0, 1, 2, ... and are required in continuous time,
-    where each gap is discretized exactly; discrete time uses the spec's own
-    matrices for every step.
+    Timestamps default to 0, 1, 2, ... and are required, strictly
+    increasing, in continuous time.
     """
     y, missing, u = _normalize_series(spec, y, missing, u)
     T = y.shape[0]
@@ -542,22 +549,34 @@ def _prepare(spec: ModelSpec, y, missing, u, timestamps):
     timestamps = np.asarray(timestamps, dtype=float).reshape(-1)
     if timestamps.size != T:
         raise EmaError("INVALID_MODEL", f"{timestamps.size} timestamps for {T} pings")
-    if continuous:
-        gaps = np.diff(timestamps)
-        if (gaps <= 0).any():
-            raise EmaError("NON_MONOTONE_TIME", "timestamps must be strictly increasing")
-        trans = _discretize_gaps(spec, gaps)
+    if continuous and (np.diff(timestamps) <= 0).any():
+        raise EmaError("NON_MONOTONE_TIME", "timestamps must be strictly increasing")
+    return y, missing, u, timestamps
+
+
+def _prepare(spec: ModelSpec, y, missing, u, timestamps):
+    """:func:`_series`, plus ``trans``: ``trans[k]`` is (A, Sigma, G) for the
+    step into ping k+1.  Continuous time discretizes each gap exactly;
+    discrete time uses the spec's own matrices for every step.
+    """
+    y, missing, u, timestamps = _series(spec, y, missing, u, timestamps)
+    if spec.time_mode == "continuous":
+        trans = _discretize_gaps(spec, np.diff(timestamps))
     else:
-        trans = [(spec.A, spec.Sigma, spec.G)] * max(T - 1, 0)
+        trans = [(spec.A, spec.Sigma, spec.G)] * max(y.shape[0] - 1, 0)
     return y, missing, u, timestamps, trans
 
 
-def _kalman(spec: ModelSpec, y, missing, u, timestamps):
-    """The Kalman filter of any all-Gaussian spec, plus the transitions it used."""
+def _require_gaussian(spec: ModelSpec) -> None:
     if not spec.all_gaussian:
         raise EmaError("LIKELIHOOD_MODE_MISMATCH",
                        "the Kalman filter applies only to all-Gaussian channels; "
                        "use particle_filter for count/ordinal/dichotomous data")
+
+
+def _kalman(spec: ModelSpec, y, missing, u, timestamps):
+    """The Kalman filter of any all-Gaussian spec, plus the transitions it used."""
+    _require_gaussian(spec)
     y, missing, u, timestamps, trans = _prepare(spec, y, missing, u, timestamps)
     pm, pP, fm, fP, ll = _filter_pass(y, missing, u, spec.initial_mean,
                                       spec.initial_cov, spec.H, spec.Theta, trans)
@@ -592,6 +611,89 @@ def kalman_filter_ct(spec: ModelSpec, timestamps, y, missing=None,
     return _kalman(spec, y, missing, u, timestamps)[0]
 
 
+def _stack_series(series, p: int, q: int):
+    """Checked series (y, missing, u, ...) as (R, T_max, .) arrays of y, the
+    observed mask and u, plus each series' ping count; pings past a series'
+    end count as unobserved."""
+    lengths = np.array([s[0].shape[0] for s in series])
+    R, T = len(series), int(lengths.max())
+    y = np.zeros((R, T, p))
+    obs = np.zeros((R, T, p), dtype=bool)
+    u = np.zeros((R, T, q))
+    for r, (Y, missing, U, *_) in enumerate(series):
+        k = lengths[r]
+        y[r, :k], obs[r, :k], u[r, :k] = Y, ~missing, U
+    return y, obs, u, lengths
+
+
+# Members of one stacked pass of :func:`_kalman_cohort`: bounds the memory of
+# its stored moments on big cohorts.
+_COHORT_CHUNK = 64
+
+
+def _kalman_cohort(spec: ModelSpec, participants):
+    """Yield the Kalman filter of each participant (objects with ``Y``,
+    ``missing``, ``U`` and ``timestamps``) in order, each equal bit for bit
+    to its own :func:`kalman_filter` or :func:`kalman_filter_ct` call.
+
+    Every series is checked first, and all gaps are discretized in one
+    :func:`~emastate.model._gap_transitions` call; each ping then gathers
+    its members' transitions into (members, n, n) arrays, and one stored
+    :func:`_kalman_stack` pass runs per chunk of ``_COHORT_CHUNK``
+    participants, ping axes padded as in a pooled fit (identity steps in
+    continuous time, unobserved pings).  Errors come in the order of the
+    per-participant calls: the first participant whose series, gaps or
+    filter fails raises what its own call would, after the participants
+    before it are yielded.
+    """
+    _require_gaussian(spec)
+    series, pending = [], None
+    for p in participants:
+        try:
+            series.append(_series(spec, p.Y, p.missing, p.U, p.timestamps))
+        except EmaError as err:
+            pending = err
+            break
+    n, q = spec.n_states, spec.n_inputs
+    continuous = spec.time_mode == "continuous"
+    while continuous and series:
+        gaps = [np.diff(s[3]) for s in series]
+        try:
+            *table, which = _gap_transitions(spec, np.concatenate(gaps))
+            break
+        except EmaError as err:     # the first participant with a failing gap
+            owner = np.repeat(np.arange(len(series)), [g.size for g in gaps])
+            del series[owner[err.gap]:]
+            pending = err
+    if continuous and series:       # row -1 pads: the identity step
+        pad = (np.eye(n), np.zeros((n, n)), np.zeros((n, q)))
+        table = [np.concatenate([x, e[None]]) for x, e in zip(table, pad)]
+        starts = np.cumsum([0] + [s[0].shape[0] - 1 for s in series])
+
+    for lo in range(0, len(series), _COHORT_CHUNK):
+        chunk = series[lo:lo + _COHORT_CHUNK]
+        y, obs, u, lengths = _stack_series(chunk, spec.n_obs, q)
+        R, T = y.shape[:2]
+        if continuous:
+            rows = np.full((T - 1, R), -1)
+            for r in range(R):
+                rows[:lengths[r] - 1, r] = which[starts[lo + r]:starts[lo + r + 1]]
+            trans = list(zip(*(x[rows] for x in table)))
+        else:
+            trans = [(spec.A, spec.Sigma, spec.G)] * (T - 1)
+        res = _kalman_stack(y, obs, u, spec.initial_mean, spec.initial_cov, spec.H,
+                            spec.Theta, trans, store=True, lengths=lengths)
+        pm, pP, fm, fP = res.moments
+        for r, (_, missing, _, timestamps) in enumerate(chunk):
+            res.raise_failure(r)
+            k = lengths[r]
+            ll = res.loglik[r, :k]
+            yield FilterResult(timestamps, pm[r, :k], pP[r, :k], fm[r, :k], fP[r, :k], ll,
+                               float(ll.sum()), int(missing.any(axis=1).sum()), missing)
+    if pending is not None:
+        raise pending
+
+
 def kalman_smooth(spec: ModelSpec, y, missing=None, u=None,
                   timestamps=None) -> SmoothResult:
     """Fixed-interval (RTS) smoother; works for both time modes.
@@ -603,21 +705,26 @@ def kalman_smooth(spec: ModelSpec, y, missing=None, u=None,
     r, trans = _kalman(spec, y, missing, u, timestamps)
     pm, pP, fm, fP = r.predicted_mean, r.predicted_cov, r.filtered_mean, r.filtered_cov
     T, n = fm.shape
+    # every gain at once: X[t] = J[t]' solves P_pred[t+1] X = A fP[t]; a
+    # pseudo-inverse guards a singular prediction (Sigma = 0 cases)
+    AfP = np.array([tr[0] for tr in trans]).reshape(-1, n, n) @ fP[:-1]
+    try:
+        X = np.linalg.solve(pP[1:], AfP)
+    except np.linalg.LinAlgError:
+        X = np.empty_like(AfP)
+        for t in range(T - 1):
+            try:
+                X[t] = np.linalg.solve(pP[t + 1], AfP[t])
+            except np.linalg.LinAlgError:
+                X[t] = np.linalg.pinv(pP[t + 1]) @ AfP[t]
+    J = X.swapaxes(-1, -2)
     sm = fm.copy()
     sP = fP.copy()
-    lag1 = np.empty((max(T - 1, 0), n, n))
     for t in range(T - 2, -1, -1):
-        A_next = trans[t][0]
-        # pseudo-inverse guards a singular prediction (Sigma = 0 cases)
-        Pp = pP[t + 1]
-        try:
-            Jt = np.linalg.solve(Pp, A_next @ fP[t]).T
-        except np.linalg.LinAlgError:
-            Jt = (np.linalg.pinv(Pp) @ (A_next @ fP[t])).T
-        lag1[t] = sP[t + 1] @ Jt.T
-        sm[t] = fm[t] + Jt @ (sm[t + 1] - pm[t + 1])
-        sP[t] = fP[t] + Jt @ (sP[t + 1] - Pp) @ Jt.T
+        sm[t] = fm[t] + J[t] @ (sm[t + 1] - pm[t + 1])
+        sP[t] = fP[t] + J[t] @ (sP[t + 1] - pP[t + 1]) @ X[t]
         sP[t] = 0.5 * (sP[t] + sP[t].T)
+    lag1 = sP[1:] @ X
     return SmoothResult(r.timestamps, sm, sP, lag1)
 
 

@@ -9,7 +9,11 @@ error covariance Theta, or Poisson / graded-response / Bernoulli-logistic
 channels driven by a single state each).  ``time_mode`` selects whether A is
 a one-step transition matrix or the drift of the stochastic differential
 equation dx = A x dt + G u dt + dW; :func:`discretize` and
-:func:`to_continuous` convert between the two representations.
+:func:`to_continuous` convert between the two representations.  Every
+continuous-time gap, in :func:`discretize`, the filters and the simulator,
+comes from one batched kernel, :func:`_gap_transitions`: a degree-17 Taylor
+series of Van Loan's integrals in Horner form at a halved step, whose
+truncation error stays below 2^-53 relative, then doublings back to the gap.
 """
 
 from __future__ import annotations
@@ -428,38 +432,69 @@ def _expm_integral(A_c: np.ndarray, dt) -> np.ndarray:
     return expm(np.block([[A_c, Z + np.eye(n)], [Z, Z]]) * dt)[..., :n, n:]
 
 
-def _discretize_gaps(spec: ModelSpec, dts, drifts=None) -> list[tuple]:
-    """Exact (A_d, Sigma_d, G_d) per gap of ``dts``, under the spec's drift or
-    one drift per gap (``drifts``, (K, n, n)).  Gaps with equal drift and
-    equal to 12 decimals share one tuple, built at the first of them.
+# Degree of the Taylor series in :func:`_gap_transitions` (its bound is there)
+_TAYLOR_DEGREE = 17
 
-    Van Loan's (1978, *IEEE TAC* 23:395) block exponentials run at h =
-    dt / 2^s, the least s with ||A||_1 h <= 1/2 (no cancellation), then s
-    doublings A(2h) = A(h)^2, Sigma(2h) = Sigma(h) + A(h) Sigma(h) A(h)',
-    G(2h) = G(h) + A(h) G(h) (Higham 2005, *SIAM J. Matrix Anal. Appl.* 26:1179).
+
+def _gap_transitions(spec: ModelSpec, dts, drifts=None):
+    """Exact (A_d, Sigma_d, G_d) of the distinct gaps of ``dts``, stacked,
+    and ``which``: gap i uses entry ``which[i]``.  Each gap runs under the
+    spec's drift or its own (``drifts``, (K, n, n)); gaps with equal drift
+    and equal length share the entry built at the first of them, and no
+    entry depends on the other gaps of the call.
+
+    One truncated Taylor series, evaluated in Horner form by batched
+    products over the whole stack, gives Van Loan's (1978, *IEEE TAC*
+    23:395) integrals at a step h = dt / 2^s (Moler & Van Loan 2003, *SIAM
+    Rev.* 45:3, methods 3 and 19).  With X = A h and
+    phi(Z) = sum_k Z^k / (k+1)!, the series of exp(A s) on [0, h]:
+
+        A(h) = I + X phi(X),   G(h) = h phi(X) G,   Sigma(h) = h phi(M) Sigma,
+
+    where M(R) = X R + (X R)' is the Lyapunov operator of X: phi = I + (X/j) phi
+    and R = Sigma + M(R) / j run from the top degree down.  s is the least
+    halving count with nu = h max(||A||_1, ||A||_inf) <= 1/2; then
+    ||X||_1 <= 1/2 and ||M||_1 <= ||X||_1 + ||X||_inf <= 1 (the 1-norm alone
+    does not bound M for a non-normal drift), so both series, cut after
+    degree 17, leave a relative remainder below
+    sum_{k>=18} 1/(k+1)! < 8.7e-18 < 2^-53.  s masked doublings follow,
+    A(2h) = A(h)^2, Sigma(2h) = Sigma(h) + A(h) Sigma(h) A(h)',
+    G(2h) = G(h) + A(h) G(h) (Higham 2005, *SIAM J. Matrix Anal. Appl.*
+    26:1179).  A gap whose result is not finite raises ``NON_FINITE``
+    naming that gap (``err.gap``, its index in ``dts``).
     """
     dts = np.asarray(dts, dtype=float).reshape(-1)
     bad = ~((dts > 0) & np.isfinite(dts))
     if bad.any():
-        raise EmaError("INVALID_MODEL", f"dt must be positive and finite, got {dts[bad][0]}")
-    keys = [(None if drifts is None else drifts[i].tobytes(), round(dt, 12))
-            for i, dt in enumerate(dts.tolist())]
-    first: dict = {}
-    rep = [first.setdefault(key, i) for i, key in enumerate(keys)]
-    idx = list(first.values())
-    dts, n = dts[idx], spec.n_states
-    A_c = np.broadcast_to(spec.A if drifts is None else drifts[idx], (len(idx), n, n))
-    norm = np.abs(A_c).sum(-2).max(-1)      # a non-finite drift fails below
+        err = EmaError("INVALID_MODEL", f"dt must be positive and finite, got {dts[bad][0]}")
+        err.gap = int(np.argmax(bad))
+        raise err
+    n, K = spec.n_states, dts.size
+    rows = dts[:, None] if drifts is None else np.concatenate(
+        [np.reshape(drifts, (K, n * n)), dts[:, None]], axis=1)
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1] * 8)))[:, 0]
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    gaps, dts = dts, dts[first]
+    A_c = np.array(np.broadcast_to(spec.A if drifts is None else drifts[first],
+                                   (first.size, n, n)))
+    # max(||A||_1, ||A||_inf); a non-finite drift fails below
+    norm = np.maximum(np.abs(A_c).sum(-2).max(-1), np.abs(A_c).sum(-1).max(-1))
+    I = np.eye(n)
+    Q = 0.5 * (spec.Sigma + spec.Sigma.T)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         s = np.where(np.isfinite(norm) & (norm * dts > 0.5),
                      np.ceil(np.log2(norm) + np.log2(dts) + 1.0), 0).astype(int)
         h = np.ldexp(dts, -s)[:, None, None]
-        A_d = _pin_random_walk_rows(expm(A_c * h), spec.random_walk_states, "discrete")
-        Z = np.zeros_like(A_c)
-        F = expm(np.block([[-A_c, Z + spec.Sigma], [Z, A_c.swapaxes(-1, -2)]]) * h)
-        Sigma_d = F[:, n:, n:].swapaxes(-1, -2) @ F[:, :n, n:]
-        G_d = (_expm_integral(A_c, h) @ spec.G if spec.n_inputs
-               else np.zeros((len(idx), n, 0)))
+        X = A_c * h
+        phi, R = I, Q
+        for j in range(_TAYLOR_DEGREE + 1, 1, -1):
+            Xj = X / j
+            phi = I + Xj @ phi
+            XR = Xj @ R
+            R = Q + (XR + XR.swapaxes(-1, -2))
+        A_d = _pin_random_walk_rows(I + X @ phi, spec.random_walk_states, "discrete")
+        Sigma_d = h * R
+        G_d = h * phi @ spec.G if spec.n_inputs else np.zeros((dts.size, n, 0))
         for j in range(s.max(initial=0)):
             k = s > j
             a = A_d[k]
@@ -469,9 +504,19 @@ def _discretize_gaps(spec: ModelSpec, dts, drifts=None) -> list[tuple]:
         Sigma_d = 0.5 * (Sigma_d + Sigma_d.swapaxes(-1, -2))
     bad = ~np.isfinite(np.concatenate([A_d, Sigma_d, G_d], axis=-1)).all((1, 2))
     if bad.any():
-        raise EmaError("NON_FINITE", f"matrix exponential overflowed at dt={dts[bad][0]}")
-    shared = dict(zip(idx, zip(A_d, Sigma_d, G_d)))
-    return [shared[i] for i in rep]
+        i = int(first[bad].min())
+        err = EmaError("NON_FINITE", f"matrix exponential overflowed at dt={gaps[i]}")
+        err.gap = i
+        raise err
+    return A_d, Sigma_d, G_d, which
+
+
+def _discretize_gaps(spec: ModelSpec, dts, drifts=None) -> list[tuple]:
+    """:func:`_gap_transitions` as one (A_d, Sigma_d, G_d) per gap; gaps that
+    share an entry share one tuple."""
+    A_d, Sigma_d, G_d, which = _gap_transitions(spec, dts, drifts)
+    shared = list(zip(A_d, Sigma_d, G_d))
+    return [shared[i] for i in which.tolist()]
 
 
 def discretize(spec: ModelSpec, dt: float) -> ModelSpec:

@@ -340,8 +340,12 @@ def _simulate_participant(spec: ModelSpec, timestamps: np.ndarray, U: np.ndarray
         trans = _discretize_gaps(spec, np.diff(timestamps), drifts)
     else:
         trans = [(A, spec.Sigma, spec.G) for A in drifts]
-    factors = {id(S): S for _, S, _ in trans}
-    factors = {i: psd_sqrt(S) for i, S in factors.items()}
+    distinct = list({id(S): S for _, S, _ in trans}.values())
+    try:
+        roots = np.linalg.cholesky(np.reshape(distinct, (-1, n, n)))
+    except np.linalg.LinAlgError:       # some gap noise is singular
+        roots = [psd_sqrt(S) for S in distinct]
+    factors = dict(zip(map(id, distinct), roots))
     L_theta = psd_sqrt(spec.Theta)
     L0 = psd_sqrt(spec.initial_cov)
 

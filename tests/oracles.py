@@ -142,6 +142,41 @@ def trapezoid_noise_integral(a, sigma, dt, n_grid=10_000):
     return float(np.trapezoid(f, s))
 
 
+def van_loan_reference(A, Sigma, G, dt, digits=40):
+    """(A_d, Sigma_d, G_d) of dx = A x dt + G u dt + dW, Cov(dW) = Sigma dt,
+    over a gap ``dt``, from block exponentials in ``digits``-digit arithmetic
+    (Van Loan 1978, *IEEE TAC* 23:395):
+
+        exp([[A, G], [0, 0]] dt) holds G_d = int_0^dt exp(A s) ds G, and
+        exp([[K, vec Sigma], [0, 0]] dt) holds vec Sigma_d, K = A (+) A,
+
+    so no block needs exp(-A dt), which would cancel on long gaps."""
+    import mpmath as mp
+
+    n, m = A.shape[0], G.shape[1]
+    with mp.workdps(digits):
+        h = mp.mpf(float(dt))
+        B = mp.zeros(n + m)
+        for i in range(n):
+            for j in range(n):
+                B[i, j] = float(A[i, j])
+            for j in range(m):
+                B[i, n + j] = float(G[i, j])
+        EB = mp.expm(B * h)
+        K = mp.zeros(n * n + 1)
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    K[i * n + j, k * n + j] += float(A[i, k])
+                    K[i * n + j, i * n + k] += float(A[j, k])
+                K[i * n + j, n * n] = float(Sigma[i, j])
+        EK = mp.expm(K * h)
+        A_d = [[float(EB[i, j]) for j in range(n)] for i in range(n)]
+        G_d = [[float(EB[i, n + j]) for j in range(m)] for i in range(n)]
+        S_d = [[float(EK[i * n + j, n * n]) for j in range(n)] for i in range(n)]
+    return np.array(A_d), np.array(S_d), np.array(G_d).reshape(n, m)
+
+
 def poisson_t2_loglik(a, sigma2, mu0, p0, scale, link, y, n_grid=400, span=8.0):
     """Dense-grid quadrature of the T=2 Poisson state-space likelihood.
 

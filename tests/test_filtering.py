@@ -299,6 +299,47 @@ def test_smoother_matches_joint_gaussian_oracle():
         assert np.allclose(s.lag_one_cov, o["lag_one_cov"], atol=1e-8), case
 
 
+def _per_ping_smoother(spec, Y, missing, timestamps):
+    """The smoother's backward loop with one gain solve per ping."""
+    r = (es.kalman_filter_ct(spec, timestamps, Y, missing) if spec.time_mode == "continuous"
+         else es.kalman_filter(spec, Y, missing, timestamps=timestamps))
+    trans = _prepare(spec, Y, missing, None, timestamps)[4]
+    pm, pP, fm, fP = r.predicted_mean, r.predicted_cov, r.filtered_mean, r.filtered_cov
+    T, n = fm.shape
+    sm, sP = fm.copy(), fP.copy()
+    lag1 = np.empty((max(T - 1, 0), n, n))
+    for t in range(T - 2, -1, -1):
+        A_next, Pp = trans[t][0], pP[t + 1]
+        try:
+            Jt = np.linalg.solve(Pp, A_next @ fP[t]).T
+        except np.linalg.LinAlgError:
+            Jt = (np.linalg.pinv(Pp) @ (A_next @ fP[t])).T
+        lag1[t] = sP[t + 1] @ Jt.T
+        sm[t] = fm[t] + Jt @ (sm[t + 1] - pm[t + 1])
+        sP[t] = fP[t] + Jt @ (sP[t + 1] - Pp) @ Jt.T
+        sP[t] = 0.5 * (sP[t] + sP[t].T)
+    return sm, sP, lag1
+
+
+@pytest.mark.parametrize("case", ["dense-2x2", "scalar", "ct-even-grid",
+                                  "random-walk-singular", "ct-irregular", "one ping"])
+def test_batched_smoother_gains_equal_the_per_ping_loop_bit_for_bit(case):
+    if case == "ct-irregular":
+        spec = es.to_continuous(_smoother_case("dense-2x2")[0], 3.0)
+        Y, missing = _simulate_series(_smoother_case("dense-2x2")[0], 60, 13, miss_frac=0.3)
+        timestamps = np.cumsum(np.random.default_rng(13).uniform(0.1, 16.0, 60))
+    elif case == "one ping":
+        spec, _, Y, missing, timestamps = _smoother_case("dense-2x2")
+        Y, missing = Y[:1], missing[:1]
+    else:
+        spec, _, Y, missing, timestamps = _smoother_case(case)
+    Y = np.where(missing, np.nan, Y)
+    s = es.kalman_smooth(spec, Y, missing, timestamps=timestamps)
+    for got, want in zip((s.smoothed_mean, s.smoothed_cov, s.lag_one_cov),
+                         _per_ping_smoother(spec, Y, missing, timestamps)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_smoothing_never_inflates_covariance():
     rng = np.random.default_rng(13)
     for _ in range(50):

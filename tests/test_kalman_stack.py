@@ -8,6 +8,8 @@ that fails must fail alone.  A 1x1 stack must reproduce the float loop,
 at which it stops running that loop per member.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -232,3 +234,166 @@ def test_scalar_member_with_zero_innovation_variance_fails_alone(n_specs, n_peop
     others = np.arange(n_specs) != k
     assert not res.fail[others].any()
     assert res.loglik[others].tobytes() == clean.loglik[others].tobytes()
+
+
+# --- the stored pass: zero terms where a member observes nothing -------------
+
+def test_stored_term_is_positive_zero_where_only_another_member_observes():
+    spec = es.ModelSpec(A=[[0.5, 0.1], [0.0, 0.6]], Sigma=np.eye(2), Theta=0.5 * np.eye(2))
+    y = np.ones((2, 3, 2))
+    obs = np.ones((2, 3, 2), dtype=bool)
+    obs[1, 1] = False                     # member 1 sees nothing at ping 1; member 0 does
+    trans = [(spec.A, spec.Sigma, spec.G)] * 2
+    res = _kalman_stack(y, obs, np.zeros((2, 3, 0)), spec.initial_mean, spec.initial_cov,
+                        spec.H, spec.Theta, trans, store=True)
+    assert res.loglik[1, 1] == 0.0 and not np.signbit(res.loglik[1, 1])
+    single = es.kalman_filter(spec, y[1], ~obs[1])
+    assert res.loglik[1].tobytes() == single.loglik_contributions.tobytes()
+
+
+# --- the cohort pass of CLI filter: each participant's own call, bit for bit ---
+
+COHORT_MODELS = ["1x1 discrete", "2x2 discrete", "2x2 continuous"]
+
+
+def _cohort_spec(model, **kw):
+    if model == "1x1 discrete":
+        return es.ModelSpec(A=[[0.6]], Sigma=[[0.8]], G=[[0.3]], Theta=[[0.5]], **kw)
+    A = [[0.5, 0.15], [-0.1, 0.6]] if model == "2x2 discrete" else [[-0.3, 0.1], [0.05, -0.5]]
+    return es.ModelSpec(A=A, Sigma=[[1.0, 0.2], [0.2, 0.7]], G=[[0.3], [-0.2]],
+                        H=[[1.0, 0.0], [0.4, 1.0]], Theta=[[0.5, 0.1], [0.1, 0.4]],
+                        time_mode="discrete" if model == "2x2 discrete" else "continuous",
+                        **kw)
+
+
+def _cohort_people(rng, spec, lengths, miss_frac=0.3):
+    """Participants of the given lengths; the third sees nothing at all.  Gaps
+    are irregular, with shared 3 h steps and overnight gaps."""
+    people = []
+    for i, T in enumerate(lengths):
+        gaps = np.where(rng.uniform(size=T) < 0.4, 3.0, rng.uniform(0.2, 6.0, T))
+        gaps[rng.uniform(size=T) < 0.15] = 14.0
+        missing = rng.uniform(size=(T, spec.n_obs)) < miss_frac
+        missing[rng.uniform(size=T) < 0.2] = True
+        if i == 2:
+            missing[:] = True
+        Y = np.where(missing, np.nan, rng.normal(size=(T, spec.n_obs)))
+        people.append(SimpleNamespace(pid=f"p{i + 1:03d}", Y=Y, missing=missing,
+                                      U=rng.normal(size=(T, 1)),
+                                      timestamps=np.cumsum(gaps) - gaps[0]))
+    return people
+
+
+def _own_call(spec, p):
+    if spec.time_mode == "continuous":
+        return es.kalman_filter_ct(spec, p.timestamps, p.Y, p.missing, p.U)
+    return es.kalman_filter(spec, p.Y, p.missing, p.U, timestamps=p.timestamps)
+
+
+FILTER_FIELDS = ("timestamps", "predicted_mean", "predicted_cov", "filtered_mean",
+                 "filtered_cov", "loglik_contributions", "missing")
+
+
+@pytest.mark.parametrize("model", COHORT_MODELS)
+@pytest.mark.parametrize("chunk", [3, 6, 64])
+def test_cohort_pass_equals_each_participant_s_own_call_bit_for_bit(model, chunk,
+                                                                     monkeypatch):
+    # chunks of 6 run the 1x1 elementwise branch, chunks of 3 the float loop
+    monkeypatch.setattr(filtering, "_COHORT_CHUNK", chunk)
+    rng = np.random.default_rng(COHORT_MODELS.index(model))
+    spec = _cohort_spec(model)
+    people = _cohort_people(rng, spec, [9, 1, 14, 6, 11, 14, 3, 8])
+    got = list(filtering._kalman_cohort(spec, people))
+    assert len(got) == len(people)
+    for p, r in zip(people, got):
+        want = _own_call(spec, p)
+        for name in FILTER_FIELDS:
+            a, b = getattr(r, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (p.pid, name)
+        assert r.log_likelihood == want.log_likelihood
+        assert r.missing_handled == want.missing_handled
+
+
+@pytest.mark.parametrize("model", COHORT_MODELS)
+def test_cli_filter_equals_the_per_participant_loop_byte_for_byte(model, tmp_path):
+    from emastate import dataio
+    from emastate.cli import main
+    from emastate.dataset import EmaDataset, Participant
+
+    spec = _cohort_spec(model)
+    rng = np.random.default_rng(7)
+    people = [Participant(pid=p.pid, timestamps=p.timestamps, Y=p.Y, missing=p.missing,
+                          U=p.U) for p in _cohort_people(rng, spec, [12, 1, 7, 12, 5, 9])]
+    dataio.write_dataset(EmaDataset(people, ["a", "b"][:spec.n_obs], ["u"]),
+                         tmp_path / "d.csv")
+    spec.save(tmp_path / "m.json")
+    assert main(["filter", "--data", str(tmp_path / "d.csv"), "--model",
+                 str(tmp_path / "m.json"), "--method", "kalman",
+                 "--out", str(tmp_path / "f.csv")]) == 0
+
+    data = dataio.read_dataset(tmp_path / "d.csv")
+    blocks = []
+    for p in data.participants:
+        rows = _own_call(spec, p).to_delimited(data.y_names).splitlines()
+        blocks += ([f"participant_id,{rows[0]}"] if not blocks else [])
+        blocks += [f"{p.pid},{row}" for row in rows[1:]]
+    assert (tmp_path / "f.csv").read_text() == "\n".join(blocks) + "\n"
+
+
+def _failing(spec, people, kind, rng):
+    """Make ``people`` fail in the given way.  With Theta = 0 and a zero
+    initial covariance, a participant who observes ping 0 has a singular
+    innovation there; the others miss ping 0."""
+    for p in people:
+        if kind == "SINGULAR_INNOVATION":
+            p.missing[0] = False
+            p.Y[0] = rng.normal(size=spec.n_obs)
+        else:
+            p.missing[0] = True
+            p.Y[0] = np.nan
+            if kind == "NA_IN_U":
+                p.U[3, 0] = np.nan
+            elif kind == "NON_FINITE":            # an infinite observed value
+                p.missing[4] = False
+                p.Y[4] = np.inf
+            elif kind == "NON_MONOTONE_TIME":
+                p.timestamps[5] = p.timestamps[4]
+            elif kind == "gap overflow":          # exp(0.05 * 1e4) overflows
+                p.timestamps[6:] += 1e4
+
+
+DATA_ERRORS = {"1x1 discrete": ["NA_IN_U", "NON_FINITE"],
+               "2x2 discrete": ["NA_IN_U", "NON_FINITE"],
+               "2x2 continuous": ["NA_IN_U", "NON_FINITE", "NON_MONOTONE_TIME",
+                                  "gap overflow"]}
+
+
+@pytest.mark.parametrize("model, data_error",
+                         [(m, e) for m, errs in DATA_ERRORS.items() for e in errs])
+@pytest.mark.parametrize("singular_first", [True, False])
+def test_cohort_pass_raises_the_first_failure_in_file_order(model, data_error,
+                                                            singular_first, monkeypatch):
+    monkeypatch.setattr(filtering, "_COHORT_CHUNK", 3)
+    rng = np.random.default_rng(11)
+    n = 1 if model.startswith("1x1") else 2
+    drift = [[0.05, 0.0], [0.1, -0.5]] if data_error == "gap overflow" else None
+    spec = _cohort_spec(model, initial_cov=np.zeros((n, n)))
+    spec = spec.with_matrices(Theta=np.zeros((n, n)), A=spec.A if drift is None else drift)
+    people = _cohort_people(rng, spec, [9, 12, 7, 10, 11, 8, 12])
+    for p in people:
+        _failing(spec, [p], "healthy", rng)
+    first, second = (4, 5) if singular_first else (5, 4)
+    _failing(spec, [people[first]], "SINGULAR_INNOVATION", rng)
+    _failing(spec, [people[second]], data_error, rng)
+
+    with pytest.raises(EmaError) as want:
+        for p in people:
+            _own_call(spec, p)
+    got = []
+    with pytest.raises(EmaError) as err:
+        for r in filtering._kalman_cohort(spec, people):
+            got.append(r)
+    assert (err.value.code, err.value.message) == (want.value.code, want.value.message)
+    assert err.value.code == ("SINGULAR_INNOVATION" if singular_first else
+                              "NON_FINITE" if data_error == "gap overflow" else data_error)
+    assert len(got) == 4

@@ -9,7 +9,7 @@ import emastate as es
 from emastate.errors import NUMERICAL_CODES, EmaError
 from emastate.model import _discretize_gaps, psd_sqrt
 
-from oracles import trapezoid_noise_integral
+from oracles import trapezoid_noise_integral, van_loan_reference
 
 
 def test_validate_clean_spec():
@@ -196,12 +196,43 @@ def test_gap_transitions_compose_as_a_semigroup(seed, n, walk, a, b):
         assert A_ab[0, 0] == 1.0 and not A_ab[0, 1:].any()
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), walk=st.booleans(),
+       coupling=st.floats(0.0, 4.0), log_dts=st.lists(st.floats(-2.0, 4.0), min_size=1,
+                                                     max_size=3))
+def test_gap_transitions_match_a_40_digit_van_loan_reference(seed, n, walk, coupling,
+                                                             log_dts):
+    """Stable non-normal drifts Q T Q' (T upper triangular, off-diagonal up
+    to ``coupling``), optionally a random-walk first row, inputs, and gaps of
+    0.01 h to 10^4 h: A_d, Sigma_d and G_d agree with the reference to 1e-12,
+    relative to the largest entry (to 1 for A_d, which starts at I and may
+    decay to nothing)."""
+    rng = np.random.default_rng(seed)
+    T = np.triu(rng.uniform(-coupling, coupling, (n, n)), 1) + np.diag(-rng.uniform(0.05, 2.0, n))
+    Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    A = Q @ T @ Q.T
+    if walk:
+        A[0] = 0.0
+        A[1:, 1:] = T[1:, 1:]             # the other states stay stable
+    L = rng.uniform(-1.0, 1.0, (n, n))
+    spec = es.ModelSpec(A=A, Sigma=L @ L.T + 0.01 * np.eye(n), G=rng.uniform(-1.0, 1.0, (n, 2)),
+                        time_mode="continuous", initial_cov=np.eye(n),
+                        random_walk_states={0} if walk else set())
+    dts = 10.0 ** np.array(log_dts)
+    for got, dt in zip(_discretize_gaps(spec, dts), dts):
+        want = van_loan_reference(spec.A, spec.Sigma, spec.G, dt)
+        for i, (g, w) in enumerate(zip(got, want)):
+            scale = max(1.0, np.abs(w).max()) if i == 0 else np.abs(w).max()
+            assert np.abs(g - w).max() <= 1e-12 * scale, ("A_d", "Sigma_d", "G_d")[i]
+
+
 @pytest.mark.parametrize("tvp", [False, True])
 def test_gap_stack_slices_equal_one_gap_discretize_bit_for_bit(tvp):
     rng, A, Sigma = _drift(3, 3, stable=True)
     spec = es.ModelSpec(A=A, Sigma=Sigma, G=rng.normal(size=(3, 2)), time_mode="continuous",
                         initial_cov=np.eye(3))
-    dts = np.array([0.05, 0.4, 2.0, 3.7, 24.0, 72.0, 500.0, 2.0, 0.4])
+    dts = np.array([0.05, 0.4, 2.0, 3.7, 24.0, 72.0, 500.0, 2.0, 0.4,
+                    np.nextafter(2.0, 3.0)])
     drifts = None
     if tvp:
         drifts = np.repeat(A[None], dts.size, axis=0)

@@ -189,6 +189,55 @@ def test_tvp_sigmoid_trajectory_changes_persistence():
     assert lag1[:, 1].mean() > lag1[:, 0].mean() + 0.3
 
 
+def _draws_factoring_each_gap(spec, timestamps, U, regimes, tvp, rng):
+    """The state recursion with psd_sqrt called per distinct gap covariance."""
+    from emastate.model import _discretize_gaps, psd_sqrt
+    from emastate.simulate import _measure_ping
+    n, T = spec.n_states, timestamps.size
+    regs = regimes.regimes if regimes is not None else ()
+    drift_of = [spec.A] + [spec.A if r.A is None else np.asarray(r.A) for r in regs]
+    offset_of = [np.zeros(n)] + [np.zeros(n) if r.mean_offset is None else
+                                 np.asarray(r.mean_offset).reshape(n) for r in regs]
+    segs = [regimes.segment(t) for t in timestamps] if regs else [0] * T
+    drifts = np.array([drift_of[seg] for seg in segs[1:]]).reshape(T - 1, n, n)
+    if tvp is not None:
+        drifts[:, tvp.target[0], tvp.target[1]] = [tvp.value(t) for t in timestamps[1:]]
+    if spec.time_mode == "continuous":
+        trans = _discretize_gaps(spec, np.diff(timestamps), drifts)
+    else:
+        trans = [(A, spec.Sigma, spec.G) for A in drifts]
+    factors = {id(S): psd_sqrt(S) for _, S, _ in trans}
+    L_theta, L0 = psd_sqrt(spec.Theta), psd_sqrt(spec.initial_cov)
+    Y = np.empty((T, spec.n_obs))
+    z = spec.initial_mean + L0 @ rng.standard_normal(n)
+    Y[0] = _measure_ping(spec, z + offset_of[segs[0]], rng, L_theta)
+    for k in range(1, T):
+        A, S, G = trans[k - 1]
+        z = A @ z + G @ U[k - 1] + factors[id(S)] @ rng.standard_normal(n)
+        Y[k] = _measure_ping(spec, z + offset_of[segs[k]], rng, L_theta)
+    return Y
+
+
+@pytest.mark.parametrize("case", ["discrete", "continuous", "singular noise"])
+def test_batched_gap_factoring_draws_equal_per_gap_factoring_bit_for_bit(case):
+    from emastate.simulate import _simulate_participant
+    Sigma = [[1.0, 0.0], [0.0, 0.0]] if case == "singular noise" else [[1.0, 0.3], [0.3, 0.6]]
+    disc = es.ModelSpec(A=[[0.6, 0.1], [0.0, 0.5]], Sigma=Sigma, G=[[0.4], [0.1]],
+                        Theta=0.5 * np.eye(2))
+    spec = es.to_continuous(disc, 2.0) if case == "continuous" else disc
+    timestamps = (np.cumsum(np.random.default_rng(3).uniform(0.2, 9.0, 80))
+                  if case == "continuous" else np.arange(80.0))
+    U = np.random.default_rng(4).normal(size=(80, 1))
+    regimes = es.RegimeSchedule(breakpoints=(20.0, 50.0), regimes=(
+        es.Regime(A=spec.A * 0.8, mean_offset=np.array([1.0, -1.0])), es.Regime()))
+    tvp = es.TvpSchedule(target=(1, 1), start_value=spec.A[1, 1], end_value=spec.A[1, 1] * 0.5,
+                         midpoint=40.0, steepness=0.2)
+    for reg, tv in ((None, None), (regimes, tvp)):
+        got = _simulate_participant(spec, timestamps, U, reg, tv, np.random.default_rng(9))
+        want = _draws_factoring_each_gap(spec, timestamps, U, reg, tv, np.random.default_rng(9))
+        assert got.tobytes() == want.tobytes()
+
+
 def test_weekend_gaps_simulate_the_stationary_law():
     """At a 72 h interval pings are all but independent draws from the
     stationary law, so Cov(y) = P_inf + Theta; each entry's sample mean of
