@@ -12,9 +12,11 @@ differenced gradients, multi-started from perturbations of a heuristic
 initialization (lag-one regression for the transition matrix, residual
 moments for the variances).  Pooled fits share one parameter vector across
 participants, each participant's filter starting from the initial
-distribution.  For discrete-time Kalman fits the participants are stacked
-once, padded to the longest series; each objective is then one stacked
-filter pass, and each gradient one pass over all 2k central-difference
+distribution.  BFGS gets the value and the gradient of each iterate from
+one evaluation of its 2k+1 points (the iterate and its 2k central-difference
+neighbours), whose matrices one scatter writes for all points at once.  For
+discrete-time Kalman fits the participants are stacked once, padded to the
+longest series, so an iterate is one stacked filter pass over the 2k+1
 points times all participants.  Scalar (1x1) fits get the same values, bit
 for bit, as filtering each series alone.  Continuous-time and particle fits
 filter one series at a time.
@@ -114,53 +116,54 @@ class _Slot:
 
 
 class Parameterization:
-    """Compiled map between the unconstrained vector and ModelSpec matrices."""
+    """Compiled map between the unconstrained vector and ModelSpec matrices.
+
+    Compiling leaves each matrix's base value (the template with fixed-value
+    overrides and pinned random-walk rows) and the writes that put the free
+    slots into it; :meth:`scatter` runs those writes for a whole stack of
+    points at once.
+    """
 
     def __init__(self, template: ModelSpec, pmap: ParameterMap):
         self.template = template
         self.slots: list[_Slot] = []
         self._groups: dict[str, _Slot] = {}
-        self._plain: dict[str, list] = {}   # name -> [(index, slot_id)]
-        self._cov_mode: dict[str, str] = {} # name -> "diag" | "chol"
-        self._cov_slots: dict[str, dict] = {}
-
-        shapes = {
-            "A": template.A.shape, "G": template.G.shape, "H": template.H.shape,
-            "initial_mean": template.initial_mean.shape,
-            "Sigma": template.Sigma.shape, "Theta": template.Theta.shape,
-            "initial_cov": template.initial_cov.shape,
-        }
-        values = {
-            "A": template.A, "G": template.G, "H": template.H,
-            "initial_mean": template.initial_mean,
-            "Sigma": template.Sigma, "Theta": template.Theta,
-            "initial_cov": template.initial_cov,
-        }
-        self.fixed_overrides: dict[str, list] = {}
+        self._base = {name: np.array(getattr(template, name), dtype=float)
+                      for name in _MATRIX_NAMES}
+        self._writes: dict[tuple, tuple] = {}   # (name, transform) -> (flat indices, slots)
+        self._chol: list[str] = []              # covariances set to L L' from a factor
 
         for name in ("A", "G", "H", "initial_mean"):
-            grid = pmap.grid(name, shapes[name])
+            value = self._base[name]
+            grid = pmap.grid(name, value.shape)
             if name == "A":
                 for i in template.random_walk_states:
                     grid[i, :] = FIXED      # unit-root rows are never estimated
-            entries = []
-            for idx in np.ndindex(shapes[name]):
+            for idx in np.ndindex(value.shape):
                 s = grid[idx]
                 kind = _status_kind(s)
                 if kind == FIXED:
                     continue
                 if kind == "value":
-                    self.fixed_overrides.setdefault(name, []).append((idx, float(s)))
+                    value[idx] = float(s)
                     continue
-                slot = self._slot_for(s, "plain", float(values[name][idx]))
-                slot.targets.append((name, idx))
-                entries.append((idx, slot))
-            self._plain[name] = entries
+                self._write(name, idx, self._slot_for(s, "plain", float(value[idx])))
 
         for name in _COV_NAMES:
-            self._compile_cov(name, pmap.grid(name, shapes[name]), values[name])
-
+            self._compile_cov(name, pmap.grid(name, self._base[name].shape),
+                              self._base[name])
+        for i in template.random_walk_states:
+            self._base["A"][i, :] = 0.0
+            self._base["A"][i, i] = 1.0 if template.time_mode == "discrete" else 0.0
+        self._writes = {key: (np.array(at), np.array(cols, dtype=int))
+                        for key, (at, cols) in self._writes.items()}
         self.n_free = len(self.slots)
+
+    def _write(self, name: str, idx: tuple, slot: _Slot) -> None:
+        slot.targets.append((name, idx))
+        at, cols = self._writes.setdefault((name, slot.transform), ([], []))
+        at.append(np.ravel_multi_index(idx, self._base[name].shape))
+        cols.append(self.slots.index(slot))
 
     def _slot_for(self, status, transform: str, start: float) -> _Slot:
         if isinstance(status, str) and status.startswith("tied:"):
@@ -188,7 +191,6 @@ class Parameterization:
                 raise EmaError("BAD_PARAMETER_MAP",
                                f"{name}: use the template to fix covariance values")
         if not free_pos:
-            self._cov_mode[name] = "none"
             return
         sym_free = {(i, j) for i, j in free_pos} | {(j, i) for i, j in free_pos}
         diag_only = all(i == j for i, j in sym_free)
@@ -199,38 +201,30 @@ class Parameterization:
                 raise EmaError("BAD_PARAMETER_MAP",
                                f"{name}: diagonal-only freedom requires zero "
                                f"off-diagonals in the template")
-            self._cov_mode[name] = "diag"
-            entries = []
             for i in range(n):
                 if (i, i) in sym_free:
                     start = np.log(np.sqrt(max(value[i, i], _MIN_SD ** 2)))
-                    slot = self._slot_for(grid[i, i], "log_sd", start)
-                    slot.targets.append((name, (i, i)))
-                    entries.append((i, slot))
-            self._cov_slots[name] = {"diag": entries}
+                    self._write(name, (i, i), self._slot_for(grid[i, i], "log_sd", start))
         elif full:
             if any(_status_kind(grid[idx]) == "tied" for idx in free_pos):
                 raise EmaError("BAD_PARAMETER_MAP",
                                f"{name}: tying is not supported for a full "
                                f"covariance factor")
-            self._cov_mode[name] = "chol"
+            self._chol.append(name)
             V = 0.5 * (value + value.T) + _MIN_SD * np.eye(n)
             try:
                 L = np.linalg.cholesky(V)
             except np.linalg.LinAlgError:
                 w, Q = np.linalg.eigh(V)
                 L = np.linalg.cholesky(Q @ np.diag(np.clip(w, _MIN_SD, None)) @ Q.T)
-            entries = []
             for i in range(n):
                 for j in range(i + 1):
                     if i == j:
                         slot = _Slot("chol_diag", np.log(max(L[i, i], _MIN_SD)))
                     else:
                         slot = _Slot("chol_off", L[i, j])
-                    slot.targets.append((name, (i, j)))
                     self.slots.append(slot)
-                    entries.append(((i, j), slot))
-            self._cov_slots[name] = {"chol": entries}
+                    self._write(name, (i, j), slot)
         else:
             raise EmaError("BAD_PARAMETER_MAP",
                            f"{name}: unsupported freedom pattern; free the "
@@ -251,42 +245,31 @@ class Parameterization:
                     slot.start = np.log(max(np.sqrt(max(value, 0.0)), _MIN_SD))
                 return
 
+    def scatter(self, thetas) -> dict:
+        """The seven matrices at every point of a (points, n_free) stack, as
+        (points, ...) arrays.  A log-sd or Cholesky diagonal that overflows
+        leaves an infinite entry for the likelihood to penalize."""
+        thetas = np.asarray(thetas, dtype=float)
+        k = thetas.shape[0]
+        mats = {name: np.repeat(base[None], k, axis=0) for name, base in self._base.items()}
+        factors = {name: np.zeros_like(mats[name]) for name in self._chol}
+        with np.errstate(all="ignore"):
+            for (name, transform), (at, cols) in self._writes.items():
+                v = thetas[:, cols]
+                if transform in ("log_sd", "chol_diag"):
+                    v = np.exp(v)
+                if transform == "log_sd":
+                    v = v * v
+                out = factors[name] if transform.startswith("chol") else mats[name]
+                out.reshape(k, -1)[:, at] = v
+            for name, L in factors.items():
+                mats[name] = L @ L.swapaxes(-1, -2)
+        return mats
+
     def unpack(self, theta: np.ndarray) -> ModelSpec:
-        tpl = self.template
-        mats = {"A": tpl.A.copy(), "G": tpl.G.copy(), "H": tpl.H.copy(),
-                "initial_mean": tpl.initial_mean.copy(),
-                "Sigma": tpl.Sigma.copy(), "Theta": tpl.Theta.copy(),
-                "initial_cov": tpl.initial_cov.copy()}
-        for name, pairs in self.fixed_overrides.items():
-            for idx, v in pairs:
-                mats[name][idx] = v
-        slot_val = {id(s): theta[k] for k, s in enumerate(self.slots)}
-
-        for name in ("A", "G", "H", "initial_mean"):
-            for idx, slot in self._plain.get(name, ()):
-                mats[name][idx] = slot_val[id(slot)]
-        for name in _COV_NAMES:
-            mode = self._cov_mode.get(name, "none")
-            if mode == "diag":
-                for i, slot in self._cov_slots[name]["diag"]:
-                    sd = np.exp(slot_val[id(slot)])
-                    mats[name][i, i] = sd * sd
-            elif mode == "chol":
-                n = mats[name].shape[0]
-                L = np.zeros((n, n))
-                for (i, j), slot in self._cov_slots[name]["chol"]:
-                    L[i, j] = (np.exp(slot_val[id(slot)]) if i == j
-                               else slot_val[id(slot)])
-                mats[name] = L @ L.T
-
-        for i in tpl.random_walk_states:
-            mats["A"][i, :] = 0.0
-            mats["A"][i, i] = 1.0 if tpl.time_mode == "discrete" else 0.0
-
-        return tpl.with_matrices(A=mats["A"], G=mats["G"], H=mats["H"],
-                                 initial_mean=mats["initial_mean"],
-                                 Sigma=mats["Sigma"], Theta=mats["Theta"],
-                                 initial_cov=mats["initial_cov"])
+        """The spec at one point: :meth:`scatter`'s one-point case."""
+        mats = self.scatter([theta])
+        return self.template.with_matrices(**{name: m[0] for name, m in mats.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -321,17 +304,35 @@ def _series_loglik(spec: ModelSpec, p: Participant, options: FitOptions) -> floa
     return r.log_likelihood
 
 
-def _central_diff_grad(f_many, x: np.ndarray, step: float) -> np.ndarray:
-    """Central differences with h_i = step * max(1, |x_i|); ``f_many`` gets
-    the 2k points x + h_i e_i, x - h_i e_i (in that order) in one call."""
+def _fd_points(x: np.ndarray, step: float):
+    """x, then x + h_i e_i and x - h_i e_i for each i, with
+    h_i = step * max(1, |x_i|); also 2h, the differences' divisor."""
     h = step * np.maximum(1.0, np.abs(x))
-    points = []
-    for i in range(x.size):
-        xp = x.copy(); xp[i] += h[i]
-        xm = x.copy(); xm[i] -= h[i]
-        points += [xp, xm]
-    f = np.asarray(f_many(points), dtype=float)
-    return (f[0::2] - f[1::2]) / (2.0 * h)
+    points = np.repeat(x[None], 2 * x.size + 1, axis=0)
+    i = np.arange(x.size)
+    points[2 * i + 1, i] += h
+    points[2 * i + 2, i] -= h
+    return points, 2.0 * h
+
+
+def _central_diff_grad(f_many, x: np.ndarray, step: float) -> np.ndarray:
+    """Central differences; ``f_many`` gets the 2k points of
+    :func:`_fd_points` (without x itself) in one call."""
+    points, h2 = _fd_points(x, step)
+    f = np.asarray(f_many(points[1:]), dtype=float)
+    return (f[0::2] - f[1::2]) / h2
+
+
+def _value_and_grad(objectives, step: float):
+    """``x -> (f(x), central differences)`` from one ``objectives`` call over
+    all 2k + 1 points of :func:`_fd_points`: BFGS asks for both at every
+    iterate.  Each point's value does not depend on the others in the call,
+    so both equal a one-point call plus :func:`_central_diff_grad`."""
+    def value_and_grad(x):
+        points, h2 = _fd_points(x, step)
+        f = np.asarray(objectives(points), dtype=float)
+        return float(f[0]), (f[1::2] - f[2::2]) / h2
+    return value_and_grad
 
 
 def _stack_participants(spec: ModelSpec, participants: Sequence[Participant]):
@@ -343,32 +344,18 @@ def _stack_participants(spec: ModelSpec, participants: Sequence[Participant]):
 def _stacked_objectives(par: Parameterization, stack, penalty: float,
                         thetas) -> np.ndarray:
     """Negative pooled log-likelihood at each point, from one Kalman pass
-    over a (points, participants) stack; a point whose spec or any of whose
-    participants fails, or whose total is not finite, gets the penalty.
-    Participant totals are added left to right, as the per-series sum of
+    over a (points, participants) stack; a point any of whose participants
+    fails, or whose total is not finite, gets the penalty.  Participant
+    totals are added left to right, as the per-series sum of
     :func:`_series_loglik` values does."""
     y, obs, u, lengths = stack
-    out = np.full(len(thetas), penalty)
-    specs = {}
-    for i, theta in enumerate(thetas):
-        try:
-            with np.errstate(all="ignore"):
-                specs[i] = par.unpack(theta)
-        except EmaError as err:
-            if err.code not in _RECOVERABLE:
-                raise
-    if not specs:
-        return out
-    A, Sigma, G, H, Theta, mu0, P0 = (
-        np.stack([getattr(s, name) for s in specs.values()])[:, None]
-        for name in ("A", "Sigma", "G", "H", "Theta", "initial_mean", "initial_cov"))
-    res = _kalman_stack(y, obs, u, mu0, P0, H, Theta, [(A, Sigma, G)] * (y.shape[1] - 1),
-                        lengths=lengths)
+    m = {name: v[:, None] for name, v in par.scatter(thetas).items()}
+    res = _kalman_stack(y, obs, u, m["initial_mean"], m["initial_cov"], m["H"], m["Theta"],
+                        [(m["A"], m["Sigma"], m["G"])] * (y.shape[1] - 1), lengths=lengths)
     with np.errstate(all="ignore"):       # failed members may hold inf or NaN
         total = np.add.accumulate(res.loglik, axis=1)[:, -1]
     ok = (res.fail == 0).all(axis=1) & np.isfinite(total)
-    out[list(specs)] = np.where(ok, -total, penalty)
-    return out
+    return np.where(ok, -total, penalty)
 
 
 def _heuristic_start(par: Parameterization, participants: Sequence[Participant]) -> None:
@@ -423,28 +410,20 @@ def _fit_single(par: Parameterization, participants: Sequence[Participant],
 
         def objectives(thetas):
             return _stacked_objectives(par, stack, penalty, thetas)
-
-        def objective(theta):
-            return float(objectives([theta])[0])
     else:
         def objective(theta):
+            spec = par.unpack(theta)
             try:
                 with np.errstate(all="ignore"):   # non-finite points are penalized
-                    spec = par.unpack(theta)
                     total = sum(_series_loglik(spec, p, options) for p in participants)
             except EmaError as err:
                 if err.code in _RECOVERABLE:      # a different theta may cure these
                     return penalty
                 raise
-            if not np.isfinite(total):
-                return penalty
-            return -total
+            return -total if np.isfinite(total) else penalty
 
         def objectives(thetas):
             return [objective(theta) for theta in thetas]
-
-    def grad(theta):
-        return _central_diff_grad(objectives, theta, options.fd_step)
 
     rng = np.random.default_rng(seed_seq)
     theta0 = par.start_vector()
@@ -453,15 +432,15 @@ def _fit_single(par: Parameterization, participants: Sequence[Participant],
         scale = options.perturb_scale * (1.0 + np.abs(theta0))
         starts.append(theta0 + rng.normal(0.0, scale))
 
-    finite_start = any(objective(s) < penalty for s in starts)
-    if not finite_start:
+    if not any(objectives([s])[0] < penalty for s in starts):
         raise EmaError("NONFINITE_LIKELIHOOD",
                        "likelihood is non-finite at every multi-start initialization")
 
+    fun = _value_and_grad(objectives, options.fd_step)
     best = None
     restart_objectives = []
     for s in starts:
-        res = minimize(objective, s, jac=grad, method="BFGS",
+        res = minimize(fun, s, jac=True, method="BFGS",
                        options={"gtol": options.tol, "maxiter": options.max_iter})
         restart_objectives.append(float(res.fun))
         if best is None or res.fun < best.fun:

@@ -62,22 +62,20 @@ class FilterResult:
 
     def to_delimited(self, y_names: list[str] | None = None, sep: str = ",") -> str:
         """One row per ping: time, filtered means/variances, loglik, miss flags."""
-        T, n = self.filtered_mean.shape
+        n = self.filtered_mean.shape[1]
         p = self.missing.shape[1]
         if y_names is None:
             y_names = [f"y{j + 1}" for j in range(p)]
         header = (["t"] + [f"mean.s{i + 1}" for i in range(n)]
                   + [f"var.s{i + 1}" for i in range(n)] + ["loglik"]
                   + [f"miss.{nm}" for nm in y_names])
-        lines = [sep.join(header)]
-        for t in range(T):
-            row = [f"{self.timestamps[t]:.12g}"]
-            row += [f"{v:.12g}" for v in self.filtered_mean[t]]
-            row += [f"{self.filtered_cov[t, i, i]:.12g}" for i in range(n)]
-            row.append(f"{self.loglik_contributions[t]:.12g}")
-            row += [str(int(m)) for m in self.missing[t]]
-            lines.append(sep.join(row))
-        return "\n".join(lines) + "\n"
+        row = _row_format(2 * n + 2, sep, p)
+        values = np.column_stack([self.timestamps, self.filtered_mean,
+                                  np.diagonal(self.filtered_cov, 0, 1, 2),
+                                  self.loglik_contributions]).tolist()
+        flags = self.missing.astype(int).tolist()
+        return "\n".join([sep.join(header)]
+                         + [row(*v, *m) for v, m in zip(values, flags)]) + "\n"
 
 
 @dataclass
@@ -90,16 +88,20 @@ class SmoothResult:
     lag_one_cov: np.ndarray         # (T-1, n, n)
 
     def to_delimited(self, sep: str = ",") -> str:
-        T, n = self.smoothed_mean.shape
+        n = self.smoothed_mean.shape[1]
         header = (["t"] + [f"mean.s{i + 1}" for i in range(n)]
                   + [f"var.s{i + 1}" for i in range(n)])
-        lines = [sep.join(header)]
-        for t in range(T):
-            row = [f"{self.timestamps[t]:.12g}"]
-            row += [f"{v:.12g}" for v in self.smoothed_mean[t]]
-            row += [f"{self.smoothed_cov[t, i, i]:.12g}" for i in range(n)]
-            lines.append(sep.join(row))
-        return "\n".join(lines) + "\n"
+        row = _row_format(2 * n + 1, sep)
+        values = np.column_stack([self.timestamps, self.smoothed_mean,
+                                  np.diagonal(self.smoothed_cov, 0, 1, 2)]).tolist()
+        return "\n".join([sep.join(header)] + [row(*v) for v in values]) + "\n"
+
+
+def _row_format(n_numbers: int, sep: str, n_flags: int = 0):
+    """One row's formatter: numbers as ``.12g``, then integer flags.  Python
+    floats format exactly as the numpy scalars they came from."""
+    sep = sep.replace("{", "{{").replace("}", "}}")
+    return sep.join(["{:.12g}"] * n_numbers + ["{}"] * n_flags).format
 
 
 def _series_arrays(spec: ModelSpec, y, missing, u):

@@ -468,9 +468,9 @@ def test_particle_objective_penalizes_overflowing_theta(monkeypatch):
     data = simulate(truth, T=20, seed=23)
     seen = []
 
-    def one_look(fun, x0, jac, **kwargs):
-        seen.append(fun(x0 + 1000.0))       # the Theta log-sd overflows to inf
-        return OptimizeResult(x=x0, fun=fun(x0), jac=np.zeros_like(x0), status=0)
+    def one_look(fun, x0, jac, **kwargs):     # fun returns (value, gradient)
+        seen.append(fun(x0 + 1000.0)[0])    # the Theta log-sd overflows to inf
+        return OptimizeResult(x=x0, fun=fun(x0)[0], jac=np.zeros_like(x0), status=0)
 
     monkeypatch.setattr(estimate, "minimize", one_look)
     opts = FitOptions(n_restarts=1, likelihood="particle", n_particles=100,

@@ -477,6 +477,44 @@ def test_smooth_result_export_table():
     assert len(lines) == 5
 
 
+def _any_doubles(rng, size):
+    """Doubles from random bit patterns (NaNs, infinities and subnormals
+    included), with -0, NaN, +-inf and subnormals placed up front."""
+    x = rng.integers(0, 2**64, size=size, dtype=np.uint64).view(np.float64)
+    special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310]
+    x.flat[:6] = special[:x.size]
+    return x
+
+
+def test_python_floats_format_as_their_numpy_scalars():
+    """The tables format ``.tolist()`` values with one row template."""
+    x = _any_doubles(np.random.default_rng(0), 100_000)
+    assert [f"{v:.12g}" for v in x] == list(map("{:.12g}".format, x.tolist()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(T=st.integers(0, 6), n=st.integers(1, 3), p=st.integers(1, 3),
+       sep=st.sampled_from([",", "\t", "{}", ";"]), seed=st.integers(0, 2**32 - 1))
+def test_tables_equal_per_number_formatting(T, n, p, sep, seed):
+    rng = np.random.default_rng(seed)
+    t, m, ll = _any_doubles(rng, T), _any_doubles(rng, (T, n)), _any_doubles(rng, T)
+    cov = _any_doubles(rng, (T, n, n))
+    miss = rng.random((T, p)) < 0.5
+    f = es.FilterResult(t, m, cov, m, cov, ll, 0.0, int(miss.any(1).sum()), miss)
+    s = es.SmoothResult(t, m, cov, cov[1:])
+    rows, srows = [], []
+    for k in range(T):
+        nums = [t[k], *m[k], *np.diagonal(cov[k])]
+        srows.append(sep.join(f"{v:.12g}" for v in nums))
+        rows.append(sep.join([f"{v:.12g}" for v in nums + [ll[k]]]
+                             + [str(int(b)) for b in miss[k]]))
+    names = [f"y{j + 1}" for j in range(p)]
+    header = ["t"] + [f"mean.s{i + 1}" for i in range(n)] + [f"var.s{i + 1}" for i in range(n)]
+    assert f.to_delimited(sep=sep) == "\n".join(
+        [sep.join(header + ["loglik"] + [f"miss.{nm}" for nm in names])] + rows) + "\n"
+    assert s.to_delimited(sep=sep) == "\n".join([sep.join(header)] + srows) + "\n"
+
+
 # --- non-finite inputs and innovations ----------------------------------------
 
 def _var2(**kw):
