@@ -17,9 +17,9 @@ one evaluation of its 2k+1 points (the iterate and its 2k central-difference
 neighbours), whose matrices one scatter writes for all points at once.  For
 discrete-time Kalman fits the participants are stacked once, padded to the
 longest series, so an iterate is one stacked filter pass over the 2k+1
-points times all participants.  Scalar (1x1) fits get the same values, bit
-for bit, as filtering each series alone.  Continuous-time and particle fits
-filter one series at a time.
+points times all participants.  Fits of models with up to 3 states and 2
+channels get the same values, bit for bit, as filtering each series alone.
+Continuous-time and particle fits filter one series at a time.
 """
 
 from __future__ import annotations

@@ -1,42 +1,40 @@
 """State estimation and likelihood evaluation.
 
 Linear-Gaussian models get the exact Kalman filter and fixed-interval
-smoother, with missing channels dropped from each update (a fully missing
-ping keeps the prediction untouched).  One recursion runs vectorized over a
-stack of members that each carry their own series and spec arrays: a matrix
-filter call is a stack of one, and a pooled fit stacks participants and
-finite-difference points into one pass.  Missing channels are removed with
-zeroed selection rows instead of per-ping sub-blocks.  A single series of a
-1-state, 1-channel model runs a pure-float loop; a stack of such members
-runs that loop's arithmetic elementwise, which gives every member the
-loop's numbers bit for bit, or, with only a few members, the loop itself.
-Continuous-time specs are filtered by discretizing each inter-ping gap
-exactly (one batched truncated-Taylor kernel for all gaps of a series, its
-truncation error below 2^-53; see :func:`emastate.model._gap_transitions`);
-every entry point gets its series, timestamps and per-step transitions from
-one front end.  CLI ``filter`` runs a whole cohort as one stacked pass per
-chunk of participants, with all gaps discretized in one call and each ping's
-transitions gathered per member; every participant gets the numbers, and
-the errors, of its own filter call.  The smoother solves for all its gains
-J[t] at once, before the backward loop; its lag-one covariance needs no
-filter gains: Cov(x[t+1], x[t] | all) = P_s[t+1] J[t]' (Sarkka 2013,
-*Bayesian Filtering and Smoothing*, RTS smoother).
-Models with count, ordinal, or dichotomous channels fall back to a
-bootstrap particle filter; fits run its likelihood-only pass, which keeps
-no moments and gives the filter's log-likelihood to the bit.
+smoother, with missing channels dropped from each update by zeroed selection
+rows (a fully missing ping keeps the prediction untouched).  One recursion
+runs over a stack of members that each carry their own series and spec
+arrays: a pooled fit stacks participants and finite-difference points, CLI
+``filter`` a chunk of participants, and every public filter is a stack of
+one, so a participant gets the numbers, and the errors, of its own call.
+Models with up to 3 states and 2 channels run one recursion written out over
+scalar entries, with S inverted in closed form: on Python floats per member
+for small stacks, elementwise for large ones, bit for bit alike; larger
+models run a vectorized matrix recursion.  Continuous-time specs discretize
+each inter-ping gap exactly (one batched truncated-Taylor kernel for all
+gaps of a call, its truncation error below 2^-53; see
+:func:`emastate.model._gap_transitions`).  The smoother solves for all its
+gains J[t] at once, before the backward loop; its lag-one covariance needs
+no filter gains: Cov(x[t+1], x[t] | all) = P_s[t+1] J[t]' (Sarkka 2013,
+*Bayesian Filtering and Smoothing*, RTS smoother).  Models with count,
+ordinal, or dichotomous channels fall back to a bootstrap particle filter;
+fits run its likelihood-only pass, which keeps no moments and gives the
+filter's log-likelihood to the bit.
 
-Covariance updates use the Joseph form plus explicit symmetrization: EMA
-series are long and round-off accumulates.
+Covariance updates use the Joseph form: EMA series are long and round-off
+accumulates.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import expit, gammaln
+from scipy.special import expit, gammaln, log_expit
 
 from .errors import EmaError
 from .model import (GAUSSIAN, GRADED_RESPONSE, BERNOULLI_LOGISTIC, POISSON,
@@ -131,62 +129,8 @@ def _series_arrays(spec: ModelSpec, y, missing, u):
     return y, missing, u
 
 
-def _normalize_series(spec: ModelSpec, y, missing, u):
-    """As :func:`_series_arrays`, and every observed cell must be finite."""
-    y, missing, u = _series_arrays(spec, y, missing, u)
-    if np.isinf(y).any():
-        bad = (np.isinf(y) & ~missing).any(axis=1)
-        if bad.any():
-            raise EmaError("NON_FINITE",
-                           f"observed value at ping {int(np.argmax(bad))} is infinite")
-    return y, missing, u
-
-
-def _kalman_pass_scalar(y, missing, u, mu0, P0, H, Theta, transitions):
-    """Pure-float recursion for 1-state, 1-channel models (the hot path in
-    estimation); same formulas as the general pass."""
-    T = y.shape[0]
-    h = float(H[0, 0]); theta = float(Theta[0, 0])
-    pred_m = np.empty(T); pred_P = np.empty(T)
-    filt_m = np.empty(T); filt_P = np.empty(T)
-    ll = np.zeros(T)
-    have_u = u.shape[1] > 0
-    log2pi = np.log(2.0 * np.pi)
-    ys, miss = y[:, 0].tolist(), missing[:, 0].tolist()   # Python floats: same values
-
-    m = float(mu0[0]); P = float(P0[0, 0])
-    last = None
-    for t in range(T):
-        if t > 0:
-            if transitions[t - 1] is not last:
-                last = transitions[t - 1]
-                a, sigma, g = float(last[0][0, 0]), float(last[1][0, 0]), last[2][0]
-            m = a * m + (float(g @ u[t - 1]) if have_u else 0.0)
-            P = a * P * a + sigma
-        pred_m[t] = m; pred_P[t] = P
-        if miss[t]:
-            filt_m[t] = m; filt_P[t] = P
-            continue
-        s = h * P * h + theta
-        if s <= 0.0:
-            err = EmaError("SINGULAR_INNOVATION",
-                           f"innovation variance {s:.3g} <= 0 at ping {t}")
-            err.ping, err.variance = t, s     # read by _scalar_members
-            raise err
-        v = ys[t] - h * m
-        k = P * h / s
-        m = m + k * v
-        ikh = 1.0 - k * h
-        P = ikh * P * ikh + k * theta * k
-        filt_m[t] = m; filt_P[t] = P
-        ll[t] = -0.5 * (log2pi + np.log(s) + v * v / s)
-
-    shape = (T, 1, 1)
-    return (pred_m.reshape(T, 1), pred_P.reshape(shape),
-            filt_m.reshape(T, 1), filt_P.reshape(shape), ll)
-
-
 _SINGULAR, _NON_FINITE = 1, 2     # per-member failure codes of a stacked pass
+_SMALL_SHAPE = (3, 2)   # most (states, channels) that run the closed-form recursion
 
 
 @dataclass
@@ -223,30 +167,27 @@ def _kalman_stack(y, obs, u, mu0, P0, H, Theta, trans, store=False,
     may share data (participants) or spec arrays (finite-difference points):
     ``y``/``obs`` (..., T, p), ``u`` (..., T, q), ``mu0`` (..., n),
     ``P0``/``H``/``Theta`` (..., n, n)/(..., p, n)/(..., p, p).
-    ``trans[k]`` is (A, Sigma, G) for the step into ping k+1.
+    ``trans[k]`` is (A, Sigma, G) for the step into ping k+1; distinct
+    steps hold arrays of one shape per matrix.
 
     Unobserved cells leave the update by the selection device of Durbin &
     Koopman (2012, *Time Series Analysis by State Space Methods*, ch. 4,
     missing observations): that channel's H row, residual and Theta row
     and column are zeroed and it gets its own innovation variance c, so it
-    decouples and adds nothing.  c is an observed diagonal entry of S, which
-    lies in [lambda_min, lambda_max] of the observed block, so the padded
-    eigenvalue check equals the check on that block; log c is taken back
-    out of the log-determinant.
+    decouples and adds nothing.  Here c is an observed diagonal entry of S,
+    which lies in [lambda_min, lambda_max] of the observed block, so the
+    padded eigenvalue check equals the check on that block; log c is taken
+    back out of the log-determinant.
 
     A member whose S is non-finite or fails the eigenvalue check fails alone
     (``fail``/``fail_ping``) and stops updating; the others run on.  With
     ``store`` the per-ping moments and likelihood terms are kept; otherwise
-    only each member's summed log-likelihood.
+    only each member's summed log-likelihood, which adds zero for padding.
 
-    A 1x1 stack (n = p = 1) runs :func:`_scalar_stack`, or with fewer than
-    ``_STACK_MIN_MEMBERS`` members :func:`_scalar_members`; either way its
-    members equal :func:`_kalman_pass_scalar` on their own series bit for
-    bit.  There
-    ``lengths`` (broadcast to B; all T by default) counts the pings of each
-    member's own series, and a member's total sums its terms over those pings
-    only, as the total of a single series does.  The matrix recursion adds
-    its terms as it goes, so padding pings, which add zero, change nothing.
+    Up to ``_SMALL_SHAPE`` (states, channels), :func:`_small_stack` runs
+    instead; there ``lengths`` (broadcast to B; all T by default) counts the
+    pings of each member's own series, and a member's total sums its terms
+    over those pings only, as the total of a single series does.
     """
     T, p = y.shape[-2:]
     n = mu0.shape[-1]
@@ -255,17 +196,15 @@ def _kalman_stack(y, obs, u, mu0, P0, H, Theta, trans, store=False,
     if trans:
         shapes += [np.shape(x)[:-2] for x in trans[0]]
     batch = np.broadcast_shapes(*shapes)
-    if n == p == 1:
+    if n <= _SMALL_SHAPE[0] and p <= _SMALL_SHAPE[1] and T:
         L = np.broadcast_to(T if lengths is None else lengths, batch)
-        if math.prod(batch) < _STACK_MIN_MEMBERS:
-            return _scalar_members(y, obs, u, mu0, P0, H, Theta, trans, store, L)
-        return _scalar_stack(y, obs, u, mu0, P0, H, Theta, trans, store, L)
+        return _small_stack(y, obs, u, mu0, P0, H, Theta, trans, store, L)
     I_n, I_p = np.eye(n), np.eye(p)
     Ht = H.swapaxes(-1, -2)
     log_2pi = np.log(2.0 * np.pi)
 
     # masks of the data stack, per ping
-    flat = obs.reshape((-1,) + obs.shape[-2:])
+    flat = obs.reshape((math.prod(obs.shape[:-2]),) + obs.shape[-2:])
     any_obs = flat.any(axis=(0, 2)).tolist()
     all_obs = flat.all(axis=(0, 2)).tolist()
     obs_pair = obs[..., :, None] & obs[..., None, :]
@@ -364,184 +303,295 @@ def _kalman_stack(y, obs, u, mu0, P0, H, Theta, trans, store=False,
                       (pm, pP, fm, fP) if store else None)
 
 
-# Measured crossover (CHANGES.md): a 1x1 stack of fewer members runs the float
-# loop per member, which ties or wins there; the elementwise recursion costs
-# about the same per ping whatever the member count.
-_STACK_MIN_MEMBERS = 5
+@functools.cache
+def _small_recursion(n: int, p: int, elementwise: bool):
+    """The predict/update recursion of an n-state, p-channel model, written
+    out over scalar entries: on Python floats for one member or, with
+    ``elementwise``, on (members,) arrays, the same operations in the same
+    order, so both forms give the same numbers bit for bit.
 
-
-def _scalar_stack(y, obs, u, mu0, P0, H, Theta, trans, store, L) -> _StackPass:
-    """The 1x1 case of :func:`_kalman_stack`: the float loop's arithmetic,
-    in its order, elementwise over the members.
-
-    The state is the pair [P, m], so one ufunc steps both.  Every product
-    and sum is the float loop's own; operands are at most commuted, and
-    ``y - h m`` is taken as ``y + (-1 h m)``, which IEEE arithmetic leaves
-    exact.  G u is computed for all pings before the loop with the float
-    loop's dot product.  The likelihood terms and the check s <= 0 need
-    only s and v, so they run over all pings after the loop.  A failing
-    member's later values are not meaningful; the others are untouched.
+    The update is the selection device of :func:`_kalman_stack` with c = 1
+    (a missing channel's gain column is 0 and det S is the observed
+    block's), S is inverted as adjugate over determinant, and P takes
+    Joseph's form; symmetric matrices are kept as upper triangles (Sigma as
+    Q, Theta as R).  The float form stops before dividing by an S that is not
+    positive definite.  Returns flat lists of the predicted and filtered (m,
+    P) per ping and of (S, det S, v' S^-1 v) per update (no det S if p = 1).
     """
-    T = y.shape[-2]
-    batch = L.shape
-    nb = len(batch)
+    N, C = range(n), range(p)
 
-    def pings_first(x):
-        """(..., T) to (T, ...), the other axes right-aligned to the batch."""
-        x = x.transpose(x.ndim - 1, *range(x.ndim - 1))
-        return x.reshape(x.shape[:1] + (1,) * (nb + 1 - x.ndim) + x.shape[1:])
+    def sym(x, i, j):
+        return f"{x}{min(i, j)}{max(i, j)}"
+
+    def names(x, I, J, upper=False):
+        return ", ".join(f"{x}{i}{j}" for i in I for j in J if not upper or i <= j) + ","
+
+    def each(x, I, J, expr, upper=False, pad=8):
+        """One statement ``x_ij = expr(i, j)`` per entry."""
+        return "\n".join(f"{' ' * pad}{x}{i}{j} = {expr(i, j)}"
+                         for i in I for j in J if not upper or i <= j)
+
+    def dot(terms):
+        return " + ".join(terms)
+
+    def pick(c, a, b):
+        return f"np.where({c}, {a}, {b})" if elementwise else f"({a} if {c} else {b})"
+
+    m, P = ", ".join(f"m{i}" for i in N) + ",", names("P", N, N, True)
+    if p == 1:
+        inverse = f"""
+        {'' if elementwise else 'if not S00 > 0.0: inn += (S00, 0.0); break'}
+        inn += (S00, v0*v0 / S00)
+{each("K", N, [0], lambda i, j: f"F0{i} / S00")}"""
+    else:
+        inverse = f"""
+        if not full:
+            o0, o1 = os[t]
+{each("F", C, N, lambda j, k: pick(f"o{j}", f"F{j}{k}", "0.0"), pad=12)}
+            v0, v1 = {pick("o0", "v0", "0.0")}, {pick("o1", "v1", "0.0")}
+            S00, S11 = {pick("o0", "S00", "1.0")}, {pick("o1", "S11", "1.0")}
+            S01 = {pick("o0 & o1", "S01", "0.0")}
+        det = S00*S11 - S01*S01
+        {'' if elementwise else
+         'if not (det > 0.0 and S00 > 0.0): inn += (S00, S01, S11, det, 0.0); break'}
+        inn += (S00, S01, S11, det, (v0*(S11*v0 - S01*v1) + v1*(S00*v1 - S01*v0)) / det)
+{each("K", N, [0], lambda i, j: f"(F0{i}*S11 - F1{i}*S01) / det")}
+{each("K", N, [1], lambda i, j: f"(F1{i}*S00 - F0{i}*S01) / det")}"""
+    restore = f"""
+        if not seen:
+            hit = {" | ".join(f"os[t][{j}]" for j in C)}
+            {m} {P} = [np.where(hit, a, b) for a, b in zip(({m} {P}), x)]"""
+    source = f"""
+def rec(ys, os, gus, steps, m, P, H, R, flags, fill):
+    {m} = m
+    {P} = P
+    {names("H", C, N)} = H
+    {names("R", C, C, True)} = R
+    pred, filt, inn = [], [], []
+    for t, (live, full, seen) in enumerate(flags):
+        if t:
+            ({names("A", N, N)}), ({names("Q", N, N, True)}) = steps[t - 1]
+            {", ".join(f"g{i}" for i in N)}, = gus[t - 1]
+            {m} = {"".join(dot([f"A{i}{k}*m{k}" for k in N] + [f"g{i}"]) + ", " for i in N)}
+{each("X", N, N, lambda i, k: dot(f"A{i}{j}*{sym('P', j, k)}" for j in N), pad=12)}
+{each("P", N, N, lambda i, j: dot([f"X{i}{k}*A{j}{k}" for k in N] + [f"Q{i}{j}"]), True, 12)}
+        x = ({m} {P})
+        pred += x
+        if not live:
+            filt += x
+            inn += fill
+            continue
+        {", ".join(f"y{j}" for j in C)}, = ys[t]
+{each("F", C, N, lambda j, k: dot(f"H{j}{i}*{sym('P', i, k)}" for i in N))}
+{each("S", C, C, lambda j, k: dot([f"F{j}{i}*H{k}{i}" for i in N] + [f"R{j}{k}"]), True)}
+{each("v", C, [""], lambda j, _: f"y{j} - ({dot(f'H{j}{i}*m{i}' for i in N)})")}{inverse}
+{each("I", N, N, lambda i, k: f"{'1.0 - ' if i == k else '-'}({dot(f'K{i}{j}*H{j}{k}' for j in C)})")}
+{each("J", N, N, lambda i, k: dot(f"I{i}{j}*{sym('P', j, k)}" for j in N))}
+{each("W", N, C, lambda i, k: dot(f"K{i}{j}*{sym('R', j, k)}" for j in C))}
+        {m} = {"".join(f"m{i} + ({dot(f'K{i}{j}*v{j}' for j in C)}), " for i in N)}
+{each("P", N, N, lambda i, j: dot(f"J{i}{k}*I{j}{k}" for k in N)
+      + f" + ({dot(f'W{i}{k}*K{j}{k}' for k in C)})", True)}{restore if elementwise else ""}
+        filt += ({m} {P})
+    return pred, filt, inn
+"""
+    scope = {"np": np}
+    exec(compile(source, f"<small Kalman recursion {n}x{p}>", "exec"), scope)
+    return scope["rec"]
+
+
+@functools.cache
+def _upper(n: int):
+    """Indices of an n x n upper triangle, and where each (i, j) is in it."""
+    iu, ju = np.triu_indices(n)
+    at = np.zeros((n, n), dtype=int)
+    at[iu, ju] = at[ju, iu] = np.arange(iu.size)
+    return iu, ju, at
+
+
+def _eig_range(a, b, d):
+    """Closed-form (lambda_min, lambda_max) of the symmetric [[a, b], [b, d]]:
+    within a few eps ||S|| of the exact values when it is PSD, as LAPACK's."""
+    hi = (a + d) / 2 + np.sqrt(((a - d) / 2) ** 2 + b * b)
+    return (a * d - b * b) / hi, hi
+
+
+# Measured crossovers (README.md): a stack of fewer members runs the float
+# form once per member, for 1x1 models and for the other small shapes.
+_STACK_MIN_MEMBERS, _STACK_MIN_MEMBERS_SMALL = 8, 32
+
+
+def _paired_1x1(y, o, gu, a, sigma, m0, P0, h, theta):
+    """The elementwise form of the 1x1 recursion with [P, m] paired in one
+    array, so that one ufunc steps both: about 15 calls per ping, not 24.
+    Its operations are the float form's, at most commuted (m a is taken as
+    m a 1 and y - h m as y + h m (-1), which IEEE arithmetic leaves exact),
+    so its numbers are too.  Arguments are per ping (T, M) or per step
+    (steps, M) or (1, M); returns the elementwise form's (pred, filt, inn)
+    as (T, 2, M)."""
+    T, M = y.shape
 
     def pair(first, second, lead=()):
-        """[first, second] on a new axis before the batch axes, materialized
-        to lead + (2,) + B: ufuncs on broadcast operands cost twice as much."""
-        out = np.empty(lead + (2,) + batch)
-        row = (Ellipsis, 0) + (slice(None),) * nb
-        out[row] = first
-        out[row[:1] + (1,) + row[2:]] = second
+        out = np.empty(lead + (2, M))
+        out[..., 0, :], out[..., 1, :] = first, second
         return out
 
-    if trans:
-        if len(set(map(id, trans))) == 1:
-            A, Sigma, G = (x[..., None, :, :] for x in trans[0])
-        else:
-            A, Sigma, G = (np.stack(np.broadcast_arrays(*x), axis=-3) for x in zip(*trans))
-        a = pings_first(A[..., 0, 0])
-        a_a, a_one = pair(a, a, (T - 1,)), pair(a, 1.0, (T - 1,))
-        gu = pings_first((u[..., :-1, None, :] @ G[..., 0, :, None])[..., 0, 0])
-        sig_gu = pair(pings_first(Sigma[..., 0, 0]), gu, (T - 1,))    # [Sigma, G u]
-    h, theta = H[..., 0, 0], Theta[..., 0, 0]
+    a_a, a_one = pair(a, a, (T - 1,)), pair(a, 1.0, (T - 1,))
+    sig_gu, theta_y = pair(sigma, gu, (T - 1,)), pair(theta, y, (T,))
     h_h, h_neg = pair(h, h), pair(h, -1.0)
-    theta_y = pair(theta, pings_first(y[..., 0]), (T,))
-    o = pings_first(obs[..., 0])
-    miss = ~o
-    any_obs = o.reshape(T, -1).any(1).tolist()
-    all_obs = o.reshape(T, -1).all(1).tolist()
-
-    sv = np.zeros((T, 4) + batch)           # per ping: s, v, -h, theta
+    any_obs, all_obs, miss = o.any(1).tolist(), o.all(1).tolist(), ~o
+    sv = np.zeros((T, 4, M))                # per ping: s, v, -h, theta
     sv[:, 2], sv[:, 3] = -h, theta
-    pred = np.empty((T, 2) + batch)         # per ping: [P, m] predicted
+    pred = np.empty((T, 2, M))              # per ping: [P, m] predicted
     filt = np.empty_like(pred)              # and filtered
-    pred[0, 0], pred[0, 1] = P0[..., 0, 0], mu0[..., 0]
+    pred[0, 0], pred[0, 1] = P0, m0
+    for t in range(T):
+        x_p = pred[t]
+        if t:
+            step = x * a_a[t - 1]
+            step *= a_one[t - 1]
+            np.add(step, sig_gu[t - 1], out=x_p)        # [a P a + Sigma, a m + G u]
+        if not any_obs[t]:
+            x = x_p
+            continue
+        s_v = sv[t]
+        hx = x_p * h_h                                  # [h P, h m]
+        np.add(theta_y[t], hx * h_neg, out=s_v[:2])     # [s, v]
+        k = hx[0] / s_v[0]
+        kq = k * s_v[1:]                                # [k v, -k h, k theta]
+        x = filt[t]
+        np.add(x_p[1], kq[0], out=x[1])                 # m + k v
+        ikh = 1.0 + kq[1]
+        joseph = ikh * x_p[0]
+        joseph *= ikh
+        np.add(joseph, kq[2] * k, out=x[0])            # ikh P ikh + k theta k
+        if not all_obs[t]:
+            np.copyto(x, x_p, where=miss[t])
+    np.copyto(filt, pred, where=miss[:, None])
+    sv[:, 1] = sv[:, 1] * sv[:, 1] / sv[:, 0]           # [s, v' S^-1 v]
+    return pred[:, ::-1], filt[:, ::-1], sv[:, :2]
+
+
+def _small_stack(y, obs, u, mu0, P0, H, Theta, trans, store, L) -> _StackPass:
+    """:func:`_kalman_stack` by :func:`_small_recursion`: on floats once per
+    member over its own pings (fewer than ``_STACK_MIN_MEMBERS`` members for
+    1x1, ``_STACK_MIN_MEMBERS_SMALL`` else), or elementwise over all members
+    (1x1: :func:`_paired_1x1`).  The likelihood terms and the checks
+    run after the loop on each ping's S, det S and quadratic form, alike for
+    both forms.  A member fails at its first observed ping whose S is
+    non-finite (``NON_FINITE``) or whose observed block fails the eigenvalue
+    range check (``SINGULAR_INNOVATION``, :func:`_eig_range`), else at its
+    first non-finite term if its total is not finite.
+    """
+    T, p = y.shape[-2:]
+    n, q = mu0.shape[-1], u.shape[-1]
+    batch = L.shape
+    M = math.prod(batch)
+    iu, ju, full = _upper(n)
+    ip, jp, _ = _upper(p)
+
+    def lanes(x, core=2, lead=0):
+        """x, the axes after ``lead`` but before ``core`` made one last axis of B."""
+        outer, inner, nb = x.shape[:lead], x.shape[x.ndim - core:], len(batch)
+        out = np.empty(outer + inner + batch, dtype=x.dtype)
+        out.transpose(*range(lead), *range(lead + core, lead + core + nb),
+                      *range(lead, lead + core))[...] = \
+            x.reshape(outer + (1,) * (nb + lead + core - x.ndim) + x.shape[lead:])
+        return out.reshape(outer + inner + (M,))
+
+    ys, os, us, L = lanes(y), lanes(obs), lanes(u), L.reshape(M)      # (T, p or q, M)
+    start = [lanes(mu0, 1), lanes(P0)[iu, ju], lanes(H).reshape(p * n, M), lanes(Theta)[ip, jp]]
+    shared = len(set(map(id, trans))) <= 1     # then one step serves every ping
+    steps = trans[:1] if shared else trans
+    A, Q, G = (lanes(np.array(xs), 2, 1)        # (steps, ., ., M)
+               for xs in zip(*steps or [(np.eye(n), np.eye(n), np.zeros((n, q)))]))
+    A, Q = A.reshape(len(A), n * n, M), Q[:, iu, ju]
+    gus = np.zeros((T - 1, n, M))
+    for k in range(q):          # G u elementwise, inputs in order
+        term = G[:, :, k] * us[:-1, None, k]
+        gus = term if k == 0 else gus + term
+
+    floats = M < (_STACK_MIN_MEMBERS if n == p == 1 else _STACK_MIN_MEMBERS_SMALL)
+    fill = (1.0, 0.0) if p == 1 else (1.0, 0.0, 1.0, 1.0, 0.0)
     with np.errstate(all="ignore"):     # failures are detected after the loop
-        for t in range(T):
-            x_p = pred[t]
-            if t:
-                step = x * a_a[t - 1]
-                step *= a_one[t - 1]
-                np.add(step, sig_gu[t - 1], out=x_p)     # [a P a + Sigma, a m + G u]
-            if not any_obs[t]:
-                x = x_p
-                continue
-            s_v = sv[t]
-            hx = x_p * h_h                              # [h P, h m]
-            np.add(theta_y[t], hx * h_neg, out=s_v[:2])  # [s, v]
-            k = hx[0] / s_v[0]
-            kq = k * s_v[1:]                            # [k v, -k h, k theta]
-            x = filt[t]
-            np.add(x_p[1], kq[0], out=x[1])             # m + k v
-            ikh = 1.0 + kq[1]
-            joseph = ikh * x_p[0]
-            joseph *= ikh
-            np.add(joseph, kq[2] * k, out=x[0])        # ikh P ikh + k theta k
-            if not all_obs[t]:
-                np.copyto(x, x_p, where=miss[t])
+        if floats:
+            pred = np.zeros((M, T * (n + iu.size))); filt = np.zeros_like(pred)
+            inn = np.tile(fill, (M, T))
+            rec = _small_recursion(n, p, False)
+            for r in range(M):
+                k = int(L[r])
+                live = os[:k, :, r].any(1).tolist()
+                steps = list(zip(A[..., r].tolist(), Q[..., r].tolist()))
+                out = rec(ys[:k, :, r].tolist(), os[:k, :, r].tolist(), gus[..., r].tolist(),
+                          steps * (k - 1) if shared else steps[:max(k - 1, 0)],
+                          *(x[:, r].tolist() for x in start),
+                          list(zip(live, os[:k, :, r].all(1).tolist(), live)), fill)
+                for arr, rows in zip((pred, filt, inn), out):
+                    arr[r, :len(rows)] = rows
+            pred, filt, inn = (x.reshape(M, T, -1).transpose(1, 2, 0) for x in (pred, filt, inn))
+        elif n == p == 1:
+            pred, filt, inn = _paired_1x1(ys[:, 0], os[:, 0], gus[:, 0], A[:, 0], Q[:, 0],
+                                          *(x[0] for x in start))
+        else:
+            flags = zip(os.any((1, 2)).tolist(), os.all((1, 2)).tolist(),
+                        os.any(1).all(1).tolist())
+            out = _small_recursion(n, p, True)(
+                list(ys), list(os), list(gus),
+                [(A[0], Q[0])] * (T - 1) if shared else list(zip(A, Q)), *start,
+                list(flags), tuple(np.full(M, v) for v in fill))
+            pred, filt, inn = (np.reshape(x, (T, -1, M)) if store or x is out[2] else None
+                               for x in out)
 
-        s, v = sv[:, 0], sv[:, 1]
-        terms = np.where(o, -0.5 * (np.log(2.0 * np.pi) + np.log(s) + v * v / s), 0.0)
-        ll = terms.transpose(*range(1, nb + 1), 0).copy()      # B + (T,)
-        total = np.empty(batch)
-        for n in np.unique(L):          # each member over its own pings
-            own = L == n
-            total[own] = ll[own][:, :n].sum(-1)
-
-    bad = (s <= 0.0) & o
-    singular = bad.any(0)
-    ping = np.where(singular, bad.argmax(0), np.argmax(~np.isfinite(ll), -1))
-    fail = np.where(singular, _SINGULAR, np.where(np.isfinite(total), 0, _NON_FINITE))
-    fail_eig = np.zeros(batch + (2,))
-    if singular.any():
-        s_at = np.take_along_axis(s, ping[None], 0)[0]
-        fail_eig[singular] = s_at[singular, None]
+        seen = os.any(1)                                            # (T, M)
+        det, quad = inn[:, 0 if p == 1 else 3], inn[:, -1]
+        n_obs = seen if p == 1 else os.sum(1)
+        terms = np.where(seen, -0.5 * (n_obs * np.log(2.0 * np.pi) + np.log(det) + quad),
+                         0.0).T.copy()                              # (M, T)
+        total = np.empty(M)
+        for k in set(L.tolist()):       # each member over its own pings
+            own = L == k
+            total[own] = terms[own, :k].sum(-1)
+        if p == 1:              # lambda_min = lambda_max = s
+            lo = hi = inn[:, 0]
+            finite = np.isfinite(lo)
+            flagged = seen & ~(finite & (lo > 0.0))
+        else:
+            a, b, d = inn[:, 0], inn[:, 1], inn[:, 2]
+            alone = np.where(os[:, 0], a, d)            # one observed channel
+            lo, hi = (np.where(os.all(1), x, alone) for x in _eig_range(a, b, d))
+            finite = np.isfinite(inn[:, :-1]).all(1)
+            flagged = seen & ~(finite & (lo > 0.0) & (hi <= COND_LIMIT * lo))
+    fail, fail_ping, fail_eig = np.zeros(M, dtype=int), np.full(M, -1), np.zeros((M, 2))
+    failed, non_finite = flagged.any(0), ~np.isfinite(total)
+    if failed.any() or non_finite.any():
+        member = np.arange(M)
+        at = np.where(failed, flagged.argmax(0), (~np.isfinite(terms)).argmax(-1))
+        fail = np.where(failed, np.where(finite[at, member], _SINGULAR, _NON_FINITE),
+                        np.where(non_finite, _NON_FINITE, 0))
+        fail_ping = np.where(fail != 0, at, -1)
+        singular = fail == _SINGULAR
+        fail_eig[singular] = np.stack([lo[at, member], hi[at, member]], -1)[singular]
     moments = None
     if store:
-        filt = np.where(o[:, None], filt, pred)
-        moments = tuple(arr[:, i].transpose(*range(1, nb + 1), 0)[(...,) + (None,) * (2 - i)]
-                        for arr in (pred, filt) for i in (1, 0))     # pm, pP, fm, fP
-    return _StackPass(ll if store else total, fail, np.where(fail != 0, ping, -1),
-                      fail_eig, moments, scalar=True)
-
-
-def _scalar_members(y, obs, u, mu0, P0, H, Theta, trans, store, L) -> _StackPass:
-    """A small 1x1 stack: :func:`_kalman_pass_scalar` per member, on views
-    of the stack's arrays; the same :class:`_StackPass` as
-    :func:`_scalar_stack`, bit for bit."""
-    T = y.shape[-2]
-    batch = L.shape
-    shared = len(set(map(id, trans))) <= 1
-    ll = np.zeros(batch + (T,))
-    total = np.zeros(batch)
-    fail = np.zeros(batch, dtype=int)
-    fail_ping = np.full(batch, -1)
-    fail_eig = np.zeros(batch + (2,))
-    moments = ([np.zeros(batch + (T,) + (1,) * k) for k in (1, 2, 1, 2)]
-               if store else None)
-
-    with np.errstate(all="ignore"):     # failures are reported per member
-        for idx in np.ndindex(batch):
-            def member(x, core=2):
-                """This member's view of x, whose leading axes broadcast to B."""
-                lead = x.shape[:x.ndim - core]
-                return x[tuple(i if n > 1 else 0
-                               for i, n in zip(idx[len(batch) - len(lead):], lead))]
-
-            if shared:
-                steps = [tuple(map(member, trans[0]))] * len(trans) if trans else []
-            else:
-                steps = [tuple(map(member, tr)) for tr in trans]
-            try:
-                out = _kalman_pass_scalar(member(y), ~member(obs), member(u),
-                                          member(mu0, 1), member(P0), member(H),
-                                          member(Theta), steps)
-            except EmaError as err:
-                if err.code != "SINGULAR_INNOVATION":
-                    raise
-                fail[idx], fail_ping[idx], fail_eig[idx] = _SINGULAR, err.ping, err.variance
-                continue
-            ll[idx] = out[4]
-            total[idx] = out[4][:L[idx]].sum()
-            if store:
-                for stored, x in zip(moments, out):
-                    stored[idx] = x
-
-    new = (fail == 0) & ~np.isfinite(total)
-    fail = np.where(new, _NON_FINITE, fail)
-    fail_ping = np.where(new, np.argmax(~np.isfinite(ll), -1), fail_ping)
-    return _StackPass(ll if store else total, fail, fail_ping, fail_eig, moments, scalar=True)
-
-
-def _filter_pass(y, missing, u, mu0, P0, H, Theta, trans):
-    """Single-series pass with every moment kept: the float loop when
-    n = p = 1, the stacked recursion with one member otherwise."""
-    if mu0.size == 1 and y.shape[1] == 1:
-        out = _kalman_pass_scalar(y, missing, u, mu0, P0, H, Theta, trans)
-        ll = out[4]
-        if not math.isfinite(ll.sum()):
-            t = int(np.argmax(~np.isfinite(ll)))
-            raise EmaError("NON_FINITE",
-                           f"innovation or its variance is non-finite at ping {t}")
-        return out
-    res = _kalman_stack(y, ~missing, u, mu0, P0, H, Theta, trans, store=True)
-    res.raise_failure()
-    return (*res.moments, res.loglik)
+        moments = ()
+        for x in (pred, filt):
+            moments += (x[:, :n].transpose(2, 0, 1).reshape(batch + (T, n)),
+                        x[:, n + full].transpose(3, 0, 1, 2).reshape(batch + (T, n, n)))
+    return _StackPass((terms if store else total).reshape(batch + ((T,) if store else ())),
+                      fail.reshape(batch), fail_ping.reshape(batch),
+                      fail_eig.reshape(batch + (2,)), moments, scalar=n == p == 1)
 
 
 def _series(spec: ModelSpec, y, missing, u, timestamps):
-    """Checked (y, missing, u) of one series and its timestamps.
+    """Checked (y, missing, u) of one series, every observed cell finite,
+    and its timestamps.
 
     Timestamps default to 0, 1, 2, ... and are required, strictly
     increasing, in continuous time.
     """
-    y, missing, u = _normalize_series(spec, y, missing, u)
+    y, missing, u = _series_arrays(spec, y, missing, u)
+    bad = (np.isinf(y) & ~missing).any(axis=1)
+    if bad.any():
+        raise EmaError("NON_FINITE", f"observed value at ping {int(np.argmax(bad))} is infinite")
     T = y.shape[0]
     continuous = spec.time_mode == "continuous"
     if timestamps is None:
@@ -577,13 +627,10 @@ def _require_gaussian(spec: ModelSpec) -> None:
 
 
 def _kalman(spec: ModelSpec, y, missing, u, timestamps):
-    """The Kalman filter of any all-Gaussian spec, plus the transitions it used."""
-    _require_gaussian(spec)
-    y, missing, u, timestamps, trans = _prepare(spec, y, missing, u, timestamps)
-    pm, pP, fm, fP, ll = _filter_pass(y, missing, u, spec.initial_mean,
-                                      spec.initial_cov, spec.H, spec.Theta, trans)
-    return FilterResult(timestamps, pm, pP, fm, fP, ll, float(ll.sum()),
-                        int(missing.any(axis=1).sum()), missing), trans
+    """The Kalman filter of one series, run as a cohort of one, and the
+    transition matrices of its steps."""
+    one = SimpleNamespace(Y=y, missing=missing, U=u, timestamps=timestamps)
+    return next(_kalman_cohort(spec, [one], with_steps=True))
 
 
 def kalman_filter(spec: ModelSpec, y, missing=None, u=None,
@@ -633,20 +680,18 @@ def _stack_series(series, p: int, q: int):
 _COHORT_CHUNK = 64
 
 
-def _kalman_cohort(spec: ModelSpec, participants):
+def _kalman_cohort(spec: ModelSpec, participants, with_steps=False):
     """Yield the Kalman filter of each participant (objects with ``Y``,
-    ``missing``, ``U`` and ``timestamps``) in order, each equal bit for bit
-    to its own :func:`kalman_filter` or :func:`kalman_filter_ct` call.
+    ``missing``, ``U`` and ``timestamps``) in order, with ``with_steps`` also
+    the (T-1, n, n) transition matrices of its steps.  Public filters are a
+    cohort of one, so each participant equals its own call bit for bit.
 
     Every series is checked first, and all gaps are discretized in one
-    :func:`~emastate.model._gap_transitions` call; each ping then gathers
-    its members' transitions into (members, n, n) arrays, and one stored
+    :func:`~emastate.model._gap_transitions` call; one stored
     :func:`_kalman_stack` pass runs per chunk of ``_COHORT_CHUNK``
-    participants, ping axes padded as in a pooled fit (identity steps in
-    continuous time, unobserved pings).  Errors come in the order of the
-    per-participant calls: the first participant whose series, gaps or
-    filter fails raises what its own call would, after the participants
-    before it are yielded.
+    participants, padded as in a pooled fit (identity steps, unobserved
+    pings).  The first participant whose series, gaps or filter fails raises
+    what its own call would, after the participants before it are yielded.
     """
     _require_gaussian(spec)
     series, pending = [], None
@@ -670,16 +715,17 @@ def _kalman_cohort(spec: ModelSpec, participants):
     if continuous and series:       # row -1 pads: the identity step
         pad = (np.eye(n), np.zeros((n, n)), np.zeros((n, q)))
         table = [np.concatenate([x, e[None]]) for x, e in zip(table, pad)]
-        starts = np.cumsum([0] + [s[0].shape[0] - 1 for s in series])
+        starts = np.cumsum([0] + [g.size for g in gaps])
 
     for lo in range(0, len(series), _COHORT_CHUNK):
         chunk = series[lo:lo + _COHORT_CHUNK]
         y, obs, u, lengths = _stack_series(chunk, spec.n_obs, q)
         R, T = y.shape[:2]
         if continuous:
-            rows = np.full((T - 1, R), -1)
+            rows = np.full((max(T - 1, 0), R), -1)
             for r in range(R):
-                rows[:lengths[r] - 1, r] = which[starts[lo + r]:starts[lo + r + 1]]
+                rows[:starts[lo + r + 1] - starts[lo + r], r] = \
+                    which[starts[lo + r]:starts[lo + r + 1]]
             trans = list(zip(*(x[rows] for x in table)))
         else:
             trans = [(spec.A, spec.Sigma, spec.G)] * (T - 1)
@@ -690,8 +736,11 @@ def _kalman_cohort(spec: ModelSpec, participants):
             res.raise_failure(r)
             k = lengths[r]
             ll = res.loglik[r, :k]
-            yield FilterResult(timestamps, pm[r, :k], pP[r, :k], fm[r, :k], fP[r, :k], ll,
+            out = FilterResult(timestamps, pm[r, :k], pP[r, :k], fm[r, :k], fP[r, :k], ll,
                                float(ll.sum()), int(missing.any(axis=1).sum()), missing)
+            A = (table[0][which[starts[lo + r]:starts[lo + r + 1]]] if continuous
+                 else np.broadcast_to(spec.A, (max(k - 1, 0), n, n)))
+            yield (out, A) if with_steps else out
     if pending is not None:
         raise pending
 
@@ -704,12 +753,12 @@ def kalman_smooth(spec: ModelSpec, y, missing=None, u=None,
     covariance is Cov(x[t+1], x[t] | all) = P_s[t+1] J[t]' (Sarkka 2013,
     *Bayesian Filtering and Smoothing*, RTS smoother).
     """
-    r, trans = _kalman(spec, y, missing, u, timestamps)
+    r, A = _kalman(spec, y, missing, u, timestamps)
     pm, pP, fm, fP = r.predicted_mean, r.predicted_cov, r.filtered_mean, r.filtered_cov
-    T, n = fm.shape
+    T = fm.shape[0]
     # every gain at once: X[t] = J[t]' solves P_pred[t+1] X = A fP[t]; a
     # pseudo-inverse guards a singular prediction (Sigma = 0 cases)
-    AfP = np.array([tr[0] for tr in trans]).reshape(-1, n, n) @ fP[:-1]
+    AfP = A @ fP[:-1]
     try:
         X = np.linalg.solve(pP[1:], AfP)
     except np.linalg.LinAlgError:
@@ -792,6 +841,21 @@ def _check_observations(spec: ModelSpec, y: np.ndarray, missing: np.ndarray) -> 
                            f"channel {j}: value {v[t]:g} at ping {t} is not {what}")
 
 
+def _log_expit_gap(zu, zl):
+    """log(expit(zu) - expit(zl)) for zu > zl, either possibly infinite: the
+    plain difference, floored at 1e-300, except where it kept under half its
+    digits, recomputed as log_expit(zu) + log_expit(-zl) + log(-expm1(zl - zu))."""
+    upper = expit(zu)
+    gap = upper - expit(zl)
+    out = np.log(np.maximum(gap, 1e-300))
+    lost = gap < 2.0**-26 * upper
+    if lost.any():
+        zu, zl = (np.broadcast_to(z, out.shape)[lost] for z in (zu, zl))
+        exact = log_expit(zu) + log_expit(-zl) + np.log(-np.expm1(zl - zu))
+        out[lost] = np.where(zl < zu, exact, out[lost])
+    return out
+
+
 def _observation_density(spec: ModelSpec, y: np.ndarray, missing: np.ndarray):
     """``density(particles, t)``: the log observation density of y[t] at
     every particle.
@@ -850,14 +914,13 @@ def _observation_density(spec: ModelSpec, y: np.ndarray, missing: np.ndarray):
                 elif ch.family == GRADED_RESPONSE:
                     th = thresholds[j]
                     k = int(y_t[j])
-                    upper = (expit(ch.discrimination * (s - th[k - 2]))
-                             if k >= 2 else np.ones_like(s))
-                    lower = (expit(ch.discrimination * (s - th[k - 1]))
-                             if k <= th.size else np.zeros_like(s))
-                    logw += np.log(np.maximum(upper - lower, 1e-300))
+                    logw += _log_expit_gap(
+                        ch.discrimination * (s - th[k - 2]) if k >= 2 else np.inf,
+                        ch.discrimination * (s - th[k - 1]) if k <= th.size else -np.inf)
                 elif ch.family == BERNOULLI_LOGISTIC:
-                    p = expit(ch.discrimination * (s - ch.thresholds[0]))
-                    logw += np.log(np.maximum(p if y_t[j] >= 0.5 else 1.0 - p, 1e-300))
+                    z = ch.discrimination * (s - ch.thresholds[0])
+                    logw += (_log_expit_gap(z, -np.inf) if y_t[j] >= 0.5
+                             else _log_expit_gap(np.inf, z))
         return logw
 
     return density

@@ -135,6 +135,47 @@ def random_stable_spec(rng, n=2, p=2, with_theta=True):
                         initial_mean=mu0, initial_cov=P0)
 
 
+def scalar_kalman_loop(y, missing, u, mu0, P0, H, Theta, transitions):
+    """The 1-state, 1-channel Kalman filter as a plain-float loop, in the
+    order of operations the package's 1x1 recursion keeps: the reference
+    its stacked and per-member forms must equal bit for bit.  Returns the
+    predicted and filtered means (T, 1) and variances (T, 1, 1) and the
+    per-ping log-likelihood terms."""
+    T = y.shape[0]
+    h = float(H[0, 0]); theta = float(Theta[0, 0])
+    pred_m = np.empty(T); pred_P = np.empty(T)
+    filt_m = np.empty(T); filt_P = np.empty(T)
+    ll = np.zeros(T)
+    have_u = u.shape[1] > 0
+    log2pi = np.log(2.0 * np.pi)
+    ys, miss = y[:, 0].tolist(), missing[:, 0].tolist()
+
+    m = float(mu0[0]); P = float(P0[0, 0])
+    for t in range(T):
+        if t > 0:
+            a, sigma, g = (float(transitions[t - 1][0][0, 0]),
+                           float(transitions[t - 1][1][0, 0]), transitions[t - 1][2][0])
+            m = a * m + (float(g @ u[t - 1]) if have_u else 0.0)
+            P = a * P * a + sigma
+        pred_m[t] = m; pred_P[t] = P
+        if miss[t]:
+            filt_m[t] = m; filt_P[t] = P
+            continue
+        s = h * P * h + theta
+        if s <= 0.0:
+            raise ValueError(f"innovation variance {s:.3g} <= 0 at ping {t}")
+        v = ys[t] - h * m
+        k = P * h / s
+        m = m + k * v
+        ikh = 1.0 - k * h
+        P = ikh * P * ikh + k * theta * k
+        filt_m[t] = m; filt_P[t] = P
+        ll[t] = -0.5 * (log2pi + np.log(s) + v * v / s)
+    shape = (T, 1, 1)
+    return (pred_m.reshape(T, 1), pred_P.reshape(shape),
+            filt_m.reshape(T, 1), filt_P.reshape(shape), ll)
+
+
 def trapezoid_noise_integral(a, sigma, dt, n_grid=10_000):
     """Trapezoid-rule evaluation of int_0^dt e^{a s} sigma e^{a s} ds (scalar)."""
     s = np.linspace(0.0, dt, n_grid)

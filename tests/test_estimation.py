@@ -581,3 +581,18 @@ def test_unit_root_scalar_fit_follows_the_per_series_search():
     assert r.spec_hat.A[0, 0] == 1.0
     assert r.theta_hat.tobytes() == ref.x.tobytes()
     assert r.log_likelihood == -ref.fun
+
+
+def test_matrix_stacked_objective_equals_per_series_sum_bit_for_bit(monkeypatch):
+    # 2 states, 2 channels: both forms of the closed-form recursion
+    from emastate.estimate import _stack_participants, _stacked_objectives
+    truth, data = var2_cohort()
+    par = Parameterization(truth, VAR2_MAP)
+    stack = _stack_participants(truth, data.participants)
+    f = per_series_objective(par, data.participants, FAST)
+    rng = np.random.default_rng(6)
+    thetas = [par.start_vector() + rng.normal(scale=0.1, size=par.n_free) for _ in range(3)]
+    for threshold in (1, 10**9):
+        monkeypatch.setattr(es.filtering, "_STACK_MIN_MEMBERS_SMALL", threshold)
+        got = _stacked_objectives(par, stack, 1e12, thetas)
+        assert got.tolist() == [f(x) for x in thetas]

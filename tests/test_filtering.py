@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor
-from scipy.special import logsumexp
+from scipy.special import log_expit, logsumexp
 
 import emastate as es
 from emastate.errors import EmaError
-from emastate.filtering import _logsumexp, _particle_pass, _prepare
+from emastate.filtering import _logsumexp, _observation_density, _particle_pass, _prepare
 from emastate.model import psd_sqrt
 
 from oracles import (bootstrap_filter, ct_gaussian_joint, gaussian_joint,
@@ -723,3 +723,107 @@ def test_impossible_observation_rejected_once_naming_channel_and_ping(family, va
     missing = np.zeros((5, 2), dtype=bool)
     missing[2, 1] = True            # the same value in a missing cell is ignored
     assert np.isfinite(es.particle_filter(spec, y, 100, 0, missing).log_likelihood)
+
+
+# --- oracle agreement on either side of the closed-form recursion's limits ---
+
+def _boundary_case(rng, n, p, mode, noiseless):
+    """A random n-state, p-channel spec and a short series with missing cells
+    and an all-missing ping; continuous time gets multi-day gaps, and a
+    ``noiseless`` discrete spec a deterministic random-walk state, whose
+    singular predicted covariance sends the smoother to its pseudo-inverse."""
+    base = random_stable_spec(rng, n=n, p=p)
+    if mode == "continuous":
+        drift = -np.diag(rng.uniform(0.2, 1.5, n)) + rng.normal(scale=0.1, size=(n, n))
+        spec = es.ModelSpec(A=drift, Sigma=base.Sigma, H=base.H, Theta=base.Theta,
+                            time_mode="continuous")
+    elif noiseless:
+        A, Sigma, P0 = base.A.copy(), base.Sigma.copy(), base.initial_cov.copy()
+        A[0] = np.eye(n)[0]
+        Sigma[0] = Sigma[:, 0] = P0[0] = P0[:, 0] = 0.0
+        spec = base.with_matrices(A=A, Sigma=Sigma, initial_cov=P0)
+    else:
+        spec = base
+    T = int(rng.integers(1, 7))
+    Y = rng.normal(size=(T, p))
+    missing = rng.uniform(size=(T, p)) < 0.3
+    missing[int(rng.integers(T))] = True
+    Y[missing] = np.nan
+    gaps = np.where(rng.uniform(size=T) < 0.3, rng.uniform(24.0, 80.0, T),
+                    rng.uniform(0.2, 4.0, T))
+    return spec, Y, missing, np.cumsum(gaps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), p=st.integers(1, 3), mode=st.sampled_from(["discrete", "continuous"]),
+       noiseless=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_filter_and_smoother_match_the_joint_oracle_on_both_recursions(n, p, mode,
+                                                                       noiseless, seed):
+    rng = np.random.default_rng(seed)
+    spec, Y, missing, t = _boundary_case(rng, n, p, mode, noiseless)
+    if mode == "continuous":
+        r = es.kalman_filter_ct(spec, t, Y, missing)
+        s = es.kalman_smooth(spec, Y, missing, timestamps=t)
+        o = ct_gaussian_joint(spec, t, Y, missing)
+    else:
+        r = es.kalman_filter(spec, Y, missing)
+        s = es.kalman_smooth(spec, Y, missing)
+        o = gaussian_joint(spec, Y, missing)
+    assert np.isclose(r.log_likelihood, o["log_likelihood"], rtol=1e-8, atol=1e-8)
+    for got, want in ((r.predicted_mean, "predicted_mean"), (r.predicted_cov, "predicted_cov"),
+                      (r.filtered_mean, "filtered_mean"), (r.filtered_cov, "filtered_cov"),
+                      (s.smoothed_mean, "smoothed_mean"), (s.smoothed_cov, "smoothed_cov"),
+                      (s.lag_one_cov, "lag_one_cov")):
+        assert np.allclose(got, o[want], rtol=1e-8, atol=1e-8), want
+
+
+# --- ordinal and binary densities in the tails --------------------------------
+
+def _exact_log_between(zu, zl):
+    """log(expit(zu) - expit(zl)) at 250 digits, more than the tails here cancel."""
+    import mpmath
+    with mpmath.workdps(250):
+        def ex(z):
+            return mpmath.mpf(1) / (1 + mpmath.exp(-mpmath.mpf(z))) if np.isfinite(z) \
+                else mpmath.mpf(z > 0)
+        return float(mpmath.log(ex(zu) - ex(zl)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(state=st.floats(-60.0, 60.0), discrimination=st.floats(0.3, 3.0),
+       cuts=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4, unique=True),
+       family=st.sampled_from(["graded_response", "bernoulli_logistic"]),
+       pick=st.integers(0, 4))
+def test_ordinal_and_binary_log_densities_match_mpmath_in_the_tails(
+        state, discrimination, cuts, family, pick):
+    th = sorted(cuts)
+    if family == "bernoulli_logistic":
+        th = th[:1]
+    if any(b - a < 1e-3 for a, b in zip(th, th[1:])):
+        return
+    K = len(th) + 1
+    ch = es.MeasurementChannel(family=family, discrimination=discrimination, thresholds=th)
+    spec = es.ModelSpec(A=[[0.5]], Sigma=[[1.0]], channels=[ch])
+    k = pick % K + (1 if family == "graded_response" else 0)     # a category, or 0/1
+    density = _observation_density(spec, np.array([[float(k)]]), np.zeros((1, 1), bool))
+    got = density(np.array([[state]]), 0)[0]
+    z = [discrimination * (state - c) for c in th]
+    if family == "graded_response":
+        zu, zl = (z[k - 2] if k >= 2 else np.inf), (z[k - 1] if k <= len(th) else -np.inf)
+    else:
+        zu, zl = (z[0], -np.inf) if k == 1 else (np.inf, z[0])
+    want = _exact_log_between(zu, zl)
+    # a kept plain difference has lost at most half its digits: its log is
+    # off by at most about 2^-27; a recomputed cell is exact to rounding
+    assert abs(got - want) <= 2.0**-26 + 1e-12 * abs(want)
+
+
+def test_graded_response_upper_tail_is_not_clipped():
+    # category 1 of a 5-category channel far above every threshold
+    ch = es.MeasurementChannel(family="graded_response", discrimination=1.5,
+                               thresholds=(-1.5, -0.5, 0.5, 1.5))
+    spec = es.ModelSpec(A=[[0.5]], Sigma=[[1.0]], channels=[ch])
+    density = _observation_density(spec, np.array([[1.0]]), np.zeros((1, 1), bool))
+    state = np.array([25.0, 15.0])
+    got = density(state[:, None], 0)
+    np.testing.assert_allclose(got, log_expit(-1.5 * (state + 1.5)), rtol=1e-14)

@@ -4,8 +4,8 @@ One pass runs a (specs, participants) stack: every member must reproduce
 the joint-normal log-likelihood of its own observed cells, whatever the
 missingness pattern or the padding of a shorter participant, and a member
 that fails must fail alone.  A 1x1 stack must reproduce the float loop,
-``_kalman_pass_scalar``, bit for bit on either side of the member count
-at which it stops running that loop per member.
+``oracles.scalar_kalman_loop``, bit for bit on either side of the member
+count at which it stops running its recursion per member.
 """
 
 from types import SimpleNamespace
@@ -17,9 +17,9 @@ from hypothesis import given, settings, strategies as st
 import emastate as es
 from emastate.errors import EmaError
 from emastate import filtering
-from emastate.filtering import _kalman_pass_scalar, _kalman_stack
+from emastate.filtering import _kalman_stack
 
-from oracles import gaussian_joint, random_stable_spec
+from oracles import gaussian_joint, random_stable_spec, scalar_kalman_loop
 
 
 def _spec_with_input(rng, n, p):
@@ -184,7 +184,7 @@ def _float_loop(y, obs, u, lengths, spec, i, r):
     L = lengths[r]
     m = {k: v[i, 0] for k, v in spec.items() if k != "trans"}
     steps = [tuple(x[i, 0] for x in step) for step in spec["trans"][:L - 1]]
-    return _kalman_pass_scalar(y[r, :L], ~obs[r, :L], u[r, :L], m["mu0"], m["P0"],
+    return scalar_kalman_loop(y[r, :L], ~obs[r, :L], u[r, :L], m["mu0"], m["P0"],
                                m["H"], m["Theta"], steps)
 
 
@@ -397,3 +397,117 @@ def test_cohort_pass_raises_the_first_failure_in_file_order(model, data_error,
     assert err.value.code == ("SINGULAR_INNOVATION" if singular_first else
                               "NON_FINITE" if data_error == "gap overflow" else data_error)
     assert len(got) == 4
+
+
+# --- the small-model recursion: the float and elementwise forms agree ---------
+
+def _small_stack_case(rng, n, p, n_specs, n_people, q, miss_frac, per_step, failing):
+    """Random n-state, p-channel specs with q inputs over ragged participants
+    with MCAR cells, fully missing pings and maybe one all-missing
+    participant; with ``per_step`` every step gets its own transition.  A
+    ``failing`` spec has a singular innovation (no noise at all) or an
+    infinite state noise."""
+    lengths = rng.integers(1, 12, size=n_people)
+    T = int(lengths.max())
+    y = np.zeros((n_people, T, p)); obs = np.zeros((n_people, T, p), dtype=bool)
+    u = np.zeros((n_people, T, q))
+    for r, L in enumerate(lengths):
+        y[r, :L] = rng.normal(scale=2.0, size=(L, p))
+        obs[r, :L] = rng.uniform(size=(L, p)) >= miss_frac
+        obs[r, :L][rng.uniform(size=L) < 0.2] = False
+        u[r, :L] = rng.normal(size=(L, q))
+    if n_people > 1 and rng.uniform() < 0.3:
+        obs[int(rng.integers(n_people))] = False
+    y[~obs] = np.nan
+    specs = [random_stable_spec(rng, n=n, p=p) for _ in range(n_specs)]
+    spec = {name: np.stack([getattr(s, name) for s in specs])[:, None]
+            for name in ("A", "Sigma", "H", "Theta", "initial_mean", "initial_cov")}
+    spec["G"] = rng.normal(size=(n_specs, 1, n, q))
+    k = int(rng.integers(n_specs))
+    if failing == "singular":
+        spec["Theta"][k] = spec["initial_cov"][k] = spec["Sigma"][k] = 0.0
+    elif failing == "non-finite":
+        spec["Sigma"][k] = np.inf
+    step = (spec["A"], spec["Sigma"], spec["G"])
+    trans = ([tuple(x * rng.uniform(0.5, 1.0) for x in step) for _ in range(T - 1)]
+             if per_step else [step] * (T - 1))
+    args = (y, obs, u, spec["initial_mean"], spec["initial_cov"], spec["H"], spec["Theta"],
+            trans)
+    return args, lengths
+
+
+def _run_small(args, lengths, threshold, store, shape=(3, 2)):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(filtering, "_STACK_MIN_MEMBERS", threshold)
+        mp.setattr(filtering, "_STACK_MIN_MEMBERS_SMALL", threshold)
+        mp.setattr(filtering, "_SMALL_SHAPE", shape)
+        return _kalman_stack(*args, store=store, lengths=lengths)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 3), p=st.integers(1, 2), n_specs=st.integers(1, 3),
+       n_people=st.integers(1, 4), q=st.integers(0, 2), miss_frac=st.floats(0.0, 0.7),
+       per_step=st.booleans(), failing=st.sampled_from([None, "singular", "non-finite"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_small_model_float_and_elementwise_forms_agree_bit_for_bit(
+        n, p, n_specs, n_people, q, miss_frac, per_step, failing, seed):
+    rng = np.random.default_rng(seed)
+    args, lengths = _small_stack_case(rng, n, p, n_specs, n_people, q, miss_frac,
+                                      per_step, failing)
+    floats = [_run_small(args, lengths, 10**9, store) for store in (False, True)]
+    arrays = [_run_small(args, lengths, 1, store) for store in (False, True)]
+    for got, want in zip(arrays, floats):
+        for name in ("fail", "fail_ping", "fail_eig"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    ok = arrays[0].fail == 0
+    assert arrays[0].loglik[ok].tobytes() == floats[0].loglik[ok].tobytes()
+    for i, r in zip(*np.nonzero(ok)):
+        L = lengths[r]
+        assert arrays[1].loglik[i, r, :L].tobytes() == floats[1].loglik[i, r, :L].tobytes()
+        assert arrays[0].loglik[i, r] == floats[1].loglik[i, r, :L].sum()
+        for got, want in zip(arrays[1].moments, floats[1].moments):
+            assert got[i, r, :L].tobytes() == want[i, r, :L].tobytes()
+
+    # the failures, and every other member's likelihood, of the matrix recursion
+    lapack = _run_small(args, lengths, 1, False, shape=(0, 0))
+    np.testing.assert_array_equal(arrays[0].fail, lapack.fail)
+    failed = lapack.fail != 0
+    np.testing.assert_array_equal(arrays[0].fail_ping[failed & (lapack.fail_ping >= 0)],
+                                  lapack.fail_ping[failed & (lapack.fail_ping >= 0)])
+    np.testing.assert_allclose(arrays[0].loglik[ok], lapack.loglik[ok], rtol=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_cond=st.floats(0.0, 14.0), log_scale=st.floats(-12.0, 12.0),
+       angle=st.floats(0.0, np.pi), seed=st.integers(0, 2**32 - 1))
+def test_closed_form_eigenvalue_range_is_within_eps_of_lapack(log_cond, log_scale, angle,
+                                                              seed):
+    # condition numbers on either side of COND_LIMIT = 1e12
+    c, s = np.cos(angle), np.sin(angle)
+    R = np.array([[c, -s], [s, c]])
+    hi = 10.0 ** log_scale
+    S = R @ np.diag([hi * 10.0 ** -log_cond, hi]) @ R.T
+    S = 0.5 * (S + S.T)
+    lo_cf, hi_cf = filtering._eig_range(S[0, 0], S[0, 1], S[1, 1])
+    w = np.linalg.eigvalsh(S)
+    tol = 8 * np.finfo(float).eps * np.abs(w).max()
+    assert abs(lo_cf - w[0]) <= tol and abs(hi_cf - w[1]) <= tol
+
+
+# --- zero-ping series --------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["discrete", "continuous"])
+def test_zero_ping_series_gives_an_empty_result_on_every_shape(n, p, mode):
+    spec = es.ModelSpec(A=-0.5 * np.eye(n) if mode == "continuous" else 0.5 * np.eye(n),
+                        Sigma=np.eye(n), H=np.ones((p, n)), Theta=np.eye(p), time_mode=mode)
+    Y = np.zeros((0, p))
+    t = np.zeros(0)
+    r = (es.kalman_filter_ct(spec, t, Y) if mode == "continuous"
+         else es.kalman_filter(spec, Y))
+    s = es.kalman_smooth(spec, Y, timestamps=t if mode == "continuous" else None)
+    assert r.log_likelihood == 0.0 and r.loglik_contributions.shape == (0,)
+    assert r.filtered_mean.shape == (0, n) and r.predicted_cov.shape == (0, n, n)
+    assert s.smoothed_mean.shape == (0, n) and s.smoothed_cov.shape == (0, n, n)
+    assert s.lag_one_cov.shape == (0, n, n)
