@@ -9,6 +9,7 @@ with strictly increasing time within a participant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +30,11 @@ def write_dataset(data: EmaDataset, path, sep: str = ",") -> None:
               + [f"u.{n}" for n in data.u_names])
     lines = [sep.join(header)]
     for p in sorted(data.participants, key=lambda q: q.pid):
-        for t in range(p.n_pings):
-            row = [p.pid, _FMT % p.timestamps[t]]
-            for j in range(data.n_obs):
-                row.append(NA if p.missing[t, j] else _FMT % p.Y[t, j])
-            for j in range(data.n_inputs):
-                row.append(_FMT % p.U[t, j])
-            lines.append(sep.join(row))
+        for t, y, miss, u in zip(p.timestamps.tolist(), p.Y.tolist(), p.missing.tolist(),
+                                 p.U.tolist()):
+            lines.append(sep.join([p.pid, _FMT % t]
+                                  + [NA if m else _FMT % v for v, m in zip(y, miss)]
+                                  + [_FMT % v for v in u]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -73,7 +72,7 @@ def read_dataset(path, sep: str = ",") -> EmaDataset:
     n_y, n_u = len(y_names), len(u_names)
 
     order: list[str] = []
-    rows: dict[str, list] = {}
+    rows: dict[str, tuple] = {}     # per participant: t, y, missing and u, row by row
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -84,56 +83,56 @@ def read_dataset(path, sep: str = ",") -> EmaDataset:
         pid = cells[0]
         try:
             t = float(cells[1])
+            y = [math.nan if cell == NA else float(cell) for cell in cells[2:2 + n_y]]
+            u = [float(cell) for cell in cells[2 + n_y:]]
         except ValueError:
-            raise EmaError("PARSE_ERROR", f"{path}:{ln}: bad timestamp {cells[1]!r}")
-        y = np.empty(n_y)
-        miss = np.zeros(n_y, dtype=bool)
-        for j, cell in enumerate(cells[2:2 + n_y]):
-            if cell == NA:
-                y[j] = np.nan
-                miss[j] = True
-            else:
-                try:
-                    y[j] = float(cell)
-                except ValueError:
-                    raise EmaError("PARSE_ERROR",
-                                   f"{path}:{ln}: bad value {cell!r} in y.{y_names[j]}")
-        u = np.empty(n_u)
-        for j, cell in enumerate(cells[2 + n_y:]):
-            if cell == NA:
-                raise EmaError("NA_IN_U",
-                               f"{path}:{ln}: NA is not permitted in u.{u_names[j]}")
-            try:
-                u[j] = float(cell)
-            except ValueError:
-                raise EmaError("PARSE_ERROR",
-                               f"{path}:{ln}: bad value {cell!r} in u.{u_names[j]}")
+            raise _cell_error(path, ln, cells, y_names, u_names) from None
         if pid not in rows:
             if order and any(pid < q for q in order):
                 raise EmaError("PARSE_ERROR",
                                f"{path}:{ln}: rows are not sorted by participant_id")
             order.append(pid)
-            rows[pid] = []
+            rows[pid] = ([], [], [], [])
         elif order[-1] != pid:
             raise EmaError("PARSE_ERROR",
                            f"{path}:{ln}: participant {pid} appears in separate blocks")
-        if rows[pid] and t <= rows[pid][-1][0]:
+        ts, ys, miss, us = rows[pid]
+        if ts and t <= ts[-1]:
             raise EmaError("NON_MONOTONE_TIME",
                            f"{path}:{ln}: t={cells[1]} does not increase within "
                            f"participant {pid}")
-        rows[pid].append((t, y, miss, u))
+        ts.append(t)
+        ys.append(y)
+        miss.append([cell == NA for cell in cells[2:2 + n_y]])
+        us.append(u)
 
     participants = []
     for pid in order:
-        block = rows[pid]
+        ts, ys, miss, us = rows[pid]
         participants.append(Participant(
             pid=pid,
-            timestamps=np.array([b[0] for b in block]),
-            Y=np.vstack([b[1] for b in block]) if block else np.zeros((0, n_y)),
-            missing=np.vstack([b[2] for b in block]) if block else np.zeros((0, n_y), bool),
-            U=np.vstack([b[3] for b in block]) if block else np.zeros((0, n_u)),
+            timestamps=np.array(ts),
+            Y=np.array(ys).reshape(len(ts), n_y),
+            missing=np.array(miss, dtype=bool).reshape(len(ts), n_y),
+            U=np.array(us).reshape(len(ts), n_u),
         ))
     return EmaDataset(participants, y_names, u_names, metadata={"source": str(path)})
+
+
+def _cell_error(path, ln, cells, y_names, u_names) -> EmaError:
+    """The error of the first cell of a row, in column order, that does not
+    parse: a bad timestamp or value, or NA in an input column."""
+    cols = ["t"] + [f"y.{name}" for name in y_names] + [f"u.{name}" for name in u_names]
+    for cell, col in zip(cells[1:], cols):
+        if cell == NA and col[0] != "t":
+            if col[0] == "u":
+                return EmaError("NA_IN_U", f"{path}:{ln}: NA is not permitted in {col}")
+            continue
+        try:
+            float(cell)
+        except ValueError:
+            return EmaError("PARSE_ERROR", f"{path}:{ln}: bad timestamp {cell!r}" if col == "t"
+                            else f"{path}:{ln}: bad value {cell!r} in {col}")
 
 
 # ---------------------------------------------------------------------------

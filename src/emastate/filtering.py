@@ -14,9 +14,10 @@ models run a vectorized matrix recursion.  Continuous-time specs discretize
 each inter-ping gap exactly (one batched truncated-Taylor kernel for all
 gaps of a call, its truncation error below 2^-53; see
 :func:`emastate.model._gap_transitions`).  The smoother solves for all its
-gains J[t] at once, before the backward loop; its lag-one covariance needs
-no filter gains: Cov(x[t+1], x[t] | all) = P_s[t+1] J[t]' (Sarkka 2013,
-*Bayesian Filtering and Smoothing*, RTS smoother).  Models with count,
+gains J[t] at once, before the backward loop, which runs written out over
+Python floats for up to 3 states; its lag-one covariance needs no filter
+gains: Cov(x[t+1], x[t] | all) = P_s[t+1] J[t]' (Sarkka 2013, *Bayesian
+Filtering and Smoothing*, RTS smoother).  Models with count,
 ordinal, or dichotomous channels fall back to a bootstrap particle filter;
 fits run its likelihood-only pass, which keeps no moments and gives the
 filter's log-likelihood to the bit.
@@ -168,7 +169,8 @@ def _kalman_stack(y, obs, u, mu0, P0, H, Theta, trans, store=False,
     ``y``/``obs`` (..., T, p), ``u`` (..., T, q), ``mu0`` (..., n),
     ``P0``/``H``/``Theta`` (..., n, n)/(..., p, n)/(..., p, p).
     ``trans[k]`` is (A, Sigma, G) for the step into ping k+1; distinct
-    steps hold arrays of one shape per matrix.
+    steps hold arrays of one shape per matrix.  ``trans`` may also be one
+    tuple (A, Sigma, G) of arrays stacked over the steps, (T-1, ...).
 
     Unobserved cells leave the update by the selection device of Durbin &
     Koopman (2012, *Time Series Analysis by State Space Methods*, ch. 4,
@@ -193,12 +195,15 @@ def _kalman_stack(y, obs, u, mu0, P0, H, Theta, trans, store=False,
     n = mu0.shape[-1]
     shapes = [y.shape[:-2], mu0.shape[:-1], P0.shape[:-2], H.shape[:-2],
               Theta.shape[:-2]]
+    stacked = isinstance(trans, tuple)
     if trans:
-        shapes += [np.shape(x)[:-2] for x in trans[0]]
+        shapes += [np.shape(x)[stacked:-2] for x in (trans if stacked else trans[0])]
     batch = np.broadcast_shapes(*shapes)
     if n <= _SMALL_SHAPE[0] and p <= _SMALL_SHAPE[1] and T:
         L = np.broadcast_to(T if lengths is None else lengths, batch)
         return _small_stack(y, obs, u, mu0, P0, H, Theta, trans, store, L)
+    if stacked:
+        trans = list(zip(*trans))
     I_n, I_p = np.eye(n), np.eye(p)
     Ht = H.swapaxes(-1, -2)
     log_2pi = np.log(2.0 * np.pi)
@@ -303,6 +308,24 @@ def _kalman_stack(y, obs, u, mu0, P0, H, Theta, trans, store=False,
                       (pm, pP, fm, fP) if store else None)
 
 
+def _sym(x, i, j):
+    return f"{x}{min(i, j)}{max(i, j)}"
+
+
+def _names(x, I, J, upper=False):
+    return ", ".join(f"{x}{i}{j}" for i in I for j in J if not upper or i <= j) + ","
+
+
+def _each(x, I, J, expr, upper=False, pad=8):
+    """Source of one statement ``x_ij = expr(i, j)`` per entry."""
+    return "\n".join(f"{' ' * pad}{x}{i}{j} = {expr(i, j)}"
+                     for i in I for j in J if not upper or i <= j)
+
+
+def _dot(terms):
+    return " + ".join(terms)
+
+
 @functools.cache
 def _small_recursion(n: int, p: int, elementwise: bool):
     """The predict/update recursion of an n-state, p-channel model, written
@@ -320,34 +343,20 @@ def _small_recursion(n: int, p: int, elementwise: bool):
     """
     N, C = range(n), range(p)
 
-    def sym(x, i, j):
-        return f"{x}{min(i, j)}{max(i, j)}"
-
-    def names(x, I, J, upper=False):
-        return ", ".join(f"{x}{i}{j}" for i in I for j in J if not upper or i <= j) + ","
-
-    def each(x, I, J, expr, upper=False, pad=8):
-        """One statement ``x_ij = expr(i, j)`` per entry."""
-        return "\n".join(f"{' ' * pad}{x}{i}{j} = {expr(i, j)}"
-                         for i in I for j in J if not upper or i <= j)
-
-    def dot(terms):
-        return " + ".join(terms)
-
     def pick(c, a, b):
         return f"np.where({c}, {a}, {b})" if elementwise else f"({a} if {c} else {b})"
 
-    m, P = ", ".join(f"m{i}" for i in N) + ",", names("P", N, N, True)
+    m, P = ", ".join(f"m{i}" for i in N) + ",", _names("P", N, N, True)
     if p == 1:
         inverse = f"""
         {'' if elementwise else 'if not S00 > 0.0: inn += (S00, 0.0); break'}
         inn += (S00, v0*v0 / S00)
-{each("K", N, [0], lambda i, j: f"F0{i} / S00")}"""
+{_each("K", N, [0], lambda i, j: f"F0{i} / S00")}"""
     else:
         inverse = f"""
         if not full:
             o0, o1 = os[t]
-{each("F", C, N, lambda j, k: pick(f"o{j}", f"F{j}{k}", "0.0"), pad=12)}
+{_each("F", C, N, lambda j, k: pick(f"o{j}", f"F{j}{k}", "0.0"), pad=12)}
             v0, v1 = {pick("o0", "v0", "0.0")}, {pick("o1", "v1", "0.0")}
             S00, S11 = {pick("o0", "S00", "1.0")}, {pick("o1", "S11", "1.0")}
             S01 = {pick("o0 & o1", "S01", "0.0")}
@@ -355,8 +364,8 @@ def _small_recursion(n: int, p: int, elementwise: bool):
         {'' if elementwise else
          'if not (det > 0.0 and S00 > 0.0): inn += (S00, S01, S11, det, 0.0); break'}
         inn += (S00, S01, S11, det, (v0*(S11*v0 - S01*v1) + v1*(S00*v1 - S01*v0)) / det)
-{each("K", N, [0], lambda i, j: f"(F0{i}*S11 - F1{i}*S01) / det")}
-{each("K", N, [1], lambda i, j: f"(F1{i}*S00 - F0{i}*S01) / det")}"""
+{_each("K", N, [0], lambda i, j: f"(F0{i}*S11 - F1{i}*S01) / det")}
+{_each("K", N, [1], lambda i, j: f"(F1{i}*S00 - F0{i}*S01) / det")}"""
     restore = f"""
         if not seen:
             hit = {" | ".join(f"os[t][{j}]" for j in C)}
@@ -365,16 +374,16 @@ def _small_recursion(n: int, p: int, elementwise: bool):
 def rec(ys, os, gus, steps, m, P, H, R, flags, fill):
     {m} = m
     {P} = P
-    {names("H", C, N)} = H
-    {names("R", C, C, True)} = R
+    {_names("H", C, N)} = H
+    {_names("R", C, C, True)} = R
     pred, filt, inn = [], [], []
     for t, (live, full, seen) in enumerate(flags):
         if t:
-            ({names("A", N, N)}), ({names("Q", N, N, True)}) = steps[t - 1]
+            ({_names("A", N, N)}), ({_names("Q", N, N, True)}) = steps[t - 1]
             {", ".join(f"g{i}" for i in N)}, = gus[t - 1]
-            {m} = {"".join(dot([f"A{i}{k}*m{k}" for k in N] + [f"g{i}"]) + ", " for i in N)}
-{each("X", N, N, lambda i, k: dot(f"A{i}{j}*{sym('P', j, k)}" for j in N), pad=12)}
-{each("P", N, N, lambda i, j: dot([f"X{i}{k}*A{j}{k}" for k in N] + [f"Q{i}{j}"]), True, 12)}
+            {m} = {"".join(_dot([f"A{i}{k}*m{k}" for k in N] + [f"g{i}"]) + ", " for i in N)}
+{_each("X", N, N, lambda i, k: _dot(f"A{i}{j}*{_sym('P', j, k)}" for j in N), pad=12)}
+{_each("P", N, N, lambda i, j: _dot([f"X{i}{k}*A{j}{k}" for k in N] + [f"Q{i}{j}"]), True, 12)}
         x = ({m} {P})
         pred += x
         if not live:
@@ -382,21 +391,53 @@ def rec(ys, os, gus, steps, m, P, H, R, flags, fill):
             inn += fill
             continue
         {", ".join(f"y{j}" for j in C)}, = ys[t]
-{each("F", C, N, lambda j, k: dot(f"H{j}{i}*{sym('P', i, k)}" for i in N))}
-{each("S", C, C, lambda j, k: dot([f"F{j}{i}*H{k}{i}" for i in N] + [f"R{j}{k}"]), True)}
-{each("v", C, [""], lambda j, _: f"y{j} - ({dot(f'H{j}{i}*m{i}' for i in N)})")}{inverse}
-{each("I", N, N, lambda i, k: f"{'1.0 - ' if i == k else '-'}({dot(f'K{i}{j}*H{j}{k}' for j in C)})")}
-{each("J", N, N, lambda i, k: dot(f"I{i}{j}*{sym('P', j, k)}" for j in N))}
-{each("W", N, C, lambda i, k: dot(f"K{i}{j}*{sym('R', j, k)}" for j in C))}
-        {m} = {"".join(f"m{i} + ({dot(f'K{i}{j}*v{j}' for j in C)}), " for i in N)}
-{each("P", N, N, lambda i, j: dot(f"J{i}{k}*I{j}{k}" for k in N)
-      + f" + ({dot(f'W{i}{k}*K{j}{k}' for k in C)})", True)}{restore if elementwise else ""}
+{_each("F", C, N, lambda j, k: _dot(f"H{j}{i}*{_sym('P', i, k)}" for i in N))}
+{_each("S", C, C, lambda j, k: _dot([f"F{j}{i}*H{k}{i}" for i in N] + [f"R{j}{k}"]), True)}
+{_each("v", C, [""], lambda j, _: f"y{j} - ({_dot(f'H{j}{i}*m{i}' for i in N)})")}{inverse}
+{_each("I", N, N, lambda i, k: f"{'1.0 - ' if i == k else '-'}({_dot(f'K{i}{j}*H{j}{k}' for j in C)})")}
+{_each("J", N, N, lambda i, k: _dot(f"I{i}{j}*{_sym('P', j, k)}" for j in N))}
+{_each("W", N, C, lambda i, k: _dot(f"K{i}{j}*{_sym('R', j, k)}" for j in C))}
+        {m} = {"".join(f"m{i} + ({_dot(f'K{i}{j}*v{j}' for j in C)}), " for i in N)}
+{_each("P", N, N, lambda i, j: _dot(f"J{i}{k}*I{j}{k}" for k in N)
+      + f" + ({_dot(f'W{i}{k}*K{j}{k}' for k in C)})", True)}{restore if elementwise else ""}
         filt += ({m} {P})
     return pred, filt, inn
 """
     scope = {"np": np}
     exec(compile(source, f"<small Kalman recursion {n}x{p}>", "exec"), scope)
     return scope["rec"]
+
+
+@functools.cache
+def _small_smoother(n: int):
+    """The backward loop of :func:`kalman_smooth` for n states, written out
+    over Python floats: from the second last ping down, with J = X' and
+    D = sP' - pP', sm = fm + J (sm' - pm') and sP = fP + (J D) X, then
+    (sP + sP') / 2; each sum runs in index order.  Takes the last ping's
+    (fm, fP) and, per earlier ping from the last, the row fm, fP, pm', pP',
+    X (matrices row-major, pP' exactly symmetric); returns sm and sP per
+    ping, likewise flat."""
+    N = range(n)
+    m = ", ".join(f"m{i}" for i in N) + ","
+    source = f"""
+def back(rows, m, P):
+    {m} = m
+    {_names("P", N, N)} = P
+    sm, sP = [m], [P]
+    for {" ".join(_names(x, N, y) for x, y in zip("fFpQX", ([""], N, [""], N, N)))} in rows:
+{_each("d", N, [""], lambda i, _: f"m{i} - p{i}")}
+{_each("D", N, N, lambda i, j: f"P{i}{j} - Q{i}{j}", True)}
+        {m} = {"".join(f"f{i} + ({_dot(f'X{j}{i}*d{j}' for j in N)}), " for i in N)}
+{_each("E", N, N, lambda i, k: _dot(f"X{j}{i}*{_sym('D', j, k)}" for j in N))}
+{_each("M", N, N, lambda i, j: f"F{i}{j} + ({_dot(f'E{i}{k}*X{k}{j}' for k in N)})")}
+{_each("P", N, N, lambda i, j: f"0.5 * (M{i}{j} + M{j}{i})", True)}
+        sm.append(({m}))
+        sP.append(({", ".join(_sym("P", i, j) for i in N for j in N)},))
+    return sm[::-1], sP[::-1]
+"""
+    scope = {}
+    exec(compile(source, f"<small RTS backward loop {n}>", "exec"), scope)
+    return scope["back"]
 
 
 @functools.cache
@@ -492,6 +533,8 @@ def _small_stack(y, obs, u, mu0, P0, H, Theta, trans, store, L) -> _StackPass:
     def lanes(x, core=2, lead=0):
         """x, the axes after ``lead`` but before ``core`` made one last axis of B."""
         outer, inner, nb = x.shape[:lead], x.shape[x.ndim - core:], len(batch)
+        if M == 1:
+            return x.reshape(outer + inner + (1,))
         out = np.empty(outer + inner + batch, dtype=x.dtype)
         out.transpose(*range(lead), *range(lead + core, lead + core + nb),
                       *range(lead, lead + core))[...] = \
@@ -500,10 +543,13 @@ def _small_stack(y, obs, u, mu0, P0, H, Theta, trans, store, L) -> _StackPass:
 
     ys, os, us, L = lanes(y), lanes(obs), lanes(u), L.reshape(M)      # (T, p or q, M)
     start = [lanes(mu0, 1), lanes(P0)[iu, ju], lanes(H).reshape(p * n, M), lanes(Theta)[ip, jp]]
-    shared = len(set(map(id, trans))) <= 1     # then one step serves every ping
-    steps = trans[:1] if shared else trans
-    A, Q, G = (lanes(np.array(xs), 2, 1)        # (steps, ., ., M)
-               for xs in zip(*steps or [(np.eye(n), np.eye(n), np.zeros((n, q)))]))
+    if isinstance(trans, tuple):        # A, Sigma and G, each stacked over the steps
+        shared, steps = False, trans
+    else:
+        shared = len(set(map(id, trans))) <= 1     # then one step serves every ping
+        steps = map(np.array, zip(*(trans[:1] if shared else trans)
+                                  or [(np.eye(n), np.eye(n), np.zeros((n, q)))]))
+    A, Q, G = (lanes(x, 2, 1) for x in steps)      # (steps, ., ., M)
     A, Q = A.reshape(len(A), n * n, M), Q[:, iu, ju]
     gus = np.zeros((T - 1, n, M))
     for k in range(q):          # G u elementwise, inputs in order
@@ -726,7 +772,7 @@ def _kalman_cohort(spec: ModelSpec, participants, with_steps=False):
             for r in range(R):
                 rows[:starts[lo + r + 1] - starts[lo + r], r] = \
                     which[starts[lo + r]:starts[lo + r + 1]]
-            trans = list(zip(*(x[rows] for x in table)))
+            trans = tuple(x[rows] for x in table)
         else:
             trans = [(spec.A, spec.Sigma, spec.G)] * (T - 1)
         res = _kalman_stack(y, obs, u, spec.initial_mean, spec.initial_cov, spec.H,
@@ -749,13 +795,17 @@ def kalman_smooth(spec: ModelSpec, y, missing=None, u=None,
                   timestamps=None) -> SmoothResult:
     """Fixed-interval (RTS) smoother; works for both time modes.
 
-    With the smoother gain J[t] = P_f[t] A' P_pred[t+1]^{-1}, the lag-one
-    covariance is Cov(x[t+1], x[t] | all) = P_s[t+1] J[t]' (Sarkka 2013,
-    *Bayesian Filtering and Smoothing*, RTS smoother).
+    With the smoother gain J[t] = P_f[t] A' P_pred[t+1]^{-1}, solved for
+    every ping at once, the lag-one covariance is Cov(x[t+1], x[t] | all) =
+    P_s[t+1] J[t]' (Sarkka 2013, *Bayesian Filtering and Smoothing*, RTS
+    smoother).  Up to ``_SMALL_SHAPE[0]`` states the backward loop runs on
+    Python floats (:func:`_small_smoother`), which for one state gives the
+    numpy loop's numbers bit for bit and otherwise agrees to a few eps;
+    larger models run it as numpy products per ping.
     """
     r, A = _kalman(spec, y, missing, u, timestamps)
     pm, pP, fm, fP = r.predicted_mean, r.predicted_cov, r.filtered_mean, r.filtered_cov
-    T = fm.shape[0]
+    T, n = fm.shape
     # every gain at once: X[t] = J[t]' solves P_pred[t+1] X = A fP[t]; a
     # pseudo-inverse guards a singular prediction (Sigma = 0 cases)
     AfP = A @ fP[:-1]
@@ -768,13 +818,19 @@ def kalman_smooth(spec: ModelSpec, y, missing=None, u=None,
                 X[t] = np.linalg.solve(pP[t + 1], AfP[t])
             except np.linalg.LinAlgError:
                 X[t] = np.linalg.pinv(pP[t + 1]) @ AfP[t]
-    J = X.swapaxes(-1, -2)
-    sm = fm.copy()
-    sP = fP.copy()
-    for t in range(T - 2, -1, -1):
-        sm[t] = fm[t] + J[t] @ (sm[t + 1] - pm[t + 1])
-        sP[t] = fP[t] + J[t] @ (sP[t + 1] - pP[t + 1]) @ X[t]
-        sP[t] = 0.5 * (sP[t] + sP[t].T)
+    if T and n <= _SMALL_SHAPE[0]:      # per ping t < T-1: fm, fP, pm', pP', X, last first
+        f, p = (np.concatenate([m, P.reshape(T, -1)], 1) for m, P in ((fm, fP), (pm, pP)))
+        rows = np.concatenate([f[:-1], p[1:], X.reshape(T - 1, n * n)], 1)[::-1].tolist()
+        sm, sP = _small_smoother(n)(rows, f[-1, :n].tolist(), f[-1, n:].tolist())
+        sm, sP = np.array(sm), np.reshape(sP, (T, n, n))
+    else:
+        J = X.swapaxes(-1, -2)
+        sm = fm.copy()
+        sP = fP.copy()
+        for t in range(T - 2, -1, -1):
+            sm[t] = fm[t] + J[t] @ (sm[t + 1] - pm[t + 1])
+            sP[t] = fP[t] + J[t] @ (sP[t + 1] - pP[t + 1]) @ X[t]
+            sP[t] = 0.5 * (sP[t] + sP[t].T)
     lag1 = sP[1:] @ X
     return SmoothResult(r.timestamps, sm, sP, lag1)
 

@@ -21,7 +21,7 @@ from scipy.special import expit
 from .dataset import EmaDataset, Participant, default_names
 from .errors import EmaError
 from .model import (GAUSSIAN, GRADED_RESPONSE, BERNOULLI_LOGISTIC, POISSON,
-                    ModelSpec, _discretize_gaps, psd_sqrt, require_valid)
+                    ModelSpec, _gap_transitions, psd_sqrt, require_valid)
 from .model import discretize  # noqa: F401  (perfbench/spans.py wraps it here)
 
 HOURS_PER_DAY = 24.0
@@ -94,16 +94,11 @@ def _schedule_draw(sched: PingSchedule, rng: np.random.Generator) -> np.ndarray:
         if np.any(widths <= 0):
             raise EmaError("INVALID_SCHEDULE", "every window needs positive width")
         edges = np.concatenate([[0.0], np.cumsum(widths)])
-        total = edges[-1]
         days = int(np.ceil(sched.horizon / HOURS_PER_DAY))
-        out = []
-        for d in range(days):
-            u = np.sort(rng.uniform(0.0, total, size=sched.pings_per_day))
-            w = np.searchsorted(edges, u, side="right") - 1
-            clock = np.array([sched.windows[k][0] + (u_i - edges[k])
-                              for k, u_i in zip(w, u)])
-            out.append(d * HOURS_PER_DAY + clock)
-        t = np.concatenate(out) if out else np.array([])
+        u = np.sort(rng.uniform(0.0, edges[-1], size=(days, sched.pings_per_day)), axis=1)
+        w = np.searchsorted(edges, u, side="right") - 1     # each day's draws, in order
+        clock = np.array([lo for lo, _ in sched.windows])[w] + (u - edges[w])
+        t = (np.arange(days)[:, None] * HOURS_PER_DAY + clock).reshape(-1)
         t = t[t < sched.horizon]
     elif sched.kind == "event_driven":
         if not sched.mean_interval or sched.mean_interval <= 0:
@@ -317,11 +312,10 @@ def _build_inputs(spec: ModelSpec, timestamps: np.ndarray,
     return U
 
 
-def _simulate_participant(spec: ModelSpec, timestamps: np.ndarray, U: np.ndarray,
-                          regimes: RegimeSchedule | None, tvp: TvpSchedule | None,
-                          rng: np.random.Generator) -> np.ndarray:
-    """State recursion + measurement; returns the (T, n_obs) observations.
-    The step into ping k uses ping k's regime drift and tvp value."""
+def _regime_paths(spec: ModelSpec, timestamps: np.ndarray, regimes: RegimeSchedule | None,
+                  tvp: TvpSchedule | None):
+    """Each step's drift (the step into ping k uses ping k's regime drift
+    and tvp value) and each ping's state mean offset."""
     n = spec.n_states
     T = timestamps.size
     regs = regimes.regimes if regimes is not None else ()
@@ -336,27 +330,91 @@ def _simulate_participant(spec: ModelSpec, timestamps: np.ndarray, U: np.ndarray
     drifts = np.array([drift_of[seg] for seg in segs[1:]]).reshape(T - 1, n, n)
     if tvp is not None:
         drifts[:, tvp.target[0], tvp.target[1]] = [tvp.value(t) for t in timestamps[1:]]
-    if spec.time_mode == "continuous":
-        trans = _discretize_gaps(spec, np.diff(timestamps), drifts)
-    else:
-        trans = [(A, spec.Sigma, spec.G) for A in drifts]
-    distinct = list({id(S): S for _, S, _ in trans}.values())
-    try:
-        roots = np.linalg.cholesky(np.reshape(distinct, (-1, n, n)))
-    except np.linalg.LinAlgError:       # some gap noise is singular
-        roots = [psd_sqrt(S) for S in distinct]
-    factors = dict(zip(map(id, distinct), roots))
-    L_theta = psd_sqrt(spec.Theta)
-    L0 = psd_sqrt(spec.initial_cov)
+    return drifts, np.array([offset_of[seg] for seg in segs]).reshape(T, n)
 
-    Y = np.empty((T, spec.n_obs))
-    z = spec.initial_mean + L0 @ rng.standard_normal(n)
-    Y[0] = _measure_ping(spec, z + offset_of[segs[0]], rng, L_theta)
+
+def _simulate_participant(spec: ModelSpec, A, R, G, U, offsets, L0, L_theta,
+                          rng: np.random.Generator) -> np.ndarray:
+    """State recursion + measurement; returns the (T, n_obs) observations.
+    Step k (into ping k+1) has transition A[k], noise factor R[k] and input
+    matrix G[k]; ping k's state is offset by offsets[k].  Per ping, n state
+    normals then the measurement's draws: with Gaussian channels only, one
+    call draws them all, and each product runs for all pings in one stacked
+    matmul, which calls the per-ping product's BLAS kernel once per ping."""
+    n, p, T = spec.n_states, spec.n_obs, offsets.shape[0]
+    drive = (G @ U[:-1, :, None])[..., 0]
+    if not spec.all_gaussian:
+        Y = np.empty((T, p))
+        z = spec.initial_mean + L0 @ rng.standard_normal(n)
+        Y[0] = _measure_ping(spec, z + offsets[0], rng, L_theta)
+        for k in range(1, T):
+            z = A[k - 1] @ z + drive[k - 1] + R[k - 1] @ rng.standard_normal(n)
+            Y[k] = _measure_ping(spec, z + offsets[k], rng, L_theta)
+        return Y
+    E = rng.standard_normal((T, n + p))
+    noise = (R @ E[1:, :n, None])[..., 0]
+    Z = np.empty((T, n))
+    z = Z[0] = spec.initial_mean + L0 @ E[0, :n]
     for k in range(1, T):
-        A, S, G = trans[k - 1]
-        z = A @ z + G @ U[k - 1] + factors[id(S)] @ rng.standard_normal(n)
-        Y[k] = _measure_ping(spec, z + offset_of[segs[k]], rng, L_theta)
-    return Y
+        z = Z[k] = A[k - 1] @ z + drive[k - 1] + noise[k - 1]
+    X = (Z + offsets)[:, None]
+    nu = (L_theta @ E[:, n:, None])[..., 0]
+    return np.stack([(X @ h[:, None])[:, 0, 0] for h in spec.H], axis=-1) + nu
+
+
+def _simulate_cohort(spec: ModelSpec, cohort: list, rngs):
+    """The observations of each participant of ``cohort`` (timestamps, U,
+    drifts and offsets each), drawn from ``rngs``, and the error of the
+    first participant that stops the cohort, or None.
+
+    One :func:`~emastate.model._gap_transitions` call discretizes every gap
+    of the cohort and one Cholesky call factors their distinct noises; no
+    gap's result depends on the rest of its call.  A participant whose gaps
+    or factors fail drops itself and every later one, so the error is the
+    one a participant-by-participant run meets first.
+    """
+    pending, counts = None, [c[0].size - 1 for c in cohort]
+    cohort = list(cohort)
+
+    def drop_from(gap):             # the participant owning ``gap`` and those after
+        del cohort[int(np.searchsorted(np.cumsum(counts), gap, side="right")):]
+
+    continuous = spec.time_mode == "continuous"
+    while continuous and cohort:
+        try:
+            A_d, S_d, G_d, which = _gap_transitions(
+                spec, np.concatenate([np.diff(c[0]) for c in cohort]),
+                np.concatenate([c[2] for c in cohort]))
+            break
+        except EmaError as err:
+            pending = err
+            drop_from(err.gap)
+    if not cohort:
+        return [], pending
+    if not continuous:              # every step's noise and inputs are the spec's
+        S_d, G_d, which = spec.Sigma[None], spec.G[None], np.zeros(sum(counts), dtype=int)
+    try:
+        roots = np.linalg.cholesky(S_d)
+    except np.linalg.LinAlgError:   # some gap noise is singular: factor each, in order of use
+        roots, done = np.zeros_like(S_d), set()
+        for g, e in enumerate(which[:sum(counts[:len(cohort)])].tolist()):
+            if e not in done:
+                try:
+                    roots[e] = psd_sqrt(S_d[e])
+                except EmaError as err:
+                    pending = err
+                    drop_from(g)
+                    break
+                done.add(e)
+    if cohort:
+        L_theta, L0 = psd_sqrt(spec.Theta), psd_sqrt(spec.initial_cov)
+    Ys, start = [], 0
+    for (_, U, drifts, offsets), rng, k in zip(cohort, rngs, counts):
+        steps = which[start:start + k]
+        start += k
+        Ys.append(_simulate_participant(spec, A_d[steps] if continuous else drifts, roots[steps],
+                                        G_d[steps], U, offsets, L0, L_theta, rng))
+    return Ys, pending
 
 
 def simulate_dataset(spec: ModelSpec, sched: PingSchedule,
@@ -373,7 +431,12 @@ def simulate_dataset(spec: ModelSpec, sched: PingSchedule,
 
     Discrete-time specs require a fixed-interval schedule (the model treats
     every lag as equivalent); continuous-time specs simulate each gap by
-    exact discretization, so any schedule kind is admissible.
+    exact discretization, so any schedule kind is admissible.  Every
+    participant's schedule, inputs and regime path come first, each from
+    its own random streams, then the whole cohort's gaps at once
+    (:func:`_simulate_cohort`): the data, and the error raised when a
+    participant fails, are those of simulating one participant after
+    another.
     """
     require_valid(spec)
     if spec.time_mode == "discrete" and sched.kind != "fixed":
@@ -383,13 +446,22 @@ def simulate_dataset(spec: ModelSpec, sched: PingSchedule,
     if n_participants < 1:
         raise EmaError("BAD_SCENARIO", "n_participants must be >= 1")
 
-    participants = []
+    cohort, pending = [], None
     for i in range(n_participants):
         rng_s = np.random.default_rng(np.random.SeedSequence((rng_seed, i, 0)))
-        rng_x = np.random.default_rng(np.random.SeedSequence((rng_seed, i, 1)))
-        timestamps = _schedule_draw(sched, rng_s)
-        U = _build_inputs(spec, timestamps, trends, events, start_weekday)
-        Y = _simulate_participant(spec, timestamps, U, regimes, tvp, rng_x)
+        try:
+            timestamps = _schedule_draw(sched, rng_s)
+            U = _build_inputs(spec, timestamps, trends, events, start_weekday)
+            cohort.append((timestamps, U, *_regime_paths(spec, timestamps, regimes, tvp)))
+        except EmaError as err:
+            pending = err
+            break
+    Ys, failed = _simulate_cohort(spec, cohort, [np.random.default_rng(
+        np.random.SeedSequence((rng_seed, i, 1))) for i in range(len(cohort))])
+    if failed or pending:
+        raise failed or pending
+    participants = []
+    for i, ((timestamps, U, *_), Y) in enumerate(zip(cohort, Ys)):
         participants.append(Participant(
             pid=f"p{i + 1:03d}",
             timestamps=timestamps,

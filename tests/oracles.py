@@ -483,3 +483,121 @@ class ObservedCellGaussian:
             for j in range(q):
                 info[i, j] = 0.5 * np.sum(W[i] * W[j].T) + dm[i] @ Cinv @ dm[j]
         return info
+
+
+def rts_backward_loop(fm, fP, pm, pP, X):
+    """The smoother's backward loop as numpy products per ping, as
+    ``kalman_smooth`` runs it for more than 3 states (and ran it for every
+    model before its float pass); X[t] = J[t]'."""
+    T = fm.shape[0]
+    J = X.swapaxes(-1, -2)
+    sm = fm.copy()
+    sP = fP.copy()
+    for t in range(T - 2, -1, -1):
+        sm[t] = fm[t] + J[t] @ (sm[t + 1] - pm[t + 1])
+        sP[t] = fP[t] + J[t] @ (sP[t + 1] - pP[t + 1]) @ X[t]
+        sP[t] = 0.5 * (sP[t] + sP[t].T)
+    return sm, sP
+
+
+def rts_backward_floats(fm, fP, pm, pP, X):
+    """The same backward loop on Python floats, entry by entry, with every
+    sum taken left to right in index order and D = sP' - pP' read from its
+    upper triangle: the arithmetic the package's float pass must equal bit
+    for bit."""
+    from functools import reduce
+    from operator import add
+
+    T, n = fm.shape
+    fm, fP, pm, pP, X = (x.tolist() for x in (fm, fP, pm, pP, X))
+    sm, sP = [None] * T, [None] * T
+    sm[-1], sP[-1] = fm[-1], fP[-1]
+    N = range(n)
+    for t in range(T - 2, -1, -1):
+        S, Q, Xt = sP[t + 1], pP[t + 1], X[t]
+        d = [sm[t + 1][j] - pm[t + 1][j] for j in N]
+        sm[t] = [fm[t][i] + reduce(add, [Xt[j][i] * d[j] for j in N]) for i in N]
+        D = [[S[min(j, k)][max(j, k)] - Q[min(j, k)][max(j, k)] for k in N] for j in N]
+        E = [[reduce(add, [Xt[j][i] * D[j][k] for j in N]) for k in N] for i in N]
+        M = [[fP[t][i][j] + reduce(add, [E[i][k] * Xt[k][j] for k in N]) for j in N] for i in N]
+        sP[t] = [[0.5 * (M[min(i, j)][max(i, j)] + M[max(i, j)][min(i, j)]) for j in N]
+                 for i in N]
+    return np.array(sm), np.array(sP)
+
+
+def random_window_schedule(sched, rng):
+    """A random-window schedule drawn day by day, as the simulator drew it
+    before it drew all days at once (no night structure)."""
+    widths = np.array([hi - lo for lo, hi in sched.windows], dtype=float)
+    edges = np.concatenate([[0.0], np.cumsum(widths)])
+    out = []
+    for d in range(int(np.ceil(sched.horizon / 24.0))):
+        u = np.sort(rng.uniform(0.0, edges[-1], size=sched.pings_per_day))
+        w = np.searchsorted(edges, u, side="right") - 1
+        clock = np.array([sched.windows[k][0] + (u_i - edges[k]) for k, u_i in zip(w, u)])
+        out.append(d * 24.0 + clock)
+    t = np.concatenate(out) if out else np.array([])
+    return np.unique(t[t < sched.horizon])
+
+
+def _simulate_participant(spec, timestamps, U, regimes, tvp, rng):
+    """State recursion + measurement; returns the (T, n_obs) observations.
+    The step into ping k uses ping k's regime drift and tvp value."""
+    from emastate.errors import EmaError
+    from emastate.model import _discretize_gaps, psd_sqrt
+    from emastate.simulate import _measure_ping
+    n = spec.n_states
+    T = timestamps.size
+    regs = regimes.regimes if regimes is not None else ()
+    drift_of = [np.asarray(spec.A, dtype=float)] + [
+        np.asarray(spec.A if r.A is None else r.A, dtype=float) for r in regs]
+    if any(A.shape != (n, n) for A in drift_of):
+        raise EmaError("BAD_SCENARIO", f"every regime A must be {n}x{n}")
+    offset_of = [np.zeros(n)] + [np.zeros(n) if r.mean_offset is None else
+                                 np.asarray(r.mean_offset, dtype=float).reshape(n) for r in regs]
+    segs = [regimes.segment(t) for t in timestamps] if regs else [0] * T
+
+    drifts = np.array([drift_of[seg] for seg in segs[1:]]).reshape(T - 1, n, n)
+    if tvp is not None:
+        drifts[:, tvp.target[0], tvp.target[1]] = [tvp.value(t) for t in timestamps[1:]]
+    if spec.time_mode == "continuous":
+        trans = _discretize_gaps(spec, np.diff(timestamps), drifts)
+    else:
+        trans = [(A, spec.Sigma, spec.G) for A in drifts]
+    distinct = list({id(S): S for _, S, _ in trans}.values())
+    try:
+        roots = np.linalg.cholesky(np.reshape(distinct, (-1, n, n)))
+    except np.linalg.LinAlgError:       # some gap noise is singular
+        roots = [psd_sqrt(S) for S in distinct]
+    factors = dict(zip(map(id, distinct), roots))
+    L_theta = psd_sqrt(spec.Theta)
+    L0 = psd_sqrt(spec.initial_cov)
+
+    Y = np.empty((T, spec.n_obs))
+    z = spec.initial_mean + L0 @ rng.standard_normal(n)
+    Y[0] = _measure_ping(spec, z + offset_of[segs[0]], rng, L_theta)
+    for k in range(1, T):
+        A, S, G = trans[k - 1]
+        z = A @ z + G @ U[k - 1] + factors[id(S)] @ rng.standard_normal(n)
+        Y[k] = _measure_ping(spec, z + offset_of[segs[k]], rng, L_theta)
+    return Y
+
+
+def simulate_participant_by_participant(spec, sched, trends=(), events=(), regimes=None,
+                                        tvp=None, n_participants=1, rng_seed=0,
+                                        start_weekday=0):
+    """(timestamps, U, Y) of each participant of ``simulate_dataset``, one
+    participant after another, as the simulator ran before it simulated the
+    cohort at once: its own gap-kernel call and factoring per participant,
+    and per ping one state draw and one measurement draw.  Raises the first
+    participant's error."""
+    from emastate.simulate import _build_inputs, _schedule_draw
+    out = []
+    for i in range(n_participants):
+        rng_s = np.random.default_rng(np.random.SeedSequence((rng_seed, i, 0)))
+        rng_x = np.random.default_rng(np.random.SeedSequence((rng_seed, i, 1)))
+        timestamps = _schedule_draw(sched, rng_s)
+        U = _build_inputs(spec, timestamps, trends, events, start_weekday)
+        Y = _simulate_participant(spec, timestamps, U, regimes, tvp, rng_x)
+        out.append((timestamps, U, Y))
+    return out

@@ -5,7 +5,8 @@ from scipy.linalg import solve_continuous_lyapunov
 import emastate as es
 from emastate.errors import EmaError
 
-from oracles import batch_means_se, graded_response_stationary_probs
+from oracles import (batch_means_se, graded_response_stationary_probs, random_window_schedule,
+                     simulate_participant_by_participant)
 
 
 def ar1(a=0.5, sigma2=1.0, theta=0.0, **kw):
@@ -220,7 +221,7 @@ def _draws_factoring_each_gap(spec, timestamps, U, regimes, tvp, rng):
 
 @pytest.mark.parametrize("case", ["discrete", "continuous", "singular noise"])
 def test_batched_gap_factoring_draws_equal_per_gap_factoring_bit_for_bit(case):
-    from emastate.simulate import _simulate_participant
+    from emastate.simulate import _regime_paths, _simulate_cohort
     Sigma = [[1.0, 0.0], [0.0, 0.0]] if case == "singular noise" else [[1.0, 0.3], [0.3, 0.6]]
     disc = es.ModelSpec(A=[[0.6, 0.1], [0.0, 0.5]], Sigma=Sigma, G=[[0.4], [0.1]],
                         Theta=0.5 * np.eye(2))
@@ -233,9 +234,91 @@ def test_batched_gap_factoring_draws_equal_per_gap_factoring_bit_for_bit(case):
     tvp = es.TvpSchedule(target=(1, 1), start_value=spec.A[1, 1], end_value=spec.A[1, 1] * 0.5,
                          midpoint=40.0, steepness=0.2)
     for reg, tv in ((None, None), (regimes, tvp)):
-        got = _simulate_participant(spec, timestamps, U, reg, tv, np.random.default_rng(9))
+        [got], _ = _simulate_cohort(spec, [(timestamps, U, *_regime_paths(spec, timestamps, reg, tv))],
+                                    [np.random.default_rng(9)])
         want = _draws_factoring_each_gap(spec, timestamps, U, reg, tv, np.random.default_rng(9))
         assert got.tobytes() == want.tobytes()
+
+
+def _cohort_case(case):
+    """(spec, schedule, simulate_dataset keywords) of one simulator case."""
+    disc = es.ModelSpec(A=[[0.6, 0.1], [0.0, 0.5]], Sigma=[[1.0, 0.3], [0.3, 0.6]],
+                        G=[[0.4], [0.1]], Theta=0.5 * np.eye(2))
+    window = es.PingSchedule(kind="random_window", horizon=24.0 * 6,
+                             windows=((9.0, 13.0), (15.0, 21.0)), pings_per_day=5)
+    fixed = es.PingSchedule(kind="fixed", horizon=60.0, interval=1.0)
+    trend = (es.TrendSpec(kind="sinusoid", coefficients=(0.7,)),)
+    if case == "continuous random-window":
+        return es.to_continuous(disc, 2.0), window, {"trends": trend}
+    if case == "discrete fixed":
+        return disc, fixed, {"events": (es.DisturbanceEvent(onset=20.0, coding="persistent",
+                                                             magnitude=1.5),)}
+    if case == "regimes + tvp":
+        ct = es.to_continuous(disc, 2.0)
+        regimes = es.RegimeSchedule(breakpoints=(40.0, 90.0), regimes=(
+            es.Regime(A=ct.A * 0.8, mean_offset=np.array([1.0, -1.0])), es.Regime()))
+        tvp = es.TvpSchedule(target=(1, 1), start_value=ct.A[1, 1], end_value=ct.A[1, 1] * 2,
+                             midpoint=70.0, steepness=0.1)
+        return ct, window, {"trends": trend, "regimes": regimes, "tvp": tvp}
+    if case == "singular gap noise":
+        ct = es.to_continuous(disc, 2.0).with_matrices(Sigma=[[1.0, 0.0], [0.0, 0.0]])
+        return ct, window, {"trends": trend}
+    spec = es.ModelSpec(A=[[0.5, 0.0], [0.1, 0.4]], Sigma=0.3 * np.eye(2),
+                        H=np.zeros((2, 2)), Theta=np.zeros((2, 2)),
+                        channels=[es.MeasurementChannel("poisson", state_index=0, link="log"),
+                                  es.MeasurementChannel("graded_response", state_index=1,
+                                                        discrimination=1.5,
+                                                        thresholds=(-1.0, 0.0, 1.0),
+                                                        categories=4)])
+    return es.to_continuous(spec, 2.0), window, {}
+
+
+@pytest.mark.parametrize("case", ["continuous random-window", "discrete fixed", "regimes + tvp",
+                                  "singular gap noise", "poisson + graded response"])
+def test_cohort_simulation_equals_the_participant_loop_byte_for_byte(case):
+    spec, sched, kw = _cohort_case(case)
+    data = es.simulate_dataset(spec, sched, n_participants=4, rng_seed=23, **kw)
+    want = simulate_participant_by_participant(spec, sched, n_participants=4, rng_seed=23, **kw)
+    assert len(data.participants) == len(want)
+    for p, (timestamps, U, Y) in zip(data.participants, want):
+        for got, ref in ((p.timestamps, timestamps), (p.U, U), (p.Y, Y)):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("spec, sched, seed, first", [
+    # an empty schedule at participant 4
+    (es.ModelSpec(A=[[-0.5]], Sigma=[[1.0]], Theta=[[0.5]], time_mode="continuous",
+                  initial_cov=[[1.0]]),
+     es.PingSchedule(kind="event_driven", horizon=6.0, mean_interval=3.0), 22, 4),
+    # a negative identity-link Poisson rate at participant 5
+    (es.to_continuous(es.ModelSpec(
+        A=[[0.5]], Sigma=[[1.0]], H=[[0.0]], Theta=[[0.0]], initial_mean=[3.0],
+        initial_cov=[[0.5]], channels=[es.MeasurementChannel("poisson", link="identity")]), 1.0),
+     es.PingSchedule(kind="event_driven", horizon=6.0, mean_interval=3.0), 32, 5),
+    # a gap whose noise overflows at participant 3
+    (es.ModelSpec(A=[[0.3]], Sigma=[[1.0]], Theta=[[0.5]], time_mode="continuous",
+                  initial_cov=[[1.0]]),
+     es.PingSchedule(kind="event_driven", horizon=6000.0, mean_interval=700.0), 6, 3),
+])
+def test_cohort_simulation_raises_what_the_participant_loop_raised_first(spec, sched, seed,
+                                                                          first):
+    with np.errstate(over="ignore", invalid="ignore"):     # unstable states overflow
+        simulate_participant_by_participant(spec, sched, n_participants=first, rng_seed=seed)
+        with pytest.raises(EmaError) as want:
+            simulate_participant_by_participant(spec, sched, n_participants=first + 1,
+                                                rng_seed=seed)
+        with pytest.raises(EmaError) as got:
+            es.simulate_dataset(spec, sched, n_participants=6, rng_seed=seed)
+    assert (got.value.code, str(got.value)) == (want.value.code, str(want.value))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_window_draws_all_days_as_day_by_day(seed):
+    sched = es.PingSchedule(kind="random_window", horizon=24.0 * 9.5,
+                            windows=((8.0, 11.5), (13.0, 22.0)), pings_per_day=7)
+    got = es.generate_schedule(sched, seed)
+    want = random_window_schedule(sched, np.random.default_rng(seed))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_weekend_gaps_simulate_the_stationary_law():
