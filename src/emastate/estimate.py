@@ -7,19 +7,29 @@ lower-triangular factor with log-transformed diagonal, so every point of the
 unconstrained space maps to a PSD matrix; no post-hoc projection is ever
 applied.
 
-Fitting maximizes the filter log-likelihood with BFGS over centrally
-differenced gradients, multi-started from perturbations of a heuristic
-initialization (lag-one regression for the transition matrix, residual
-moments for the variances).  Pooled fits share one parameter vector across
-participants, each participant's filter starting from the initial
-distribution.  BFGS gets the value and the gradient of each iterate from
-one evaluation of its 2k+1 points (the iterate and its 2k central-difference
-neighbours), whose matrices one scatter writes for all points at once.  For
-discrete-time Kalman fits the participants are stacked once, padded to the
-longest series, so an iterate is one stacked filter pass over the 2k+1
-points times all participants.  Fits of models with up to 3 states and 2
-channels get the same values, bit for bit, as filtering each series alone.
-Continuous-time and particle fits filter one series at a time.
+Fitting maximizes the filter log-likelihood with BFGS, multi-started from
+perturbations of a heuristic initialization (lag-one regression for the
+transition matrix, residual moments for the variances).  Pooled fits share
+one parameter vector across participants, each participant's filter
+starting from the initial distribution.  BFGS gets the value and the
+gradient of each iterate from one evaluation.  For discrete-time Kalman fits
+the participants are stacked once, padded to the longest series.
+
+- Models with more than one state or channel get the exact score: one
+  stored filter pass at the iterate over all participants, one backward
+  pass (:func:`~emastate.filtering._kalman_score`), and the matrix
+  gradients chained to the free parameters by
+  :meth:`Parameterization.chain`, whatever the number k of free parameters.
+- 1x1 models, continuous-time and particle fits take central differences
+  from the 2k+1 points (the iterate and its 2k neighbours), whose matrices
+  one scatter writes for all points at once.  A 1x1 discrete-time Kalman
+  fit runs them as one stacked pass of the 2k+1 points times all
+  participants, which costs about as much as a pass at the iterate alone,
+  so the score could not pay there.  Continuous-time and particle fits
+  filter one series at a time.
+
+Fits of models with up to 3 states and 2 channels get the same values, bit
+for bit, as filtering each series alone.
 """
 
 from __future__ import annotations
@@ -32,8 +42,8 @@ from scipy.optimize import minimize
 
 from .dataset import EmaDataset, Participant
 from .errors import EmaError
-from .filtering import (_kalman_stack, _particle_pass, _series_arrays, _stack_series,
-                        kalman_filter, kalman_filter_ct)
+from .filtering import (_kalman_score, _kalman_stack, _particle_pass, _series_arrays,
+                        _stack_series, kalman_filter, kalman_filter_ct)
 from .filtering import particle_filter  # noqa: F401  (perfbench/spans.py wraps it here)
 from .model import ModelSpec, validate_model
 from .simulate import DisturbanceEvent, encode_disturbance
@@ -266,6 +276,35 @@ class Parameterization:
                 mats[name] = L @ L.swapaxes(-1, -2)
         return mats
 
+    def chain(self, theta, grads: dict) -> np.ndarray:
+        """The gradient in theta of a function whose gradients in the seven
+        matrices at :meth:`unpack`'s point are ``grads`` (for a symmetric M,
+        the symmetric G with df = tr(G dM)): :meth:`scatter`'s writes run
+        backwards.  A plain write passes G through, a log-sd write scales it
+        by 2 v (v the variance), a Cholesky factor L takes (G + G') L, times
+        exp(theta) on its diagonal; a tied slot sums its targets."""
+        theta = np.asarray(theta, dtype=float)
+        out = np.zeros(self.n_free)
+        factors = {name: np.zeros_like(self._base[name]) for name in self._chol}
+        values = {}
+        for (name, transform), (at, cols) in self._writes.items():
+            v = theta[cols]
+            if transform in ("log_sd", "chol_diag"):
+                v = np.exp(v)
+            if transform.startswith("chol"):
+                factors[name].flat[at] = v
+            values[name, transform] = v
+        pulled = {name: (grads[name] + grads[name].T) @ L for name, L in factors.items()}
+        for (name, transform), (at, cols) in self._writes.items():
+            v = values[name, transform]
+            g = (pulled[name] if transform.startswith("chol") else grads[name]).flat[at]
+            if transform == "log_sd":
+                g = g * (2.0 * v * v)
+            elif transform == "chol_diag":
+                g = g * v
+            np.add.at(out, cols, g)
+        return out
+
     def unpack(self, theta: np.ndarray) -> ModelSpec:
         """The spec at one point: :meth:`scatter`'s one-point case."""
         mats = self.scatter([theta])
@@ -358,6 +397,34 @@ def _stacked_objectives(par: Parameterization, stack, penalty: float,
     return np.where(ok, -total, penalty)
 
 
+def _value_and_score(par: Parameterization, stack, penalty: float):
+    """``x -> (f(x), exact gradient)`` of the negative pooled
+    log-likelihood, from one stored one-point Kalman pass over the
+    participants and the backward pass of
+    :func:`~emastate.filtering._kalman_score`, whatever the number of free
+    parameters.  f is :func:`_stacked_objectives`'s value at x (bit for bit
+    up to ``_SMALL_SHAPE``; larger models sum the stored per-ping terms, so
+    may differ in the last bits).  A point any of whose participants fails,
+    whose total is not finite, or whose score is not finite gets
+    ``(penalty, zeros)``."""
+    y, obs, u, lengths = stack
+
+    def value_and_score(x):
+        m = {name: v[0] for name, v in par.scatter([x]).items()}
+        res = _kalman_stack(y, obs, u, m["initial_mean"], m["initial_cov"], m["H"],
+                            m["Theta"], [(m["A"], m["Sigma"], m["G"])] * (y.shape[1] - 1),
+                            store=True, lengths=lengths)
+        with np.errstate(all="ignore"):     # failed members may hold inf or NaN
+            total = np.add.accumulate([t[:k].sum() for t, k in zip(res.loglik, lengths)])[-1]
+            if not res.fail.any() and np.isfinite(total):
+                g = par.chain(x, _kalman_score(y, obs, u, *res.moments[:2],
+                                               m["A"], m["H"], m["Theta"]))
+                if np.isfinite(g).all():
+                    return float(-total), -g
+        return penalty, np.zeros(par.n_free)
+    return value_and_score
+
+
 def _heuristic_start(par: Parameterization, participants: Sequence[Participant]) -> None:
     """Lag-one regression start for A; residual moments for the variances.
 
@@ -405,11 +472,16 @@ def _fit_single(par: Parameterization, participants: Sequence[Participant],
     penalty = 1e12
     tpl = par.template
 
+    fun = None
     if options.likelihood == "kalman" and tpl.time_mode == "discrete":
         stack = _stack_participants(tpl, participants)
 
         def objectives(thetas):
             return _stacked_objectives(par, stack, penalty, thetas)
+        # The exact score needs one pass at the iterate whatever k is; a 1x1
+        # pass of all 2k+1 points costs about as much as one point.
+        if tpl.n_states > 1 or tpl.n_obs > 1:
+            fun = _value_and_score(par, stack, penalty)
     else:
         def objective(theta):
             spec = par.unpack(theta)
@@ -436,7 +508,9 @@ def _fit_single(par: Parameterization, participants: Sequence[Participant],
         raise EmaError("NONFINITE_LIKELIHOOD",
                        "likelihood is non-finite at every multi-start initialization")
 
-    fun = _value_and_grad(objectives, options.fd_step)
+    # A penalized point gets the gradient 0 from the score, and from central
+    # differences when both of its neighbours are penalized too.
+    fun = fun or _value_and_grad(objectives, options.fd_step)
     best = None
     restart_objectives = []
     for s in starts:

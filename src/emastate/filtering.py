@@ -4,9 +4,11 @@ Linear-Gaussian models get the exact Kalman filter and fixed-interval
 smoother, with missing channels dropped from each update by zeroed selection
 rows (a fully missing ping keeps the prediction untouched).  One recursion
 runs over a stack of members that each carry their own series and spec
-arrays: a pooled fit stacks participants and finite-difference points, CLI
-``filter`` a chunk of participants, and every public filter is a stack of
-one, so a participant gets the numbers, and the errors, of its own call.
+arrays: a pooled fit stacks participants (and, for 1x1 models,
+finite-difference points), CLI ``filter`` a chunk of participants, and every
+public filter is a stack of one, so a participant gets the numbers, and the
+errors, of its own call.  Matrix fits take the exact score of a stored pass
+from one backward pass over its members (:func:`_kalman_score`).
 Models with up to 3 states and 2 channels run one recursion written out over
 scalar entries, with S inverted in closed form: on Python floats per member
 for small stacks, elementwise for large ones, bit for bit alike; larger
@@ -441,6 +443,104 @@ def back(rows, m, P):
 
 
 @functools.cache
+def _small_score_loop(n: int):
+    """The backward loop of :func:`_kalman_score` for n states, written out
+    over Python floats: from the last ping down, r = b + L' r and
+    N = B + (L' N) L from r = 0 and N = 0, each sum in index order, N kept
+    as its upper triangle.  Takes per ping, last first, the row b, B (upper
+    triangle), L (row-major); returns r and N after each ping, flat and last
+    first."""
+    N = range(n)
+    r, NN = _names("r", N, [""]), _names("N", N, N, True)
+    source = f"""
+def back(rows):
+    {r} = {"0.0, " * n}
+    {NN} = {"0.0, " * (n * (n + 1) // 2)}
+    out = []
+    for {_names("b", N, [""])} {_names("B", N, N, True)} {_names("L", N, N)} in rows:
+{_each("E", N, N, lambda i, k: _dot(f"L{j}{i}*{_sym('N', j, k)}" for j in N))}
+        {r} = {"".join(f"b{i} + ({_dot(f'L{j}{i}*r{j}' for j in N)}), " for i in N)}
+{_each("N", N, N, lambda i, j: f"B{i}{j} + ({_dot(f'E{i}{k}*L{k}{j}' for k in N)})", True)}
+        out += ({r} {NN})
+    return out
+"""
+    scope = {}
+    exec(compile(source, f"<small score backward loop {n}>", "exec"), scope)
+    return scope["back"]
+
+
+def _kalman_score(y, obs, u, a, P, A, H, Theta) -> dict:
+    """Gradients of the summed log-likelihood of a stack of members that
+    share one discrete-time spec, in its seven matrices (keyed by their
+    ``ModelSpec`` names), from the members' predicted moments ``a`` (M, T, n) and ``P`` (M, T, n, n) of a stored
+    :func:`_kalman_stack` pass (Koopman & Shephard 1992, *Biometrika*
+    79:823; Durbin & Koopman 2012, sec. 7.3.3).
+
+    Per ping t, with Z and Theta restricted to the observed channels,
+    F = Z P Z' + Theta, v = y - Z a, K = A P Z' F^-1 and L = A - K Z (K = 0
+    and L = A where nothing is observed), the backward pass runs
+    r[t-1] = Z' F^-1 v + L' r[t], N[t-1] = Z' F^-1 Z + L' N[t] L from
+    r[T-1] = N[T-1] = 0; then x = a + P r[t-1], e = F^-1 v - K' r[t] and
+    D = F^-1 + K' N[t] K.  Symmetric matrices M get the symmetric G with
+    dl = tr(G dM).  No inverse of Sigma, Theta or P0 is taken.  A member's
+    pings after its last observed one add nothing, so they are zeroed
+    first.  Up to ``_SMALL_SHAPE[0]`` states and below
+    ``_SCORE_MIN_MEMBERS`` members the backward pass runs per member on
+    floats (:func:`_small_score_loop`), else over all members at once.
+    """
+    M, T, p = y.shape
+    n = a.shape[-1]
+    iu, ju, full = _upper(n)
+    seen = obs.any(-1)
+    last = np.where(seen.any(-1), T - 1 - seen[:, ::-1].argmax(-1), -1)
+    beyond = np.arange(T) > last[:, None]
+    a = np.where(beyond[..., None], 0.0, a)
+    P = np.where(beyond[..., None, None], 0.0, P)
+    pair = obs[..., :, None] & obs[..., None, :]
+    Z = np.where(obs[..., None], H, 0.0)                            # (M, T, p, n)
+    Zt = Z.swapaxes(-1, -2)
+    F = Z @ P @ Zt + np.where(pair, Theta, 0.0) + (~obs)[..., None] * np.eye(p)
+    Finv = np.where(pair, np.linalg.inv(F), 0.0)
+    Fv = (Finv @ np.where(obs, y - (H @ a[..., None])[..., 0], 0.0)[..., None])[..., 0]
+    ZtFinv = Zt @ Finv
+    K = A @ P @ ZtFinv                                              # (M, T, n, p)
+    L = A - K @ Z
+    b, B = (Zt @ Fv[..., None])[..., 0], ZtFinv @ Z
+
+    if n <= _SMALL_SHAPE[0] and M < _SCORE_MIN_MEMBERS:
+        rows = np.concatenate([b, B[..., iu, ju], L.reshape(M, T, n * n)], -1)
+        back = _small_score_loop(n)
+        out = np.array([back(x) for x in rows[:, ::-1].tolist()]).reshape(M, T, -1)[:, ::-1]
+        rr, NN = out[..., :n], out[..., n + full]
+    else:
+        rr, NN = np.zeros((M, T, n)), np.zeros((M, T, n, n))
+        r, Nt, Lt = np.zeros((M, n)), np.zeros((M, n, n)), L.swapaxes(-1, -2)
+        for t in range(T - 1, -1, -1):
+            r = b[:, t] + (Lt[:, t] @ r[..., None])[..., 0]
+            Nt = B[:, t] + Lt[:, t] @ Nt @ L[:, t]
+            rr[:, t], NN[:, t] = r, Nt
+    # r[t], N[t] per ping (0 at the last); r[-1], N[-1] are rr[:, 0], NN[:, 0]
+    r = np.concatenate([rr[:, 1:], np.zeros((M, 1, n))], 1)
+    Nt = np.concatenate([NN[:, 1:], np.zeros((M, 1, n, n))], 1)
+    x = a + (P @ rr[..., None])[..., 0]
+    LP = L @ P
+    e = Fv - (K.swapaxes(-1, -2) @ r[..., None])[..., 0]
+    KtN = K.swapaxes(-1, -2) @ Nt
+
+    def outer(f, g):            # sum over members and pings of f g'
+        k = f.size // f.shape[-1]
+        return f.reshape(k, -1).T @ g.reshape(k, g.shape[-1])
+
+    return {"A": outer(r, x) - (Nt @ LP).sum((0, 1)),
+            "G": outer(r, u),
+            "Sigma": 0.5 * (outer(r, r) - Nt.sum((0, 1))),
+            "H": outer(e, x) - (Finv @ Z @ P - KtN @ LP).sum((0, 1)),
+            "Theta": 0.5 * (outer(e, e) - (Finv + KtN @ K).sum((0, 1))),
+            "initial_mean": rr[:, 0].sum(0),
+            "initial_cov": 0.5 * (outer(rr[:, 0], rr[:, 0]) - NN[:, 0].sum(0))}
+
+
+@functools.cache
 def _upper(n: int):
     """Indices of an n x n upper triangle, and where each (i, j) is in it."""
     iu, ju = np.triu_indices(n)
@@ -457,8 +557,9 @@ def _eig_range(a, b, d):
 
 
 # Measured crossovers (README.md): a stack of fewer members runs the float
-# form once per member, for 1x1 models and for the other small shapes.
-_STACK_MIN_MEMBERS, _STACK_MIN_MEMBERS_SMALL = 8, 32
+# form once per member, for 1x1 models and for the other small shapes; and
+# the backward pass of _kalman_score runs per member on floats.
+_STACK_MIN_MEMBERS, _STACK_MIN_MEMBERS_SMALL, _SCORE_MIN_MEMBERS = 8, 32, 8
 
 
 def _paired_1x1(y, o, gu, a, sigma, m0, P0, h, theta):
@@ -861,9 +962,11 @@ def _logsumexp(a: np.ndarray) -> float:
         return np.log1p(s) + np.log(m) + a_max
 
 
-def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _systematic_resample(weights: np.ndarray, rng: np.random.Generator,
+                         grid: np.ndarray) -> np.ndarray:
+    """Indices of N particles drawn systematically; ``grid`` is arange(N)."""
     N = weights.size
-    positions = (rng.uniform() + np.arange(N)) / N
+    positions = (rng.uniform() + grid) / N
     return np.minimum(np.searchsorted(np.cumsum(weights), positions), N - 1)
 
 
@@ -1011,6 +1114,7 @@ def _particle_pass(spec: ModelSpec, y, n_particles: int, rng_seed: int, missing,
     log_w = flat_log_w = np.full(N, -np.log(N))
     wts = flat_wts = np.exp(flat_log_w - _logsumexp(flat_log_w))
     ll = np.zeros(T)
+    grid = np.arange(N)
     observed = (~missing).any(axis=1).tolist()
     if store:
         pred_m = np.empty((T, n)); pred_P = np.empty((T, n, n))
@@ -1051,7 +1155,7 @@ def _particle_pass(spec: ModelSpec, y, n_particles: int, rng_seed: int, missing,
         if ess < N / 2.0:
             if not store:
                 wts = np.exp(log_w - _logsumexp(log_w))
-            particles = particles[_systematic_resample(wts, rng)]
+            particles = particles.take(_systematic_resample(wts, rng, grid), axis=0)
             log_w, wts = flat_log_w, flat_wts
 
     return timestamps, missing, ll, (pred_m, pred_P, filt_m, filt_P) if store else None

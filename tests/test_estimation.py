@@ -413,11 +413,12 @@ def per_series_objective(par, participants, options):
 
 def test_stacked_gradient_equals_per_series_central_differences():
     from emastate.estimate import (_central_diff_grad, _stack_participants,
-                                   _stacked_objectives)
+                                   _stacked_objectives, _value_and_score)
     truth, data = var2_cohort()
     par = Parameterization(truth, VAR2_MAP)
     stack = _stack_participants(truth, data.participants)
     f = per_series_objective(par, data.participants, FAST)
+    score = _value_and_score(par, stack, 1e12)
     rng = np.random.default_rng(3)
     for _ in range(3):
         theta = par.start_vector() + rng.normal(scale=0.1, size=par.n_free)
@@ -427,6 +428,9 @@ def test_stacked_gradient_equals_per_series_central_differences():
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
         assert _stacked_objectives(par, stack, 1e12, [theta])[0] == pytest.approx(
             f(theta), rel=1e-12)
+        value, exact = score(theta)
+        np.testing.assert_allclose(exact, want, rtol=1e-6, atol=1e-6)
+        assert value == _stacked_objectives(par, stack, 1e12, [theta])[0]
 
 
 def test_stacked_fit_reaches_per_series_optimum():
@@ -448,7 +452,7 @@ def test_stacked_fit_reaches_per_series_optimum():
 
 
 def test_overflowing_point_is_penalized_not_raised():
-    from emastate.estimate import _stack_participants, _stacked_objectives
+    from emastate.estimate import _stack_participants, _stacked_objectives, _value_and_score
     truth, data = var2_cohort()
     par = Parameterization(truth, VAR2_MAP)
     stack = _stack_participants(truth, data.participants)
@@ -458,6 +462,12 @@ def test_overflowing_point_is_penalized_not_raised():
     out = _stacked_objectives(par, stack, 1e12, [theta, huge])
     assert np.isfinite(out[0]) and out[0] < 1e12
     assert out[1] == 1e12
+    # the score path, which matrix fits search with: the penalty and a zero gradient
+    score = _value_and_score(par, stack, 1e12)
+    value, grad = score(theta)
+    assert value == out[0] and np.isfinite(grad).all() and grad.any()
+    value, grad = score(huge)
+    assert value == 1e12 and grad.tolist() == [0.0] * par.n_free
 
 
 def test_particle_objective_penalizes_overflowing_theta(monkeypatch):
@@ -480,12 +490,19 @@ def test_particle_objective_penalizes_overflowing_theta(monkeypatch):
 
 
 def test_matrix_fit_on_infinite_data_reports_nonfinite_likelihood():
+    from emastate.estimate import _stack_participants, _value_and_score
     truth, data = var2_cohort()
     data.participants[0].Y[4, 1] = np.inf
     data.participants[0].missing[4, 1] = False
     with pytest.raises(EmaError) as exc:
         es.fit(truth, VAR2_MAP, data, options=FAST)
     assert exc.value.code == "NONFINITE_LIKELIHOOD"
+    # every point of the score path is penalized with a zero gradient
+    par = Parameterization(truth, VAR2_MAP)
+    score = _value_and_score(par, _stack_participants(truth, data.participants), 1e12)
+    for theta in (par.start_vector(), par.start_vector() + 0.1):
+        value, grad = score(theta)
+        assert value == 1e12 and grad.tolist() == [0.0] * par.n_free
 
 
 # --- stacked likelihood of scalar models --------------------------------------

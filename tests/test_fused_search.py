@@ -1,13 +1,17 @@
 """One evaluation per BFGS iterate.
 
 A fit hands BFGS one function that returns an iterate's value and its
-central-difference gradient from a single evaluation of the 2k+1 points
-(the iterate, then x + h_i e_i and x - h_i e_i), and a discrete-time Kalman
-fit evaluates them as one stacked pass whose matrices
-``Parameterization.scatter`` writes for all points at once.  These tests
-hold that design to the sequential one (a one-point objective pass, then a
-2k-point gradient pass) bit for bit: a point's value must not depend on the
-other points of its stack, and each row of the scatter must be the matrices
+gradient from a single evaluation.  Scalar, continuous-time and particle
+fits take central differences from the 2k+1 points (the iterate, then
+x + h_i e_i and x - h_i e_i), and a discrete-time scalar Kalman fit
+evaluates them as one stacked pass whose matrices
+``Parameterization.scatter`` writes for all points at once.  A
+discrete-time Kalman fit of a larger model takes the exact score from one
+stored pass at the iterate.  These tests hold that design to the sequential
+one (a one-point objective pass, then a 2k-point gradient pass or a
+separate score call) bit for bit: a point's value must not depend on the
+other points of its stack, the score's pass must give the one-point
+objective's value, and each row of the scatter must be the matrices
 ``unpack`` gives for that point.
 """
 
@@ -56,12 +60,19 @@ def _central_diff_grad(f_many, x, step):
 
 def _sequential(monkeypatch):
     """Run fits through the sequential search: BFGS gets a one-point
-    objective and a separate 2k-point central-difference gradient."""
+    objective and, separately, a 2k-point central-difference gradient or
+    (matrix Kalman fits) the gradient of a score call."""
     from scipy.optimize import minimize
 
     def split(objectives, step):
         return (lambda x: float(objectives([x])[0]),
                 lambda x: _central_diff_grad(objectives, x, step))
+
+    score = estimate._value_and_score
+
+    def split_score(par, stack, penalty):
+        return (lambda x: float(estimate._stacked_objectives(par, stack, penalty, [x])[0]),
+                lambda x: score(par, stack, penalty)(x)[1])
 
     def sequential_minimize(fun, x0, jac, **kwargs):
         assert jac is True
@@ -69,6 +80,7 @@ def _sequential(monkeypatch):
         return minimize(objective, x0, jac=grad, **kwargs)
 
     monkeypatch.setattr(estimate, "_value_and_grad", split)
+    monkeypatch.setattr(estimate, "_value_and_score", split_score)
     monkeypatch.setattr(estimate, "minimize", sequential_minimize)
 
 
