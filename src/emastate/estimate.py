@@ -25,8 +25,10 @@ the participants are stacked once, padded to the longest series.
   one scatter writes for all points at once.  A 1x1 discrete-time Kalman
   fit runs them as one stacked pass of the 2k+1 points times all
   participants, which costs about as much as a pass at the iterate alone,
-  so the score could not pay there.  Continuous-time and particle fits
-  filter one series at a time.
+  so the score could not pay there.  A continuous-time Kalman fit filters
+  all participants at each point in one cohort pass
+  (:func:`~emastate.filtering._kalman_cohort`: one gap-kernel call, one
+  stacked pass per chunk); a particle fit filters one series at a time.
 
 Fits of models with up to 3 states and 2 channels get the same values, bit
 for bit, as filtering each series alone.
@@ -42,9 +44,10 @@ from scipy.optimize import minimize
 
 from .dataset import EmaDataset, Participant
 from .errors import EmaError
-from .filtering import (_kalman_score, _kalman_stack, _particle_pass, _series_arrays,
-                        _stack_series, kalman_filter, kalman_filter_ct)
-from .filtering import particle_filter  # noqa: F401  (perfbench/spans.py wraps it here)
+from .filtering import (_kalman_cohort, _kalman_score, _kalman_stack, _particle_pass,
+                        _series_arrays, _stack_series)
+# perfbench/spans.py wraps these here
+from .filtering import kalman_filter, kalman_filter_ct, particle_filter  # noqa: F401
 from .model import ModelSpec, validate_model
 from .simulate import DisturbanceEvent, encode_disturbance
 
@@ -328,21 +331,6 @@ class FitOptions:
     fd_step: float = 1e-6
 
 
-def _series_loglik(spec: ModelSpec, p: Participant, options: FitOptions) -> float:
-    if options.likelihood == "kalman":
-        if spec.time_mode == "continuous":
-            r = kalman_filter_ct(spec, p.timestamps, p.Y, p.missing, p.U)
-        else:
-            r = kalman_filter(spec, p.Y, p.missing, p.U)
-    elif options.likelihood == "particle":
-        ll = _particle_pass(spec, p.Y, options.n_particles, options.particle_seed,
-                            p.missing, p.U, p.timestamps, store=False)[2]
-        return float(ll.sum())
-    else:
-        raise EmaError("BAD_PARAMETER_MAP", f"unknown likelihood {options.likelihood!r}")
-    return r.log_likelihood
-
-
 def _fd_points(x: np.ndarray, step: float):
     """x, then x + h_i e_i and x - h_i e_i for each i, with
     h_i = step * max(1, |x_i|); also 2h, the differences' divisor."""
@@ -354,19 +342,11 @@ def _fd_points(x: np.ndarray, step: float):
     return points, 2.0 * h
 
 
-def _central_diff_grad(f_many, x: np.ndarray, step: float) -> np.ndarray:
-    """Central differences; ``f_many`` gets the 2k points of
-    :func:`_fd_points` (without x itself) in one call."""
-    points, h2 = _fd_points(x, step)
-    f = np.asarray(f_many(points[1:]), dtype=float)
-    return (f[0::2] - f[1::2]) / h2
-
-
 def _value_and_grad(objectives, step: float):
     """``x -> (f(x), central differences)`` from one ``objectives`` call over
     all 2k + 1 points of :func:`_fd_points`: BFGS asks for both at every
     iterate.  Each point's value does not depend on the others in the call,
-    so both equal a one-point call plus :func:`_central_diff_grad`."""
+    so both equal a one-point call plus central differences of 2k points."""
     def value_and_grad(x):
         points, h2 = _fd_points(x, step)
         f = np.asarray(objectives(points), dtype=float)
@@ -385,12 +365,12 @@ def _stacked_objectives(par: Parameterization, stack, penalty: float,
     """Negative pooled log-likelihood at each point, from one Kalman pass
     over a (points, participants) stack; a point any of whose participants
     fails, or whose total is not finite, gets the penalty.  Participant
-    totals are added left to right, as the per-series sum of
-    :func:`_series_loglik` values does."""
+    totals are added left to right, as a sum of the participants' own
+    filter log-likelihoods is."""
     y, obs, u, lengths = stack
     m = {name: v[:, None] for name, v in par.scatter(thetas).items()}
     res = _kalman_stack(y, obs, u, m["initial_mean"], m["initial_cov"], m["H"], m["Theta"],
-                        [(m["A"], m["Sigma"], m["G"])] * (y.shape[1] - 1), lengths=lengths)
+                        (m["A"][None], m["Sigma"][None], m["G"][None]), lengths=lengths)
     with np.errstate(all="ignore"):       # failed members may hold inf or NaN
         total = np.add.accumulate(res.loglik, axis=1)[:, -1]
     ok = (res.fail == 0).all(axis=1) & np.isfinite(total)
@@ -412,7 +392,7 @@ def _value_and_score(par: Parameterization, stack, penalty: float):
     def value_and_score(x):
         m = {name: v[0] for name, v in par.scatter([x]).items()}
         res = _kalman_stack(y, obs, u, m["initial_mean"], m["initial_cov"], m["H"],
-                            m["Theta"], [(m["A"], m["Sigma"], m["G"])] * (y.shape[1] - 1),
+                            m["Theta"], (m["A"][None], m["Sigma"][None], m["G"][None]),
                             store=True, lengths=lengths)
         with np.errstate(all="ignore"):     # failed members may hold inf or NaN
             total = np.add.accumulate([t[:k].sum() for t, k in zip(res.loglik, lengths)])[-1]
@@ -487,7 +467,12 @@ def _fit_single(par: Parameterization, participants: Sequence[Participant],
             spec = par.unpack(theta)
             try:
                 with np.errstate(all="ignore"):   # non-finite points are penalized
-                    total = sum(_series_loglik(spec, p, options) for p in participants)
+                    if options.likelihood == "kalman":
+                        total = sum(r.log_likelihood for r in _kalman_cohort(spec, participants))
+                    else:
+                        total = sum(float(_particle_pass(
+                            spec, p.Y, options.n_particles, options.particle_seed, p.missing,
+                            p.U, p.timestamps, store=False)[2].sum()) for p in participants)
             except EmaError as err:
                 if err.code in _RECOVERABLE:      # a different theta may cure these
                     return penalty
@@ -600,6 +585,8 @@ def fit(template: ModelSpec, pmap: ParameterMap, data: EmaDataset,
         raise EmaError("BAD_SCENARIO", "dataset has no participants")
     if mode not in ("pooled", "idiographic"):
         raise EmaError("BAD_SCENARIO", f"unknown fit mode {mode!r}")
+    if options.likelihood not in ("kalman", "particle"):
+        raise EmaError("BAD_PARAMETER_MAP", f"unknown likelihood {options.likelihood!r}")
     if options.likelihood == "kalman" and not template.all_gaussian:
         raise EmaError("LIKELIHOOD_MODE_MISMATCH",
                        "kalman likelihood requires all-Gaussian channels; "

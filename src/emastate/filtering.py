@@ -41,7 +41,7 @@ from scipy.special import expit, gammaln, log_expit
 
 from .errors import EmaError
 from .model import (GAUSSIAN, GRADED_RESPONSE, BERNOULLI_LOGISTIC, POISSON,
-                    ModelSpec, _discretize_gaps, _gap_transitions, psd_sqrt)
+                    ModelSpec, _gap_transitions, psd_sqrt)
 from .model import discretize  # noqa: F401  (perfbench/spans.py wraps it here)
 
 COND_LIMIT = 1e12
@@ -170,9 +170,9 @@ def _kalman_stack(y, obs, u, mu0, P0, H, Theta, trans, store=False,
     may share data (participants) or spec arrays (finite-difference points):
     ``y``/``obs`` (..., T, p), ``u`` (..., T, q), ``mu0`` (..., n),
     ``P0``/``H``/``Theta`` (..., n, n)/(..., p, n)/(..., p, p).
-    ``trans[k]`` is (A, Sigma, G) for the step into ping k+1; distinct
-    steps hold arrays of one shape per matrix.  ``trans`` may also be one
-    tuple (A, Sigma, G) of arrays stacked over the steps, (T-1, ...).
+    ``trans`` is (A, Sigma, G), each stacked over the steps: (T-1, ...),
+    entry k for the step into ping k+1, or (1, ...) when one step serves
+    every ping.
 
     Unobserved cells leave the update by the selection device of Durbin &
     Koopman (2012, *Time Series Analysis by State Space Methods*, ch. 4,
@@ -197,15 +197,10 @@ def _kalman_stack(y, obs, u, mu0, P0, H, Theta, trans, store=False,
     n = mu0.shape[-1]
     shapes = [y.shape[:-2], mu0.shape[:-1], P0.shape[:-2], H.shape[:-2],
               Theta.shape[:-2]]
-    stacked = isinstance(trans, tuple)
-    if trans:
-        shapes += [np.shape(x)[stacked:-2] for x in (trans if stacked else trans[0])]
-    batch = np.broadcast_shapes(*shapes)
+    batch = np.broadcast_shapes(*shapes, *(np.shape(x)[1:-2] for x in trans))
     if n <= _SMALL_SHAPE[0] and p <= _SMALL_SHAPE[1] and T:
         L = np.broadcast_to(T if lengths is None else lengths, batch)
         return _small_stack(y, obs, u, mu0, P0, H, Theta, trans, store, L)
-    if stacked:
-        trans = list(zip(*trans))
     I_n, I_p = np.eye(n), np.eye(p)
     Ht = H.swapaxes(-1, -2)
     log_2pi = np.log(2.0 * np.pi)
@@ -230,13 +225,11 @@ def _kalman_stack(y, obs, u, mu0, P0, H, Theta, trans, store=False,
         pm = np.zeros(batch + (T, n)); pP = np.zeros(batch + (T, n, n))
         fm = np.zeros_like(pm); fP = np.zeros_like(pP)
 
-    last = None
     with np.errstate(all="ignore"):     # failures are detected explicitly
         for t in range(T):
             if t:
-                if trans[t - 1] is not last:
-                    last = trans[t - 1]
-                    A, Sigma, G = last
+                if t == 1 or len(trans[0]) > 1:     # else one step serves every ping
+                    A, Sigma, G = (x[t - 1] for x in trans)
                     At = A.swapaxes(-1, -2)
                 m = (A @ m[..., None])[..., 0]
                 if G.shape[-1]:
@@ -644,13 +637,8 @@ def _small_stack(y, obs, u, mu0, P0, H, Theta, trans, store, L) -> _StackPass:
 
     ys, os, us, L = lanes(y), lanes(obs), lanes(u), L.reshape(M)      # (T, p or q, M)
     start = [lanes(mu0, 1), lanes(P0)[iu, ju], lanes(H).reshape(p * n, M), lanes(Theta)[ip, jp]]
-    if isinstance(trans, tuple):        # A, Sigma and G, each stacked over the steps
-        shared, steps = False, trans
-    else:
-        shared = len(set(map(id, trans))) <= 1     # then one step serves every ping
-        steps = map(np.array, zip(*(trans[:1] if shared else trans)
-                                  or [(np.eye(n), np.eye(n), np.zeros((n, q)))]))
-    A, Q, G = (lanes(x, 2, 1) for x in steps)      # (steps, ., ., M)
+    A, Q, G = (lanes(x, 2, 1) for x in trans)      # (steps, ., ., M)
+    shared = len(A) == 1        # then one step serves every ping
     A, Q = A.reshape(len(A), n * n, M), Q[:, iu, ju]
     gus = np.zeros((T - 1, n, M))
     for k in range(q):          # G u elementwise, inputs in order
@@ -753,19 +741,6 @@ def _series(spec: ModelSpec, y, missing, u, timestamps):
     return y, missing, u, timestamps
 
 
-def _prepare(spec: ModelSpec, y, missing, u, timestamps):
-    """:func:`_series`, plus ``trans``: ``trans[k]`` is (A, Sigma, G) for the
-    step into ping k+1.  Continuous time discretizes each gap exactly;
-    discrete time uses the spec's own matrices for every step.
-    """
-    y, missing, u, timestamps = _series(spec, y, missing, u, timestamps)
-    if spec.time_mode == "continuous":
-        trans = _discretize_gaps(spec, np.diff(timestamps))
-    else:
-        trans = [(spec.A, spec.Sigma, spec.G)] * max(y.shape[0] - 1, 0)
-    return y, missing, u, timestamps, trans
-
-
 def _require_gaussian(spec: ModelSpec) -> None:
     if not spec.all_gaussian:
         raise EmaError("LIKELIHOOD_MODE_MISMATCH",
@@ -831,7 +806,8 @@ def _kalman_cohort(spec: ModelSpec, participants, with_steps=False):
     """Yield the Kalman filter of each participant (objects with ``Y``,
     ``missing``, ``U`` and ``timestamps``) in order, with ``with_steps`` also
     the (T-1, n, n) transition matrices of its steps.  Public filters are a
-    cohort of one, so each participant equals its own call bit for bit.
+    cohort of one, and each point of a continuous-time Kalman fit a cohort
+    of all participants; each participant equals its own call bit for bit.
 
     Every series is checked first, and all gaps are discretized in one
     :func:`~emastate.model._gap_transitions` call; one stored
@@ -875,7 +851,7 @@ def _kalman_cohort(spec: ModelSpec, participants, with_steps=False):
                     which[starts[lo + r]:starts[lo + r + 1]]
             trans = tuple(x[rows] for x in table)
         else:
-            trans = [(spec.A, spec.Sigma, spec.G)] * (T - 1)
+            trans = (spec.A[None], spec.Sigma[None], spec.G[None])
         res = _kalman_stack(y, obs, u, spec.initial_mean, spec.initial_cov, spec.H,
                             spec.Theta, trans, store=True, lengths=lengths)
         pm, pP, fm, fP = res.moments
@@ -885,9 +861,12 @@ def _kalman_cohort(spec: ModelSpec, participants, with_steps=False):
             ll = res.loglik[r, :k]
             out = FilterResult(timestamps, pm[r, :k], pP[r, :k], fm[r, :k], fP[r, :k], ll,
                                float(ll.sum()), int(missing.any(axis=1).sum()), missing)
+            if not with_steps:
+                yield out
+                continue
             A = (table[0][which[starts[lo + r]:starts[lo + r + 1]]] if continuous
                  else np.broadcast_to(spec.A, (max(k - 1, 0), n, n)))
-            yield (out, A) if with_steps else out
+            yield out, A
     if pending is not None:
         raise pending
 
@@ -1091,24 +1070,33 @@ def _particle_pass(spec: ModelSpec, y, n_particles: int, rng_seed: int, missing,
 
     Returns (timestamps, missing, per-ping log-likelihood terms, moments);
     the moments (predicted and filtered means and covariances) only with
-    ``store``.  The normalized weights are recomputed only when the log
-    weights change, and without ``store`` only when a resample reads them,
-    so the likelihood of both modes is the same to the bit.  The effective
+    ``store``.  The step into ping k+1 takes row ``which[k]`` of a table
+    of (A, Sigma, G): the exact gaps of
+    :func:`~emastate.model._gap_transitions` in continuous time, the spec's
+    own matrices in discrete time; each Sigma is factored at its first use.
+    The normalized weights are recomputed only when the log weights change,
+    and without ``store`` only when a resample reads them, so the
+    likelihood of both modes is the same to the bit.  The effective
     sample size is checked only after an update: with no observed channel
     the weights are those that passed the last check (or are uniform).
     """
     if n_particles < 100:
         raise EmaError("PARTICLES_TOO_FEW", f"need >= 100 particles, got {n_particles}")
-    y, missing, u, timestamps, trans = _prepare(spec, y, missing, u, timestamps)
+    y, missing, u, timestamps = _series(spec, y, missing, u, timestamps)
     density = _observation_density(spec, y, missing)
     T, n, N = y.shape[0], spec.n_states, n_particles
+    if spec.time_mode == "continuous":
+        A_d, Sigma_d, G_d, which = _gap_transitions(spec, np.diff(timestamps))
+        which = which.tolist()
+    else:
+        A_d, Sigma_d, G_d, which = spec.A[None], spec.Sigma[None], spec.G[None], [0] * (T - 1)
 
     rng = np.random.default_rng(rng_seed)
     L0 = psd_sqrt(spec.initial_cov)
     chol = {}
-    for tr in trans:
-        if id(tr) not in chol:
-            chol[id(tr)] = psd_sqrt(tr[1])
+    for e in which:
+        if e not in chol:
+            chol[e] = psd_sqrt(Sigma_d[e])
 
     particles = spec.initial_mean + rng.standard_normal((N, n)) @ L0.T
     log_w = flat_log_w = np.full(N, -np.log(N))
@@ -1122,8 +1110,8 @@ def _particle_pass(spec: ModelSpec, y, n_particles: int, rng_seed: int, missing,
 
     for t in range(T):
         if t > 0:
-            A, _, G = trans[t - 1]
-            L = chol[id(trans[t - 1])]
+            e = which[t - 1]
+            A, G, L = A_d[e], G_d[e], chol[e]
             drift = (G @ u[t - 1]) if G.shape[1] else 0.0
             particles = particles @ A.T + drift + rng.standard_normal((N, n)) @ L.T
         if store:

@@ -10,10 +10,11 @@ channels driven by a single state each).  ``time_mode`` selects whether A is
 a one-step transition matrix or the drift of the stochastic differential
 equation dx = A x dt + G u dt + dW; :func:`discretize` and
 :func:`to_continuous` convert between the two representations.  Every
-continuous-time gap, in :func:`discretize`, the filters and the simulator,
-comes from one batched kernel, :func:`_gap_transitions`: a degree-17 Taylor
-series of Van Loan's integrals in Horner form at a halved step, whose
-truncation error stays below 2^-53 relative, then doublings back to the gap.
+continuous-time gap, in :func:`discretize`, the filters, the fits and the
+simulator, comes from one batched kernel, :func:`_gap_transitions`: a
+degree-17 Taylor series of Van Loan's integrals in Horner form at a halved
+step, whose truncation error stays below 2^-53 relative, then doublings back
+to the gap.  Callers index its table of distinct gaps by each gap's row.
 """
 
 from __future__ import annotations
@@ -511,14 +512,6 @@ def _gap_transitions(spec: ModelSpec, dts, drifts=None):
     return A_d, Sigma_d, G_d, which
 
 
-def _discretize_gaps(spec: ModelSpec, dts, drifts=None) -> list[tuple]:
-    """:func:`_gap_transitions` as one (A_d, Sigma_d, G_d) per gap; gaps that
-    share an entry share one tuple."""
-    A_d, Sigma_d, G_d, which = _gap_transitions(spec, dts, drifts)
-    shared = list(zip(A_d, Sigma_d, G_d))
-    return [shared[i] for i in which.tolist()]
-
-
 def discretize(spec: ModelSpec, dt: float) -> ModelSpec:
     """Exact discretization of a continuous-time spec over a step of ``dt``.
 
@@ -529,8 +522,8 @@ def discretize(spec: ModelSpec, dt: float) -> ModelSpec:
     """
     if spec.time_mode != "continuous":
         raise EmaError("INVALID_MODEL", "discretize expects a continuous-time spec")
-    [(A_d, Sigma_d, G_d)] = _discretize_gaps(spec, [dt])
-    return replace(spec, A=A_d, Sigma=Sigma_d, G=G_d, time_mode="discrete",
+    A_d, Sigma_d, G_d, _ = _gap_transitions(spec, [dt])
+    return replace(spec, A=A_d[0], Sigma=Sigma_d[0], G=G_d[0], time_mode="discrete",
                    initial_mean=spec.initial_mean, initial_cov=spec.initial_cov)
 
 

@@ -544,7 +544,7 @@ def _simulate_participant(spec, timestamps, U, regimes, tvp, rng):
     """State recursion + measurement; returns the (T, n_obs) observations.
     The step into ping k uses ping k's regime drift and tvp value."""
     from emastate.errors import EmaError
-    from emastate.model import _discretize_gaps, psd_sqrt
+    from emastate.model import _gap_transitions, psd_sqrt
     from emastate.simulate import _measure_ping
     n = spec.n_states
     T = timestamps.size
@@ -560,16 +560,15 @@ def _simulate_participant(spec, timestamps, U, regimes, tvp, rng):
     drifts = np.array([drift_of[seg] for seg in segs[1:]]).reshape(T - 1, n, n)
     if tvp is not None:
         drifts[:, tvp.target[0], tvp.target[1]] = [tvp.value(t) for t in timestamps[1:]]
-    if spec.time_mode == "continuous":
-        trans = _discretize_gaps(spec, np.diff(timestamps), drifts)
+    if spec.time_mode == "continuous":      # each step: A, its noise's row, G
+        A_d, S_d, G_d, which = _gap_transitions(spec, np.diff(timestamps), drifts)
+        steps = [(A_d[e], e, G_d[e]) for e in which]
     else:
-        trans = [(A, spec.Sigma, spec.G) for A in drifts]
-    distinct = list({id(S): S for _, S, _ in trans}.values())
+        S_d, steps = spec.Sigma[None], [(A, 0, spec.G) for A in drifts]
     try:
-        roots = np.linalg.cholesky(np.reshape(distinct, (-1, n, n)))
+        roots = np.linalg.cholesky(S_d)
     except np.linalg.LinAlgError:       # some gap noise is singular
-        roots = [psd_sqrt(S) for S in distinct]
-    factors = dict(zip(map(id, distinct), roots))
+        roots = [psd_sqrt(S) for S in S_d]
     L_theta = psd_sqrt(spec.Theta)
     L0 = psd_sqrt(spec.initial_cov)
 
@@ -577,8 +576,8 @@ def _simulate_participant(spec, timestamps, U, regimes, tvp, rng):
     z = spec.initial_mean + L0 @ rng.standard_normal(n)
     Y[0] = _measure_ping(spec, z + offset_of[segs[0]], rng, L_theta)
     for k in range(1, T):
-        A, S, G = trans[k - 1]
-        z = A @ z + G @ U[k - 1] + factors[id(S)] @ rng.standard_normal(n)
+        A, e, G = steps[k - 1]
+        z = A @ z + G @ U[k - 1] + roots[e] @ rng.standard_normal(n)
         Y[k] = _measure_ping(spec, z + offset_of[segs[k]], rng, L_theta)
     return Y
 
@@ -601,3 +600,16 @@ def simulate_participant_by_participant(spec, sched, trends=(), events=(), regim
         Y = _simulate_participant(spec, timestamps, U, regimes, tvp, rng_x)
         out.append((timestamps, U, Y))
     return out
+
+
+def central_diff_grad(f_many, x, step):
+    """The reference gradient: h_i = step * max(1, |x_i|), and ``f_many``
+    gets the 2k points x + h_i e_i, x - h_i e_i (in that order) in one call."""
+    h = step * np.maximum(1.0, np.abs(x))
+    points = []
+    for i in range(x.size):
+        xp = x.copy(); xp[i] += h[i]
+        xm = x.copy(); xm[i] -= h[i]
+        points += [xp, xm]
+    f = np.asarray(f_many(points), dtype=float)
+    return (f[0::2] - f[1::2]) / (2.0 * h)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import emastate as es
 from emastate.errors import EmaError
 from emastate.estimate import FitOptions, Parameterization
 
-from oracles import ObservedCellGaussian, gaussian_joint, random_stable_spec
+from oracles import ObservedCellGaussian, central_diff_grad, gaussian_joint, random_stable_spec
 
 AR1_MAP = es.ParameterMap({"A": [["free"]], "Sigma": [["free"]],
                            "Theta": [["free"]]})
@@ -140,9 +141,11 @@ def test_unpack_of_empty_map_reproduces_template_and_filter_value():
     assert par.n_free == 0
     spec = par.unpack(np.zeros(0))
     assert np.array_equal(spec.A, truth.A)
-    from emastate.estimate import _series_loglik
-    ll = _series_loglik(spec, p, FAST)
+    ll = es.kalman_filter(spec, p.Y, p.missing, p.U).log_likelihood
     assert ll == es.kalman_filter(truth, p.Y, p.missing).log_likelihood
+    from emastate.estimate import _stack_participants, _stacked_objectives
+    stacked = _stack_participants(spec, [p])
+    assert -_stacked_objectives(par, stacked, 1e12, np.zeros((1, 0)))[0] == ll
 
 
 def test_tied_entries_share_one_value():
@@ -383,6 +386,132 @@ def test_fit_continuous_time_model_on_irregular_pings():
     assert es.validate_model(r.spec_hat).errors == []
 
 
+# --- continuous-time fits: one cohort pass per point ------------------------
+
+class _Caught(Exception):
+    pass
+
+
+def _ct_objectives(template, pmap, people, options=FitOptions(n_restarts=1)):
+    """The objective (points -> values) a pooled fit of ``people`` hands its
+    search, caught as the search starts."""
+    from emastate import estimate
+    caught = []
+
+    def catch(objectives, step):
+        caught.append(objectives)
+        raise _Caught
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimate, "_value_and_grad", catch)
+        with pytest.raises(_Caught):
+            es.fit(template, pmap, es.EmaDataset(people, [], []), options=options)
+    return caught[0]
+
+
+def _minus_filter_sum(spec, people):
+    """Minus the sum of the participants' own ``kalman_filter_ct``
+    log-likelihoods, or the penalty, and the code of the error behind it."""
+    try:
+        with np.errstate(all="ignore"):
+            total = sum(es.kalman_filter_ct(spec, p.timestamps, p.Y, p.missing, p.U)
+                        .log_likelihood for p in people)
+    except EmaError as err:
+        assert err.code in ("SINGULAR_INNOVATION", "NON_FINITE")
+        return 1e12, err.code
+    return (-total if np.isfinite(total) else 1e12), None
+
+
+def _ct_people(rng, n_people, p, q, gap=None):
+    """Participants of 1 to 8 pings with 30 % missing cells, an input, and
+    gaps of 0.2 to 4 h or, one in four, 1 to 3 days."""
+    people = []
+    for i in range(n_people):
+        T = int(rng.integers(1, 9))
+        gaps = np.where(rng.uniform(size=T) < 0.25, rng.uniform(24.0, 72.0, T),
+                        rng.uniform(0.2, 4.0, T))
+        missing = rng.uniform(size=(T, p)) < 0.3
+        Y = np.where(missing, np.nan, rng.normal(size=(T, p)))
+        people.append(es.Participant(f"p{i}", np.cumsum(gaps), Y, missing,
+                                     rng.normal(size=(T, q))))
+    return people
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 3), p=st.integers(1, 3), n_people=st.sampled_from([1, 3, 66]),
+       seed=st.integers(0, 2**32 - 1))
+def test_ct_objective_is_minus_the_public_filter_sum_bit_for_bit(n, p, n_people, seed):
+    """At random points, the objective of a pooled continuous-time fit is
+    minus the sum of the participants' own filter calls, bit for bit: every
+    shape up to 3 states and 3 channels (3 channels run the matrix
+    recursion), ragged series with missing cells and multi-day gaps, and 66
+    participants, two cohort chunks."""
+    rng = np.random.default_rng(seed)
+    base = random_stable_spec(rng, n=n, p=p)
+    drift = -np.diag(rng.uniform(0.2, 1.5, n)) + rng.normal(scale=0.1, size=(n, n))
+    template = es.ModelSpec(A=drift, Sigma=np.diag(rng.uniform(0.3, 1.5, n)),
+                            G=rng.normal(size=(n, 1)), H=base.H,
+                            Theta=np.diag(rng.uniform(0.2, 1.0, p)), time_mode="continuous",
+                            initial_cov=np.eye(n))
+    pmap = es.ParameterMap({"A": [["free"] * n] * n,
+                            "Sigma": np.where(np.eye(n, dtype=bool), "free", "fixed"),
+                            "Theta": np.where(np.eye(p, dtype=bool), "free", "fixed")})
+    people = _ct_people(rng, n_people, p, 1)
+    people[0].missing[0] = False            # something is observed
+    people[0].Y[0] = rng.normal(size=p)
+    objectives = _ct_objectives(template, pmap, people)
+    par = Parameterization(template, pmap)
+    thetas = par.start_vector() + rng.normal(scale=[[0.3], [1.0], [3.0]], size=(3, par.n_free))
+    want = [_minus_filter_sum(par.unpack(x), people)[0] for x in thetas]
+    assert list(objectives(thetas)) == want
+
+
+@pytest.mark.parametrize("failing", ["gap overflow", "singular innovation"])
+def test_ct_objective_penalizes_the_failing_participant_as_its_own_call_does(failing):
+    """One state seen by two channels: a participant whose 1e5 h gap
+    overflows under a growing drift, and one whose both channels are
+    observed at a ping where Theta is nearly 0 (S has condition number
+    about 1e14), each make the point's objective the penalty, as the sum of
+    the participants' own filter calls does."""
+    rng = np.random.default_rng(8)
+    template = es.ModelSpec(A=[[-0.5]], Sigma=[[1.0]], H=[[1.0], [1.0]],
+                            Theta=np.diag([0.5, 0.5]), time_mode="continuous",
+                            initial_cov=[[1.0]])
+    pmap = es.ParameterMap({"A": [["free"]], "Theta": [["free", "fixed"], ["fixed", "free"]]})
+    alone = np.array([[False, True], [True, False], [False, True]])     # one channel a ping
+    both = np.array([[False, True], [True, False], [False, False]])
+    people = _ct_people(rng, 4, 2, 0) + [
+        es.Participant(f"p{i}", t, np.where(m, np.nan, rng.normal(size=(3, 2))), m,
+                       np.zeros((3, 0)))
+        for i, (t, m) in enumerate([([0.0, 1.0, 1e5 + 1.0], alone), ([0.0, 1.5, 3.0], both)], 4)]
+    for q in people[:4]:
+        q.missing[:, 1] = ~q.missing[:, 0]
+        q.Y[:] = np.where(q.missing, np.nan, rng.normal(size=q.Y.shape))
+    objectives = _ct_objectives(template, pmap, people)
+    par = Parameterization(template, pmap)
+    log_sd = np.log(np.sqrt(0.5 if failing == "gap overflow" else 1e-14))
+    theta = np.array([0.01 if failing == "gap overflow" else -0.5, log_sd, log_sd])
+    start = par.start_vector()
+    got = objectives([start, theta])
+    assert got[0] == _minus_filter_sum(par.unpack(start), people)[0] < 1e12
+    want, code = _minus_filter_sum(par.unpack(theta), people)
+    assert got[1] == want == 1e12
+    assert code == ("NON_FINITE" if failing == "gap overflow" else "SINGULAR_INNOVATION")
+
+
+@pytest.mark.parametrize("mode", ["pooled", "idiographic"])
+@pytest.mark.parametrize("time_mode", ["discrete", "continuous"])
+def test_unknown_likelihood_is_rejected_before_any_fit(monkeypatch, mode, time_mode):
+    from emastate import estimate
+    monkeypatch.setattr(estimate, "_fit_single", None)     # nothing past validation runs
+    spec = ar1_truth() if time_mode == "discrete" else es.to_continuous(ar1_truth(), 1.0)
+    data = simulate(ar1_truth(), T=10, n_participants=2)
+    with pytest.raises(EmaError) as exc:
+        es.fit(spec, AR1_MAP, data, mode=mode, options=FitOptions(likelihood="exact"))
+    assert (exc.value.code, exc.value.message) == ("BAD_PARAMETER_MAP",
+                                                   "unknown likelihood 'exact'")
+
+
 # --- stacked likelihood of matrix models -------------------------------------
 
 VAR2_MAP = es.ParameterMap({"A": [["free", "free"], ["free", "free"]],
@@ -402,28 +531,27 @@ def var2_cohort():
     return truth, data
 
 
-def per_series_objective(par, participants, options):
-    from emastate.estimate import _series_loglik
-
+def per_series_objective(par, participants):
+    """Minus the sum of the participants' own ``kalman_filter`` log-likelihoods."""
     def f(theta):
         spec = par.unpack(theta)
-        return -sum(_series_loglik(spec, p, options) for p in participants)
+        return -sum(es.kalman_filter(spec, p.Y, p.missing, p.U).log_likelihood
+                    for p in participants)
     return f
 
 
 def test_stacked_gradient_equals_per_series_central_differences():
-    from emastate.estimate import (_central_diff_grad, _stack_participants,
-                                   _stacked_objectives, _value_and_score)
+    from emastate.estimate import _stack_participants, _stacked_objectives, _value_and_score
     truth, data = var2_cohort()
     par = Parameterization(truth, VAR2_MAP)
     stack = _stack_participants(truth, data.participants)
-    f = per_series_objective(par, data.participants, FAST)
+    f = per_series_objective(par, data.participants)
     score = _value_and_score(par, stack, 1e12)
     rng = np.random.default_rng(3)
     for _ in range(3):
         theta = par.start_vector() + rng.normal(scale=0.1, size=par.n_free)
-        want = _central_diff_grad(lambda pts: [f(x) for x in pts], theta, FAST.fd_step)
-        got = _central_diff_grad(
+        want = central_diff_grad(lambda pts: [f(x) for x in pts], theta, FAST.fd_step)
+        got = central_diff_grad(
             lambda pts: _stacked_objectives(par, stack, 1e12, pts), theta, FAST.fd_step)
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
         assert _stacked_objectives(par, stack, 1e12, [theta])[0] == pytest.approx(
@@ -435,16 +563,16 @@ def test_stacked_gradient_equals_per_series_central_differences():
 
 def test_stacked_fit_reaches_per_series_optimum():
     from scipy.optimize import minimize
-    from emastate.estimate import _central_diff_grad, _heuristic_start
+    from emastate.estimate import _heuristic_start
     truth, data = var2_cohort()
     opts = FitOptions(n_restarts=1, max_iter=200, tol=1e-3, seed=0)
     r = es.fit(truth, VAR2_MAP, data, options=opts)
 
     par = Parameterization(truth, VAR2_MAP)
     _heuristic_start(par, data.participants)
-    f = per_series_objective(par, data.participants, opts)
+    f = per_series_objective(par, data.participants)
     ref = minimize(f, par.start_vector(), method="BFGS",
-                   jac=lambda x: _central_diff_grad(lambda pts: [f(q) for q in pts],
+                   jac=lambda x: central_diff_grad(lambda pts: [f(q) for q in pts],
                                                     x, opts.fd_step),
                    options={"gtol": opts.tol, "maxiter": opts.max_iter})
     assert r.converged
@@ -546,7 +674,7 @@ def test_scalar_stacked_objective_equals_per_series_sum_bit_for_bit(monkeypatch)
     truth, data = ar1_cohort()
     par = Parameterization(truth, AR1X_MAP)
     stack = _stack_participants(truth, data.participants)
-    f = per_series_objective(par, data.participants, FAST)
+    f = per_series_objective(par, data.participants)
     rng = np.random.default_rng(5)
     thetas = [par.start_vector() + rng.normal(scale=0.3, size=par.n_free)
               for _ in range(4)]
@@ -580,7 +708,7 @@ def test_scalar_fit_on_infinite_data_reports_nonfinite_likelihood():
 
 def test_unit_root_scalar_fit_follows_the_per_series_search():
     from scipy.optimize import minimize
-    from emastate.estimate import _central_diff_grad, _heuristic_start
+    from emastate.estimate import _heuristic_start
     _, data = ar1_cohort()
     rw = es.ModelSpec(A=[[1.0]], Sigma=[[1.0]], G=[[0.0]], Theta=[[0.5]],
                       initial_cov=[[4.0]], random_walk_states={0})
@@ -590,9 +718,9 @@ def test_unit_root_scalar_fit_follows_the_per_series_search():
 
     par = Parameterization(rw, rw_map)
     _heuristic_start(par, data.participants)
-    f = per_series_objective(par, data.participants, opts)
+    f = per_series_objective(par, data.participants)
     ref = minimize(f, par.start_vector(), method="BFGS",
-                   jac=lambda x: _central_diff_grad(lambda pts: [f(q) for q in pts],
+                   jac=lambda x: central_diff_grad(lambda pts: [f(q) for q in pts],
                                                     x, opts.fd_step),
                    options={"gtol": opts.tol, "maxiter": opts.max_iter})
     assert r.spec_hat.A[0, 0] == 1.0
@@ -606,7 +734,7 @@ def test_matrix_stacked_objective_equals_per_series_sum_bit_for_bit(monkeypatch)
     truth, data = var2_cohort()
     par = Parameterization(truth, VAR2_MAP)
     stack = _stack_participants(truth, data.participants)
-    f = per_series_objective(par, data.participants, FAST)
+    f = per_series_objective(par, data.participants)
     rng = np.random.default_rng(6)
     thetas = [par.start_vector() + rng.normal(scale=0.1, size=par.n_free) for _ in range(3)]
     for threshold in (1, 10**9):

@@ -27,6 +27,8 @@ from emastate import estimate
 from emastate.estimate import (FitOptions, Parameterization, _stack_participants,
                                _stacked_objectives)
 
+from oracles import central_diff_grad
+
 PENALTY = 1e12
 
 
@@ -45,19 +47,6 @@ def _bits(r):
     return {f.name: b(getattr(r, f.name)) for f in dataclasses.fields(r)}
 
 
-def _central_diff_grad(f_many, x, step):
-    """The reference gradient: h_i = step * max(1, |x_i|), and ``f_many``
-    gets the 2k points x + h_i e_i, x - h_i e_i (in that order) in one call."""
-    h = step * np.maximum(1.0, np.abs(x))
-    points = []
-    for i in range(x.size):
-        xp = x.copy(); xp[i] += h[i]
-        xm = x.copy(); xm[i] -= h[i]
-        points += [xp, xm]
-    f = np.asarray(f_many(points), dtype=float)
-    return (f[0::2] - f[1::2]) / (2.0 * h)
-
-
 def _sequential(monkeypatch):
     """Run fits through the sequential search: BFGS gets a one-point
     objective and, separately, a 2k-point central-difference gradient or
@@ -66,7 +55,7 @@ def _sequential(monkeypatch):
 
     def split(objectives, step):
         return (lambda x: float(objectives([x])[0]),
-                lambda x: _central_diff_grad(objectives, x, step))
+                lambda x: central_diff_grad(objectives, x, step))
 
     score = estimate._value_and_score
 

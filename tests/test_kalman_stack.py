@@ -22,6 +22,15 @@ from emastate.filtering import _kalman_stack
 from oracles import gaussian_joint, random_stable_spec, scalar_kalman_loop
 
 
+def _steps(rng, step, T, per_step):
+    """``step``, (A, Sigma, G), stacked over the T - 1 steps: one shared
+    step, or with ``per_step`` each step scaled by its own draws."""
+    if not per_step:
+        return tuple(x[None] for x in step)
+    f = rng.uniform(0.5, 1.0, (T - 1, 3))
+    return tuple(f[:, i].reshape((-1,) + (1,) * x.ndim) * x for i, x in enumerate(step))
+
+
 def _spec_with_input(rng, n, p):
     base = random_stable_spec(rng, n=n, p=p)
     return es.ModelSpec(A=base.A, Sigma=base.Sigma, G=rng.normal(size=(n, 1)),
@@ -54,7 +63,7 @@ def _run_stack(specs, series):
     def arr(name):
         return np.stack([getattr(s, name) for s in specs])[:, None]
 
-    trans = [(arr("A"), arr("Sigma"), arr("G"))] * (T - 1)
+    trans = (arr("A")[None], arr("Sigma")[None], arr("G")[None])
     return _kalman_stack(y, obs, u, arr("initial_mean"), arr("initial_cov"),
                          arr("H"), arr("Theta"), trans)
 
@@ -169,9 +178,7 @@ def _scalar_stack_case(rng, n_specs, n_people, q, miss_frac, per_step=False):
                 Theta=arr(rng.uniform(0.01, 2.0, n_specs), (1, 1)),
                 mu0=arr(rng.normal(size=n_specs), (1,)),
                 P0=arr(rng.uniform(0.0, 3.0, n_specs), (1, 1)))
-    step = (spec["A"], spec["Sigma"], spec["G"])
-    spec["trans"] = ([tuple(x * rng.uniform(0.5, 1.0) for x in step) for _ in range(T - 1)]
-                     if per_step else [step] * (T - 1))
+    spec["trans"] = _steps(rng, (spec["A"], spec["Sigma"], spec["G"]), T, per_step)
     return y, obs, u, lengths, spec
 
 
@@ -183,7 +190,7 @@ def _stack_1x1(y, obs, u, lengths, spec, store):
 def _float_loop(y, obs, u, lengths, spec, i, r):
     L = lengths[r]
     m = {k: v[i, 0] for k, v in spec.items() if k != "trans"}
-    steps = [tuple(x[i, 0] for x in step) for step in spec["trans"][:L - 1]]
+    steps = [tuple(x[min(k, len(x) - 1), i, 0] for x in spec["trans"]) for k in range(L - 1)]
     return scalar_kalman_loop(y[r, :L], ~obs[r, :L], u[r, :L], m["mu0"], m["P0"],
                                m["H"], m["Theta"], steps)
 
@@ -243,7 +250,7 @@ def test_stored_term_is_positive_zero_where_only_another_member_observes():
     y = np.ones((2, 3, 2))
     obs = np.ones((2, 3, 2), dtype=bool)
     obs[1, 1] = False                     # member 1 sees nothing at ping 1; member 0 does
-    trans = [(spec.A, spec.Sigma, spec.G)] * 2
+    trans = (spec.A[None], spec.Sigma[None], spec.G[None])
     res = _kalman_stack(y, obs, np.zeros((2, 3, 0)), spec.initial_mean, spec.initial_cov,
                         spec.H, spec.Theta, trans, store=True)
     assert res.loglik[1, 1] == 0.0 and not np.signbit(res.loglik[1, 1])
@@ -428,9 +435,7 @@ def _small_stack_case(rng, n, p, n_specs, n_people, q, miss_frac, per_step, fail
         spec["Theta"][k] = spec["initial_cov"][k] = spec["Sigma"][k] = 0.0
     elif failing == "non-finite":
         spec["Sigma"][k] = np.inf
-    step = (spec["A"], spec["Sigma"], spec["G"])
-    trans = ([tuple(x * rng.uniform(0.5, 1.0) for x in step) for _ in range(T - 1)]
-             if per_step else [step] * (T - 1))
+    trans = _steps(rng, (spec["A"], spec["Sigma"], spec["G"]), T, per_step)
     args = (y, obs, u, spec["initial_mean"], spec["initial_cov"], spec["H"], spec["Theta"],
             trans)
     return args, lengths

@@ -7,7 +7,7 @@ from scipy.linalg import expm, solve_continuous_lyapunov
 
 import emastate as es
 from emastate.errors import NUMERICAL_CODES, EmaError
-from emastate.model import _discretize_gaps, psd_sqrt
+from emastate.model import _gap_transitions, psd_sqrt
 
 from oracles import trapezoid_noise_integral, van_loan_reference
 
@@ -170,7 +170,8 @@ def test_gap_noise_matches_lyapunov_form_for_stable_drifts(seed, n, log_dts):
     spec = es.ModelSpec(A=A, Sigma=Sigma, time_mode="continuous", initial_cov=np.eye(n))
     P = solve_continuous_lyapunov(A, -Sigma)
     dts = 10.0 ** np.array(log_dts)
-    for (A_d, Sigma_d, _), dt in zip(_discretize_gaps(spec, dts), dts):
+    A_ds, Sigma_ds, _, which = _gap_transitions(spec, dts)
+    for A_d, Sigma_d, dt in zip(A_ds[which], Sigma_ds[which], dts):
         E = expm(A * dt)
         assert np.abs(A_d - E).max() <= 1e-12 * max(1.0, np.abs(E).max())
         assert np.abs(Sigma_d - (P - E @ P @ E.T)).max() <= 1e-12 * np.abs(P).max()
@@ -188,7 +189,8 @@ def test_gap_transitions_compose_as_a_semigroup(seed, n, walk, a, b):
     spec = es.ModelSpec(A=A, Sigma=Sigma, G=rng.uniform(-1.0, 1.0, (n, 2)),
                         time_mode="continuous", initial_cov=np.eye(n),
                         random_walk_states={0} if walk else set())
-    (A_a, S_a, G_a), (A_b, S_b, G_b), (A_ab, S_ab, G_ab) = _discretize_gaps(spec, [a, b, a + b])
+    *table, which = _gap_transitions(spec, [a, b, a + b])
+    (A_a, A_b, A_ab), (S_a, S_b, S_ab), (G_a, G_b, G_ab) = (x[which] for x in table)
     for lhs, rhs in ((A_ab, A_a @ A_b), (S_ab, S_a + A_a @ S_b @ A_a.T),
                      (G_ab, G_a + A_a @ G_b)):
         assert np.abs(lhs - rhs).max() <= 1e-10 * max(np.abs(lhs).max(), np.abs(rhs).max())
@@ -219,7 +221,8 @@ def test_gap_transitions_match_a_40_digit_van_loan_reference(seed, n, walk, coup
                         time_mode="continuous", initial_cov=np.eye(n),
                         random_walk_states={0} if walk else set())
     dts = 10.0 ** np.array(log_dts)
-    for got, dt in zip(_discretize_gaps(spec, dts), dts):
+    *table, which = _gap_transitions(spec, dts)
+    for got, dt in zip(zip(*(x[which] for x in table)), dts):
         want = van_loan_reference(spec.A, spec.Sigma, spec.G, dt)
         for i, (g, w) in enumerate(zip(got, want)):
             scale = max(1.0, np.abs(w).max()) if i == 0 else np.abs(w).max()
@@ -237,13 +240,13 @@ def test_gap_stack_slices_equal_one_gap_discretize_bit_for_bit(tvp):
     if tvp:
         drifts = np.repeat(A[None], dts.size, axis=0)
         drifts[:, 0, 0] += np.linspace(-0.3, 0.2, dts.size)
-    trans = _discretize_gaps(spec, dts, drifts)
-    for i, (A_d, Sigma_d, G_d) in enumerate(trans):
+    *table, which = _gap_transitions(spec, dts, drifts)
+    for i, (A_d, Sigma_d, G_d) in enumerate(zip(*(x[which] for x in table))):
         one = es.discretize(spec if drifts is None else spec.with_matrices(A=drifts[i]), dts[i])
         assert np.array_equal(A_d, one.A) and np.array_equal(Sigma_d, one.Sigma)
         assert np.array_equal(G_d, one.G)
-    # equal gaps share one tuple only under equal drifts
-    assert (trans[2] is trans[7]) == (not tvp) and (trans[1] is trans[8]) == (not tvp)
+    # equal gaps share one entry only under equal drifts
+    assert (which[2] == which[7]) == (not tvp) and (which[1] == which[8]) == (not tvp)
 
 
 def test_astronomical_gap_on_stable_drift_reaches_stationary_law():

@@ -63,7 +63,7 @@ def _matrix_score(spec, people):
     """The score of the stacked participants in the seven matrices."""
     y, obs, u, lengths = _stack_participants(spec, people)
     res = filtering._kalman_stack(y, obs, u, spec.initial_mean, spec.initial_cov, spec.H,
-                                  spec.Theta, [(spec.A, spec.Sigma, spec.G)] * (y.shape[1] - 1),
+                                  spec.Theta, (spec.A[None], spec.Sigma[None], spec.G[None]),
                                   store=True, lengths=lengths)
     assert not res.fail.any()
     return filtering._kalman_score(y, obs, u, *res.moments[:2], spec.A, spec.H, spec.Theta)

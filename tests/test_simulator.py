@@ -192,7 +192,7 @@ def test_tvp_sigmoid_trajectory_changes_persistence():
 
 def _draws_factoring_each_gap(spec, timestamps, U, regimes, tvp, rng):
     """The state recursion with psd_sqrt called per distinct gap covariance."""
-    from emastate.model import _discretize_gaps, psd_sqrt
+    from emastate.model import _gap_transitions, psd_sqrt
     from emastate.simulate import _measure_ping
     n, T = spec.n_states, timestamps.size
     regs = regimes.regimes if regimes is not None else ()
@@ -203,18 +203,19 @@ def _draws_factoring_each_gap(spec, timestamps, U, regimes, tvp, rng):
     drifts = np.array([drift_of[seg] for seg in segs[1:]]).reshape(T - 1, n, n)
     if tvp is not None:
         drifts[:, tvp.target[0], tvp.target[1]] = [tvp.value(t) for t in timestamps[1:]]
-    if spec.time_mode == "continuous":
-        trans = _discretize_gaps(spec, np.diff(timestamps), drifts)
+    if spec.time_mode == "continuous":      # each step: A, its noise's row, G
+        A_d, S_d, G_d, which = _gap_transitions(spec, np.diff(timestamps), drifts)
+        steps = [(A_d[e], e, G_d[e]) for e in which]
     else:
-        trans = [(A, spec.Sigma, spec.G) for A in drifts]
-    factors = {id(S): psd_sqrt(S) for _, S, _ in trans}
+        S_d, steps = spec.Sigma[None], [(A, 0, spec.G) for A in drifts]
+    factors = [psd_sqrt(S) for S in S_d]
     L_theta, L0 = psd_sqrt(spec.Theta), psd_sqrt(spec.initial_cov)
     Y = np.empty((T, spec.n_obs))
     z = spec.initial_mean + L0 @ rng.standard_normal(n)
     Y[0] = _measure_ping(spec, z + offset_of[segs[0]], rng, L_theta)
     for k in range(1, T):
-        A, S, G = trans[k - 1]
-        z = A @ z + G @ U[k - 1] + factors[id(S)] @ rng.standard_normal(n)
+        A, e, G = steps[k - 1]
+        z = A @ z + G @ U[k - 1] + factors[e] @ rng.standard_normal(n)
         Y[k] = _measure_ping(spec, z + offset_of[segs[k]], rng, L_theta)
     return Y
 
