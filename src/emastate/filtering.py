@@ -45,6 +45,7 @@ from .model import (GAUSSIAN, GRADED_RESPONSE, BERNOULLI_LOGISTIC, POISSON,
 from .model import discretize  # noqa: F401  (perfbench/spans.py wraps it here)
 
 COND_LIMIT = 1e12
+_TINY = np.finfo(float).tiny      # smallest normal double
 
 
 @dataclass
@@ -949,10 +950,11 @@ def _systematic_resample(weights: np.ndarray, rng: np.random.Generator,
     return np.minimum(np.searchsorted(np.cumsum(weights), positions), N - 1)
 
 
-def _weighted_moments(particles: np.ndarray, wts: np.ndarray):
-    mean = wts @ particles
-    d = particles - mean
-    cov = (d * wts[:, None]).T @ d
+def _weighted_moments(P: np.ndarray, wts: np.ndarray):
+    """Weighted mean and covariance of the state-major particles P (n, N)."""
+    mean = P @ wts
+    d = P - mean[:, None]
+    cov = (d * wts) @ d.T
     return mean, 0.5 * (cov + cov.T)
 
 
@@ -994,9 +996,25 @@ def _log_expit_gap(zu, zl):
     return out
 
 
+def _poisson_logpmf(k, s, scale, link):
+    """log P(k | rate) at rate = scale*exp(s) or scale*s: the plain form,
+    except where the rate is below the smallest normal double and its log
+    has lost digits or is -inf, recomputed from log(scale) + s (or
+    log(scale) + log(s)); a negative or NaN rate gives -inf."""
+    rate = scale * (np.exp(s) if link == "log" else s)
+    lp = k * np.log(rate) - rate - gammaln(k + 1.0)
+    tail = ~(rate >= _TINY)
+    if tail.any():
+        s, r = s[tail], rate[tail]
+        log_rate = np.log(scale) + (s if link == "log" else np.log(s))
+        exact = (k * log_rate if k else 0.0) - r - gammaln(k + 1.0)
+        lp[tail] = np.where(r >= 0, exact, -np.inf)
+    return lp
+
+
 def _observation_density(spec: ModelSpec, y: np.ndarray, missing: np.ndarray):
-    """``density(particles, t)``: the log observation density of y[t] at
-    every particle.
+    """``density(P, t)``: the log observation density of y[t] at every
+    particle of the state-major array P (n, N).
 
     Observed Gaussian channels enter jointly through their Theta sub-block,
     whose checks and Cholesky factor are computed once per pattern of
@@ -1027,28 +1045,24 @@ def _observation_density(spec: ModelSpec, y: np.ndarray, missing: np.ndarray):
             blocks[key] = (spec.H[g].T, cf, g.sum() * log_2pi + logdet)
         return blocks[key]
 
-    def density(particles, t):
+    def density(P, t):
         obs = ~missing[t]
         y_t = y[t]
-        logw = np.zeros(particles.shape[0])
+        logw = np.zeros(P.shape[1])
         g = gauss & obs
         with np.errstate(all="ignore"):
             if g.any():
+                # on a row-major copy, whose products round as an (N, n) array's
                 HgT, cf, const = gaussian_block(g, t)
-                resid = y_t[g][None, :] - particles @ HgT
+                resid = y_t[g][None, :] - P.T.copy() @ HgT
                 maha = np.einsum("ij,ij->i", resid, cho_solve(cf, resid.T).T)
                 logw += -0.5 * (const + maha)
             for j, ch in enumerate(spec.channels):
                 if not obs[j] or gauss[j]:
                     continue
-                s = particles[:, ch.state_index]
+                s = P[ch.state_index]
                 if ch.family == POISSON:
-                    rate = ch.scale * (np.exp(s) if ch.link == "log" else s)
-                    lp = np.full(particles.shape[0], -np.inf)
-                    ok = rate > 0
-                    k = y_t[j]
-                    lp[ok] = k * np.log(rate[ok]) - rate[ok] - gammaln(k + 1.0)
-                    logw += lp
+                    logw += _poisson_logpmf(y_t[j], s, ch.scale, ch.link)
                 elif ch.family == GRADED_RESPONSE:
                     th = thresholds[j]
                     k = int(y_t[j])
@@ -1074,6 +1088,10 @@ def _particle_pass(spec: ModelSpec, y, n_particles: int, rng_seed: int, missing,
     of (A, Sigma, G): the exact gaps of
     :func:`~emastate.model._gap_transitions` in continuous time, the spec's
     own matrices in discrete time; each Sigma is factored at its first use.
+    The particles are one state-major array P (n, N), stepped as
+    A P + G u + L Z' with Z the (N, n) normal block: the random stream and
+    the log-likelihood terms are those of an (N, n) array bit for bit, and
+    the moments agree with its to rounding.
     The normalized weights are recomputed only when the log weights change,
     and without ``store`` only when a resample reads them, so the
     likelihood of both modes is the same to the bit.  The effective
@@ -1098,7 +1116,7 @@ def _particle_pass(spec: ModelSpec, y, n_particles: int, rng_seed: int, missing,
         if e not in chol:
             chol[e] = psd_sqrt(Sigma_d[e])
 
-    particles = spec.initial_mean + rng.standard_normal((N, n)) @ L0.T
+    P = spec.initial_mean[:, None] + L0 @ rng.standard_normal((N, n)).T
     log_w = flat_log_w = np.full(N, -np.log(N))
     wts = flat_wts = np.exp(flat_log_w - _logsumexp(flat_log_w))
     ll = np.zeros(T)
@@ -1112,16 +1130,16 @@ def _particle_pass(spec: ModelSpec, y, n_particles: int, rng_seed: int, missing,
         if t > 0:
             e = which[t - 1]
             A, G, L = A_d[e], G_d[e], chol[e]
-            drift = (G @ u[t - 1]) if G.shape[1] else 0.0
-            particles = particles @ A.T + drift + rng.standard_normal((N, n)) @ L.T
+            drift = (G @ u[t - 1])[:, None] if G.shape[1] else 0.0
+            P = A @ P + drift + L @ rng.standard_normal((N, n)).T
         if store:
-            pred_m[t], pred_P[t] = _weighted_moments(particles, wts)
+            pred_m[t], pred_P[t] = _weighted_moments(P, wts)
         if not observed[t]:
             if store:
                 filt_m[t], filt_P[t] = pred_m[t], pred_P[t]
             continue
 
-        incr = density(particles, t)
+        incr = density(P, t)
         if not incr.sum() < np.inf:
             bad = np.isnan(incr) | (incr == np.inf)
             if bad.any():
@@ -1137,13 +1155,13 @@ def _particle_pass(spec: ModelSpec, y, n_particles: int, rng_seed: int, missing,
         log_w = log_w - tot
         if store:
             wts = np.exp(log_w - _logsumexp(log_w))
-            filt_m[t], filt_P[t] = _weighted_moments(particles, wts)
+            filt_m[t], filt_P[t] = _weighted_moments(P, wts)
 
         ess = 1.0 / np.exp(_logsumexp(2.0 * log_w))
         if ess < N / 2.0:
             if not store:
                 wts = np.exp(log_w - _logsumexp(log_w))
-            particles = particles.take(_systematic_resample(wts, rng, grid), axis=0)
+            P = P.take(_systematic_resample(wts, rng, grid), axis=1)
             log_w, wts = flat_log_w, flat_wts
 
     return timestamps, missing, ll, (pred_m, pred_P, filt_m, filt_P) if store else None
@@ -1160,6 +1178,8 @@ def particle_filter(spec: ModelSpec, y, n_particles: int, rng_seed: int,
     the plain mean, and either way the estimator of the likelihood itself is
     unbiased.  An observation density that is NaN or +inf raises
     ``NON_FINITE``; weights that all vanish raise ``DEGENERATE_WEIGHTS``.
+    Particles are stored state-major, (n_states, n_particles), so the
+    per-particle work of a ping runs over contiguous rows.
     """
     timestamps, missing, ll, moments = _particle_pass(
         spec, y, n_particles, rng_seed, missing, u, timestamps, store=True)

@@ -326,10 +326,12 @@ def bootstrap_filter(spec, y, missing, u, trans, n_particles, seed):
         return logw
 
     def moments(pts, lw):
+        # over the state-major (n, N) rows, as the package stores particles
         wts = np.exp(lw - logsumexp(lw))
-        mean = wts @ pts
-        d = pts - mean
-        cov = (d * wts[:, None]).T @ d
+        rows = np.ascontiguousarray(pts.T)
+        mean = rows @ wts
+        d = rows - mean[:, None]
+        cov = (d * wts) @ d.T
         return mean, 0.5 * (cov + cov.T)
 
     L0 = np.linalg.cholesky(spec.initial_cov)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import cho_factor
-from scipy.special import log_expit, logsumexp
+from scipy.special import gammaln, log_expit, logsumexp
 
 import emastate as es
 from emastate.errors import EmaError
-from emastate.filtering import _logsumexp, _observation_density, _particle_pass, _series
+from emastate.filtering import (_logsumexp, _observation_density, _particle_pass, _series,
+                                _weighted_moments)
 from emastate.model import _gap_transitions, psd_sqrt
 
 from oracles import (bootstrap_filter, ct_gaussian_joint, gaussian_joint,
@@ -610,7 +611,8 @@ def test_logsumexp_is_bit_equal_to_scipy(seed, size, offset, spread, ties, neg_i
 
 
 def _particle_case(name):
-    """(spec, y, missing, timestamps) of one of the reference-comparison cases."""
+    """(spec, y, missing, timestamps, inputs) of one of the reference-comparison
+    cases."""
     rng = np.random.default_rng(31)
     likert = (es.MeasurementChannel(family="graded_response", discrimination=1.5,
                                     thresholds=(-1.5, -0.5, 0.5, 1.5)),
@@ -621,6 +623,10 @@ def _particle_case(name):
     elif name == "graded + poisson":
         spec = es.ModelSpec(A=np.diag([0.6, 0.5]), Sigma=np.diag([0.5, 0.3]),
                             H=np.eye(2), Theta=np.zeros((2, 2)), channels=likert)
+    elif name == "step input":
+        spec = es.ModelSpec(A=np.diag([0.6, 0.5]), Sigma=np.diag([0.5, 0.3]),
+                            G=[[0.8], [-0.5]], H=np.eye(2), Theta=np.zeros((2, 2)),
+                            channels=likert)
     elif name == "bernoulli":
         ch = es.MeasurementChannel(family="bernoulli_logistic", discrimination=1.2,
                                    thresholds=(0.3,))
@@ -635,20 +641,23 @@ def _particle_case(name):
                                 windows=((9.0, 21.0),))
     else:
         sched = es.PingSchedule(kind="fixed", horizon=80.0, interval=1.0)
-    p = es.simulate_dataset(spec, sched, rng_seed=32).participants[0]
+    step = [es.DisturbanceEvent(onset=40.0, coding="persistent", magnitude=1.0)]
+    p = es.simulate_dataset(spec, sched, events=step if spec.n_inputs else (),
+                            rng_seed=32).participants[0]
     missing = rng.uniform(size=p.Y.shape) < 0.25
-    return spec, np.where(missing, np.nan, p.Y), missing, p.timestamps
+    return spec, np.where(missing, np.nan, p.Y), missing, p.timestamps, p.U
 
 
-PARTICLE_CASES = ["gaussian 2x2", "graded + poisson", "bernoulli", "continuous time"]
+PARTICLE_CASES = ["gaussian 2x2", "graded + poisson", "step input", "bernoulli",
+                  "continuous time"]
 
 
 @pytest.mark.parametrize("case", PARTICLE_CASES)
 def test_particle_filter_matches_reference_bit_for_bit(case):
-    spec, y, missing, times = _particle_case(case)
-    y, missing, u, _ = _series(spec, y, missing, None, times)
+    spec, y, missing, times, u = _particle_case(case)
+    y, missing, u, _ = _series(spec, y, missing, u, times)
     ref = bootstrap_filter(spec, y, missing, u, _steps(spec, times, y.shape[0]), 500, 4)
-    r = es.particle_filter(spec, y, 500, 4, missing, timestamps=times)
+    r = es.particle_filter(spec, y, 500, 4, missing, u, timestamps=times)
     ours = (r.predicted_mean, r.predicted_cov, r.filtered_mean, r.filtered_cov,
             r.loglik_contributions)
     for got, want in zip(ours, ref):
@@ -658,10 +667,10 @@ def test_particle_filter_matches_reference_bit_for_bit(case):
 
 @pytest.mark.parametrize("case", PARTICLE_CASES)
 def test_likelihood_only_pass_equals_the_filter_bit_for_bit(case):
-    spec, y, missing, times = _particle_case(case)
-    *_, ll, moments = _particle_pass(spec, y, 500, 9, missing, None, times, store=False)
+    spec, y, missing, times, u = _particle_case(case)
+    *_, ll, moments = _particle_pass(spec, y, 500, 9, missing, u, times, store=False)
     assert moments is None
-    assert float(ll.sum()) == es.particle_filter(spec, y, 500, 9, missing,
+    assert float(ll.sum()) == es.particle_filter(spec, y, 500, 9, missing, u,
                                                  timestamps=times).log_likelihood
 
 
@@ -876,5 +885,110 @@ def test_graded_response_upper_tail_is_not_clipped():
     spec = es.ModelSpec(A=[[0.5]], Sigma=[[1.0]], channels=[ch])
     density = _observation_density(spec, np.array([[1.0]]), np.zeros((1, 1), bool))
     state = np.array([25.0, 15.0])
-    got = density(state[:, None], 0)
+    got = density(state[None, :], 0)      # one state row of N = 2 particles
     np.testing.assert_allclose(got, log_expit(-1.5 * (state + 1.5)), rtol=1e-14)
+
+
+def _exact_poisson_logpmf(k, state, scale, link):
+    import mpmath
+    with mpmath.workdps(60):
+        x = mpmath.mpf(state)
+        if link == "identity" and x == 0:
+            return 0.0 if k == 0 else -np.inf
+        rate = scale * (mpmath.exp(x) if link == "log" else x)
+        return float(k * mpmath.log(rate) - rate - mpmath.loggamma(k + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(0, 6), scale=st.floats(0.1, 10.0),
+       link=st.sampled_from(["log", "identity"]), depth=st.floats(0.0, 1.0))
+@example(k=0, scale=2.0, link="log", depth=0.0)
+@example(k=3, scale=2.0, link="identity", depth=0.0)
+@example(k=0, scale=2.0, link="identity", depth=0.0)
+def test_poisson_log_density_matches_mpmath_where_the_rate_underflows(k, scale, link, depth):
+    # log link: states -800..-690, so scale*exp(state) runs from 0 through the
+    # subnormals to normal doubles; identity link: 0 and states 1e-323..1e-300
+    if link == "log":
+        state = -800.0 + 110.0 * depth
+    else:
+        state = 0.0 if depth == 0.0 else 10.0 ** (-323.0 + 23.0 * depth)
+    ch = es.MeasurementChannel(family="poisson", link=link, scale=scale)
+    spec = es.ModelSpec(A=[[0.5]], Sigma=[[1.0]], channels=[ch])
+    density = _observation_density(spec, np.array([[float(k)]]), np.zeros((1, 1), bool))
+    got = density(np.array([[state]]), 0)[0]
+    want = _exact_poisson_logpmf(k, state, scale, link)
+    if np.isinf(want):
+        assert got == want
+    else:
+        assert abs(got - want) <= 4e-16 * abs(want) + 1e-320
+
+
+def test_poisson_plain_form_is_kept_above_the_smallest_normal_rate():
+    ch = es.MeasurementChannel(family="poisson", link="log", scale=2.0)
+    spec = es.ModelSpec(A=[[0.5]], Sigma=[[1.0]], channels=[ch])
+    # dense: the two forms round apart only where the rate is near 1
+    state = np.linspace(-708.0, 5.0, 200_001)
+    density = _observation_density(spec, np.array([[4.0]]), np.zeros((1, 1), bool))
+    rate = 2.0 * np.exp(state)
+    plain = 4.0 * np.log(rate) - rate - gammaln(5.0)
+    assert density(state[None, :], 0).tobytes() == plain.tobytes()
+    ident = es.MeasurementChannel(family="poisson", link="identity", scale=2.0)
+    spec = es.ModelSpec(A=[[0.5]], Sigma=[[1.0]], channels=[ident])
+    density = _observation_density(spec, np.array([[0.0]]), np.zeros((1, 1), bool))
+    # negative and NaN rates keep the plain form's -inf
+    assert (density(np.array([[-1.0, -1e-300, np.nan]]), 0) == -np.inf).all()
+
+
+def test_poisson_count_of_zero_at_an_underflowed_rate_keeps_its_weight():
+    ch = es.MeasurementChannel(family="poisson", link="log", scale=1.0)
+    spec = es.ModelSpec(A=[[0.5]], Sigma=[[1.0]], channels=[ch], initial_mean=[-800.0],
+                        initial_cov=[[1.0]])
+    r = es.particle_filter(spec, np.zeros((2, 1)), 200, 0)
+    # P(0 | rate) = exp(-rate): exactly 1 at ping 0, 1 - O(e^-400) at ping 1
+    assert r.loglik_contributions[0] == 0.0
+    assert -1e-150 < r.loglik_contributions[1] <= 0.0
+
+
+def _row_major_moments(particles, wts):
+    """The weighted moments over row-major (N, n) particles: the reference
+    that pins the state-major formula."""
+    mean = wts @ particles
+    d = particles - mean
+    cov = (d * wts[:, None]).T @ d
+    return mean, 0.5 * (cov + cov.T)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), N=st.integers(100, 5000),
+       zeros=st.sampled_from([0.0, 0.3, 0.9]), dominant=st.booleans(),
+       spread=st.floats(1e-3, 1e3))
+def test_state_major_moments_agree_with_the_row_major_formula(seed, n, N, zeros, dominant,
+                                                              spread):
+    rng = np.random.default_rng(seed)
+    mix = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+    X = spread * (rng.uniform(-10.0, 10.0, n) + rng.standard_normal((N, n)) @ mix)
+    w = rng.exponential(size=N)
+    w[rng.uniform(size=N) < zeros] = 0.0
+    w[rng.integers(N)] = 1e9 * w.sum() if dominant else 1.0
+    w /= w.sum()
+    mean, cov = _weighted_moments(np.ascontiguousarray(X.T), w)
+    want_mean, want_cov = _row_major_moments(X, w)
+    assert np.abs(mean - want_mean).max() <= 1e-12 * np.abs(X).max()
+    assert np.abs(cov - want_cov).max() <= 1e-12 * np.abs(np.diag(want_cov)).max()
+    assert (cov == cov.T).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_ping_continuous_particle_series_has_no_gap_and_matches_reference(n):
+    spec = es.ModelSpec(A=-0.5 * np.eye(n), Sigma=np.eye(n), H=np.ones((2, n)),
+                        Theta=np.eye(2), time_mode="continuous")
+    times, y = np.array([3.0]), np.array([[0.4, -0.2]])
+    assert _steps(spec, times, 1) == []
+    r = es.particle_filter(spec, y, 5000, 7, timestamps=times)
+    ref = bootstrap_filter(spec, y, np.zeros((1, 2), bool), np.zeros((1, 0)), [], 5000, 7)
+    ours = (r.predicted_mean, r.predicted_cov, r.filtered_mean, r.filtered_cov,
+            r.loglik_contributions)
+    for got, want in zip(ours, ref):
+        assert got.tobytes() == want.tobytes()
+    exact = es.kalman_filter_ct(spec, times, y).log_likelihood
+    assert abs(r.log_likelihood - exact) < 0.05

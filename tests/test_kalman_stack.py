@@ -512,7 +512,10 @@ def test_zero_ping_series_gives_an_empty_result_on_every_shape(n, p, mode):
     r = (es.kalman_filter_ct(spec, t, Y) if mode == "continuous"
          else es.kalman_filter(spec, Y))
     s = es.kalman_smooth(spec, Y, timestamps=t if mode == "continuous" else None)
-    assert r.log_likelihood == 0.0 and r.loglik_contributions.shape == (0,)
-    assert r.filtered_mean.shape == (0, n) and r.predicted_cov.shape == (0, n, n)
+    pf = es.particle_filter(spec, Y, 100, 0, timestamps=t if mode == "continuous" else None)
+    for f in (r, pf):
+        assert f.log_likelihood == 0.0 and f.loglik_contributions.shape == (0,)
+        assert f.predicted_mean.shape == f.filtered_mean.shape == (0, n)
+        assert f.predicted_cov.shape == f.filtered_cov.shape == (0, n, n)
     assert s.smoothed_mean.shape == (0, n) and s.smoothed_cov.shape == (0, n, n)
     assert s.lag_one_cov.shape == (0, n, n)
