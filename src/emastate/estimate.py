@@ -360,20 +360,29 @@ def _stack_participants(spec: ModelSpec, participants: Sequence[Participant]):
                          spec.n_obs, spec.n_inputs)
 
 
+def _finite_points(mats) -> np.ndarray:
+    """Per point of a :meth:`Parameterization.scatter` stack, whether all its
+    matrices are finite.  A point that overflowed gets the penalty even
+    where the infinite entry never reaches an observed ping."""
+    k = len(mats["A"])
+    return np.isfinite(np.concatenate([v.reshape(k, -1) for v in mats.values()], 1)).all(1)
+
+
 def _stacked_objectives(par: Parameterization, stack, penalty: float,
                         thetas) -> np.ndarray:
     """Negative pooled log-likelihood at each point, from one Kalman pass
-    over a (points, participants) stack; a point any of whose participants
-    fails, or whose total is not finite, gets the penalty.  Participant
-    totals are added left to right, as a sum of the participants' own
-    filter log-likelihoods is."""
+    over a (points, participants) stack; a point whose matrices are not all
+    finite, any of whose participants fails, or whose total is not finite
+    gets the penalty.  Participant totals are added left to right, as a sum
+    of the participants' own filter log-likelihoods is."""
     y, obs, u, lengths = stack
-    m = {name: v[:, None] for name, v in par.scatter(thetas).items()}
+    mats = par.scatter(thetas)
+    m = {name: v[:, None] for name, v in mats.items()}
     res = _kalman_stack(y, obs, u, m["initial_mean"], m["initial_cov"], m["H"], m["Theta"],
                         (m["A"][None], m["Sigma"][None], m["G"][None]), lengths=lengths)
     with np.errstate(all="ignore"):       # failed members may hold inf or NaN
         total = np.add.accumulate(res.loglik, axis=1)[:, -1]
-    ok = (res.fail == 0).all(axis=1) & np.isfinite(total)
+    ok = (res.fail == 0).all(axis=1) & np.isfinite(total) & _finite_points(mats)
     return np.where(ok, -total, penalty)
 
 
@@ -384,19 +393,20 @@ def _value_and_score(par: Parameterization, stack, penalty: float):
     :func:`~emastate.filtering._kalman_score`, whatever the number of free
     parameters.  f is :func:`_stacked_objectives`'s value at x (bit for bit
     up to ``_SMALL_SHAPE``; larger models sum the stored per-ping terms, so
-    may differ in the last bits).  A point any of whose participants fails,
-    whose total is not finite, or whose score is not finite gets
-    ``(penalty, zeros)``."""
+    may differ in the last bits).  A point whose matrices are not all
+    finite, any of whose participants fails, whose total is not finite, or
+    whose score is not finite gets ``(penalty, zeros)``."""
     y, obs, u, lengths = stack
 
     def value_and_score(x):
-        m = {name: v[0] for name, v in par.scatter([x]).items()}
+        mats = par.scatter([x])
+        m = {name: v[0] for name, v in mats.items()}
         res = _kalman_stack(y, obs, u, m["initial_mean"], m["initial_cov"], m["H"],
                             m["Theta"], (m["A"][None], m["Sigma"][None], m["G"][None]),
                             store=True, lengths=lengths)
         with np.errstate(all="ignore"):     # failed members may hold inf or NaN
             total = np.add.accumulate([t[:k].sum() for t, k in zip(res.loglik, lengths)])[-1]
-            if not res.fail.any() and np.isfinite(total):
+            if _finite_points(mats)[0] and not res.fail.any() and np.isfinite(total):
                 g = par.chain(x, _kalman_score(y, obs, u, *res.moments[:2],
                                                m["A"], m["H"], m["Theta"]))
                 if np.isfinite(g).all():
@@ -465,6 +475,8 @@ def _fit_single(par: Parameterization, participants: Sequence[Participant],
     else:
         def objective(theta):
             spec = par.unpack(theta)
+            if not all(np.isfinite(getattr(spec, name)).all() for name in _MATRIX_NAMES):
+                return penalty
             try:
                 with np.errstate(all="ignore"):   # non-finite points are penalized
                     if options.likelihood == "kalman":

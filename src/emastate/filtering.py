@@ -7,19 +7,17 @@ runs over a stack of members that each carry their own series and spec
 arrays: a pooled fit stacks participants (and, for 1x1 models,
 finite-difference points), CLI ``filter`` a chunk of participants, and every
 public filter is a stack of one, so a participant gets the numbers, and the
-errors, of its own call.  Matrix fits take the exact score of a stored pass
-from one backward pass over its members (:func:`_kalman_score`).
+errors, of its own call.  One backward pass over a stored pass, Koopman &
+Shephard's disturbance smoother (:func:`_backward`), serves both the exact
+score of matrix fits (:func:`_kalman_score`) and the smoother, whose
+moments follow from it with no inverse of a predicted covariance.
 Models with up to 3 states and 2 channels run one recursion written out over
 scalar entries, with S inverted in closed form: on Python floats per member
 for small stacks, elementwise for large ones, bit for bit alike; larger
 models run a vectorized matrix recursion.  Continuous-time specs discretize
 each inter-ping gap exactly (one batched truncated-Taylor kernel for all
 gaps of a call, its truncation error below 2^-53; see
-:func:`emastate.model._gap_transitions`).  The smoother solves for all its
-gains J[t] at once, before the backward loop, which runs written out over
-Python floats for up to 3 states; its lag-one covariance needs no filter
-gains: Cov(x[t+1], x[t] | all) = P_s[t+1] J[t]' (Sarkka 2013, *Bayesian
-Filtering and Smoothing*, RTS smoother).  Models with count,
+:func:`emastate.model._gap_transitions`).  Models with count,
 ordinal, or dichotomous channels fall back to a bootstrap particle filter;
 fits run its likelihood-only pass, which keeps no moments and gives the
 filter's log-likelihood to the bit.
@@ -82,7 +80,8 @@ class FilterResult:
 
 @dataclass
 class SmoothResult:
-    """Fixed-interval smoother output; lag_one_cov[t] = Cov(x[t+1], x[t] | all)."""
+    """Fixed-interval smoother output: the moments of each state given all
+    observed cells; lag_one_cov[t] = Cov(x[t+1], x[t] | all)."""
 
     timestamps: np.ndarray
     smoothed_mean: np.ndarray
@@ -405,40 +404,8 @@ def rec(ys, os, gus, steps, m, P, H, R, flags, fill):
 
 
 @functools.cache
-def _small_smoother(n: int):
-    """The backward loop of :func:`kalman_smooth` for n states, written out
-    over Python floats: from the second last ping down, with J = X' and
-    D = sP' - pP', sm = fm + J (sm' - pm') and sP = fP + (J D) X, then
-    (sP + sP') / 2; each sum runs in index order.  Takes the last ping's
-    (fm, fP) and, per earlier ping from the last, the row fm, fP, pm', pP',
-    X (matrices row-major, pP' exactly symmetric); returns sm and sP per
-    ping, likewise flat."""
-    N = range(n)
-    m = ", ".join(f"m{i}" for i in N) + ","
-    source = f"""
-def back(rows, m, P):
-    {m} = m
-    {_names("P", N, N)} = P
-    sm, sP = [m], [P]
-    for {" ".join(_names(x, N, y) for x, y in zip("fFpQX", ([""], N, [""], N, N)))} in rows:
-{_each("d", N, [""], lambda i, _: f"m{i} - p{i}")}
-{_each("D", N, N, lambda i, j: f"P{i}{j} - Q{i}{j}", True)}
-        {m} = {"".join(f"f{i} + ({_dot(f'X{j}{i}*d{j}' for j in N)}), " for i in N)}
-{_each("E", N, N, lambda i, k: _dot(f"X{j}{i}*{_sym('D', j, k)}" for j in N))}
-{_each("M", N, N, lambda i, j: f"F{i}{j} + ({_dot(f'E{i}{k}*X{k}{j}' for k in N)})")}
-{_each("P", N, N, lambda i, j: f"0.5 * (M{i}{j} + M{j}{i})", True)}
-        sm.append(({m}))
-        sP.append(({", ".join(_sym("P", i, j) for i in N for j in N)},))
-    return sm[::-1], sP[::-1]
-"""
-    scope = {}
-    exec(compile(source, f"<small RTS backward loop {n}>", "exec"), scope)
-    return scope["back"]
-
-
-@functools.cache
-def _small_score_loop(n: int):
-    """The backward loop of :func:`_kalman_score` for n states, written out
+def _small_backward(n: int):
+    """The backward loop of :func:`_backward` for n states, written out
     over Python floats: from the last ping down, r = b + L' r and
     N = B + (L' N) L from r = 0 and N = 0, each sum in index order, N kept
     as its upper triangle.  Takes per ping, last first, the row b, B (upper
@@ -459,37 +426,29 @@ def back(rows):
     return out
 """
     scope = {}
-    exec(compile(source, f"<small score backward loop {n}>", "exec"), scope)
+    exec(compile(source, f"<small backward loop {n}>", "exec"), scope)
     return scope["back"]
 
 
-def _kalman_score(y, obs, u, a, P, A, H, Theta) -> dict:
-    """Gradients of the summed log-likelihood of a stack of members that
-    share one discrete-time spec, in its seven matrices (keyed by their
-    ``ModelSpec`` names), from the members' predicted moments ``a`` (M, T, n) and ``P`` (M, T, n, n) of a stored
-    :func:`_kalman_stack` pass (Koopman & Shephard 1992, *Biometrika*
-    79:823; Durbin & Koopman 2012, sec. 7.3.3).
+def _backward(y, obs, a, P, A, H, Theta):
+    """The backward pass of Koopman & Shephard's disturbance smoother over a
+    stack of M members (Koopman & Shephard 1992, *Biometrika* 79:823; Durbin
+    & Koopman 2012, sec. 4.4-4.7), from the predicted moments ``a``
+    (M, T, n) and ``P`` (M, T, n, n) of a stored :func:`_kalman_stack`
+    pass.  ``A`` broadcasts to (M, T, n, n): entry t is the step out of ping
+    t, and the last entry is never read.
 
     Per ping t, with Z and Theta restricted to the observed channels,
     F = Z P Z' + Theta, v = y - Z a, K = A P Z' F^-1 and L = A - K Z (K = 0
-    and L = A where nothing is observed), the backward pass runs
+    and L = A where nothing is observed), the pass runs
     r[t-1] = Z' F^-1 v + L' r[t], N[t-1] = Z' F^-1 Z + L' N[t] L from
-    r[T-1] = N[T-1] = 0; then x = a + P r[t-1], e = F^-1 v - K' r[t] and
-    D = F^-1 + K' N[t] K.  Symmetric matrices M get the symmetric G with
-    dl = tr(G dM).  No inverse of Sigma, Theta or P0 is taken.  A member's
-    pings after its last observed one add nothing, so they are zeroed
-    first.  Up to ``_SMALL_SHAPE[0]`` states and below
-    ``_SCORE_MIN_MEMBERS`` members the backward pass runs per member on
-    floats (:func:`_small_score_loop`), else over all members at once.
+    r[T-1] = N[T-1] = 0.  Returns Z, F^-1, F^-1 v, K, L and r[t-1], N[t-1]
+    per ping.  Up to ``_SMALL_SHAPE[0]`` states and below
+    ``_SCORE_MIN_MEMBERS`` members the loop runs per member on floats
+    (:func:`_small_backward`), else over all members at once.
     """
     M, T, p = y.shape
     n = a.shape[-1]
-    iu, ju, full = _upper(n)
-    seen = obs.any(-1)
-    last = np.where(seen.any(-1), T - 1 - seen[:, ::-1].argmax(-1), -1)
-    beyond = np.arange(T) > last[:, None]
-    a = np.where(beyond[..., None], 0.0, a)
-    P = np.where(beyond[..., None, None], 0.0, P)
     pair = obs[..., :, None] & obs[..., None, :]
     Z = np.where(obs[..., None], H, 0.0)                            # (M, T, p, n)
     Zt = Z.swapaxes(-1, -2)
@@ -502,8 +461,9 @@ def _kalman_score(y, obs, u, a, P, A, H, Theta) -> dict:
     b, B = (Zt @ Fv[..., None])[..., 0], ZtFinv @ Z
 
     if n <= _SMALL_SHAPE[0] and M < _SCORE_MIN_MEMBERS:
+        iu, ju, full = _upper(n)
         rows = np.concatenate([b, B[..., iu, ju], L.reshape(M, T, n * n)], -1)
-        back = _small_score_loop(n)
+        back = _small_backward(n)
         out = np.array([back(x) for x in rows[:, ::-1].tolist()]).reshape(M, T, -1)[:, ::-1]
         rr, NN = out[..., :n], out[..., n + full]
     else:
@@ -513,6 +473,30 @@ def _kalman_score(y, obs, u, a, P, A, H, Theta) -> dict:
             r = b[:, t] + (Lt[:, t] @ r[..., None])[..., 0]
             Nt = B[:, t] + Lt[:, t] @ Nt @ L[:, t]
             rr[:, t], NN[:, t] = r, Nt
+    return Z, Finv, Fv, K, L, rr, NN
+
+
+def _kalman_score(y, obs, u, a, P, A, H, Theta) -> dict:
+    """Gradients of the summed log-likelihood of a stack of members that
+    share one discrete-time spec, in its seven matrices (keyed by their
+    ``ModelSpec`` names), from the members' predicted moments ``a``
+    (M, T, n) and ``P`` (M, T, n, n) of a stored :func:`_kalman_stack` pass
+    and the backward pass of :func:`_backward` (Durbin & Koopman 2012,
+    sec. 7.3.3).
+
+    With x = a + P r[t-1], e = F^-1 v - K' r[t] and D = F^-1 + K' N[t] K,
+    symmetric matrices M get the symmetric G with dl = tr(G dM).  No inverse
+    of Sigma, Theta or P0 is taken.  A member's pings after its last
+    observed one add nothing, so they are zeroed first.
+    """
+    M, T = y.shape[:2]
+    n = a.shape[-1]
+    seen = obs.any(-1)
+    last = np.where(seen.any(-1), T - 1 - seen[:, ::-1].argmax(-1), -1)
+    beyond = np.arange(T) > last[:, None]
+    a = np.where(beyond[..., None], 0.0, a)
+    P = np.where(beyond[..., None, None], 0.0, P)
+    Z, Finv, Fv, K, L, rr, NN = _backward(y, obs, a, P, A, H, Theta)
     # r[t], N[t] per ping (0 at the last); r[-1], N[-1] are rr[:, 0], NN[:, 0]
     r = np.concatenate([rr[:, 1:], np.zeros((M, 1, n))], 1)
     Nt = np.concatenate([NN[:, 1:], np.zeros((M, 1, n, n))], 1)
@@ -552,7 +536,7 @@ def _eig_range(a, b, d):
 
 # Measured crossovers (README.md): a stack of fewer members runs the float
 # form once per member, for 1x1 models and for the other small shapes; and
-# the backward pass of _kalman_score runs per member on floats.
+# the backward pass (_backward) runs per member on floats.
 _STACK_MIN_MEMBERS, _STACK_MIN_MEMBERS_SMALL, _SCORE_MIN_MEMBERS = 8, 32, 8
 
 
@@ -874,46 +858,30 @@ def _kalman_cohort(spec: ModelSpec, participants, with_steps=False):
 
 def kalman_smooth(spec: ModelSpec, y, missing=None, u=None,
                   timestamps=None) -> SmoothResult:
-    """Fixed-interval (RTS) smoother; works for both time modes.
+    """Fixed-interval smoother; works for both time modes.
 
-    With the smoother gain J[t] = P_f[t] A' P_pred[t+1]^{-1}, solved for
-    every ping at once, the lag-one covariance is Cov(x[t+1], x[t] | all) =
-    P_s[t+1] J[t]' (Sarkka 2013, *Bayesian Filtering and Smoothing*, RTS
-    smoother).  Up to ``_SMALL_SHAPE[0]`` states the backward loop runs on
-    Python floats (:func:`_small_smoother`), which for one state gives the
-    numpy loop's numbers bit for bit and otherwise agrees to a few eps;
-    larger models run it as numpy products per ping.
+    The filter's predicted moments (a, P) and the backward pass of
+    :func:`_backward` (r, N and L per ping) give the smoothed mean
+    a[t] + P[t] r[t-1], the smoothed covariance P[t] - P[t] N[t-1] P[t]
+    and the lag-one covariance Cov(x[t+1], x[t] | all) =
+    (I - P[t+1] N[t]) L[t] P[t] (Durbin & Koopman 2012, sec. 4.4-4.7).  No
+    inverse of a predicted covariance is taken, so a singular one (a
+    noiseless random-walk state) needs no special case.
     """
-    r, A = _kalman(spec, y, missing, u, timestamps)
-    pm, pP, fm, fP = r.predicted_mean, r.predicted_cov, r.filtered_mean, r.filtered_cov
-    T, n = fm.shape
-    # every gain at once: X[t] = J[t]' solves P_pred[t+1] X = A fP[t]; a
-    # pseudo-inverse guards a singular prediction (Sigma = 0 cases)
-    AfP = A @ fP[:-1]
-    try:
-        X = np.linalg.solve(pP[1:], AfP)
-    except np.linalg.LinAlgError:
-        X = np.empty_like(AfP)
-        for t in range(T - 1):
-            try:
-                X[t] = np.linalg.solve(pP[t + 1], AfP[t])
-            except np.linalg.LinAlgError:
-                X[t] = np.linalg.pinv(pP[t + 1]) @ AfP[t]
-    if T and n <= _SMALL_SHAPE[0]:      # per ping t < T-1: fm, fP, pm', pP', X, last first
-        f, p = (np.concatenate([m, P.reshape(T, -1)], 1) for m, P in ((fm, fP), (pm, pP)))
-        rows = np.concatenate([f[:-1], p[1:], X.reshape(T - 1, n * n)], 1)[::-1].tolist()
-        sm, sP = _small_smoother(n)(rows, f[-1, :n].tolist(), f[-1, n:].tolist())
-        sm, sP = np.array(sm), np.reshape(sP, (T, n, n))
-    else:
-        J = X.swapaxes(-1, -2)
-        sm = fm.copy()
-        sP = fP.copy()
-        for t in range(T - 2, -1, -1):
-            sm[t] = fm[t] + J[t] @ (sm[t + 1] - pm[t + 1])
-            sP[t] = fP[t] + J[t] @ (sP[t + 1] - pP[t + 1]) @ X[t]
-            sP[t] = 0.5 * (sP[t] + sP[t].T)
-    lag1 = sP[1:] @ X
-    return SmoothResult(r.timestamps, sm, sP, lag1)
+    f, A = _kalman(spec, y, missing, u, timestamps)
+    a, P = f.predicted_mean, f.predicted_cov
+    T, n = a.shape
+    if not T:
+        return SmoothResult(f.timestamps, a, P, np.zeros((0, n, n)))
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    steps = np.concatenate([A, np.eye(n)[None]])        # the last step is never read
+    *_, L, r, N = (x[0] for x in _backward(y[None], ~f.missing[None], a[None], P[None],
+                                            steps[None], spec.H, spec.Theta))
+    PN = P @ N
+    V = P - PN @ P
+    lag1 = (np.eye(n) - PN[1:]) @ L[:-1] @ P[:-1]
+    return SmoothResult(f.timestamps, a + (P @ r[..., None])[..., 0],
+                        0.5 * (V + V.swapaxes(-1, -2)), lag1)
 
 
 # ---------------------------------------------------------------------------
@@ -999,17 +967,33 @@ def _log_expit_gap(zu, zl):
 def _poisson_logpmf(k, s, scale, link):
     """log P(k | rate) at rate = scale*exp(s) or scale*s: the plain form,
     except where the rate is below the smallest normal double and its log
-    has lost digits or is -inf, recomputed from log(scale) + s (or
-    log(scale) + log(s)); a negative or NaN rate gives -inf."""
+    has lost digits or is -inf, recomputed as the compensated sum of
+    k log(scale), k s (or k log(s)), -rate and -log(k!); a negative rate
+    gives -inf and a NaN rate NaN."""
     rate = scale * (np.exp(s) if link == "log" else s)
     lp = k * np.log(rate) - rate - gammaln(k + 1.0)
     tail = ~(rate >= _TINY)
     if tail.any():
         s, r = s[tail], rate[tail]
-        log_rate = np.log(scale) + (s if link == "log" else np.log(s))
-        exact = (k * log_rate if k else 0.0) - r - gammaln(k + 1.0)
-        lp[tail] = np.where(r >= 0, exact, -np.inf)
+        terms = [-r, -gammaln(k + 1.0)]
+        if k:
+            terms += [k * math.log(scale), k * (s if link == "log" else np.log(s))]
+        lp[tail] = np.where(r < 0, -np.inf, _compensated_sum(terms))
     return lp
+
+
+def _compensated_sum(terms):
+    """The sum of arrays (or scalars) that broadcast, each addition's rounding error
+    carried by Knuth's TwoSum and added back at the end (Ogita, Rump & Oishi
+    2005, *SIAM J. Sci. Comput.* 26:1955, Sum2): as accurate as summing in
+    twice the precision, then rounding.  A non-finite sum is left as is."""
+    total, carry = terms[0], 0.0
+    for x in terms[1:]:
+        new = total + x
+        z = new - total
+        carry = carry + ((total - (new - z)) + (x - z))
+        total = new
+    return np.where(np.isfinite(total), total + carry, total)
 
 
 def _observation_density(spec: ModelSpec, y: np.ndarray, missing: np.ndarray):

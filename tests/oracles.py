@@ -488,9 +488,10 @@ class ObservedCellGaussian:
 
 
 def rts_backward_loop(fm, fP, pm, pP, X):
-    """The smoother's backward loop as numpy products per ping, as
-    ``kalman_smooth`` runs it for more than 3 states (and ran it for every
-    model before its float pass); X[t] = J[t]'."""
+    """The RTS smoother's backward loop (Rauch, Tung & Striebel 1965), as
+    numpy products per ping from the filter's moments and the gains
+    X[t] = J[t]' = P_pred[t+1]^-1 A fP[t]: the reference that the package's
+    disturbance smoother is held to."""
     T = fm.shape[0]
     J = X.swapaxes(-1, -2)
     sm = fm.copy()
@@ -500,31 +501,6 @@ def rts_backward_loop(fm, fP, pm, pP, X):
         sP[t] = fP[t] + J[t] @ (sP[t + 1] - pP[t + 1]) @ X[t]
         sP[t] = 0.5 * (sP[t] + sP[t].T)
     return sm, sP
-
-
-def rts_backward_floats(fm, fP, pm, pP, X):
-    """The same backward loop on Python floats, entry by entry, with every
-    sum taken left to right in index order and D = sP' - pP' read from its
-    upper triangle: the arithmetic the package's float pass must equal bit
-    for bit."""
-    from functools import reduce
-    from operator import add
-
-    T, n = fm.shape
-    fm, fP, pm, pP, X = (x.tolist() for x in (fm, fP, pm, pP, X))
-    sm, sP = [None] * T, [None] * T
-    sm[-1], sP[-1] = fm[-1], fP[-1]
-    N = range(n)
-    for t in range(T - 2, -1, -1):
-        S, Q, Xt = sP[t + 1], pP[t + 1], X[t]
-        d = [sm[t + 1][j] - pm[t + 1][j] for j in N]
-        sm[t] = [fm[t][i] + reduce(add, [Xt[j][i] * d[j] for j in N]) for i in N]
-        D = [[S[min(j, k)][max(j, k)] - Q[min(j, k)][max(j, k)] for k in N] for j in N]
-        E = [[reduce(add, [Xt[j][i] * D[j][k] for j in N]) for k in N] for i in N]
-        M = [[fP[t][i][j] + reduce(add, [E[i][k] * Xt[k][j] for k in N]) for j in N] for i in N]
-        sP[t] = [[0.5 * (M[min(i, j)][max(i, j)] + M[max(i, j)][min(i, j)]) for j in N]
-                 for i in N]
-    return np.array(sm), np.array(sP)
 
 
 def random_window_schedule(sched, rng):

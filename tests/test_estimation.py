@@ -617,6 +617,45 @@ def test_particle_objective_penalizes_overflowing_theta(monkeypatch):
     assert seen == [1e12]
 
 
+@pytest.mark.parametrize("path", ["discrete", "continuous", "particle"])
+def test_overflowed_entry_that_never_meets_an_observed_ping_is_penalized(monkeypatch, path):
+    """A point whose Theta log-sd overflows on a channel that is never
+    observed gets the penalty on every fit path: the score of matrix fits
+    and the per-point objective of continuous-time and particle fits.  The
+    particle filter never reads that Theta entry, so only the finiteness
+    check of the point's matrices penalizes it there."""
+    from scipy.optimize import OptimizeResult
+    from emastate import estimate
+
+    poisson = es.MeasurementChannel(family="poisson", link="log")
+    gauss = es.MeasurementChannel(family="gaussian")
+    template = es.ModelSpec(
+        A=[[-0.5 if path == "continuous" else 0.5]], Sigma=[[1.0]], H=[[1.0]] * 3,
+        Theta=np.diag([0.0 if path == "particle" else 0.5, 0.5, 0.5]),
+        channels=(poisson if path == "particle" else gauss, gauss, gauss),
+        time_mode="continuous" if path == "continuous" else "discrete", initial_cov=[[1.0]])
+    data = es.simulate_dataset(template, es.PingSchedule(kind="fixed", horizon=20.0,
+                                                         interval=1.0), rng_seed=29)
+    for p in data.participants:
+        p.missing[:, 2] = True
+        p.Y[:, 2] = np.nan
+    pmap = es.ParameterMap({"A": [["free"]],
+                            "Theta": [["fixed"] * 3, ["fixed"] * 3, ["fixed", "fixed", "free"]]})
+    seen = []
+
+    def one_look(fun, x0, jac, **kwargs):     # fun returns (value, gradient)
+        x = x0.copy()
+        x[-1] = 1000.0                      # Theta[2, 2] overflows to inf
+        seen.append(fun(x)[0])
+        return OptimizeResult(x=x0, fun=fun(x0)[0], jac=np.zeros_like(x0), status=0)
+
+    monkeypatch.setattr(estimate, "minimize", one_look)
+    opts = FitOptions(n_restarts=1, likelihood="particle" if path == "particle" else "kalman",
+                      n_particles=100, particle_seed=1)
+    es.fit(template, pmap, data, options=opts)
+    assert seen == [1e12]
+
+
 def test_matrix_fit_on_infinite_data_reports_nonfinite_likelihood():
     from emastate.estimate import _stack_participants, _value_and_score
     truth, data = var2_cohort()

@@ -20,7 +20,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import emastate as es
 from emastate import estimate
@@ -171,6 +171,8 @@ MATRIX = (es.ModelSpec(A=[[0.5, 0.1], [0.0, 0.4]], Sigma=[[1.0, 0.2], [0.2, 0.8]
 @given(model=st.sampled_from(["scalar", "matrix"]), n_people=st.integers(1, 3),
        n_others=st.integers(1, 12), overflow=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
+# Sigma[0, 0] overflows and reaches only an all-missing last ping
+@example(model="matrix", n_people=1, n_others=1, overflow=True, seed=27)
 def test_a_point_s_value_does_not_depend_on_the_other_points_of_its_stack(
         model, n_people, n_others, overflow, seed):
     template, pmap = SCALAR if model == "scalar" else MATRIX
