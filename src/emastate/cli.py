@@ -2,9 +2,12 @@
 
 Every run writes a machine-readable result, a human-readable ``.summary.txt``,
 and a ``.manifest.json`` recording the flags, seed, and SHA-256 of each input
-file, so any output can be reproduced from its manifest.  Outputs are written
-atomically (temp file + rename).  Exit codes: 0 success, 2 validation error,
-3 numerical failure, 4 I/O error.
+file, so any output can be reproduced from its manifest.  Outputs, the
+simulated dataset included, are written atomically (temp file + rename).
+Model, scenario and template files are read by
+:func:`~emastate.model.from_document`, so every malformed input file is a
+typed error.  Exit codes: 0 success, 2 validation error, 3 numerical
+failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ import hashlib
 import json
 import os
 import sys
-
-import numpy as np
+from dataclasses import dataclass, field
 
 from . import dataio
 from .errors import IO_CODES, NUMERICAL_CODES, EmaError
@@ -24,7 +26,7 @@ from .filtering import _kalman_cohort, particle_filter
 # perfbench/spans.py wraps the two Kalman filters where this module binds them
 from .filtering import kalman_filter, kalman_filter_ct  # noqa: F401
 from .figures import columns_to_delimited, figure_series
-from .model import ModelSpec, validate_model
+from .model import ModelSpec, from_document, read_document, require_valid, validate_model
 from .simulate import run_scenario, scenario_from_dict
 
 
@@ -34,13 +36,6 @@ def _exit_code(err: EmaError) -> int:
     if err.code in NUMERICAL_CODES:
         return 3
     return 2
-
-
-def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _sha256(path: str) -> str:
@@ -67,28 +62,36 @@ def _write_manifest(out_path: str, command: str, args: argparse.Namespace,
         value = getattr(args, flag)
         paths = value if isinstance(value, list) else [value]
         manifest["inputs"][flag] = [{"path": p, "sha256": _sha256(p)} for p in paths]
-    _atomic_write(f"{out_path}.manifest.json",
-                  json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    dataio.atomic_write(f"{out_path}.manifest.json",
+                        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _load_json(path: str, what: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise EmaError("FILE_NOT_FOUND", f"no such {what} file: {path}")
-    except json.JSONDecodeError as exc:
-        raise EmaError("PARSE_ERROR", f"{path}: {exc}")
+@dataclass(frozen=True)
+class _Template:
+    """A template file: the model and the statuses of its entries."""
+
+    model: ModelSpec
+    parameters: ParameterMap = field(default_factory=ParameterMap)
 
 
 def _load_template(path: str) -> tuple[ModelSpec, ParameterMap]:
-    d = _load_json(path, "template")
-    unknown = set(d) - {"model", "parameters"}
-    if unknown:
-        raise EmaError("UNKNOWN_KEY", f"unknown template keys: {sorted(unknown)}")
-    if "model" not in d:
-        raise EmaError("PARSE_ERROR", f"{path}: template needs a 'model' section")
-    return ModelSpec.from_dict(d["model"]), ParameterMap.from_dict(d.get("parameters", {}))
+    t = from_document(_Template, read_document(path, "template"), "template",
+                      model=ModelSpec.from_dict, parameters=ParameterMap.from_dict)
+    return t.model, t.parameters
+
+
+def _report(args, summary: str, inputs: list[str], out=None, text=None) -> int:
+    """Every command's last steps: write the result ``text`` (if not yet
+    written) to ``out`` (default ``--out``), then its summary and manifest,
+    and echo the summary."""
+    out = out or args.out
+    if out:
+        if text is not None:
+            dataio.atomic_write(out, text)
+        dataio.atomic_write(f"{out}.summary.txt", summary)
+        _write_manifest(out, args.command, args, inputs)
+    print(summary, end="")
+    return 0
 
 
 def _fit_options(args: argparse.Namespace) -> FitOptions:
@@ -104,7 +107,7 @@ def _fit_options(args: argparse.Namespace) -> FitOptions:
 
 def _cmd_simulate(args) -> int:
     spec = ModelSpec.load(args.model)
-    scenario = scenario_from_dict(_load_json(args.scenario, "scenario"))
+    scenario = scenario_from_dict(read_document(args.scenario, "scenario"))
     data = run_scenario(spec, scenario, args.seed)
     dataio.write_dataset(data, args.out)
     total = sum(p.n_pings for p in data.participants)
@@ -117,10 +120,7 @@ def _cmd_simulate(args) -> int:
         f"channels: {', '.join(data.y_names)}\n"
         f"missing cells: {miss} of {cells} ({miss / max(cells, 1):.1%})\n"
         f"seed: {args.seed}\n")
-    _atomic_write(f"{args.out}.summary.txt", summary)
-    _write_manifest(args.out, "simulate", args, ["model", "scenario"])
-    print(summary, end="")
-    return 0
+    return _report(args, summary, ["model", "scenario"])
 
 
 def _cmd_fit(args) -> int:
@@ -131,28 +131,21 @@ def _cmd_fit(args) -> int:
               "would be faster and noise-free", file=sys.stderr)
     options = _fit_options(args)
     result = fit(template, pmap, data, mode=args.mode, options=options)
-    if args.mode == "pooled":
-        payload = {"mode": "pooled", "results": [result.to_dict()]}
-        results = [result]
-    else:
-        payload = {"mode": "idiographic", "results": [r.to_dict() for r in result]}
-        results = result
-    _atomic_write(args.out, json.dumps(payload, indent=2) + "\n")
+    results = [result] if args.mode == "pooled" else result
+    payload = {"mode": args.mode, "results": [r.to_dict() for r in results]}
     lines = [f"fit: wrote {args.out}", f"mode: {args.mode}",
              f"likelihood: {args.likelihood}", f"free parameters: {results[0].n_free}"]
     for r in results:
         who = r.participant or "pooled"
         lines.append(f"{who}: loglik={r.log_likelihood:.6g} aic={r.aic:.6g} "
                      f"bic={r.bic:.6g} converged={r.converged}")
-    summary = "\n".join(lines) + "\n"
-    _atomic_write(f"{args.out}.summary.txt", summary)
-    _write_manifest(args.out, "fit", args, ["data", "template"])
-    print(summary, end="")
-    return 0
+    return _report(args, "\n".join(lines) + "\n", ["data", "template"],
+                   text=json.dumps(payload, indent=2) + "\n")
 
 
 def _cmd_filter(args) -> int:
     spec = ModelSpec.load(args.model)
+    require_valid(spec)
     data = dataio.read_dataset(args.data)
     use_particle = args.method == "particle" or (
         args.method == "auto" and not spec.all_gaussian)
@@ -167,81 +160,59 @@ def _cmd_filter(args) -> int:
     total_ll = 0.0
     for p, r in zip(data.participants, results):
         total_ll += r.log_likelihood
-        table = r.to_delimited(data.y_names)
-        rows = table.splitlines()
+        rows = r.to_delimited(data.y_names).splitlines()
         if not blocks:
             blocks.append("participant_id," + rows[0])
         blocks.extend(f"{p.pid},{row}" for row in rows[1:])
-    _atomic_write(args.out, "\n".join(blocks) + "\n")
     summary = (f"filter: wrote {args.out}\n"
                f"method: {'particle' if use_particle else 'kalman'}\n"
                f"participants: {data.n_participants}\n"
                f"total log-likelihood: {total_ll:.6g}\n")
-    _atomic_write(f"{args.out}.summary.txt", summary)
-    _write_manifest(args.out, "filter", args, ["data", "model"])
-    print(summary, end="")
-    return 0
+    return _report(args, summary, ["data", "model"], text="\n".join(blocks) + "\n")
 
 
 def _cmd_compare(args) -> int:
     data = dataio.read_dataset(args.data)
-    labels, fits = [], []
+    labels, fits, options = [], [], _fit_options(args)
     for path in args.templates:
         template, pmap = _load_template(path)
-        options = _fit_options(args)
         labels.append(os.path.splitext(os.path.basename(path))[0])
         fits.append(fit(template, pmap, data, mode="pooled", options=options))
     table = rank_fits(labels, fits)
-    _atomic_write(args.out, table.to_delimited())
     lines = [f"compare: wrote {args.out}",
              f"candidates: {len(labels)} (full table reported)"]
     for r in table.rows:
-        marks = []
-        if r.rank_aic == 1:
-            marks.append("best AIC")
-        if r.rank_bic == 1:
-            marks.append("best BIC")
+        marks = [m for m, rank in (("best AIC", r.rank_aic), ("best BIC", r.rank_bic))
+                 if rank == 1]
         suffix = f"  <- {', '.join(marks)}" if marks else ""
         lines.append(f"{r.model_id}: aic={r.aic:.6g} bic={r.bic:.6g}{suffix}")
-    summary = "\n".join(lines) + "\n"
-    _atomic_write(f"{args.out}.summary.txt", summary)
-    _write_manifest(args.out, "compare", args, ["data", "templates"])
-    print(summary, end="")
-    return 0
+    return _report(args, "\n".join(lines) + "\n", ["data", "templates"],
+                   text=table.to_delimited())
 
 
 def _cmd_plotdata(args) -> int:
     cols = figure_series(args.figure, args.seed)
     os.makedirs(args.out, exist_ok=True)
     out_file = os.path.join(args.out, f"{args.figure}.csv")
-    _atomic_write(out_file, columns_to_delimited(cols))
     summary = (f"plotdata: wrote {out_file}\n"
                f"figure: {args.figure}\n"
                f"series: {', '.join(cols)}\n"
                f"rows: {len(next(iter(cols.values())))}\n"
                f"seed: {args.seed}\n")
-    _atomic_write(f"{out_file}.summary.txt", summary)
-    _write_manifest(out_file, "plotdata", args, [])
-    print(summary, end="")
-    return 0
+    return _report(args, summary, [], out=out_file, text=columns_to_delimited(cols))
 
 
 def _cmd_validate(args) -> int:
     spec = ModelSpec.load(args.model)
     report = validate_model(spec)
-    payload = json.dumps(report.to_dict(), indent=2) + "\n"
     lines = [f"validate: {args.model}",
              f"errors: {len(report.errors)}", f"warnings: {len(report.warnings)}"]
     for code, msg in report.errors:
         lines.append(f"error {code}: {msg}")
     for code, msg in report.warnings:
         lines.append(f"warning {code}: {msg}")
-    summary = "\n".join(lines) + "\n"
-    if args.out:
-        _atomic_write(args.out, payload)
-        _atomic_write(f"{args.out}.summary.txt", summary)
-        _write_manifest(args.out, "validate", args, ["model"])
-    print(summary, end="")
+    _report(args, "\n".join(lines) + "\n", ["model"],
+            text=json.dumps(report.to_dict(), indent=2) + "\n")
     return 0 if report.ok else 2
 
 

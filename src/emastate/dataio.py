@@ -2,21 +2,23 @@
 
 The on-disk format is delimited text with header
 ``participant_id,t,y.<channel>...,u.<input>...``; missing observations are
-the literal token ``NA`` (allowed in y columns only), and ``t`` is hours
-since the participant's study start.  Rows are sorted by (participant_id, t)
-with strictly increasing time within a participant.
+the literal token ``NA`` (allowed in y columns only), every other cell is a
+finite number (``nan`` and ``inf`` tokens are parse errors), and ``t`` is
+hours since the participant's study start.  Rows are sorted by
+(participant_id, t) with strictly increasing time within a participant.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import EmaDataset, Participant
 from .errors import EmaError
-from .simulate import DEFAULT_WEEKEND, HOURS_PER_DAY
+from .simulate import DEFAULT_WEEKEND, HOURS_PER_DAY, TrendSpec
 
 NA = "NA"
 _FMT = "%.12g"
@@ -35,16 +37,23 @@ def write_dataset(data: EmaDataset, path, sep: str = ",") -> None:
             lines.append(sep.join([p.pid, _FMT % t]
                                   + [NA if m else _FMT % v for v, m in zip(y, miss)]
                                   + [_FMT % v for v in u]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
+
+
+def atomic_write(path, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it there."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
 
 
 def read_dataset(path, sep: str = ",") -> EmaDataset:
     """Parse a dataset file, enforcing the format invariants.
 
-    Raises PARSE_ERROR (with the offending line number), NON_MONOTONE_TIME
-    for unsorted or duplicated timestamps, and NA_IN_U for missing tokens in
-    input columns.
+    Raises PARSE_ERROR (with the offending line number, and the column of
+    a cell that is not a finite number), NON_MONOTONE_TIME for unsorted or
+    duplicated timestamps, and NA_IN_U for missing tokens in input columns.
     """
     try:
         with open(path) as fh:
@@ -82,9 +91,9 @@ def read_dataset(path, sep: str = ",") -> EmaDataset:
                            f"{path}:{ln}: expected {2 + n_y + n_u} cells, got {len(cells)}")
         pid = cells[0]
         try:
-            t = float(cells[1])
-            y = [math.nan if cell == NA else float(cell) for cell in cells[2:2 + n_y]]
-            u = [float(cell) for cell in cells[2 + n_y:]]
+            t = _number(cells[1])
+            y = [math.nan if cell == NA else _number(cell) for cell in cells[2:2 + n_y]]
+            u = [_number(cell) for cell in cells[2 + n_y:]]
         except ValueError:
             raise _cell_error(path, ln, cells, y_names, u_names) from None
         if pid not in rows:
@@ -119,9 +128,18 @@ def read_dataset(path, sep: str = ",") -> EmaDataset:
     return EmaDataset(participants, y_names, u_names, metadata={"source": str(path)})
 
 
+def _number(cell: str) -> float:
+    """The finite number a cell holds; ``nan`` and ``inf`` are ValueErrors."""
+    v = float(cell)
+    if not math.isfinite(v):
+        raise ValueError(cell)
+    return v
+
+
 def _cell_error(path, ln, cells, y_names, u_names) -> EmaError:
     """The error of the first cell of a row, in column order, that does not
-    parse: a bad timestamp or value, or NA in an input column."""
+    parse as a finite number: a bad timestamp or value, or NA in an input
+    column."""
     cols = ["t"] + [f"y.{name}" for name in y_names] + [f"u.{name}" for name in u_names]
     for cell, col in zip(cells[1:], cols):
         if cell == NA and col[0] != "t":
@@ -129,7 +147,7 @@ def _cell_error(path, ln, cells, y_names, u_names) -> EmaError:
                 return EmaError("NA_IN_U", f"{path}:{ln}: NA is not permitted in {col}")
             continue
         try:
-            float(cell)
+            _number(cell)
         except ValueError:
             return EmaError("PARSE_ERROR", f"{path}:{ln}: bad timestamp {cell!r}" if col == "t"
                             else f"{path}:{ln}: bad value {cell!r} in {col}")
@@ -251,12 +269,10 @@ def _wake_hour(cov: TimeCovariate, pid: str, day: int) -> float:
 
 def _covariate_values(cov: TimeCovariate, p: Participant) -> np.ndarray:
     t = p.timestamps
-    if cov.kind == "linear_t":
-        return np.arange(1, t.size + 1, dtype=float)
-    if cov.kind == "weekend_dummy":
-        start = int(p.metadata.get("start_weekday", 0))
-        weekday = (start + np.floor_divide(t, HOURS_PER_DAY).astype(int)) % 7
-        return np.isin(weekday, sorted(cov.days)).astype(float)
+    if cov.kind in ("linear_t", "weekend_dummy"):
+        trend = TrendSpec("linear" if cov.kind == "linear_t" else "weekend",
+                          weekend_days=cov.days)
+        return trend.values(t, int(p.metadata.get("start_weekday", 0)))
     if cov.kind == "clock_time":
         return np.mod(t, HOURS_PER_DAY)
     if cov.kind == "time_since_waking":

@@ -1,8 +1,10 @@
 """Containers for multi-participant EMA series.
 
 Time is measured in hours since each participant's study start.  Missing
-observations are carried twice, redundantly: as NaN inside ``Y`` and as True
-inside the boolean ``missing`` mask (the mask is authoritative).
+observations are carried twice: as True inside the boolean ``missing`` mask
+and as NaN inside ``Y``.  A NaN cell of ``Y`` is missing whatever the mask
+given says: construction folds it into the mask, so the filters, the fits
+and :meth:`EmaDataset.observed_cells` count the same cells.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from .errors import EmaError
 class Participant:
     pid: str
     timestamps: np.ndarray          # (T,) strictly increasing, hours
-    Y: np.ndarray                   # (T, n_obs), NaN where missing
-    missing: np.ndarray             # (T, n_obs) bool, True = missing
+    Y: np.ndarray                   # (T, n_obs)
+    missing: np.ndarray             # (T, n_obs) bool, True = missing; NaN cells of Y added
     U: np.ndarray                   # (T, n_inputs)
     metadata: dict = field(default_factory=dict)
 
@@ -36,6 +38,7 @@ class Participant:
                            f"participant {self.pid}: inconsistent row counts "
                            f"(T={T}, Y={self.Y.shape}, mask={self.missing.shape}, "
                            f"U={self.U.shape})")
+        self.missing = self.missing | np.isnan(self.Y)
         if T > 1 and np.any(np.diff(self.timestamps) <= 0):
             raise EmaError("NON_MONOTONE_TIME",
                            f"participant {self.pid}: timestamps must be strictly increasing")

@@ -45,10 +45,10 @@ from scipy.optimize import minimize
 from .dataset import EmaDataset, Participant
 from .errors import EmaError
 from .filtering import (_kalman_cohort, _kalman_score, _kalman_stack, _particle_pass,
-                        _series_arrays, _stack_series)
+                        _series, _stack_series)
 # perfbench/spans.py wraps these here
 from .filtering import kalman_filter, kalman_filter_ct, particle_filter  # noqa: F401
-from .model import ModelSpec, validate_model
+from .model import ModelSpec, require_valid
 from .simulate import DisturbanceEvent, encode_disturbance
 
 FREE = "free"
@@ -99,12 +99,13 @@ class ParameterMap:
         g = self.statuses.get(name)
         if g is None:
             return np.full(shape, FIXED, dtype=object)
-        arr = np.empty(shape, dtype=object)
-        flat = np.asarray(g, dtype=object).reshape(shape)
-        for idx in np.ndindex(shape):
-            _status_kind(flat[idx])
-            arr[idx] = flat[idx]
-        return arr
+        arr = np.array(g, dtype=object)     # a ragged grid keeps lists as entries
+        if arr.size != np.prod(shape) or any(isinstance(s, list) for s in arr.flat):
+            raise EmaError("BAD_PARAMETER_MAP", f"{name} grid of shape {arr.shape} does "
+                                                f"not fit the {name} matrix of shape {shape}")
+        for s in arr.flat:
+            _status_kind(s)
+        return arr.reshape(shape)
 
     def to_dict(self) -> dict:
         out = {}
@@ -355,8 +356,9 @@ def _value_and_grad(objectives, step: float):
 
 
 def _stack_participants(spec: ModelSpec, participants: Sequence[Participant]):
-    """Participants' series stacked by :func:`~emastate.filtering._stack_series`."""
-    return _stack_series([_series_arrays(spec, p.Y, p.missing, p.U) for p in participants],
+    """Participants' series, checked by :func:`fit`, stacked by
+    :func:`~emastate.filtering._stack_series`; NaN cells count as missing."""
+    return _stack_series([(p.Y, p.missing | np.isnan(p.Y), p.U) for p in participants],
                          spec.n_obs, spec.n_inputs)
 
 
@@ -589,10 +591,12 @@ def fit(template: ModelSpec, pmap: ParameterMap, data: EmaDataset,
                         filter restarting from the initial distribution at
                         each participant boundary; returns one FitResult.
     mode "idiographic"  an independent fit per participant; returns a list.
+
+    Before any search, every participant's series gets the filters' checks
+    and a failure names the participant; an observed infinite cell, whose
+    likelihood no parameter makes finite, is ``NONFINITE_LIKELIHOOD``.
     """
-    report = validate_model(template)
-    if report.errors:
-        raise EmaError(report.errors[0][0], report.errors[0][1])
+    require_valid(template)
     if not data.participants:
         raise EmaError("BAD_SCENARIO", "dataset has no participants")
     if mode not in ("pooled", "idiographic"):
@@ -603,6 +607,13 @@ def fit(template: ModelSpec, pmap: ParameterMap, data: EmaDataset,
         raise EmaError("LIKELIHOOD_MODE_MISMATCH",
                        "kalman likelihood requires all-Gaussian channels; "
                        "request the particle likelihood instead")
+
+    for p in data.participants:         # the filters' own series checks, once
+        try:
+            _series(template, p.Y, p.missing, p.U, p.timestamps)
+        except EmaError as err:         # no parameter makes an infinite cell's likelihood finite
+            code = "NONFINITE_LIKELIHOOD" if err.code == "NON_FINITE" else err.code
+            raise EmaError(code, f"participant {p.pid}: {err.message}") from None
 
     empty = [p.pid for p in data.participants if p.missing.all()]
     if empty and (mode == "idiographic" or len(empty) == len(data.participants)):

@@ -39,7 +39,7 @@ from scipy.special import expit, gammaln, log_expit
 
 from .errors import EmaError
 from .model import (GAUSSIAN, GRADED_RESPONSE, BERNOULLI_LOGISTIC, POISSON,
-                    ModelSpec, _gap_transitions, psd_sqrt)
+                    ModelSpec, _gap_transitions, psd_sqrt, require_valid)
 from .model import discretize  # noqa: F401  (perfbench/spans.py wraps it here)
 
 COND_LIMIT = 1e12
@@ -103,33 +103,6 @@ def _row_format(n_numbers: int, sep: str, n_flags: int = 0):
     floats format exactly as the numpy scalars they came from."""
     sep = sep.replace("{", "{{").replace("}", "}}")
     return sep.join(["{:.12g}"] * n_numbers + ["{}"] * n_flags).format
-
-
-def _series_arrays(spec: ModelSpec, y, missing, u):
-    """Shape-checked (y, missing, u) of one series; NaN cells count as missing."""
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    T = y.shape[0]
-    if y.shape[1] != spec.n_obs:
-        raise EmaError("INVALID_MODEL",
-                       f"series has {y.shape[1]} channels, model expects {spec.n_obs}")
-    if missing is None:
-        missing = np.isnan(y)
-    else:
-        missing = np.atleast_2d(np.asarray(missing, dtype=bool))
-        missing = missing | np.isnan(y)
-    if u is None:
-        u = np.zeros((T, spec.n_inputs))
-    else:
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 1:
-            u = u.reshape(T, -1)
-        if u.shape != (T, spec.n_inputs):
-            raise EmaError("INVALID_MODEL",
-                           f"U has shape {u.shape}, expected ({T}, {spec.n_inputs})")
-        if not math.isfinite(u.sum()) and not np.isfinite(u).all():
-            t = int(np.argmax(~np.isfinite(u).all(axis=1)))
-            raise EmaError("NA_IN_U", f"input at ping {t} is missing or non-finite")
-    return y, missing, u
 
 
 _SINGULAR, _NON_FINITE = 1, 2     # per-member failure codes of a stacked pass
@@ -702,17 +675,34 @@ def _small_stack(y, obs, u, mu0, P0, H, Theta, trans, store, L) -> _StackPass:
 
 
 def _series(spec: ModelSpec, y, missing, u, timestamps):
-    """Checked (y, missing, u) of one series, every observed cell finite,
-    and its timestamps.
+    """Checked (y, missing, u) of one series, NaN cells counted as missing
+    and every observed cell finite, and its timestamps.
 
     Timestamps default to 0, 1, 2, ... and are required, strictly
     increasing, in continuous time.
     """
-    y, missing, u = _series_arrays(spec, y, missing, u)
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    T = y.shape[0]
+    if y.shape[1] != spec.n_obs:
+        raise EmaError("INVALID_MODEL",
+                       f"series has {y.shape[1]} channels, model expects {spec.n_obs}")
+    missing = np.isnan(y) if missing is None else np.isnan(y) | np.atleast_2d(
+        np.asarray(missing, dtype=bool))
+    if u is None:
+        u = np.zeros((T, spec.n_inputs))
+    else:
+        u = np.asarray(u, dtype=float)
+        if u.ndim == 1:
+            u = u.reshape(T, -1)
+        if u.shape != (T, spec.n_inputs):
+            raise EmaError("INVALID_MODEL",
+                           f"U has shape {u.shape}, expected ({T}, {spec.n_inputs})")
+        if not math.isfinite(u.sum()) and not np.isfinite(u).all():
+            t = int(np.argmax(~np.isfinite(u).all(axis=1)))
+            raise EmaError("NA_IN_U", f"input at ping {t} is missing or non-finite")
     bad = (np.isinf(y) & ~missing).any(axis=1)
     if bad.any():
         raise EmaError("NON_FINITE", f"observed value at ping {int(np.argmax(bad))} is infinite")
-    T = y.shape[0]
     continuous = spec.time_mode == "continuous"
     if timestamps is None:
         if continuous:
@@ -735,7 +725,9 @@ def _require_gaussian(spec: ModelSpec) -> None:
 
 def _kalman(spec: ModelSpec, y, missing, u, timestamps):
     """The Kalman filter of one series, run as a cohort of one, and the
-    transition matrices of its steps."""
+    transition matrices of its steps; the spec must pass
+    :func:`~emastate.model.validate_model`."""
+    require_valid(spec)
     one = SimpleNamespace(Y=y, missing=missing, U=u, timestamps=timestamps)
     return next(_kalman_cohort(spec, [one], with_steps=True))
 
@@ -1062,6 +1054,7 @@ def _observation_density(spec: ModelSpec, y: np.ndarray, missing: np.ndarray):
     return density
 
 
+@np.errstate(all="ignore")      # non-finite states are caught by the checks below
 def _particle_pass(spec: ModelSpec, y, n_particles: int, rng_seed: int, missing,
                    u, timestamps, store: bool):
     """The bootstrap recursion of :func:`particle_filter`.

@@ -15,12 +15,18 @@ simulator, comes from one batched kernel, :func:`_gap_transitions`: a
 degree-17 Taylor series of Van Loan's integrals in Horner form at a halved
 step, whose truncation error stays below 2^-53 relative, then doublings back
 to the gap.  Callers index its table of distinct gaps by each gap's row.
+
+Every JSON document (model, scenario, template) is built by one reader,
+:func:`from_document`: a document's keys are its dataclass's init fields
+and its defaults are the dataclass defaults, so neither is written twice.
+A malformed document raises ``PARSE_ERROR`` and an unknown key
+``UNKNOWN_KEY``, never a Python traceback.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 from scipy.linalg import expm, logm, solve_continuous_lyapunov, solve_discrete_lyapunov
@@ -55,6 +61,54 @@ def psd_sqrt(M: np.ndarray) -> np.ndarray:
             raise EmaError("NOT_PSD", f"cannot factor the matrix: {why}")
         w, V = np.linalg.eigh(0.5 * (M + M.T))
         return V * np.sqrt(np.clip(w, 0.0, None))
+
+
+def read_document(path, what: str):
+    """The JSON value in the ``what`` file at ``path``."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise EmaError("FILE_NOT_FOUND", f"no such {what} file: {path}")
+    except ValueError as exc:          # bad JSON or bad text encoding
+        raise EmaError("PARSE_ERROR", f"{path}: {exc}")
+
+
+def from_document(cls, d, what: str, **convert):
+    """``cls`` built from the JSON object ``d``, the ``what`` part of a document.
+
+    The keys are ``cls``'s init fields, every field without a default is
+    required, and an omitted or null field keeps its default.
+    ``convert[key]`` turns a given value into the field's type.  A field
+    that is not an init field (``ModelSpec.n_states``) may be declared and
+    must then equal the built value.  A conversion that fails is
+    ``PARSE_ERROR``; an EmaError of the constructor passes through.
+    """
+    if not isinstance(d, dict):
+        raise EmaError("PARSE_ERROR", f"{what} must be a JSON object")
+    fs = fields(cls)
+    unknown = set(d) - {f.name for f in fs}
+    if unknown:
+        raise EmaError("UNKNOWN_KEY", f"unknown {what} keys: {sorted(unknown)}")
+    d = {k: v for k, v in d.items() if v is not None}
+    for f in fs:
+        if f.init and f.name not in d and f.default is MISSING and f.default_factory is MISSING:
+            raise EmaError("PARSE_ERROR", f"{what} missing required key {f.name!r}")
+    declared = [f.name for f in fs if not f.init and f.name in d]
+    try:
+        obj = cls(**{k: convert[k](v) if k in convert else v
+                     for k, v in d.items() if k not in declared})
+        for key in declared:
+            if int(d[key]) != getattr(obj, key):
+                raise EmaError("PARSE_ERROR", f"declared {key}={d[key]} but matrices "
+                                              f"imply {getattr(obj, key)}")
+    except (TypeError, ValueError) as exc:
+        raise EmaError("PARSE_ERROR", f"bad {what}: {exc}")
+    return obj
+
+
+def _floats(v) -> np.ndarray:
+    return np.asarray(v, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -102,22 +156,8 @@ class MeasurementChannel:
 
     @staticmethod
     def from_dict(d: dict) -> "MeasurementChannel":
-        allowed = {"family", "state_index", "scale", "link", "discrimination",
-                   "thresholds", "categories"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise EmaError("UNKNOWN_KEY", f"unknown channel keys: {sorted(unknown)}")
-        if "family" not in d:
-            raise EmaError("PARSE_ERROR", "channel missing 'family'")
-        return MeasurementChannel(
-            family=d["family"],
-            state_index=int(d.get("state_index", 0)),
-            scale=float(d.get("scale", 1.0)),
-            link=d.get("link", "identity"),
-            discrimination=float(d.get("discrimination", 1.0)),
-            thresholds=tuple(d.get("thresholds", ())),
-            categories=d.get("categories"),
-        )
+        return from_document(MeasurementChannel, d, "channel", state_index=int,
+                             scale=float, discrimination=float, thresholds=tuple)
 
 
 @dataclass(frozen=True)
@@ -243,36 +283,10 @@ class ModelSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelSpec":
-        allowed = {"n_states", "n_obs", "n_inputs", "A", "G", "H", "Sigma", "Theta",
-                   "channels", "initial_mean", "initial_cov", "time_mode",
-                   "random_walk_states"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise EmaError("UNKNOWN_KEY", f"unknown model keys: {sorted(unknown)}")
-        for key in ("A", "Sigma"):
-            if key not in d:
-                raise EmaError("PARSE_ERROR", f"model missing required key {key!r}")
-        channels = None
-        if "channels" in d:
-            channels = tuple(MeasurementChannel.from_dict(c) for c in d["channels"])
-        spec = ModelSpec(
-            A=np.asarray(d["A"], dtype=float),
-            Sigma=np.asarray(d["Sigma"], dtype=float),
-            G=np.asarray(d["G"], dtype=float) if "G" in d else None,
-            H=np.asarray(d["H"], dtype=float) if "H" in d else None,
-            Theta=np.asarray(d["Theta"], dtype=float) if "Theta" in d else None,
-            channels=channels,
-            initial_mean=d.get("initial_mean"),
-            initial_cov=d.get("initial_cov"),
-            time_mode=d.get("time_mode", "discrete"),
-            random_walk_states=frozenset(d.get("random_walk_states", ())),
-        )
-        for key, want in (("n_states", spec.n_states), ("n_obs", spec.n_obs),
-                          ("n_inputs", spec.n_inputs)):
-            if key in d and int(d[key]) != want:
-                raise EmaError("PARSE_ERROR",
-                               f"declared {key}={d[key]} but matrices imply {want}")
-        return spec
+        return from_document(
+            ModelSpec, d, "model", A=_floats, Sigma=_floats, G=_floats, H=_floats,
+            Theta=_floats, random_walk_states=frozenset,
+            channels=lambda v: tuple(MeasurementChannel.from_dict(c) for c in v))
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -281,14 +295,7 @@ class ModelSpec:
 
     @staticmethod
     def load(path) -> "ModelSpec":
-        try:
-            with open(path) as fh:
-                d = json.load(fh)
-        except FileNotFoundError:
-            raise EmaError("FILE_NOT_FOUND", f"no such model file: {path}")
-        except json.JSONDecodeError as exc:
-            raise EmaError("PARSE_ERROR", f"{path}: {exc}")
-        return ModelSpec.from_dict(d)
+        return ModelSpec.from_dict(read_document(path, "model"))
 
 
 def _is_stable(A: np.ndarray, time_mode: str) -> bool:
@@ -337,10 +344,13 @@ def _psd_violation(M: np.ndarray) -> str | None:
     return None
 
 
+@np.errstate(all="ignore")
 def validate_model(spec: ModelSpec) -> ValidationReport:
     """Check every ModelSpec invariant; violations come back as report data.
 
     Pure: the spec is not touched and repeated calls return equal reports.
+    Non-finite entries are not reported here: the filters raise
+    ``NON_FINITE`` at the ping they first reach.
     """
     report = ValidationReport()
 
@@ -362,8 +372,8 @@ def validate_model(spec: ModelSpec) -> ValidationReport:
                 f"pinned (diagonal must be exactly {want_diag}, off-diagonals 0)"))
 
     free = sorted(set(range(spec.n_states)) - spec.random_walk_states)
-    if free:
-        sub = spec.A[np.ix_(free, free)]
+    sub = spec.A[np.ix_(free, free)]
+    if free and np.isfinite(sub).all():
         eig = np.linalg.eigvals(sub)
         if spec.time_mode == "discrete":
             rho = float(np.max(np.abs(eig)))

@@ -8,6 +8,11 @@ and post-hoc missingness injection under five mechanisms.
 Reproducibility: participant ``i`` of a run seeded with ``s`` draws from
 ``np.random.SeedSequence((s, i, stream))`` so serial and parallel
 generation agree bit for bit.
+
+A scenario document is read by :func:`scenario_from_dict`: the keys and
+defaults of each section are the fields of its dataclass (``Scenario``,
+``PingSchedule``, ``TrendSpec`` and so on), built by
+:func:`~emastate.model.from_document`.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ from scipy.special import expit
 from .dataset import EmaDataset, Participant, default_names
 from .errors import EmaError
 from .model import (GAUSSIAN, GRADED_RESPONSE, BERNOULLI_LOGISTIC, POISSON,
-                    ModelSpec, _gap_transitions, psd_sqrt, require_valid)
+                    ModelSpec, _floats, _gap_transitions, from_document, psd_sqrt,
+                    require_valid)
 from .model import discretize  # noqa: F401  (perfbench/spans.py wraps it here)
 
 HOURS_PER_DAY = 24.0
@@ -50,8 +56,8 @@ class PingSchedule:
     anchored at t=0) and pings falling into the silent span are dropped.
     """
 
-    kind: str
-    horizon: float
+    kind: str = "fixed"
+    horizon: float = 0.0
     interval: float | None = None
     max_jitter: float = 0.0
     windows: tuple[tuple[float, float], ...] = ()
@@ -145,7 +151,7 @@ class TrendSpec:
     """
 
     kind: str
-    coefficients: tuple[float, ...]
+    coefficients: tuple[float, ...] = ()
     weekend_days: frozenset[int] = DEFAULT_WEEKEND
     period: float = HOURS_PER_DAY
     phase: float = 0.0
@@ -231,8 +237,8 @@ class Regime:
 
 @dataclass(frozen=True)
 class RegimeSchedule:
-    breakpoints: tuple[float, ...]
-    regimes: tuple[Regime, ...]
+    breakpoints: tuple[float, ...] = ()
+    regimes: tuple[Regime, ...] = ()
 
     def __post_init__(self):
         bp = tuple(float(b) for b in self.breakpoints)
@@ -560,6 +566,9 @@ def inject_missingness(data: EmaDataset, miss: MissingnessSpec,
     n_obs = out.n_obs
     if miss.mechanism in ("MAR", "MNAR", "ATMAR") and not 0 <= miss.driver < n_obs:
         raise EmaError("BAD_SCENARIO", f"driver {miss.driver} out of range")
+    lag = miss.lag if miss.mechanism == "ATMAR" else 0
+    if miss.mechanism == "ATMAR" and lag < 1:
+        raise EmaError("BAD_SCENARIO", "lag must be a positive integer")
 
     for i, p in enumerate(out.participants):
         rng = np.random.default_rng(np.random.SeedSequence((rng_seed, i, 2)))
@@ -580,10 +589,9 @@ def inject_missingness(data: EmaDataset, miss: MissingnessSpec,
             new = np.repeat(ping_masked[:, None], n_obs, axis=1)
         else:
             driver_vals = p.Y[:, miss.driver]
-            observed_driver = ~p.missing[:, miss.driver]
             new = np.zeros_like(p.missing)
             if miss.mechanism == "MAR":
-                rows = np.where(observed_driver)[0]
+                rows = np.flatnonzero(~p.missing[:, miss.driver])
                 if rows.size:
                     v = driver_vals[rows]
                     cols = [j for j in range(n_obs) if j != miss.driver]
@@ -594,20 +602,11 @@ def inject_missingness(data: EmaDataset, miss: MissingnessSpec,
                         draws = rng.uniform(size=(rows.size, len(cols)))
                         for c_idx, j in enumerate(cols):
                             new[rows, j] = draws[:, c_idx] < prob
-            elif miss.mechanism == "MNAR":
-                rows = np.where(observed_driver)[0]
+            else:                           # ATMAR, and MNAR as ATMAR at lag 0
+                rows = np.arange(lag, T)
+                rows = rows[~p.missing[rows - lag, miss.driver]]
                 if rows.size:
-                    v = driver_vals[rows]
-                    b = _calibrate_intercept(v, miss.slope, miss.rate)
-                    prob = _logistic_prob(b, miss.slope, v)
-                    new[rows, miss.driver] = rng.uniform(size=rows.size) < prob
-            else:                           # ATMAR
-                if miss.lag < 1:
-                    raise EmaError("BAD_SCENARIO", "lag must be a positive integer")
-                rows = np.arange(miss.lag, T)
-                rows = rows[~p.missing[rows - miss.lag, miss.driver]]
-                if rows.size:
-                    v = driver_vals[rows - miss.lag]
+                    v = driver_vals[rows - lag]
                     b = _calibrate_intercept(v, miss.slope, miss.rate)
                     prob = _logistic_prob(b, miss.slope, v)
                     new[rows, miss.driver] = rng.uniform(size=rows.size) < prob
@@ -640,98 +639,39 @@ class Scenario:
     start_weekday: int = 0
 
 
-def _check_keys(d: dict, allowed: set, what: str) -> None:
-    unknown = set(d) - allowed
-    if unknown:
-        raise EmaError("UNKNOWN_KEY", f"unknown {what} keys: {sorted(unknown)}")
-
-
 def _pairs(v) -> tuple[tuple[float, float], ...]:
     return tuple((float(a), float(b)) for a, b in v)
 
 
+def _part(cls, what: str, **convert):
+    """Converter of one ``what`` object of a scenario into a ``cls``."""
+    return lambda v: from_document(cls, v, what, **convert)
+
+
+def _parts(cls, what: str, **convert):
+    """Converter of a list of ``what`` objects into a tuple of ``cls``."""
+    one = _part(cls, what, **convert)
+    return lambda v: tuple(map(one, v))
+
+
 def scenario_from_dict(d: dict) -> Scenario:
-    """Parse the scenario document (unknown keys are rejected everywhere)."""
-    _check_keys(d, {"schedule", "trends", "events", "missingness", "regimes",
-                    "tvp", "n_participants", "seed", "start_weekday"}, "scenario")
-    if "schedule" not in d:
-        raise EmaError("BAD_SCENARIO", "scenario needs a schedule")
-
-    s = d["schedule"]
-    _check_keys(s, {"kind", "horizon", "interval", "max_jitter", "windows",
-                    "pings_per_day", "mean_interval", "day_length",
-                    "night_length"}, "schedule")
-    sched = PingSchedule(
-        kind=s.get("kind", "fixed"), horizon=float(s.get("horizon", 0.0)),
-        interval=s.get("interval"), max_jitter=float(s.get("max_jitter", 0.0)),
-        windows=_pairs(s.get("windows", ())),
-        pings_per_day=int(s.get("pings_per_day", 0)),
-        mean_interval=s.get("mean_interval"),
-        day_length=s.get("day_length"), night_length=s.get("night_length"))
-
-    trends = []
-    for tr in d.get("trends", ()):
-        _check_keys(tr, {"kind", "coefficients", "weekend_days", "period",
-                         "phase", "windows"}, "trend")
-        trends.append(TrendSpec(
-            kind=tr["kind"], coefficients=tuple(tr.get("coefficients", ())),
-            weekend_days=frozenset(tr.get("weekend_days", DEFAULT_WEEKEND)),
-            period=float(tr.get("period", HOURS_PER_DAY)),
-            phase=float(tr.get("phase", 0.0)),
-            windows=_pairs(tr.get("windows", ()))))
-
-    events = []
-    for e in d.get("events", ()):
-        _check_keys(e, {"onset", "coding", "magnitude", "decay_ratio",
-                        "input_slot"}, "event")
-        events.append(DisturbanceEvent(
-            onset=float(e["onset"]), coding=e["coding"],
-            magnitude=float(e["magnitude"]),
-            decay_ratio=float(e.get("decay_ratio", 0.5)),
-            input_slot=int(e.get("input_slot", 0))))
-
-    missing = None
-    if "missingness" in d and d["missingness"] is not None:
-        m = d["missingness"]
-        _check_keys(m, {"mechanism", "rate", "driver", "slope", "time_windows",
-                        "lag"}, "missingness")
-        missing = MissingnessSpec(
-            mechanism=m["mechanism"], rate=float(m["rate"]),
-            driver=int(m.get("driver", 0)), slope=float(m.get("slope", 1.0)),
-            time_windows=_pairs(m.get("time_windows", ())),
-            lag=int(m.get("lag", 1)))
-
-    regimes = None
-    if "regimes" in d and d["regimes"] is not None:
-        r = d["regimes"]
-        _check_keys(r, {"breakpoints", "regimes"}, "regimes")
-        regs = []
-        for reg in r.get("regimes", ()):
-            _check_keys(reg, {"A", "mean_offset"}, "regime")
-            regs.append(Regime(
-                A=np.asarray(reg["A"], dtype=float) if reg.get("A") is not None else None,
-                mean_offset=(np.asarray(reg["mean_offset"], dtype=float)
-                             if reg.get("mean_offset") is not None else None)))
-        regimes = RegimeSchedule(breakpoints=tuple(r.get("breakpoints", ())),
-                                 regimes=tuple(regs))
-
-    tvp = None
-    if "tvp" in d and d["tvp"] is not None:
-        v = d["tvp"]
-        _check_keys(v, {"target", "trajectory", "start_value", "end_value",
-                        "midpoint", "steepness"}, "tvp")
-        tvp = TvpSchedule(target=tuple(int(i) for i in v["target"]),
-                          start_value=float(v["start_value"]),
-                          end_value=float(v["end_value"]),
-                          midpoint=float(v["midpoint"]),
-                          steepness=float(v["steepness"]),
-                          trajectory=v.get("trajectory", "sigmoid"))
-
-    return Scenario(schedule=sched, trends=tuple(trends), events=tuple(events),
-                    missingness=missing, regimes=regimes, tvp=tvp,
-                    n_participants=int(d.get("n_participants", 1)),
-                    seed=d.get("seed"),
-                    start_weekday=int(d.get("start_weekday", 0)))
+    """Parse the scenario document: each section's keys and defaults are its
+    dataclass's fields, and unknown keys are rejected everywhere."""
+    return from_document(
+        Scenario, d, "scenario", n_participants=int, start_weekday=int,
+        schedule=_part(PingSchedule, "schedule", horizon=float, interval=float,
+                       max_jitter=float, windows=_pairs, pings_per_day=int,
+                       mean_interval=float, day_length=float, night_length=float),
+        trends=_parts(TrendSpec, "trend", coefficients=tuple, weekend_days=frozenset,
+                      period=float, phase=float, windows=_pairs),
+        events=_parts(DisturbanceEvent, "event", onset=float, magnitude=float,
+                      decay_ratio=float, input_slot=int),
+        missingness=_part(MissingnessSpec, "missingness", rate=float, driver=int,
+                          slope=float, time_windows=_pairs, lag=int),
+        regimes=_part(RegimeSchedule, "regimes", breakpoints=tuple,
+                      regimes=_parts(Regime, "regime", A=_floats, mean_offset=_floats)),
+        tvp=_part(TvpSchedule, "tvp", target=lambda v: tuple(map(int, v)),
+                  start_value=float, end_value=float, midpoint=float, steepness=float))
 
 
 def run_scenario(spec: ModelSpec, scenario: Scenario, rng_seed: int) -> EmaDataset:

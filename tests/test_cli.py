@@ -304,3 +304,24 @@ def test_numerical_failure_exit_3(tmp_path):
     rc = main(["filter", "--data", str(data), "--model", mf,
                "--out", str(tmp_path / "f.csv")])
     assert rc == 3
+
+
+def test_simulate_writes_the_dataset_atomically(tmp_path, model_file, scenario_file,
+                                                monkeypatch):
+    out = tmp_path / "data.csv"
+    out.write_text("previous contents\n")
+    renamed = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if str(dst) == str(out):        # the target is untouched till its rename
+            assert out.read_text() == "previous contents\n"
+        renamed.append((str(src), str(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    rc = main(["simulate", "--model", model_file, "--scenario", scenario_file,
+               "--out", str(out), "--seed", "3"])
+    assert rc == 0
+    assert (f"{out}.tmp", str(out)) in renamed
+    assert es.read_dataset(out).n_participants == 2

@@ -199,3 +199,22 @@ def test_reencoding_replaces_named_column():
     assert twice.u_names == ["linear_t"]
     assert twice.participants[0].U.shape[1] == 1
     assert np.allclose(twice.participants[0].U, once.participants[0].U)
+
+
+@pytest.mark.parametrize("row, where", [
+    ("p1,nan,1.0,0.0", "bad timestamp 'nan'"), ("p1,1,inf,0.0", "bad value 'inf' in y.a"),
+    ("p1,1,1.0,Infinity", "bad value 'Infinity' in u.x"), ("p1,1,NaN,0.0", "bad value 'NaN' in y.a")])
+def test_non_finite_token_is_a_parse_error_naming_line_and_column(tmp_path, row, where):
+    path = _make_file(tmp_path, f"participant_id,t,y.a,u.x\np1,0,0.5,0.0\n{row}\n")
+    with pytest.raises(EmaError) as exc:
+        es.read_dataset(path)
+    assert exc.value.code == "PARSE_ERROR"
+    assert exc.value.message == f"{path}:3: {where}"
+
+
+def test_nan_cells_of_y_are_missing_cells():
+    Y = np.array([[0.5, np.nan], [np.nan, 1.0], [0.2, 0.3]])
+    p = es.Participant("p1", [0.0, 1.0, 2.0], Y, np.zeros((3, 2), dtype=bool), np.zeros((3, 0)))
+    assert p.missing.tolist() == [[False, True], [True, False], [False, False]]
+    data = es.EmaDataset([p], ["a", "b"], [])
+    assert data.observed_cells() == 4

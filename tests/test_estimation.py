@@ -780,3 +780,50 @@ def test_matrix_stacked_objective_equals_per_series_sum_bit_for_bit(monkeypatch)
         monkeypatch.setattr(es.filtering, "_STACK_MIN_MEMBERS_SMALL", threshold)
         got = _stacked_objectives(par, stack, 1e12, thetas)
         assert got.tolist() == [f(x) for x in thetas]
+
+
+# --- every series is checked before any search --------------------------------
+
+def test_nan_cells_count_as_missing_in_a_fit():
+    truth, data = var2_cohort()
+    masked = data.copy()
+    for p in data.participants:
+        p.missing[:] = False            # NaN cells with a mask that leaves them observed
+    rebuilt = es.EmaDataset([es.Participant(p.pid, p.timestamps, p.Y, p.missing, p.U)
+                             for p in data.participants], data.y_names, data.u_names)
+    assert rebuilt.observed_cells() == masked.observed_cells()
+    fits = [es.fit(truth, VAR2_MAP, d, options=FitOptions(n_restarts=1, max_iter=5, seed=0))
+            for d in (masked, rebuilt)]
+    assert fits[0].n_obs_used == fits[1].n_obs_used
+    assert fits[0].bic == fits[1].bic
+
+
+@pytest.mark.parametrize("time_mode", ["discrete", "continuous"])
+@pytest.mark.parametrize("bad, code", [("y", "NONFINITE_LIKELIHOOD"), ("u", "NA_IN_U")])
+def test_fit_checks_every_series_before_any_search(monkeypatch, time_mode, bad, code):
+    truth, data = ar1_cohort()
+    if time_mode == "continuous":
+        truth = es.ModelSpec(A=[[-0.7]], Sigma=[[1.0]], G=[[0.8]], Theta=[[0.5]],
+                             time_mode="continuous")
+    p = data.participants[3]
+    if bad == "y":
+        p.Y[4, 0], p.missing[4, 0] = np.inf, False
+    else:
+        p.U[6, 0] = np.nan
+    monkeypatch.setattr(es.estimate, "minimize", lambda *a, **k: pytest.fail("searched"))
+    with pytest.raises(EmaError) as exc:
+        es.fit(truth, AR1X_MAP, data, options=FAST)
+    assert exc.value.code == code
+    assert exc.value.message.startswith(f"participant {p.pid}: ")
+    assert ("ping 4 is infinite" if bad == "y" else "ping 6") in exc.value.message
+
+
+@pytest.mark.parametrize("grid, shape", [
+    ([["free", "free"]], (1, 1)), (["free", "free"], (1, 1)), ([["free"], ["free"]], (2, 2)),
+    ([["free", "free"], ["free"]], (2, 2)), ([["free", "free"], ["free"]], (1, 2))])
+def test_a_grid_of_the_wrong_shape_is_a_bad_parameter_map(grid, shape):
+    with pytest.raises(EmaError) as exc:
+        es.ParameterMap({"A": grid}).grid("A", shape)
+    assert exc.value.code == "BAD_PARAMETER_MAP"
+    assert exc.value.message.startswith("A grid of shape (")
+    assert exc.value.message.endswith(f"does not fit the A matrix of shape {shape}")

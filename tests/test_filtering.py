@@ -1016,3 +1016,46 @@ def test_one_ping_continuous_particle_series_has_no_gap_and_matches_reference(n)
         assert got.tobytes() == want.tobytes()
     exact = es.kalman_filter_ct(spec, times, y).log_likelihood
     assert abs(r.log_likelihood - exact) < 0.05
+
+
+# --- the Kalman filters run only on specs that validate ----------------------
+
+@pytest.mark.parametrize("run", ["filter", "filter_ct", "smooth"])
+def test_kalman_filters_reject_a_spec_that_validate_rejects(run):
+    spec = es.ModelSpec(A=[[0.5]], Sigma=[[-0.5]], Theta=[[0.1]], initial_cov=[[1.0]])
+    ct = es.ModelSpec(A=[[-0.5]], Sigma=[[-0.5]], Theta=[[0.1]], initial_cov=[[1.0]],
+                      time_mode="continuous")
+    y, t = np.array([[0.1], [0.3], [-0.2]]), np.array([0.0, 1.0, 2.5])
+    call = {"filter": lambda: es.kalman_filter(spec, y),
+            "filter_ct": lambda: es.kalman_filter_ct(ct, t, y),
+            "smooth": lambda: es.kalman_smooth(spec, y)}[run]
+    with pytest.raises(EmaError) as exc:
+        call()
+    assert exc.value.code == "NON_PSD_SIGMA"
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_validate_model_leaves_non_finite_entries_to_the_filters_without_warnings(entry):
+    spec = es.ModelSpec(A=[[0.5, 0.0], [0.0, entry]], Sigma=np.diag([1.0, entry]),
+                        Theta=np.diag([entry, 0.5]), initial_cov=np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = es.validate_model(spec)
+        assert report.ok
+        with pytest.raises(EmaError) as exc:
+            es.kalman_filter(spec, np.zeros((4, 2)))
+    assert exc.value.code == "NON_FINITE"
+
+
+def test_particle_filter_with_an_infinite_state_variance_is_non_finite_without_warnings():
+    poisson = [es.MeasurementChannel(family="poisson", state_index=i, link="log")
+               for i in (0, 1)]
+    spec = es.ModelSpec(A=0.5 * np.eye(2), Sigma=np.diag([1.0, np.inf]), H=np.eye(2),
+                        Theta=np.zeros((2, 2)), channels=tuple(poisson),
+                        initial_cov=np.eye(2))
+    y = np.array([[1.0, np.nan]] * 5)      # the second state is never observed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmaError) as exc:
+            es.particle_filter(spec, y, 200, 0)
+    assert exc.value.code == "NON_FINITE"
