@@ -26,7 +26,8 @@ from .filtering import _kalman_cohort, particle_filter
 # perfbench/spans.py wraps the two Kalman filters where this module binds them
 from .filtering import kalman_filter, kalman_filter_ct  # noqa: F401
 from .figures import columns_to_delimited, figure_series
-from .model import ModelSpec, from_document, read_document, require_valid, validate_model
+from .model import (ModelSpec, from_document, non_finite_matrices, read_document, require_valid,
+                    validate_model)
 from .simulate import run_scenario, scenario_from_dict
 
 
@@ -108,6 +109,10 @@ def _fit_options(args: argparse.Namespace) -> FitOptions:
 def _cmd_simulate(args) -> int:
     spec = ModelSpec.load(args.model)
     scenario = scenario_from_dict(read_document(args.scenario, "scenario"))
+    if args.seed is None:               # --seed wins over the scenario's own
+        if scenario.seed is None:
+            raise EmaError("BAD_SCENARIO", "no seed: pass --seed or set the scenario's 'seed'")
+        args.seed = scenario.seed       # so the summary and manifest record it
     data = run_scenario(spec, scenario, args.seed)
     dataio.write_dataset(data, args.out)
     total = sum(p.n_pings for p in data.participants)
@@ -205,6 +210,10 @@ def _cmd_plotdata(args) -> int:
 def _cmd_validate(args) -> int:
     spec = ModelSpec.load(args.model)
     report = validate_model(spec)
+    # the library leaves non-finite entries to the filters; a model file should not pass
+    non_finite = [("NON_FINITE", f"{name} has a non-finite entry")
+                  for name in non_finite_matrices(spec)]
+    report.errors[:0] = non_finite
     lines = [f"validate: {args.model}",
              f"errors: {len(report.errors)}", f"warnings: {len(report.warnings)}"]
     for code, msg in report.errors:
@@ -213,7 +222,7 @@ def _cmd_validate(args) -> int:
         lines.append(f"warning {code}: {msg}")
     _report(args, "\n".join(lines) + "\n", ["model"],
             text=json.dumps(report.to_dict(), indent=2) + "\n")
-    return 0 if report.ok else 2
+    return 3 if non_finite else 0 if report.ok else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, help="default: the scenario's 'seed'")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("fit", help="maximum-likelihood fit of a template to data")

@@ -3,8 +3,9 @@
 Time is measured in hours since each participant's study start.  Missing
 observations are carried twice: as True inside the boolean ``missing`` mask
 and as NaN inside ``Y``.  A NaN cell of ``Y`` is missing whatever the mask
-given says: construction folds it into the mask, so the filters, the fits
-and :meth:`EmaDataset.observed_cells` count the same cells.
+says, also one set after construction: :func:`missing_cells` is that rule,
+and the filters, the fits and :meth:`EmaDataset.observed_cells` all count
+cells by it.
 """
 
 from __future__ import annotations
@@ -14,6 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmaError
+
+
+def missing_cells(Y, missing) -> np.ndarray:
+    """The cells the filters skip: those ``missing`` marks and the NaN cells of ``Y``."""
+    return np.isnan(Y) | np.asarray(missing, dtype=bool)
 
 
 @dataclass
@@ -38,7 +44,7 @@ class Participant:
                            f"participant {self.pid}: inconsistent row counts "
                            f"(T={T}, Y={self.Y.shape}, mask={self.missing.shape}, "
                            f"U={self.U.shape})")
-        self.missing = self.missing | np.isnan(self.Y)
+        self.missing = missing_cells(self.Y, self.missing)
         if T > 1 and np.any(np.diff(self.timestamps) <= 0):
             raise EmaError("NON_MONOTONE_TIME",
                            f"participant {self.pid}: timestamps must be strictly increasing")
@@ -46,6 +52,11 @@ class Participant:
     @property
     def n_pings(self) -> int:
         return len(self.timestamps)
+
+    @property
+    def observed(self) -> np.ndarray:
+        """(T, n_obs) bool: the cells the filters use."""
+        return ~missing_cells(self.Y, self.missing)
 
     def copy(self) -> "Participant":
         return Participant(self.pid, self.timestamps.copy(), self.Y.copy(),
@@ -73,7 +84,7 @@ class EmaDataset:
 
     def observed_cells(self) -> int:
         """Count of observed scalar measurements across all participants."""
-        return int(sum((~p.missing).sum() for p in self.participants))
+        return int(sum(p.observed.sum() for p in self.participants))
 
     def copy(self) -> "EmaDataset":
         return EmaDataset([p.copy() for p in self.participants],

@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .dataset import EmaDataset, Participant
+from .dataset import EmaDataset, Participant, missing_cells
 from .errors import EmaError
 from .filtering import (_kalman_cohort, _kalman_score, _kalman_stack, _particle_pass,
                         _series, _stack_series)
@@ -358,7 +358,7 @@ def _value_and_grad(objectives, step: float):
 def _stack_participants(spec: ModelSpec, participants: Sequence[Participant]):
     """Participants' series, checked by :func:`fit`, stacked by
     :func:`~emastate.filtering._stack_series`; NaN cells count as missing."""
-    return _stack_series([(p.Y, p.missing | np.isnan(p.Y), p.U) for p in participants],
+    return _stack_series([(p.Y, missing_cells(p.Y, p.missing), p.U) for p in participants],
                          spec.n_obs, spec.n_inputs)
 
 
@@ -429,7 +429,7 @@ def _heuristic_start(par: Parameterization, participants: Sequence[Participant])
         return
     X0, X1 = [], []
     for part in participants:
-        ok = ~part.missing.any(axis=1)
+        ok = part.observed.all(axis=1)
         pair = ok[:-1] & ok[1:]
         if pair.any():
             X0.append(part.Y[:-1][pair])
@@ -615,7 +615,7 @@ def fit(template: ModelSpec, pmap: ParameterMap, data: EmaDataset,
             code = "NONFINITE_LIKELIHOOD" if err.code == "NON_FINITE" else err.code
             raise EmaError(code, f"participant {p.pid}: {err.message}") from None
 
-    empty = [p.pid for p in data.participants if p.missing.all()]
+    empty = [p.pid for p in data.participants if not p.observed.any()]
     if empty and (mode == "idiographic" or len(empty) == len(data.participants)):
         raise EmaError("NO_OBSERVATIONS", f"participant {empty[0]} has no observed cell"
                        if mode == "idiographic" else "no participant has an observed cell")
@@ -634,7 +634,7 @@ def fit(template: ModelSpec, pmap: ParameterMap, data: EmaDataset,
     for i, p in enumerate(data.participants):
         par_i = Parameterization(template, pmap)
         _heuristic_start(par_i, [p])
-        n_used = int((~p.missing).sum())
+        n_used = int(p.observed.sum())
         results.append(_fit_single(par_i, [p], options, n_used,
                                    np.random.SeedSequence((options.seed, i)), p.pid))
     return results

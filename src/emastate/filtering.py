@@ -15,8 +15,9 @@ Models with up to 3 states and 2 channels run one recursion written out over
 scalar entries, with S inverted in closed form: on Python floats per member
 for small stacks, elementwise for large ones, bit for bit alike; larger
 models run a vectorized matrix recursion.  Continuous-time specs discretize
-each inter-ping gap exactly (one batched truncated-Taylor kernel for all
-gaps of a call, its truncation error below 2^-53; see
+each inter-ping gap exactly (one truncated-Taylor kernel for all gaps of a
+call, its truncation error below 2^-53: one coefficient table per drift,
+evaluated at each gap's scaled step; see
 :func:`emastate.model._gap_transitions`).  Models with count,
 ordinal, or dichotomous channels fall back to a bootstrap particle filter;
 fits run its likelihood-only pass, which keeps no moments and gives the
@@ -37,6 +38,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit, gammaln, log_expit
 
+from .dataset import missing_cells
 from .errors import EmaError
 from .model import (GAUSSIAN, GRADED_RESPONSE, BERNOULLI_LOGISTIC, POISSON,
                     ModelSpec, _gap_transitions, psd_sqrt, require_valid)
@@ -686,8 +688,7 @@ def _series(spec: ModelSpec, y, missing, u, timestamps):
     if y.shape[1] != spec.n_obs:
         raise EmaError("INVALID_MODEL",
                        f"series has {y.shape[1]} channels, model expects {spec.n_obs}")
-    missing = np.isnan(y) if missing is None else np.isnan(y) | np.atleast_2d(
-        np.asarray(missing, dtype=bool))
+    missing = missing_cells(y, False if missing is None else np.atleast_2d(missing))
     if u is None:
         u = np.zeros((T, spec.n_inputs))
     else:

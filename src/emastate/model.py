@@ -12,9 +12,11 @@ equation dx = A x dt + G u dt + dW; :func:`discretize` and
 :func:`to_continuous` convert between the two representations.  Every
 continuous-time gap, in :func:`discretize`, the filters, the fits and the
 simulator, comes from one batched kernel, :func:`_gap_transitions`: a
-degree-17 Taylor series of Van Loan's integrals in Horner form at a halved
-step, whose truncation error stays below 2^-53 relative, then doublings back
-to the gap.  Callers index its table of distinct gaps by each gap's row.
+degree-17 Taylor series of Van Loan's integrals at a halved step, whose
+truncation error stays below 2^-53 relative, then doublings back to the gap.
+The series is a polynomial in the scaled step with one table of matrix
+coefficients per drift, so a gap costs an elementwise Horner evaluation.
+Callers index the kernel's stack of distinct gaps by each gap's row.
 
 Every JSON document (model, scenario, template) is built by one reader,
 :func:`from_document`: a document's keys are its dataclass's init fields
@@ -25,6 +27,7 @@ A malformed document raises ``PARSE_ERROR`` and an unknown key
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import MISSING, dataclass, field, fields, replace
 
@@ -305,7 +308,17 @@ def _is_stable(A: np.ndarray, time_mode: str) -> bool:
     return bool(np.max(eig.real) < 0.0)
 
 
+def non_finite_matrices(spec) -> list[str]:
+    """Names of the spec's matrices that hold a NaN or infinite entry."""
+    return [name for name in ("A", "Sigma", "G", "H", "Theta", "initial_mean", "initial_cov")
+            if not np.isfinite(getattr(spec, name)).all()]
+
+
 def _default_initial_cov(A, Sigma, time_mode) -> np.ndarray:
+    for name, M in (("A", A), ("Sigma", Sigma)):
+        if not np.isfinite(M).all():
+            raise EmaError("NON_FINITE", f"{name} has a non-finite entry, so the default "
+                                         f"initial_cov cannot be computed")
     if _is_stable(A, time_mode):
         if time_mode == "discrete":
             cov = solve_discrete_lyapunov(A, Sigma)
@@ -445,6 +458,40 @@ def _expm_integral(A_c: np.ndarray, dt) -> np.ndarray:
 
 # Degree of the Taylor series in :func:`_gap_transitions` (its bound is there)
 _TAYLOR_DEGREE = 17
+_FACTORIALS = np.cumprod(np.r_[1.0, np.arange(1.0, _TAYLOR_DEGREE + 3)])   # 0! .. 19!
+
+
+def _stack_mul(a, b, out=None):
+    """Products of two stacks of matrices stored entries last, (n, k, E) by
+    (k, p, E); elementwise, so no entry's arithmetic depends on the others."""
+    c = np.multiply(a[:, 0, None], b[0], out=out)
+    for j in range(1, b.shape[0]):
+        c += a[:, j, None] * b[j]
+    return c
+
+
+@functools.cache
+def _float_table(n: int, w: int):
+    """The rows of one drift's coefficient table in :func:`_gap_transitions`,
+    before the factorials, written out over Python floats: from B and row
+    0 (both flat, row by row), row k is B times row k-1 with its Sigma block
+    symmetrized.  These are the elementwise form's operations in the same
+    order, so both forms give the same table bit for bit."""
+    b = [f"b{i}_{j}" for i in range(n) for j in range(n)]
+    t = [[f"t{i}_{l}" for l in range(w)] for i in range(n)]
+    y = [[f"y{i}_{l}" for l in range(w)] for i in range(n)]
+    step = [f"{y[i][l]} = " + " + ".join(f"b{i}_{j}*{t[j][l]}" for j in range(n))
+            for i in range(n) for l in range(w)]
+    step += [f"{t[i][l]} = {y[i][l]}" + (f" + {y[l - n][n + i]}" if n <= l < 2 * n else "")
+             for i in range(n) for l in range(w)]
+    flat = ", ".join(sum(t, [])) + ","
+    source = "\n".join([f"def rows(B, T):", f"    {', '.join(b)}, = B", f"    {flat} = T",
+                         "    out = [T]", f"    for _ in range({_TAYLOR_DEGREE + 1}):"]
+                        + [f"        {line}" for line in step]
+                        + [f"        out.append(({flat}))", "    return out"])
+    scope = {}
+    exec(compile(source, f"<gap table {n}x{w}>", "exec"), scope)
+    return scope["rows"]
 
 
 def _gap_transitions(spec: ModelSpec, dts, drifts=None):
@@ -454,21 +501,27 @@ def _gap_transitions(spec: ModelSpec, dts, drifts=None):
     and equal length share the entry built at the first of them, and no
     entry depends on the other gaps of the call.
 
-    One truncated Taylor series, evaluated in Horner form by batched
-    products over the whole stack, gives Van Loan's (1978, *IEEE TAC*
-    23:395) integrals at a step h = dt / 2^s (Moler & Van Loan 2003, *SIAM
-    Rev.* 45:3, methods 3 and 19).  With X = A h and
-    phi(Z) = sum_k Z^k / (k+1)!, the series of exp(A s) on [0, h]:
+    One truncated Taylor series gives Van Loan's (1978, *IEEE TAC* 23:395)
+    integrals at a step h = dt / 2^s (Moler & Van Loan 2003, *SIAM Rev.*
+    45:3, methods 3 and 19).  With nu = max(||A||_1, ||A||_inf), B = A / nu,
+    tau = nu h and M(R) = B R + (B R)' the Lyapunov operator of B, the
+    series of exp(A s) on [0, h] are polynomials in the scalar tau:
 
-        A(h) = I + X phi(X),   G(h) = h phi(X) G,   Sigma(h) = h phi(M) Sigma,
+        A(h) = sum_{k<=18} tau^k B^k / k!,
+        G(h) / h = sum_{k<=17} tau^k B^k G / (k+1)!,
+        Sigma(h) / h = sum_{k<=17} tau^k M^k(Sigma) / (k+1)!.
 
-    where M(R) = X R + (X R)' is the Lyapunov operator of X: phi = I + (X/j) phi
-    and R = Sigma + M(R) / j run from the top degree down.  s is the least
-    halving count with nu = h max(||A||_1, ||A||_inf) <= 1/2; then
-    ||X||_1 <= 1/2 and ||M||_1 <= ||X||_1 + ||X||_inf <= 1 (the 1-norm alone
-    does not bound M for a non-normal drift), so both series, cut after
-    degree 17, leave a relative remainder below
-    sum_{k>=18} 1/(k+1)! < 8.7e-18 < 2^-53.  s masked doublings follow,
+    Each distinct drift builds one table of these matrix coefficients (a
+    lone drift of a model with up to 3 states on Python floats,
+    :func:`_float_table`, else elementwise over the drifts; both give the
+    same bits), and every gap under it evaluates the table by Horner's rule
+    in its own tau, elementwise, with no matrix product (Al-Mohy & Higham
+    2011, *SIAM J. Sci. Comput.* 33:488, on one exponential at many step
+    lengths).  s is
+    the least halving count with tau <= 1/2; then ||tau B||_1 <= 1/2 and
+    ||tau M||_1 <= 1 (the 1-norm alone does not bound M for a non-normal
+    drift), so the series leave a relative remainder below
+    sum_{k>=18} 1/(k+1)! < 8.7e-18 < 2^-53.  s doublings follow,
     A(2h) = A(h)^2, Sigma(2h) = Sigma(h) + A(h) Sigma(h) A(h)',
     G(2h) = G(h) + A(h) G(h) (Higham 2005, *SIAM J. Matrix Anal. Appl.*
     26:1179).  A gap whose result is not finite raises ``NON_FINITE``
@@ -480,39 +533,83 @@ def _gap_transitions(spec: ModelSpec, dts, drifts=None):
         err = EmaError("INVALID_MODEL", f"dt must be positive and finite, got {dts[bad][0]}")
         err.gap = int(np.argmax(bad))
         raise err
-    n, K = spec.n_states, dts.size
-    rows = dts[:, None] if drifts is None else np.concatenate(
-        [np.reshape(drifts, (K, n * n)), dts[:, None]], axis=1)
-    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1] * 8)))[:, 0]
-    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
-    gaps, dts = dts, dts[first]
-    A_c = np.array(np.broadcast_to(spec.A if drifts is None else drifts[first],
-                                   (first.size, n, n)))
-    # max(||A||_1, ||A||_inf); a non-finite drift fails below
-    norm = np.maximum(np.abs(A_c).sum(-2).max(-1), np.abs(A_c).sum(-1).max(-1))
-    I = np.eye(n)
-    Q = 0.5 * (spec.Sigma + spec.Sigma.T)
+    gaps, n, m, K = dts, spec.n_states, spec.n_inputs, dts.size
+    # sort the gaps by their bits, drift first: equal gaps form runs, and each
+    # drift's entries one run of runs
+    if drifts is None:
+        keys = dts.view(np.int64)[:, None]
+    else:
+        flat = np.reshape(np.asarray(drifts, dtype=float), (K, n * n))
+        keys = np.concatenate([flat, dts[:, None]], axis=1).view(np.int64)
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    new = np.ones(K, dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(1)
+    first, which = order[new], np.empty(K, dtype=int)
+    which[order] = np.cumsum(new) - 1
+    if drifts is None:
+        A_c, drift = spec.A[None], np.zeros(first.size, dtype=int)
+    else:
+        keys = keys[new, :-1]
+        new = np.ones(first.size, dtype=bool)
+        new[1:] = (keys[1:] != keys[:-1]).any(1)
+        A_c, drift = flat[first[new]].reshape(-1, n, n), np.cumsum(new) - 1
+    # max(||A||_1, ||A||_inf) per drift, drifts last; a non-finite drift fails below
+    A_c = np.ascontiguousarray(A_c.transpose(1, 2, 0))
+    norm = np.abs(A_c)
+    norm = np.maximum(norm.sum(0).max(0), norm.sum(1).max(0))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        s = np.where(np.isfinite(norm) & (norm * dts > 0.5),
-                     np.ceil(np.log2(norm) + np.log2(dts) + 1.0), 0).astype(int)
-        h = np.ldexp(dts, -s)[:, None, None]
-        X = A_c * h
-        phi, R = I, Q
-        for j in range(_TAYLOR_DEGREE + 1, 1, -1):
-            Xj = X / j
-            phi = I + Xj @ phi
-            XR = Xj @ R
-            R = Q + (XR + XR.swapaxes(-1, -2))
-        A_d = _pin_random_walk_rows(I + X @ phi, spec.random_walk_states, "discrete")
-        Sigma_d = h * R
-        G_d = h * phi @ spec.G if spec.n_inputs else np.zeros((dts.size, n, 0))
-        for j in range(s.max(initial=0)):
-            k = s > j
-            a = A_d[k]
-            Sigma_d[k] += a @ Sigma_d[k] @ a.swapaxes(-1, -2)
-            G_d[k] += a @ G_d[k]
-            A_d[k] = a @ a
-        Sigma_d = 0.5 * (Sigma_d + Sigma_d.swapaxes(-1, -2))
+        nu, dts = norm[drift], dts[first]
+        s = np.where(np.isfinite(nu) & (nu * dts > 0.5),
+                     np.ceil(np.log2(nu) + np.log2(dts) + 1.0), 0).astype(int)
+        if A_c.shape[-1] > 1:   # entries in order of s, so the gaps still doubling are a suffix
+            by_s = np.argsort(s, kind="stable")
+            first, drift, nu, dts, s = first[by_s], drift[by_s], nu[by_s], dts[by_s], s[by_s]
+            which = np.argsort(by_s)[which]
+            if A_c.shape[-1] == first.size:     # a drift per entry: no gather
+                A_c, norm, drift = np.ascontiguousarray(A_c[..., drift]), nu, slice(None)
+        h = np.ldexp(dts, -s)
+        B = A_c / np.where(norm > 0, norm, 1.0)
+        # table[k] = [B^k, M^k(Sigma), B^k G] per drift, entries last, then
+        # divided by k!, (k+1)! and (k+1)!
+        w = 2 * n + m
+        top = np.concatenate([np.eye(n), 0.5 * (spec.Sigma + spec.Sigma.T), spec.G], axis=1)
+        if B.shape[-1] == 1 and n <= 3:
+            table = np.reshape(_float_table(n, w)(B.ravel().tolist(), top.ravel().tolist()),
+                               (_TAYLOR_DEGREE + 2, n, w, 1))
+        else:
+            table = np.empty((_TAYLOR_DEGREE + 2, n, w, B.shape[-1]))
+            table[0] = top[..., None]
+            for k in range(1, _TAYLOR_DEGREE + 2):
+                R = _stack_mul(B, table[k - 1], out=table[k])[:, n:2 * n]
+                R += R.transpose(1, 0, 2).copy()
+        table /= np.where(np.arange(w) < n, _FACTORIALS[:-1, None],
+                          _FACTORIALS[1:, None])[:, None, :, None]
+        table[-1, :, n:] = 0.0
+        table = table.reshape(_TAYLOR_DEGREE + 2, n * w, B.shape[-1])
+        if table.shape[-1] > 1:
+            table = table[..., drift]
+        tau = nu * h
+        P = table[-1] * tau
+        for c in table[-2:0:-1]:
+            P += c
+            P *= tau
+        P += table[0]
+        P = P.reshape(n, w, first.size)     # [A(h), Sigma(h) / h, G(h) / h] per entry
+        P[:, n:] *= h
+        for i in spec.random_walk_states:   # exact already for a zero drift row
+            P[i, :n] = 0.0
+            P[i, i] = 1.0
+        for lo in np.searchsorted(s, np.arange(s[-1] if s.size else 0), side="right").tolist():
+            X = P[..., lo:]                 # the entries still doubling
+            a = X[:, :n]
+            Y = _stack_mul(a, X)            # [A A, A Sigma, A G]
+            X[:, n:2 * n] += _stack_mul(Y[:, n:2 * n], a.transpose(1, 0, 2))
+            X[:, 2 * n:] += Y[:, 2 * n:]
+            X[:, :n] = Y[:, :n]
+        S = P[:, n:2 * n]
+        A_d, Sigma_d, G_d = (np.ascontiguousarray(x.transpose(2, 0, 1)) for x in
+                             (P[:, :n], 0.5 * (S + S.transpose(1, 0, 2)), P[:, 2 * n:]))
     bad = ~np.isfinite(np.concatenate([A_d, Sigma_d, G_d], axis=-1)).all((1, 2))
     if bad.any():
         i = int(first[bad].min())

@@ -658,7 +658,7 @@ def scenario_from_dict(d: dict) -> Scenario:
     """Parse the scenario document: each section's keys and defaults are its
     dataclass's fields, and unknown keys are rejected everywhere."""
     return from_document(
-        Scenario, d, "scenario", n_participants=int, start_weekday=int,
+        Scenario, d, "scenario", n_participants=int, seed=int, start_weekday=int,
         schedule=_part(PingSchedule, "schedule", horizon=float, interval=float,
                        max_jitter=float, windows=_pairs, pings_per_day=int,
                        mean_interval=float, day_length=float, night_length=float),

@@ -325,3 +325,46 @@ def test_simulate_writes_the_dataset_atomically(tmp_path, model_file, scenario_f
     assert rc == 0
     assert (f"{out}.tmp", str(out)) in renamed
     assert es.read_dataset(out).n_participants == 2
+
+
+@pytest.mark.parametrize("initial_cov", [None, [[1.0, 0.0], [0.0, 1.0]]])
+def test_validate_reports_each_non_finite_matrix(tmp_path, capsys, initial_cov):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"A": [[0.5, 0.0], [0.0, float("nan")]],
+                                "Sigma": [[1.0, 0.0], [0.0, 1.0]],
+                                "Theta": [[float("inf"), 0.0], [0.0, 0.5]],
+                                "initial_cov": initial_cov}))
+    out = tmp_path / "report.json"
+    rc = main(["validate", "--model", str(path), "--out", str(out)])
+    printed = capsys.readouterr()
+    assert rc == 3 and "Traceback" not in printed.err
+    if initial_cov is None:     # no default initial_cov from a non-finite A
+        assert printed.err.strip().splitlines()[-1].startswith("error NON_FINITE: A ")
+        return
+    assert "error NON_FINITE: A has a non-finite entry" in printed.out
+    assert "error NON_FINITE: Theta has a non-finite entry" in printed.out
+    errors = json.loads(out.read_text())["errors"]
+    assert [e for e in errors if e[0] == "NON_FINITE"] == [
+        ["NON_FINITE", "A has a non-finite entry"], ["NON_FINITE", "Theta has a non-finite entry"]]
+
+
+def test_simulate_seed_defaults_to_the_scenario_seed(tmp_path, model_file, capsys):
+    seeded = _write(tmp_path / "seeded.json", dict(SCENARIO, seed=9))
+
+    def run(name, scenario, *seed):
+        rc = main(["simulate", "--model", model_file, "--scenario", scenario,
+                   "--out", str(tmp_path / name), *seed])
+        return rc, tmp_path / name
+
+    rc, default = run("default.csv", seeded)
+    assert rc == 0
+    assert run("nine.csv", seeded, "--seed", "9")[1].read_bytes() == default.read_bytes()
+    assert "seed: 9" in (tmp_path / "default.csv.summary.txt").read_text()
+    assert json.loads((tmp_path / "default.csv.manifest.json").read_text())["seed"] == 9
+    given = run("three.csv", seeded, "--seed", "3")[1]     # --seed wins
+    plain = run("plain.csv", _write(tmp_path / "plain.json", SCENARIO), "--seed", "3")[1]
+    assert given.read_bytes() == plain.read_bytes() != default.read_bytes()
+    capsys.readouterr()
+    rc, _ = run("none.csv", str(tmp_path / "plain.json"))
+    assert rc == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1].startswith("error BAD_SCENARIO: ")

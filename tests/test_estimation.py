@@ -798,6 +798,23 @@ def test_nan_cells_count_as_missing_in_a_fit():
     assert fits[0].bic == fits[1].bic
 
 
+def test_nan_cells_set_in_place_count_as_missing():
+    truth, data = var2_cohort()
+    built = [int((~p.missing).sum()) for p in data.participants]
+    for p in data.participants:         # a NaN set after construction, the mask left as it was
+        t, j = np.argwhere(~p.missing)[0]
+        p.Y[t, j] = np.nan
+    assert data.observed_cells() == sum(built) - len(built)
+    options = FitOptions(n_restarts=1, max_iter=5, seed=0)
+    fits = es.fit(truth, VAR2_MAP, data, mode="idiographic", options=options)
+    assert [f.n_obs_used for f in fits] == [k - 1 for k in built]
+    assert es.fit(truth, VAR2_MAP, data, options=options).n_obs_used == sum(built) - len(built)
+    data.participants[1].Y[:] = np.nan
+    with pytest.raises(EmaError) as exc:
+        es.fit(truth, VAR2_MAP, data, mode="idiographic", options=options)
+    assert exc.value.code == "NO_OBSERVATIONS"
+
+
 @pytest.mark.parametrize("time_mode", ["discrete", "continuous"])
 @pytest.mark.parametrize("bad, code", [("y", "NONFINITE_LIKELIHOOD"), ("u", "NA_IN_U")])
 def test_fit_checks_every_series_before_any_search(monkeypatch, time_mode, bad, code):

@@ -201,14 +201,16 @@ def test_gap_transitions_compose_as_a_semigroup(seed, n, walk, a, b):
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), walk=st.booleans(),
        coupling=st.floats(0.0, 4.0), log_dts=st.lists(st.floats(-2.0, 4.0), min_size=1,
-                                                     max_size=3))
+                                                     max_size=3), per_gap=st.booleans())
 def test_gap_transitions_match_a_40_digit_van_loan_reference(seed, n, walk, coupling,
-                                                             log_dts):
+                                                             log_dts, per_gap):
     """Stable non-normal drifts Q T Q' (T upper triangular, off-diagonal up
     to ``coupling``), optionally a random-walk first row, inputs, and gaps of
     0.01 h to 10^4 h: A_d, Sigma_d and G_d agree with the reference to 1e-12,
     relative to the largest entry (to 1 for A_d, which starts at I and may
-    decay to nothing)."""
+    decay to nothing).  With ``per_gap``, each gap runs under its own drift,
+    as under a tvp schedule: the stable block shifted left by one of two
+    amounts, so drifts repeat."""
     rng = np.random.default_rng(seed)
     T = np.triu(rng.uniform(-coupling, coupling, (n, n)), 1) + np.diag(-rng.uniform(0.05, 2.0, n))
     Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
@@ -221,9 +223,15 @@ def test_gap_transitions_match_a_40_digit_van_loan_reference(seed, n, walk, coup
                         time_mode="continuous", initial_cov=np.eye(n),
                         random_walk_states={0} if walk else set())
     dts = 10.0 ** np.array(log_dts)
-    *table, which = _gap_transitions(spec, dts)
-    for got, dt in zip(zip(*(x[which] for x in table)), dts):
-        want = van_loan_reference(spec.A, spec.Sigma, spec.G, dt)
+    drifts = None
+    if per_gap:
+        drifts = np.repeat(spec.A[None], dts.size, axis=0)
+        block = slice(1 if walk else 0, None)
+        shifts = rng.uniform(0.0, 0.5, 2)[np.arange(dts.size) % 2]
+        drifts[:, block, block] -= shifts[:, None, None] * np.eye(n)[block, block]
+    *table, which = _gap_transitions(spec, dts, drifts)
+    for k, (got, dt) in enumerate(zip(zip(*(x[which] for x in table)), dts)):
+        want = van_loan_reference(spec.A if drifts is None else drifts[k], spec.Sigma, spec.G, dt)
         for i, (g, w) in enumerate(zip(got, want)):
             scale = max(1.0, np.abs(w).max()) if i == 0 else np.abs(w).max()
             assert np.abs(g - w).max() <= 1e-12 * scale, ("A_d", "Sigma_d", "G_d")[i]
@@ -231,22 +239,48 @@ def test_gap_transitions_match_a_40_digit_van_loan_reference(seed, n, walk, coup
 
 @pytest.mark.parametrize("tvp", [False, True])
 def test_gap_stack_slices_equal_one_gap_discretize_bit_for_bit(tvp):
-    rng, A, Sigma = _drift(3, 3, stable=True)
-    spec = es.ModelSpec(A=A, Sigma=Sigma, G=rng.normal(size=(3, 2)), time_mode="continuous",
-                        initial_cov=np.eye(3))
-    dts = np.array([0.05, 0.4, 2.0, 3.7, 24.0, 72.0, 500.0, 2.0, 0.4,
-                    np.nextafter(2.0, 3.0)])
-    drifts = None
-    if tvp:
-        drifts = np.repeat(A[None], dts.size, axis=0)
-        drifts[:, 0, 0] += np.linspace(-0.3, 0.2, dts.size)
-    *table, which = _gap_transitions(spec, dts, drifts)
-    for i, (A_d, Sigma_d, G_d) in enumerate(zip(*(x[which] for x in table))):
-        one = es.discretize(spec if drifts is None else spec.with_matrices(A=drifts[i]), dts[i])
-        assert np.array_equal(A_d, one.A) and np.array_equal(Sigma_d, one.Sigma)
-        assert np.array_equal(G_d, one.G)
-    # equal gaps share one entry only under equal drifts
-    assert (which[2] == which[7]) == (not tvp) and (which[1] == which[8]) == (not tvp)
+    """For 1 to 3 states; with ``tvp`` the stack builds its tables over
+    several drifts at once, while ``discretize`` builds one drift's on
+    Python floats."""
+    for n in (1, 2, 3):
+        rng, A, Sigma = _drift(3, n, stable=True)
+        spec = es.ModelSpec(A=A, Sigma=Sigma, G=rng.normal(size=(n, 2)),
+                            time_mode="continuous", initial_cov=np.eye(n))
+        dts = np.array([0.05, 0.4, 2.0, 3.7, 24.0, 72.0, 500.0, 2.0, 0.4,
+                        np.nextafter(2.0, 3.0)])
+        drifts = None
+        if tvp:
+            drifts = np.repeat(A[None], dts.size, axis=0)
+            drifts[:, 0, 0] += np.linspace(-0.3, 0.2, dts.size)
+        *table, which = _gap_transitions(spec, dts, drifts)
+        for i, (A_d, Sigma_d, G_d) in enumerate(zip(*(x[which] for x in table))):
+            one = es.discretize(spec if drifts is None else spec.with_matrices(A=drifts[i]),
+                                dts[i])
+            assert np.array_equal(A_d, one.A) and np.array_equal(Sigma_d, one.Sigma)
+            assert np.array_equal(G_d, one.G)
+        # equal gaps share one entry only under equal drifts
+        assert (which[2] == which[7]) == (not tvp) and (which[1] == which[8]) == (not tvp)
+
+
+def test_zero_drift_gaps_are_exact():
+    Sigma, G = np.array([[1.3, 0.4], [0.4, 0.7]]), np.array([[0.5, -1.0], [2.0, 0.25]])
+    spec = es.ModelSpec(A=np.zeros((2, 2)), Sigma=Sigma, G=G, time_mode="continuous",
+                        initial_cov=np.eye(2))
+    dts = np.array([0.3, 7.0, 1e4, 0.3])
+    for drifts in (None, np.zeros((4, 2, 2))):
+        *table, which = _gap_transitions(spec, dts, drifts)
+        for A_d, Sigma_d, G_d, dt in zip(*(x[which] for x in table), dts):
+            assert np.array_equal(A_d, np.eye(2))
+            assert np.array_equal(Sigma_d, dt * Sigma) and np.array_equal(G_d, dt * G)
+
+
+@pytest.mark.parametrize("name", ["A", "Sigma"])
+def test_default_initial_cov_of_a_non_finite_matrix_is_non_finite(name):
+    mats = {"A": np.array([[-0.5, 0.1], [0.0, -0.3]]), "Sigma": np.eye(2)}
+    mats[name][1, 1] = np.nan
+    with pytest.raises(EmaError) as exc:
+        es.ModelSpec(**mats, time_mode="continuous")
+    assert exc.value.code == "NON_FINITE" and exc.value.message.startswith(f"{name} ")
 
 
 def test_astronomical_gap_on_stable_drift_reaches_stationary_law():
