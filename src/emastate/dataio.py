@@ -25,14 +25,14 @@ _FMT = "%.12g"
 
 
 def write_dataset(data: EmaDataset, path, sep: str = ",") -> None:
-    """Write the dataset; NA marks masked cells, numbers use 12 significant
+    """Write the dataset; NA marks missing cells (masked or NaN), numbers use 12 significant
     digits (round-trips comfortably within 1e-9)."""
     header = (["participant_id", "t"]
               + [f"y.{n}" for n in data.y_names]
               + [f"u.{n}" for n in data.u_names])
     lines = [sep.join(header)]
     for p in sorted(data.participants, key=lambda q: q.pid):
-        for t, y, miss, u in zip(p.timestamps.tolist(), p.Y.tolist(), p.missing.tolist(),
+        for t, y, miss, u in zip(p.timestamps.tolist(), p.Y.tolist(), (~p.observed).tolist(),
                                  p.U.tolist()):
             lines.append(sep.join([p.pid, _FMT % t]
                                   + [NA if m else _FMT % v for v, m in zip(y, miss)]

@@ -106,9 +106,9 @@ def datasets_equal(a: EmaDataset, b: EmaDataset, atol: float = 0.0) -> bool:
             return False
         if not np.allclose(pa.timestamps, pb.timestamps, atol=atol, rtol=atol):
             return False
-        if not np.array_equal(pa.missing, pb.missing):
+        if not np.array_equal(pa.observed, pb.observed):
             return False
-        oa, ob = pa.Y[~pa.missing], pb.Y[~pb.missing]
+        oa, ob = pa.Y[pa.observed], pb.Y[pb.observed]
         if not np.allclose(oa, ob, atol=atol, rtol=atol):
             return False
         if pa.U.shape != pb.U.shape or not np.allclose(pa.U, pb.U, atol=atol, rtol=atol):

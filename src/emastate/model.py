@@ -15,7 +15,8 @@ simulator, comes from one batched kernel, :func:`_gap_transitions`: a
 degree-17 Taylor series of Van Loan's integrals at a halved step, whose
 truncation error stays below 2^-53 relative, then doublings back to the gap.
 The series is a polynomial in the scaled step with one table of matrix
-coefficients per drift, so a gap costs an elementwise Horner evaluation.
+coefficients per drift, so a gap costs an elementwise Horner evaluation
+and its doublings.
 Callers index the kernel's stack of distinct gaps by each gap's row.
 
 Every JSON document (model, scenario, template) is built by one reader,
@@ -27,7 +28,6 @@ A malformed document raises ``PARSE_ERROR`` and an unknown key
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import MISSING, dataclass, field, fields, replace
 
@@ -458,40 +458,7 @@ def _expm_integral(A_c: np.ndarray, dt) -> np.ndarray:
 
 # Degree of the Taylor series in :func:`_gap_transitions` (its bound is there)
 _TAYLOR_DEGREE = 17
-_FACTORIALS = np.cumprod(np.r_[1.0, np.arange(1.0, _TAYLOR_DEGREE + 3)])   # 0! .. 19!
-
-
-def _stack_mul(a, b, out=None):
-    """Products of two stacks of matrices stored entries last, (n, k, E) by
-    (k, p, E); elementwise, so no entry's arithmetic depends on the others."""
-    c = np.multiply(a[:, 0, None], b[0], out=out)
-    for j in range(1, b.shape[0]):
-        c += a[:, j, None] * b[j]
-    return c
-
-
-@functools.cache
-def _float_table(n: int, w: int):
-    """The rows of one drift's coefficient table in :func:`_gap_transitions`,
-    before the factorials, written out over Python floats: from B and row
-    0 (both flat, row by row), row k is B times row k-1 with its Sigma block
-    symmetrized.  These are the elementwise form's operations in the same
-    order, so both forms give the same table bit for bit."""
-    b = [f"b{i}_{j}" for i in range(n) for j in range(n)]
-    t = [[f"t{i}_{l}" for l in range(w)] for i in range(n)]
-    y = [[f"y{i}_{l}" for l in range(w)] for i in range(n)]
-    step = [f"{y[i][l]} = " + " + ".join(f"b{i}_{j}*{t[j][l]}" for j in range(n))
-            for i in range(n) for l in range(w)]
-    step += [f"{t[i][l]} = {y[i][l]}" + (f" + {y[l - n][n + i]}" if n <= l < 2 * n else "")
-             for i in range(n) for l in range(w)]
-    flat = ", ".join(sum(t, [])) + ","
-    source = "\n".join([f"def rows(B, T):", f"    {', '.join(b)}, = B", f"    {flat} = T",
-                         "    out = [T]", f"    for _ in range({_TAYLOR_DEGREE + 1}):"]
-                        + [f"        {line}" for line in step]
-                        + [f"        out.append(({flat}))", "    return out"])
-    scope = {}
-    exec(compile(source, f"<gap table {n}x{w}>", "exec"), scope)
-    return scope["rows"]
+_INV_FACTORIALS = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, _TAYLOR_DEGREE + 3)])  # 1/k!, k <= 19
 
 
 def _gap_transitions(spec: ModelSpec, dts, drifts=None):
@@ -511,13 +478,12 @@ def _gap_transitions(spec: ModelSpec, dts, drifts=None):
         G(h) / h = sum_{k<=17} tau^k B^k G / (k+1)!,
         Sigma(h) / h = sum_{k<=17} tau^k M^k(Sigma) / (k+1)!.
 
-    Each distinct drift builds one table of these matrix coefficients (a
-    lone drift of a model with up to 3 states on Python floats,
-    :func:`_float_table`, else elementwise over the drifts; both give the
-    same bits), and every gap under it evaluates the table by Horner's rule
-    in its own tau, elementwise, with no matrix product (Al-Mohy & Higham
-    2011, *SIAM J. Sci. Comput.* 33:488, on one exponential at many step
-    lengths).  s is
+    Each distinct drift builds one table of these matrix coefficients, one
+    stacked product per degree, and every gap under it evaluates the table
+    by Horner's rule in its own tau, elementwise (Al-Mohy & Higham 2011,
+    *SIAM J. Sci. Comput.* 33:488, on one exponential at many step
+    lengths).  Products are stacked over drifts or entries, never across
+    them, so each entry's arithmetic is its own.  s is
     the least halving count with tau <= 1/2; then ||tau B||_1 <= 1/2 and
     ||tau M||_1 <= 1 (the 1-norm alone does not bound M for a non-normal
     drift), so the series leave a relative remainder below
@@ -554,39 +520,34 @@ def _gap_transitions(spec: ModelSpec, dts, drifts=None):
         new = np.ones(first.size, dtype=bool)
         new[1:] = (keys[1:] != keys[:-1]).any(1)
         A_c, drift = flat[first[new]].reshape(-1, n, n), np.cumsum(new) - 1
-    # max(||A||_1, ||A||_inf) per drift, drifts last; a non-finite drift fails below
-    A_c = np.ascontiguousarray(A_c.transpose(1, 2, 0))
+    # max(||A||_1, ||A||_inf) per drift; a non-finite drift fails below
     norm = np.abs(A_c)
-    norm = np.maximum(norm.sum(0).max(0), norm.sum(1).max(0))
+    norm = np.maximum(norm.sum(1).max(1), norm.sum(2).max(1))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         nu, dts = norm[drift], dts[first]
         s = np.where(np.isfinite(nu) & (nu * dts > 0.5),
                      np.ceil(np.log2(nu) + np.log2(dts) + 1.0), 0).astype(int)
-        if A_c.shape[-1] > 1:   # entries in order of s, so the gaps still doubling are a suffix
-            by_s = np.argsort(s, kind="stable")
-            first, drift, nu, dts, s = first[by_s], drift[by_s], nu[by_s], dts[by_s], s[by_s]
-            which = np.argsort(by_s)[which]
-            if A_c.shape[-1] == first.size:     # a drift per entry: no gather
-                A_c, norm, drift = np.ascontiguousarray(A_c[..., drift]), nu, slice(None)
+        # entries in order of s, so the gaps still doubling are a suffix
+        by_s = np.argsort(s, kind="stable")
+        first, drift, nu, dts, s = first[by_s], drift[by_s], nu[by_s], dts[by_s], s[by_s]
+        which = np.argsort(by_s)[which]
+        if A_c.shape[0] == first.size:     # a drift per entry: no gather
+            A_c, norm, drift = A_c[drift], nu, slice(None)
         h = np.ldexp(dts, -s)
-        B = A_c / np.where(norm > 0, norm, 1.0)
-        # table[k] = [B^k, M^k(Sigma), B^k G] per drift, entries last, then
-        # divided by k!, (k+1)! and (k+1)!
+        B = A_c / np.where(norm > 0, norm, 1.0)[:, None, None]
+        # table[k] = [B^k, M^k(Sigma), B^k G] per drift, then times 1/k!,
+        # 1/(k+1)! and 1/(k+1)!
         w = 2 * n + m
-        top = np.concatenate([np.eye(n), 0.5 * (spec.Sigma + spec.Sigma.T), spec.G], axis=1)
-        if B.shape[-1] == 1 and n <= 3:
-            table = np.reshape(_float_table(n, w)(B.ravel().tolist(), top.ravel().tolist()),
-                               (_TAYLOR_DEGREE + 2, n, w, 1))
-        else:
-            table = np.empty((_TAYLOR_DEGREE + 2, n, w, B.shape[-1]))
-            table[0] = top[..., None]
-            for k in range(1, _TAYLOR_DEGREE + 2):
-                R = _stack_mul(B, table[k - 1], out=table[k])[:, n:2 * n]
-                R += R.transpose(1, 0, 2).copy()
-        table /= np.where(np.arange(w) < n, _FACTORIALS[:-1, None],
-                          _FACTORIALS[1:, None])[:, None, :, None]
-        table[-1, :, n:] = 0.0
-        table = table.reshape(_TAYLOR_DEGREE + 2, n * w, B.shape[-1])
+        table = np.empty((_TAYLOR_DEGREE + 2, B.shape[0], n, w))
+        table[0] = np.concatenate([np.eye(n), 0.5 * (spec.Sigma + spec.Sigma.T), spec.G], axis=1)
+        for k in range(1, _TAYLOR_DEGREE + 2):
+            R = np.matmul(B, table[k - 1], out=table[k])[..., n:2 * n]
+            R += R.swapaxes(1, 2)           # numpy buffers the overlapping operand
+        table *= np.where(np.arange(w) < n, _INV_FACTORIALS[:-1, None],
+                          _INV_FACTORIALS[1:, None])[:, None, None, :]
+        table[-1, ..., n:] = 0.0
+        # Horner's rule in tau per entry, entries last
+        table = table.reshape(_TAYLOR_DEGREE + 2, B.shape[0], n * w).transpose(0, 2, 1)
         if table.shape[-1] > 1:
             table = table[..., drift]
         tau = nu * h
@@ -595,21 +556,20 @@ def _gap_transitions(spec: ModelSpec, dts, drifts=None):
             P += c
             P *= tau
         P += table[0]
-        P = P.reshape(n, w, first.size)     # [A(h), Sigma(h) / h, G(h) / h] per entry
-        P[:, n:] *= h
+        P = np.ascontiguousarray(P.T).reshape(first.size, n, w)
+        P[..., n:] *= h[:, None, None]      # [A(h), Sigma(h), G(h)] per entry
         for i in spec.random_walk_states:   # exact already for a zero drift row
-            P[i, :n] = 0.0
-            P[i, i] = 1.0
+            P[:, i, :n] = 0.0
+            P[:, i, i] = 1.0
         for lo in np.searchsorted(s, np.arange(s[-1] if s.size else 0), side="right").tolist():
-            X = P[..., lo:]                 # the entries still doubling
-            a = X[:, :n]
-            Y = _stack_mul(a, X)            # [A A, A Sigma, A G]
-            X[:, n:2 * n] += _stack_mul(Y[:, n:2 * n], a.transpose(1, 0, 2))
-            X[:, 2 * n:] += Y[:, 2 * n:]
-            X[:, :n] = Y[:, :n]
-        S = P[:, n:2 * n]
-        A_d, Sigma_d, G_d = (np.ascontiguousarray(x.transpose(2, 0, 1)) for x in
-                             (P[:, :n], 0.5 * (S + S.transpose(1, 0, 2)), P[:, 2 * n:]))
+            X = P[lo:]                      # the entries still doubling
+            a = X[..., :n]
+            Y = a @ X                       # [A A, A Sigma, A G]
+            X[..., n:2 * n] += Y[..., n:2 * n] @ a.swapaxes(1, 2)
+            X[..., 2 * n:] += Y[..., 2 * n:]
+            X[..., :n] = Y[..., :n]
+        S = P[..., n:2 * n]
+        A_d, Sigma_d, G_d = P[..., :n].copy(), 0.5 * (S + S.swapaxes(1, 2)), P[..., 2 * n:].copy()
     bad = ~np.isfinite(np.concatenate([A_d, Sigma_d, G_d], axis=-1)).all((1, 2))
     if bad.any():
         i = int(first[bad].min())

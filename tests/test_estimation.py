@@ -798,13 +798,17 @@ def test_nan_cells_count_as_missing_in_a_fit():
     assert fits[0].bic == fits[1].bic
 
 
-def test_nan_cells_set_in_place_count_as_missing():
+def test_nan_cells_set_in_place_count_as_missing(tmp_path):
     truth, data = var2_cohort()
     built = [int((~p.missing).sum()) for p in data.participants]
     for p in data.participants:         # a NaN set after construction, the mask left as it was
         t, j = np.argwhere(~p.missing)[0]
         p.Y[t, j] = np.nan
     assert data.observed_cells() == sum(built) - len(built)
+    es.write_dataset(data, tmp_path / "data.csv")
+    back = es.read_dataset(tmp_path / "data.csv")
+    assert back.observed_cells() == data.observed_cells()
+    assert es.datasets_equal(back, data, atol=1e-9)
     options = FitOptions(n_restarts=1, max_iter=5, seed=0)
     fits = es.fit(truth, VAR2_MAP, data, mode="idiographic", options=options)
     assert [f.n_obs_used for f in fits] == [k - 1 for k in built]

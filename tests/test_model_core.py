@@ -239,10 +239,9 @@ def test_gap_transitions_match_a_40_digit_van_loan_reference(seed, n, walk, coup
 
 @pytest.mark.parametrize("tvp", [False, True])
 def test_gap_stack_slices_equal_one_gap_discretize_bit_for_bit(tvp):
-    """For 1 to 3 states; with ``tvp`` the stack builds its tables over
-    several drifts at once, while ``discretize`` builds one drift's on
-    Python floats."""
-    for n in (1, 2, 3):
+    """For 1 to 6 states; with ``tvp`` the stack builds its tables over
+    several drifts at once, while ``discretize`` builds one drift's."""
+    for n in (1, 2, 3, 4, 6):
         rng, A, Sigma = _drift(3, n, stable=True)
         spec = es.ModelSpec(A=A, Sigma=Sigma, G=rng.normal(size=(n, 2)),
                             time_mode="continuous", initial_cov=np.eye(n))
