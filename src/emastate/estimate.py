@@ -9,11 +9,18 @@ applied.
 
 Fitting maximizes the filter log-likelihood with BFGS, multi-started from
 perturbations of a heuristic initialization (lag-one regression for the
-transition matrix, residual moments for the variances).  Pooled fits share
-one parameter vector across participants, each participant's filter
-starting from the initial distribution.  BFGS gets the value and the
-gradient of each iterate from one evaluation.  For discrete-time Kalman fits
-the participants are stacked once, padded to the longest series.
+transition matrix, residual moments for the variances; Gaussian templates
+only).  Pooled fits share one parameter vector across participants, each
+participant's filter starting from the initial distribution.  BFGS gets the
+value and the gradient of each iterate from one evaluation.  For
+discrete-time Kalman fits the participants are stacked once, padded to the
+longest series.
+
+All searches of one :func:`fit` call (its restarts, and for an idiographic
+fit every participant's restarts) run in lockstep on the main thread
+through :func:`emastate.bfgs.minimize`, a resumable port of scipy's BFGS:
+each round, every live search's pending point is evaluated together, and
+each search reaches the iterates it would reach alone, bit for bit.
 
 - Models with more than one state or channel get the exact score: one
   stored filter pass at the iterate over all participants, one backward
@@ -25,10 +32,14 @@ the participants are stacked once, padded to the longest series.
   one scatter writes for all points at once.  A 1x1 discrete-time Kalman
   fit runs them as one stacked pass of the 2k+1 points times all
   participants, which costs about as much as a pass at the iterate alone,
-  so the score could not pay there.  A continuous-time Kalman fit filters
-  all participants at each point in one cohort pass
-  (:func:`~emastate.filtering._kalman_cohort`: one gap-kernel call, one
-  stacked pass per chunk); a particle fit filters one series at a time.
+  so the score could not pay there.  Each round, one such pass serves the
+  points of every live search (up to ``_PASS_MEMBERS`` members), an
+  idiographic member carrying its own participant's series.  A
+  continuous-time Kalman fit filters all participants at each point in one
+  cohort pass (:func:`~emastate.filtering._kalman_cohort`: one gap-kernel
+  call, one stacked pass per chunk); a particle fit filters one series at a
+  time.  Score, continuous-time and particle searches are evaluated one
+  search at a time.
 
 Fits of models with up to 3 states and 2 channels get the same values, bit
 for bit, as filtering each series alone.
@@ -37,11 +48,11 @@ for bit, as filtering each series alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
+from .bfgs import minimize      # perfbench/spans.py wraps it here
 from .dataset import EmaDataset, Participant, missing_cells
 from .errors import EmaError
 from .filtering import (_kalman_cohort, _kalman_score, _kalman_stack, _particle_pass,
@@ -344,14 +355,18 @@ def _fd_points(x: np.ndarray, step: float):
 
 
 def _value_and_grad(objectives, step: float):
-    """``x -> (f(x), central differences)`` from one ``objectives`` call over
-    all 2k + 1 points of :func:`_fd_points`: BFGS asks for both at every
-    iterate.  Each point's value does not depend on the others in the call,
-    so both equal a one-point call plus central differences of 2k points."""
-    def value_and_grad(x):
-        points, h2 = _fd_points(x, step)
-        f = np.asarray(objectives(points), dtype=float)
-        return float(f[0]), (f[1::2] - f[2::2]) / h2
+    """``[(owner, x)] -> [(f(x), central differences)]`` from one
+    ``objectives(points, owners)`` call over the 2k + 1 points of
+    :func:`_fd_points` of every x, each point tagged with its x's owner: a
+    search asks for both at every iterate.  Each point's value does not
+    depend on the others in the call, so each pair equals a one-point call
+    plus central differences of 2k points."""
+    def value_and_grad(pending):
+        fd = [_fd_points(x, step) for _, x in pending]
+        owners = np.repeat([o for o, _ in pending], len(fd[0][0]))
+        f = np.asarray(objectives(np.concatenate([points for points, _ in fd]), owners),
+                       dtype=float).reshape(len(pending), -1)
+        return [(float(v[0]), (v[1::2] - v[2::2]) / h2) for v, (_, h2) in zip(f, fd)]
     return value_and_grad
 
 
@@ -420,12 +435,15 @@ def _value_and_score(par: Parameterization, stack, penalty: float):
 def _heuristic_start(par: Parameterization, participants: Sequence[Participant]) -> None:
     """Lag-one regression start for A; residual moments for the variances.
 
-    Applies only when the measurement is square and identity-like (the usual
-    VAR-style layout); otherwise the template values stand.
+    Applies only when every channel is Gaussian and the measurement is square
+    and identity-like (the usual VAR-style layout); otherwise the template
+    values stand.  A Gaussian regression on Likert categories or counts
+    would only bias the start.
     """
     tpl = par.template
     n, p = tpl.n_states, tpl.n_obs
-    if p != n or not np.allclose(tpl.H, np.eye(n)) or tpl.time_mode != "discrete":
+    if (not tpl.all_gaussian or p != n or not np.allclose(tpl.H, np.eye(n))
+            or tpl.time_mode != "discrete"):
         return
     X0, X1 = [], []
     for part in participants:
@@ -456,26 +474,63 @@ def _heuristic_start(par: Parameterization, participants: Sequence[Participant])
 
 _RECOVERABLE = frozenset({"SINGULAR_INNOVATION", "DEGENERATE_WEIGHTS",
                           "NON_FINITE", "NEGATIVE_RATE"})
+# Members of one stacked pass of a lockstep fit's objective, unless a single
+# search's points need more: bounds the memory of wide idiographic rounds.
+_PASS_MEMBERS = 2048
 
 
-def _fit_single(par: Parameterization, participants: Sequence[Participant],
-                options: FitOptions, n_obs_used: int, seed_seq,
-                pid: str | None) -> "FitResult":
+class _Problem(NamedTuple):
+    """One likelihood to maximize: a pooled fit, or one participant's
+    idiographic fit, with its own heuristic start and restart seed."""
+
+    theta0: np.ndarray
+    participants: Sequence[Participant]
+    n_obs_used: int
+    seed_seq: np.random.SeedSequence
+    pid: str | None
+
+
+def _fit_single(par: Parameterization, problems: Sequence[_Problem],
+                options: FitOptions) -> list:
+    """One :class:`FitResult` per problem, every problem's restarts searched
+    together.
+
+    Each problem's starts are its ``theta0`` and perturbations of it; one
+    :func:`~emastate.bfgs.minimize` call then runs all of their BFGS
+    searches in lockstep, each iterate's value and gradient from one
+    evaluation.  A 1x1 discrete-time Kalman fit serves every pending
+    search's 2k+1 points from one stacked pass, each member carrying its own
+    problem's series and lengths; matrix-score, continuous-time and particle
+    searches are evaluated one pending search at a time.  Each search's
+    iterates depend only on its own values, so each result equals a search
+    run alone.  The problems share the template and map of ``par``.
+    """
     penalty = 1e12
     tpl = par.template
 
-    fun = None
+    by_owner = None         # [(problem, x)] -> [(f, g)]
     if options.likelihood == "kalman" and tpl.time_mode == "discrete":
-        stack = _stack_participants(tpl, participants)
+        # problems have equal participant counts: one each, or a single pooled problem
+        n_rows = len(problems[0].participants)
+        stack = [x.reshape((len(problems), n_rows) + x.shape[1:]) for x in _stack_participants(
+            tpl, [p for prob in problems for p in prob.participants])]
 
-        def objectives(thetas):
-            return _stacked_objectives(par, stack, penalty, thetas)
+        step = max(_PASS_MEMBERS // n_rows, 2 * par.n_free + 1)
+
+        def objectives(thetas, owners=None):
+            return np.concatenate([_stacked_objectives(
+                par, [x[0] if len(problems) == 1 else x[owners[at:at + step]] for x in stack],
+                penalty, thetas[at:at + step]) for at in range(0, len(thetas), step)])
         # The exact score needs one pass at the iterate whatever k is; a 1x1
         # pass of all 2k+1 points costs about as much as one point.
         if tpl.n_states > 1 or tpl.n_obs > 1:
-            fun = _value_and_score(par, stack, penalty)
+            scores = [_value_and_score(par, _stack_participants(tpl, prob.participants),
+                                       penalty) for prob in problems]
+
+            def by_owner(pending):
+                return [scores[o](x) for o, x in pending]
     else:
-        def objective(theta):
+        def objective(participants, theta):
             spec = par.unpack(theta)
             if not all(np.isfinite(getattr(spec, name)).all() for name in _MATRIX_NAMES):
                 return penalty
@@ -493,50 +548,59 @@ def _fit_single(par: Parameterization, participants: Sequence[Participant],
                 raise
             return -total if np.isfinite(total) else penalty
 
-        def objectives(thetas):
-            return [objective(theta) for theta in thetas]
+        def objectives(thetas, owners=None):
+            owners = [0] * len(thetas) if owners is None else owners
+            return [objective(problems[o].participants, theta)
+                    for o, theta in zip(owners, thetas)]
 
-    rng = np.random.default_rng(seed_seq)
-    theta0 = par.start_vector()
-    starts = [theta0]
-    for _ in range(options.n_restarts - 1):
-        scale = options.perturb_scale * (1.0 + np.abs(theta0))
-        starts.append(theta0 + rng.normal(0.0, scale))
-
-    if not any(objectives([s])[0] < penalty for s in starts):
-        raise EmaError("NONFINITE_LIKELIHOOD",
-                       "likelihood is non-finite at every multi-start initialization")
+    starts, owner = [], []
+    for j, prob in enumerate(problems):
+        rng = np.random.default_rng(prob.seed_seq)
+        own = [prob.theta0]
+        for _ in range(options.n_restarts - 1):
+            scale = options.perturb_scale * (1.0 + np.abs(prob.theta0))
+            own.append(prob.theta0 + rng.normal(0.0, scale))
+        if not any(objectives([s], [j])[0] < penalty for s in own):
+            raise EmaError("NONFINITE_LIKELIHOOD",
+                           "likelihood is non-finite at every multi-start initialization")
+        starts += own
+        owner += [j] * len(own)
 
     # A penalized point gets the gradient 0 from the score, and from central
     # differences when both of its neighbours are penalized too.
-    fun = fun or _value_and_grad(objectives, options.fd_step)
-    best = None
-    restart_objectives = []
-    for s in starts:
-        res = minimize(fun, s, jac=True, method="BFGS",
-                       options={"gtol": options.tol, "maxiter": options.max_iter})
-        restart_objectives.append(float(res.fun))
-        if best is None or res.fun < best.fun:
-            best = res
-    if best.fun >= penalty:
-        raise EmaError("NONFINITE_LIKELIHOOD", "no restart reached a finite likelihood")
+    by_owner = by_owner or _value_and_grad(objectives, options.fd_step)
+    searches = minimize(lambda pending: by_owner([(owner[i], x) for i, x in pending]),
+                        starts, gtol=options.tol, maxiter=options.max_iter).results
 
-    gnorm = float(np.max(np.abs(best.jac))) if best.jac is not None else np.inf
-    converged = bool(gnorm < options.tol and best.status == 0)
-    spec_hat = par.unpack(best.x)
-    ll = -float(best.fun)
-    aic, bic = information_criteria(ll, par.n_free, n_obs_used)
-    return FitResult(spec_hat=spec_hat, log_likelihood=ll, n_free=par.n_free,
-                     n_obs_used=n_obs_used, aic=aic, bic=bic, converged=converged,
-                     n_restarts_used=len(starts),
-                     restart_objectives=restart_objectives,
-                     gradient_norm=gnorm, seed=options.seed, participant=pid,
-                     theta_hat=np.asarray(best.x, dtype=float))
+    results = []
+    for j, prob in enumerate(problems):
+        own = [r for r, o in zip(searches, owner) if o == j]
+        best = min(own, key=lambda r: r.fun)      # the first of equal minima
+        if best.fun >= penalty:
+            raise EmaError("NONFINITE_LIKELIHOOD", "no restart reached a finite likelihood")
+        gnorm = float(np.max(np.abs(best.jac))) if best.jac is not None else np.inf
+        ll = -float(best.fun)
+        aic, bic = information_criteria(ll, par.n_free, prob.n_obs_used)
+        results.append(FitResult(
+            spec_hat=par.unpack(best.x), log_likelihood=ll, n_free=par.n_free,
+            n_obs_used=prob.n_obs_used, aic=aic, bic=bic,
+            converged=bool(gnorm < options.tol and best.status == 0),
+            n_restarts_used=len(own), restart_objectives=[float(r.fun) for r in own],
+            gradient_norm=gnorm, seed=options.seed, participant=prob.pid,
+            theta_hat=np.asarray(best.x, dtype=float),
+            restarts=[{key: r[key] for key in ("nit", "nfev", "status", "message")}
+                      for r in own]))
+    return results
 
 
 @dataclass
 class FitResult:
     """Estimated spec plus optimizer diagnostics.
+
+    ``restart_objectives`` and ``restarts`` follow the start order (the
+    heuristic start first).  ``restarts`` holds each restart's BFGS ``nit``,
+    ``nfev``, ``status`` and ``message`` as scipy reports them; it is not
+    written by :meth:`to_dict`.
 
     Standard errors are deliberately absent (not zero): finite-difference
     Hessians over particle likelihoods are unreliable.
@@ -555,6 +619,7 @@ class FitResult:
     seed: int
     participant: str | None = None
     theta_hat: np.ndarray | None = None
+    restarts: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -595,6 +660,9 @@ def fit(template: ModelSpec, pmap: ParameterMap, data: EmaDataset,
     Before any search, every participant's series gets the filters' checks
     and a failure names the participant; an observed infinite cell, whose
     likelihood no parameter makes finite, is ``NONFINITE_LIKELIHOOD``.
+    Then each fit's starts must reach a finite likelihood, and every
+    restart of every fit runs in one lockstep :func:`_fit_single` call,
+    with the results each search gives when run alone.
     """
     require_valid(template)
     if not data.participants:
@@ -626,18 +694,18 @@ def fit(template: ModelSpec, pmap: ParameterMap, data: EmaDataset,
 
     if mode == "pooled":
         _heuristic_start(par, data.participants)
-        n_used = data.observed_cells()
-        return _fit_single(par, data.participants, options, n_used,
-                           np.random.SeedSequence((options.seed, 0)), None)
+        return _fit_single(par, [_Problem(par.start_vector(), data.participants,
+                                          data.observed_cells(),
+                                          np.random.SeedSequence((options.seed, 0)), None)],
+                           options)[0]
 
-    results = []
+    problems = []
     for i, p in enumerate(data.participants):
         par_i = Parameterization(template, pmap)
         _heuristic_start(par_i, [p])
-        n_used = int(p.observed.sum())
-        results.append(_fit_single(par_i, [p], options, n_used,
-                                   np.random.SeedSequence((options.seed, i)), p.pid))
-    return results
+        problems.append(_Problem(par_i.start_vector(), [p], int(p.observed.sum()),
+                                 np.random.SeedSequence((options.seed, i)), p.pid))
+    return _fit_single(par, problems, options)
 
 
 # ---------------------------------------------------------------------------

@@ -606,9 +606,12 @@ def test_particle_objective_penalizes_overflowing_theta(monkeypatch):
     data = simulate(truth, T=20, seed=23)
     seen = []
 
-    def one_look(fun, x0, jac, **kwargs):     # fun returns (value, gradient)
-        seen.append(fun(x0 + 1000.0)[0])    # the Theta log-sd overflows to inf
-        return OptimizeResult(x=x0, fun=fun(x0)[0], jac=np.zeros_like(x0), status=0)
+    def one_look(evaluate, starts, **kwargs):   # evaluate([(search, x)]) -> [(value, gradient)]
+        x0 = starts[0]
+        seen.append(evaluate([(0, x0 + 1000.0)])[0][0])    # the Theta log-sd overflows to inf
+        res = OptimizeResult(x=x0, fun=evaluate([(0, x0)])[0][0], jac=np.zeros_like(x0),
+                             status=0, nit=0, nfev=1, message="")
+        return OptimizeResult(results=[res], nfev=1, nit=0)
 
     monkeypatch.setattr(estimate, "minimize", one_look)
     opts = FitOptions(n_restarts=1, likelihood="particle", n_particles=100,
@@ -643,11 +646,14 @@ def test_overflowed_entry_that_never_meets_an_observed_ping_is_penalized(monkeyp
                             "Theta": [["fixed"] * 3, ["fixed"] * 3, ["fixed", "fixed", "free"]]})
     seen = []
 
-    def one_look(fun, x0, jac, **kwargs):     # fun returns (value, gradient)
+    def one_look(evaluate, starts, **kwargs):   # evaluate([(search, x)]) -> [(value, gradient)]
+        x0 = starts[0]
         x = x0.copy()
         x[-1] = 1000.0                      # Theta[2, 2] overflows to inf
-        seen.append(fun(x)[0])
-        return OptimizeResult(x=x0, fun=fun(x0)[0], jac=np.zeros_like(x0), status=0)
+        seen.append(evaluate([(0, x)])[0][0])
+        res = OptimizeResult(x=x0, fun=evaluate([(0, x0)])[0][0], jac=np.zeros_like(x0),
+                             status=0, nit=0, nfev=1, message="")
+        return OptimizeResult(results=[res], nfev=1, nit=0)
 
     monkeypatch.setattr(estimate, "minimize", one_look)
     opts = FitOptions(n_restarts=1, likelihood="particle" if path == "particle" else "kalman",
@@ -848,3 +854,48 @@ def test_a_grid_of_the_wrong_shape_is_a_bad_parameter_map(grid, shape):
     assert exc.value.code == "BAD_PARAMETER_MAP"
     assert exc.value.message.startswith("A grid of shape (")
     assert exc.value.message.endswith(f"does not fit the A matrix of shape {shape}")
+
+
+# --- each restart's search is reported -----------------------------------------
+
+@pytest.mark.parametrize("mode", ["pooled", "idiographic"])
+def test_each_restart_reports_its_search_in_start_order(mode):
+    """A fit stopped by ``max_iter`` says so for every restart, with scipy's
+    status and message, and ``fit.json`` does not carry the reports."""
+    data = simulate(ar1_truth(), T=60, seed=3, n_participants=2)
+    opts = FitOptions(n_restarts=3, max_iter=2, tol=1e-12, seed=4)
+    fits = es.fit(ar1_truth(), AR1_MAP, data, mode=mode, options=opts)
+    for r in fits if mode == "idiographic" else [fits]:
+        assert [(s["status"], s["message"], s["nit"]) for s in r.restarts] == \
+            [(1, "Maximum number of iterations has been exceeded.", 2)] * 3
+        assert all(s["nfev"] >= 3 for s in r.restarts)
+        assert not r.converged
+        assert "restarts" not in r.to_dict()
+
+
+# --- the heuristic start of non-Gaussian templates ---------------------------------
+
+def test_heuristic_start_leaves_a_non_gaussian_template_s_values():
+    """A Gaussian lag-one regression on Likert categories and counts would
+    only bias the start: a graded-response plus Poisson template keeps its
+    own values, while the same layout with Gaussian channels does not."""
+    from emastate.estimate import _heuristic_start
+    channels = (es.MeasurementChannel(family="graded_response", state_index=0,
+                                      thresholds=(-1.0, 0.0, 1.0)),
+                es.MeasurementChannel(family="poisson", state_index=1, link="log"))
+    likert = es.ModelSpec(A=[[0.3, 0.0], [0.0, 0.2]], Sigma=np.diag([0.5, 0.4]),
+                          Theta=np.zeros((2, 2)), channels=channels)
+    pmap = es.ParameterMap({"A": [["free", "free"], ["free", "free"]],
+                            "Sigma": [["free", "fixed"], ["fixed", "free"]]})
+    truth = likert.with_matrices(A=np.array([[0.7, 0.1], [0.0, 0.6]]))
+    data = es.simulate_dataset(truth, es.PingSchedule(kind="fixed", horizon=60.0,
+                                                      interval=1.0),
+                               n_participants=3, rng_seed=12)
+    par = Parameterization(likert, pmap)
+    _heuristic_start(par, data.participants)
+    assert par.start_vector().tobytes() == Parameterization(likert, pmap).start_vector().tobytes()
+
+    gaussian = es.ModelSpec(A=likert.A, Sigma=likert.Sigma, Theta=np.diag([0.5, 0.5]))
+    par = Parameterization(gaussian, pmap)
+    _heuristic_start(par, data.participants)
+    assert par.start_vector().tobytes() != Parameterization(gaussian, pmap).start_vector().tobytes()

@@ -48,25 +48,36 @@ def _bits(r):
 
 
 def _sequential(monkeypatch):
-    """Run fits through the sequential search: BFGS gets a one-point
-    objective and, separately, a 2k-point central-difference gradient or
-    (matrix Kalman fits) the gradient of a score call."""
-    from scipy.optimize import minimize
+    """Run fits through the sequential search: each search runs alone in
+    scipy's BFGS, which gets a one-point objective and, separately, a
+    2k-point central-difference gradient or (matrix Kalman fits) the
+    gradient of a score call.  The patched evaluations hand the driver
+    these function pairs in place of values."""
+    from scipy.optimize import OptimizeResult, minimize
 
     def split(objectives, step):
-        return (lambda x: float(objectives([x])[0]),
-                lambda x: central_diff_grad(objectives, x, step))
+        def pairs(pending):
+            return [(lambda x, o=o: float(objectives([x], [o])[0]),
+                     lambda x, o=o: central_diff_grad(
+                         lambda points: objectives(points, [o] * len(points)), x, step))
+                    for o, _ in pending]
+        return pairs
 
     score = estimate._value_and_score
 
     def split_score(par, stack, penalty):
-        return (lambda x: float(estimate._stacked_objectives(par, stack, penalty, [x])[0]),
-                lambda x: score(par, stack, penalty)(x)[1])
+        return lambda x: (
+            lambda x: float(estimate._stacked_objectives(par, stack, penalty, [x])[0]),
+            lambda x: score(par, stack, penalty)(x)[1])
 
-    def sequential_minimize(fun, x0, jac, **kwargs):
-        assert jac is True
-        objective, grad = fun
-        return minimize(objective, x0, jac=grad, **kwargs)
+    def sequential_minimize(evaluate, starts, gtol, maxiter):
+        results = []
+        for i, x0 in enumerate(starts):
+            objective, grad = evaluate([(i, x0)])[0]
+            results.append(minimize(objective, x0, jac=grad, method="BFGS",
+                                    options={"gtol": gtol, "maxiter": maxiter}))
+        return OptimizeResult(results=results, nfev=sum(r.nfev for r in results),
+                              nit=sum(r.nit for r in results))
 
     monkeypatch.setattr(estimate, "_value_and_grad", split)
     monkeypatch.setattr(estimate, "_value_and_score", split_score)
