@@ -12,9 +12,11 @@ perturbations of a heuristic initialization (lag-one regression for the
 transition matrix, residual moments for the variances; Gaussian templates
 only).  Pooled fits share one parameter vector across participants, each
 participant's filter starting from the initial distribution.  BFGS gets the
-value and the gradient of each iterate from one evaluation.  For
-discrete-time Kalman fits the participants are stacked once, padded to the
-longest series.
+value and the gradient of each iterate from one evaluation.  For Kalman
+fits the participants are stacked once, padded to the longest series, and
+every likelihood comes from :func:`_kalman_pass`: one scatter writes the
+matrices of all its points, and one stacked pass filters all points times
+all participants.
 
 All searches of one :func:`fit` call (its restarts, and for an idiographic
 fit every participant's restarts) run in lockstep on the main thread
@@ -22,27 +24,25 @@ through :func:`emastate.bfgs.minimize`, a resumable port of scipy's BFGS:
 each round, every live search's pending point is evaluated together, and
 each search reaches the iterates it would reach alone, bit for bit.
 
-- Models with more than one state or channel get the exact score: one
-  stored filter pass at the iterate over all participants, one backward
-  pass (:func:`~emastate.filtering._kalman_score`), and the matrix
-  gradients chained to the free parameters by
+- Discrete-time models with more than one state or channel get the exact
+  score: one stored pass at the iterate over all participants, one
+  backward pass (:func:`~emastate.filtering._kalman_score`), and the
+  matrix gradients chained to the free parameters by
   :meth:`Parameterization.chain`, whatever the number k of free parameters.
-- 1x1 models, continuous-time and particle fits take central differences
-  from the 2k+1 points (the iterate and its 2k neighbours), whose matrices
-  one scatter writes for all points at once.  A 1x1 discrete-time Kalman
-  fit runs them as one stacked pass of the 2k+1 points times all
-  participants, which costs about as much as a pass at the iterate alone,
-  so the score could not pay there.  Each round, one such pass serves the
-  points of every live search (up to ``_PASS_MEMBERS`` members), an
-  idiographic member carrying its own participant's series.  A
-  continuous-time Kalman fit filters all participants at each point in one
-  cohort pass (:func:`~emastate.filtering._kalman_cohort`: one gap-kernel
-  call, one stacked pass per chunk); a particle fit filters one series at a
-  time.  Score, continuous-time and particle searches are evaluated one
-  search at a time.
+- 1x1 and continuous-time Kalman fits, and particle fits, take central
+  differences from the 2k+1 points (the iterate and its 2k neighbours).
+  For a 1x1 model a pass of all 2k+1 points costs about as much as a pass
+  at the iterate alone, so the score could not pay there.  Each round, one
+  lean pass serves the points of every live Kalman search (up to
+  ``_PASS_MEMBERS`` members), an idiographic member carrying its own
+  participant's series.  In continuous time each point first discretizes
+  its members' gaps in one gap-kernel call.  A particle fit filters one
+  series at a time.  Score and particle searches are evaluated one search
+  at a time.
 
-Fits of models with up to 3 states and 2 channels get the same values, bit
-for bit, as filtering each series alone.
+Kalman fits get the same values, bit for bit, as filtering each series
+alone: each participant's terms are summed over its own pings, and the
+participants are added left to right.
 """
 
 from __future__ import annotations
@@ -55,11 +55,11 @@ import numpy as np
 from .bfgs import minimize      # perfbench/spans.py wraps it here
 from .dataset import EmaDataset, Participant, missing_cells
 from .errors import EmaError
-from .filtering import (_kalman_cohort, _kalman_score, _kalman_stack, _particle_pass,
-                        _series, _stack_series)
+from .filtering import (_gap_steps, _kalman_score, _kalman_stack, _particle_pass, _series,
+                        _stack_series)
 # perfbench/spans.py wraps these here
 from .filtering import kalman_filter, kalman_filter_ct, particle_filter  # noqa: F401
-from .model import ModelSpec, require_valid
+from .model import ModelSpec, _gap_transitions, require_valid
 from .simulate import DisturbanceEvent, encode_disturbance
 
 FREE = "free"
@@ -339,8 +339,12 @@ class FitOptions:
     n_particles: int = 2000
     particle_seed: int = 0          # common random numbers across iterations
     seed: int = 0                   # restart perturbations
-    perturb_scale: float = 0.25
-    fd_step: float = 1e-6
+
+
+# Central differences step by h_i = _FD_STEP * max(1, |x_i|); a restart
+# starts from theta0 plus normals of scale _PERTURB_SCALE * (1 + |theta0|).
+_FD_STEP = 1e-6
+_PERTURB_SCALE = 0.25
 
 
 def _fd_points(x: np.ndarray, step: float):
@@ -372,62 +376,89 @@ def _value_and_grad(objectives, step: float):
 
 def _stack_participants(spec: ModelSpec, participants: Sequence[Participant]):
     """Participants' series, checked by :func:`fit`, stacked by
-    :func:`~emastate.filtering._stack_series`; NaN cells count as missing."""
-    return _stack_series([(p.Y, missing_cells(p.Y, p.missing), p.U) for p in participants],
-                         spec.n_obs, spec.n_inputs)
+    :func:`~emastate.filtering._stack_series`; NaN cells count as missing.
+    In continuous time the stack also holds each series' gaps, (R, T - 1),
+    zero past its end."""
+    stack = _stack_series([(p.Y, missing_cells(p.Y, p.missing), p.U) for p in participants],
+                          spec.n_obs, spec.n_inputs)
+    if spec.time_mode == "continuous":
+        gaps = np.zeros((len(participants), max(stack[0].shape[1] - 1, 0)))
+        for r, p in enumerate(participants):
+            gaps[r, :max(len(p.timestamps) - 1, 0)] = np.diff(p.timestamps)
+        stack += (gaps,)
+    return stack
 
 
-def _finite_points(mats) -> np.ndarray:
-    """Per point of a :meth:`Parameterization.scatter` stack, whether all its
-    matrices are finite.  A point that overflowed gets the penalty even
-    where the infinite entry never reaches an observed ping."""
-    k = len(mats["A"])
-    return np.isfinite(np.concatenate([v.reshape(k, -1) for v in mats.values()], 1)).all(1)
+def _ct_steps(template: ModelSpec, mats, gaps, lengths, ok):
+    """The steps of a continuous-time (points, participants) stack.  Each
+    point marked in ``ok`` discretizes its members' gaps in one
+    :func:`~emastate.model._gap_transitions` call; a point whose gap
+    overflows (``NON_FINITE``) is cleared in ``ok``, and another kernel
+    error is raised.  The steps of a cleared point, and every step past a
+    member's end, are the identity (:func:`~emastate.filtering._gap_steps`)."""
+    K, R = len(ok), np.shape(lengths)[-1]
+    real = np.arange(gaps.shape[-1]) < np.broadcast_to(lengths, (K, R))[..., None] - 1
+    gaps, steps = np.broadcast_to(gaps, real.shape), []
+    for k in range(K):
+        table, which = [mats[name][:0] for name in ("A", "Sigma", "G")], []
+        if ok[k]:
+            spec = template.with_matrices(A=mats["A"][k], Sigma=mats["Sigma"][k], G=mats["G"][k])
+            try:
+                *table, which = _gap_transitions(spec, gaps[k][real[k]])
+            except EmaError as err:
+                if err.code != "NON_FINITE":
+                    raise
+                ok[k] = False
+        steps.append(_gap_steps(table, which, real[k] & ok[k]))
+    return tuple(np.stack(x, 1) for x in zip(*steps))
+
+
+def _kalman_pass(par: Parameterization, stack, thetas, store=False):
+    """One lean (or with ``store``, stored) Kalman pass over a (points,
+    participants) stack: the points' matrices, the pass, each point's
+    negative pooled log-likelihood, and whether that value stands.  It does
+    not stand where the point's matrices are not all finite (even if the
+    infinite entry never reaches an observed ping), a gap overflows, a
+    participant fails, or the total is not finite.  Participant totals are
+    added left to right, as a sum of the participants' own filter
+    log-likelihoods is."""
+    y, obs, u, lengths, *gaps = stack
+    mats = par.scatter(thetas)
+    ok = np.isfinite(np.concatenate([v.reshape(len(v), -1) for v in mats.values()], 1)).all(1)
+    m = {name: v[:, None] for name, v in mats.items()}
+    trans = (_ct_steps(par.template, mats, gaps[0], lengths, ok) if gaps
+             else (m["A"][None], m["Sigma"][None], m["G"][None]))
+    res = _kalman_stack(y, obs, u, m["initial_mean"], m["initial_cov"], m["H"], m["Theta"],
+                        trans, store=store, lengths=lengths)
+    with np.errstate(all="ignore"):       # failed members may hold inf or NaN
+        total = np.add.accumulate(res.total, axis=1)[:, -1]
+    return mats, res, -total, ok & (res.fail == 0).all(axis=1) & np.isfinite(total)
 
 
 def _stacked_objectives(par: Parameterization, stack, penalty: float,
                         thetas) -> np.ndarray:
-    """Negative pooled log-likelihood at each point, from one Kalman pass
-    over a (points, participants) stack; a point whose matrices are not all
-    finite, any of whose participants fails, or whose total is not finite
-    gets the penalty.  Participant totals are added left to right, as a sum
-    of the participants' own filter log-likelihoods is."""
-    y, obs, u, lengths = stack
-    mats = par.scatter(thetas)
-    m = {name: v[:, None] for name, v in mats.items()}
-    res = _kalman_stack(y, obs, u, m["initial_mean"], m["initial_cov"], m["H"], m["Theta"],
-                        (m["A"][None], m["Sigma"][None], m["G"][None]), lengths=lengths)
-    with np.errstate(all="ignore"):       # failed members may hold inf or NaN
-        total = np.add.accumulate(res.loglik, axis=1)[:, -1]
-    ok = (res.fail == 0).all(axis=1) & np.isfinite(total) & _finite_points(mats)
-    return np.where(ok, -total, penalty)
+    """Negative pooled log-likelihood at each point, from one lean
+    :func:`_kalman_pass`, or the penalty where that value does not stand."""
+    _, _, value, ok = _kalman_pass(par, stack, thetas)
+    return np.where(ok, value, penalty)
 
 
 def _value_and_score(par: Parameterization, stack, penalty: float):
     """``x -> (f(x), exact gradient)`` of the negative pooled
-    log-likelihood, from one stored one-point Kalman pass over the
-    participants and the backward pass of
+    log-likelihood of a discrete-time stack, from one stored one-point
+    :func:`_kalman_pass` over the participants and the backward pass of
     :func:`~emastate.filtering._kalman_score`, whatever the number of free
-    parameters.  f is :func:`_stacked_objectives`'s value at x (bit for bit
-    up to ``_SMALL_SHAPE``; larger models sum the stored per-ping terms, so
-    may differ in the last bits).  A point whose matrices are not all
-    finite, any of whose participants fails, whose total is not finite, or
-    whose score is not finite gets ``(penalty, zeros)``."""
-    y, obs, u, lengths = stack
-
+    parameters.  f is :func:`_stacked_objectives`'s value at x, bit for bit.
+    A point whose value does not stand, or whose score is not finite, gets
+    ``(penalty, zeros)``."""
     def value_and_score(x):
-        mats = par.scatter([x])
-        m = {name: v[0] for name, v in mats.items()}
-        res = _kalman_stack(y, obs, u, m["initial_mean"], m["initial_cov"], m["H"],
-                            m["Theta"], (m["A"][None], m["Sigma"][None], m["G"][None]),
-                            store=True, lengths=lengths)
-        with np.errstate(all="ignore"):     # failed members may hold inf or NaN
-            total = np.add.accumulate([t[:k].sum() for t, k in zip(res.loglik, lengths)])[-1]
-            if _finite_points(mats)[0] and not res.fail.any() and np.isfinite(total):
-                g = par.chain(x, _kalman_score(y, obs, u, *res.moments[:2],
-                                               m["A"], m["H"], m["Theta"]))
-                if np.isfinite(g).all():
-                    return float(-total), -g
+        mats, res, value, ok = _kalman_pass(par, stack, [x], store=True)
+        if ok[0]:
+            with np.errstate(all="ignore"):
+                g = par.chain(x, _kalman_score(*stack[:3], res.moments[0][0], res.moments[1][0],
+                                               mats["A"][0], mats["H"][0], mats["Theta"][0]))
+            if np.isfinite(g).all():
+                return float(value[0]), -g
         return penalty, np.zeros(par.n_free)
     return value_and_score
 
@@ -498,10 +529,10 @@ def _fit_single(par: Parameterization, problems: Sequence[_Problem],
     Each problem's starts are its ``theta0`` and perturbations of it; one
     :func:`~emastate.bfgs.minimize` call then runs all of their BFGS
     searches in lockstep, each iterate's value and gradient from one
-    evaluation.  A 1x1 discrete-time Kalman fit serves every pending
+    evaluation.  A 1x1 or continuous-time Kalman fit serves every pending
     search's 2k+1 points from one stacked pass, each member carrying its own
-    problem's series and lengths; matrix-score, continuous-time and particle
-    searches are evaluated one pending search at a time.  Each search's
+    problem's series, lengths and gaps; matrix-score and particle searches
+    are evaluated one pending search at a time.  Each search's
     iterates depend only on its own values, so each result equals a search
     run alone.  The problems share the template and map of ``par``.
     """
@@ -509,7 +540,7 @@ def _fit_single(par: Parameterization, problems: Sequence[_Problem],
     tpl = par.template
 
     by_owner = None         # [(problem, x)] -> [(f, g)]
-    if options.likelihood == "kalman" and tpl.time_mode == "discrete":
+    if options.likelihood == "kalman":
         # problems have equal participant counts: one each, or a single pooled problem
         n_rows = len(problems[0].participants)
         stack = [x.reshape((len(problems), n_rows) + x.shape[1:]) for x in _stack_participants(
@@ -523,7 +554,7 @@ def _fit_single(par: Parameterization, problems: Sequence[_Problem],
                 penalty, thetas[at:at + step]) for at in range(0, len(thetas), step)])
         # The exact score needs one pass at the iterate whatever k is; a 1x1
         # pass of all 2k+1 points costs about as much as one point.
-        if tpl.n_states > 1 or tpl.n_obs > 1:
+        if tpl.time_mode == "discrete" and (tpl.n_states > 1 or tpl.n_obs > 1):
             scores = [_value_and_score(par, _stack_participants(tpl, prob.participants),
                                        penalty) for prob in problems]
 
@@ -536,29 +567,24 @@ def _fit_single(par: Parameterization, problems: Sequence[_Problem],
                 return penalty
             try:
                 with np.errstate(all="ignore"):   # non-finite points are penalized
-                    if options.likelihood == "kalman":
-                        total = sum(r.log_likelihood for r in _kalman_cohort(spec, participants))
-                    else:
-                        total = sum(float(_particle_pass(
-                            spec, p.Y, options.n_particles, options.particle_seed, p.missing,
-                            p.U, p.timestamps, store=False)[2].sum()) for p in participants)
+                    total = sum(float(_particle_pass(
+                        spec, p.Y, options.n_particles, options.particle_seed, p.missing,
+                        p.U, p.timestamps, store=False)[2].sum()) for p in participants)
             except EmaError as err:
                 if err.code in _RECOVERABLE:      # a different theta may cure these
                     return penalty
                 raise
             return -total if np.isfinite(total) else penalty
 
-        def objectives(thetas, owners=None):
-            owners = [0] * len(thetas) if owners is None else owners
-            return [objective(problems[o].participants, theta)
-                    for o, theta in zip(owners, thetas)]
+        def objectives(thetas, owners):
+            return [objective(problems[o].participants, x) for o, x in zip(owners, thetas)]
 
     starts, owner = [], []
     for j, prob in enumerate(problems):
         rng = np.random.default_rng(prob.seed_seq)
         own = [prob.theta0]
         for _ in range(options.n_restarts - 1):
-            scale = options.perturb_scale * (1.0 + np.abs(prob.theta0))
+            scale = _PERTURB_SCALE * (1.0 + np.abs(prob.theta0))
             own.append(prob.theta0 + rng.normal(0.0, scale))
         if not any(objectives([s], [j])[0] < penalty for s in own):
             raise EmaError("NONFINITE_LIKELIHOOD",
@@ -568,7 +594,7 @@ def _fit_single(par: Parameterization, problems: Sequence[_Problem],
 
     # A penalized point gets the gradient 0 from the score, and from central
     # differences when both of its neighbours are penalized too.
-    by_owner = by_owner or _value_and_grad(objectives, options.fd_step)
+    by_owner = by_owner or _value_and_grad(objectives, _FD_STEP)
     searches = minimize(lambda pending: by_owner([(owner[i], x) for i, x in pending]),
                         starts, gtol=options.tol, maxiter=options.max_iter).results
 

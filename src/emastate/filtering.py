@@ -113,11 +113,13 @@ _SMALL_SHAPE = (3, 2)   # most (states, channels) that run the closed-form recur
 
 @dataclass
 class _StackPass:
-    """Output of :func:`_kalman_stack`; ``fail`` is 0 or a failure code."""
+    """Output of :func:`_kalman_stack`, built by :func:`_pass_result`;
+    ``fail`` is 0 or a failure code."""
 
     loglik: np.ndarray              # B (lean) or B + (T,) (stored)
+    total: np.ndarray               # B; each member's log-likelihood
     fail: np.ndarray                # B
-    fail_ping: np.ndarray           # B; first failing ping, -1 if unknown
+    fail_ping: np.ndarray           # B; first failing ping, -1 if none
     fail_eig: np.ndarray            # B + (2,); eigenvalue range of S there
     moments: tuple | None = None    # pred_m, pred_P, filt_m, filt_P
     scalar: bool = False            # a 1x1 pass: S is the variance s
@@ -137,6 +139,38 @@ class _StackPass:
             raise EmaError("NON_FINITE", f"innovation or its {what} is non-finite at ping {t}")
 
 
+def _pass_result(terms, seen, finite, lo, hi, L, batch, store, moments=None,
+                 scalar=False) -> _StackPass:
+    """The :class:`_StackPass` of either recursion, from these per member
+    and ping, each (M, T): the likelihood term, whether the member observes
+    a channel, whether its S is finite, and the eigenvalue range of S.  A
+    member's total sums its terms over its own ``L`` pings, as the total of
+    a single series does.  A member fails at its first observed ping whose
+    S is non-finite (``NON_FINITE``) or fails the eigenvalue range check
+    (``SINGULAR_INNOVATION``), else at its first non-finite term if its
+    total is not finite."""
+    M, T = terms.shape
+    with np.errstate(all="ignore"):     # failed members may hold inf or NaN
+        total = np.empty(M)
+        for k in set(L.tolist()):       # each member over its own pings
+            own = L == k
+            total[own] = terms[own, :k].sum(-1)
+        flagged = seen & ~(finite & (lo > 0.0) & (hi <= COND_LIMIT * lo))
+    fail, fail_ping, fail_eig = np.zeros(M, dtype=int), np.full(M, -1), np.zeros((M, 2))
+    failed, non_finite = flagged.any(-1), ~np.isfinite(total)
+    if failed.any() or non_finite.any():
+        member = np.arange(M)
+        at = np.where(failed, flagged.argmax(-1), (~np.isfinite(terms)).argmax(-1))
+        fail = np.where(failed, np.where(finite[member, at], _SINGULAR, _NON_FINITE),
+                        np.where(non_finite, _NON_FINITE, 0))
+        fail_ping = np.where(fail != 0, at, -1)
+        singular = fail == _SINGULAR
+        fail_eig[singular] = np.stack([lo[member, at], hi[member, at]], -1)[singular]
+    return _StackPass((terms.reshape(batch + (T,)) if store else total.reshape(batch)),
+                      total.reshape(batch), fail.reshape(batch), fail_ping.reshape(batch),
+                      fail_eig.reshape(batch + (2,)), moments, scalar)
+
+
 def _kalman_stack(y, obs, u, mu0, P0, H, Theta, trans, store=False,
                   lengths=None) -> _StackPass:
     """One predict/update recursion over a stack of members.
@@ -147,7 +181,8 @@ def _kalman_stack(y, obs, u, mu0, P0, H, Theta, trans, store=False,
     ``P0``/``H``/``Theta`` (..., n, n)/(..., p, n)/(..., p, p).
     ``trans`` is (A, Sigma, G), each stacked over the steps: (T-1, ...),
     entry k for the step into ping k+1, or (1, ...) when one step serves
-    every ping.
+    every ping.  ``lengths`` (broadcast to B; all T by default) counts the
+    pings of each member's own series.
 
     Unobserved cells leave the update by the selection device of Durbin &
     Koopman (2012, *Time Series Analysis by State Space Methods*, ch. 4,
@@ -158,23 +193,23 @@ def _kalman_stack(y, obs, u, mu0, P0, H, Theta, trans, store=False,
     padded eigenvalue check equals the check on that block; log c is taken
     back out of the log-determinant.
 
-    A member whose S is non-finite or fails the eigenvalue check fails alone
-    (``fail``/``fail_ping``) and stops updating; the others run on.  With
-    ``store`` the per-ping moments and likelihood terms are kept; otherwise
-    only each member's summed log-likelihood, which adds zero for padding.
+    Where a member's S is non-finite or fails the eigenvalue check, it is
+    read as I, so no solve raises; :func:`_pass_result` fails that member
+    alone, and its later numbers are not read.  With ``store`` the per-ping
+    moments and likelihood terms are kept; otherwise only each member's
+    total, summed over its own pings as in a stored pass, so both give the
+    same numbers.
 
     Up to ``_SMALL_SHAPE`` (states, channels), :func:`_small_stack` runs
-    instead; there ``lengths`` (broadcast to B; all T by default) counts the
-    pings of each member's own series, and a member's total sums its terms
-    over those pings only, as the total of a single series does.
+    instead.
     """
     T, p = y.shape[-2:]
     n = mu0.shape[-1]
     shapes = [y.shape[:-2], mu0.shape[:-1], P0.shape[:-2], H.shape[:-2],
               Theta.shape[:-2]]
     batch = np.broadcast_shapes(*shapes, *(np.shape(x)[1:-2] for x in trans))
+    L = np.broadcast_to(T if lengths is None else lengths, batch)
     if n <= _SMALL_SHAPE[0] and p <= _SMALL_SHAPE[1] and T:
-        L = np.broadcast_to(T if lengths is None else lengths, batch)
         return _small_stack(y, obs, u, mu0, P0, H, Theta, trans, store, L)
     I_n, I_p = np.eye(n), np.eye(p)
     Ht = H.swapaxes(-1, -2)
@@ -191,16 +226,13 @@ def _kalman_stack(y, obs, u, mu0, P0, H, Theta, trans, store=False,
 
     m = np.broadcast_to(mu0, batch + (n,))
     P = np.broadcast_to(P0, batch + (n, n))
-    fail = np.zeros(batch, dtype=int)
-    fail_ping = np.full(batch, -1)
-    fail_eig = np.zeros(batch + (2,))
-    failed = None                   # bool mask once any member has failed
-    ll = np.zeros(batch + (T,) if store else batch)
+    ll, lo, hi = np.zeros((3,) + batch + (T,))
+    finite = np.ones(batch + (T,), dtype=bool)
     if store:
         pm = np.zeros(batch + (T, n)); pP = np.zeros(batch + (T, n, n))
         fm = np.zeros_like(pm); fP = np.zeros_like(pP)
 
-    with np.errstate(all="ignore"):     # failures are detected explicitly
+    with np.errstate(all="ignore"):     # failures are found after the loop
         for t in range(T):
             if t:
                 if t == 1 or len(trans[0]) > 1:     # else one step serves every ping
@@ -234,25 +266,13 @@ def _kalman_stack(y, obs, u, mu0, P0, H, Theta, trans, store=False,
             S = 0.5 * (S + S.swapaxes(-1, -2))
 
             if not math.isfinite(S.sum()):
-                new = ~np.isfinite(S).all((-2, -1)) & (fail == 0)
-                fail = np.where(new, _NON_FINITE, fail)
-                fail_ping = np.where(new, t, fail_ping)
-                failed = fail != 0
-            if failed is not None:
-                S = np.where(failed[..., None, None], I_p, S)
+                finite[..., t] = np.isfinite(S).all((-2, -1))
+                S = np.where(finite[..., t, None, None], S, I_p)
             w = np.linalg.eigvalsh(S)
+            lo[..., t], hi[..., t] = w[..., 0], w[..., -1]
             ok = (w[..., 0] > 0.0) & (w[..., -1] <= COND_LIMIT * w[..., 0])
             if not ok.all():
-                fail = np.where(ok, fail, _SINGULAR)
-                fail_ping = np.where(ok, fail_ping, t)
-                fail_eig = np.where(ok[..., None], fail_eig, w[..., [0, -1]])
-                failed = fail != 0
-                S = np.where(failed[..., None, None], I_p, S)
-            if failed is not None:
-                if failed.all():
-                    break
-                HP = np.where(failed[..., None, None], 0.0, HP)
-                v = np.where(failed[..., None], 0.0, v)
+                S = np.where(ok[..., None, None], S, I_p)
 
             X = np.linalg.solve(S, np.concatenate([HP, v[..., None]], axis=-1))
             K = X[..., :n].swapaxes(-1, -2)
@@ -262,20 +282,13 @@ def _kalman_stack(y, obs, u, mu0, P0, H, Theta, trans, store=False,
             P = 0.5 * (P + P.swapaxes(-1, -2))
             step = -0.5 * (n_obs[..., t] * log_2pi + np.log(w).sum(-1) - log_pad
                            + (v * X[..., n]).sum(-1))
+            ll[..., t] = np.where(member_any[..., t], step, 0.0)    # not -0.0
             if store:
                 fm[..., t, :], fP[..., t, :, :] = m, P
-                ll[..., t] = np.where(member_any[..., t], step, 0.0)    # not -0.0
-            else:
-                ll = ll + step
 
-        total = ll.sum(-1) if store else ll
-        new = ~np.isfinite(total) & (fail == 0)
-    if new.any():
-        fail = np.where(new, _NON_FINITE, fail)
-        if store:
-            fail_ping = np.where(new, np.argmax(~np.isfinite(ll), -1), fail_ping)
-    return _StackPass(ll, fail, fail_ping, fail_eig,
-                      (pm, pP, fm, fP) if store else None)
+    return _pass_result(*(np.broadcast_to(x, batch + (T,)).reshape(L.size, T)
+                          for x in (ll, member_any, finite, lo, hi)),
+                        L.reshape(-1), batch, store, (pm, pP, fm, fP) if store else None)
 
 
 def _sym(x, i, j):
@@ -570,12 +583,10 @@ def _small_stack(y, obs, u, mu0, P0, H, Theta, trans, store, L) -> _StackPass:
     """:func:`_kalman_stack` by :func:`_small_recursion`: on floats once per
     member over its own pings (fewer than ``_STACK_MIN_MEMBERS`` members for
     1x1, ``_STACK_MIN_MEMBERS_SMALL`` else), or elementwise over all members
-    (1x1: :func:`_paired_1x1`).  The likelihood terms and the checks
-    run after the loop on each ping's S, det S and quadratic form, alike for
-    both forms.  A member fails at its first observed ping whose S is
-    non-finite (``NON_FINITE``) or whose observed block fails the eigenvalue
-    range check (``SINGULAR_INNOVATION``, :func:`_eig_range`), else at its
-    first non-finite term if its total is not finite.
+    (1x1: :func:`_paired_1x1`).  The likelihood terms and the eigenvalue
+    range of S (:func:`_eig_range`) come after the loop from each ping's S,
+    det S and quadratic form, alike for both forms; :func:`_pass_result`
+    finds the failures.
     """
     T, p = y.shape[-2:]
     n, q = mu0.shape[-1], u.shape[-1]
@@ -641,39 +652,22 @@ def _small_stack(y, obs, u, mu0, P0, H, Theta, trans, store, L) -> _StackPass:
         n_obs = seen if p == 1 else os.sum(1)
         terms = np.where(seen, -0.5 * (n_obs * np.log(2.0 * np.pi) + np.log(det) + quad),
                          0.0).T.copy()                              # (M, T)
-        total = np.empty(M)
-        for k in set(L.tolist()):       # each member over its own pings
-            own = L == k
-            total[own] = terms[own, :k].sum(-1)
         if p == 1:              # lambda_min = lambda_max = s
             lo = hi = inn[:, 0]
             finite = np.isfinite(lo)
-            flagged = seen & ~(finite & (lo > 0.0))
         else:
             a, b, d = inn[:, 0], inn[:, 1], inn[:, 2]
             alone = np.where(os[:, 0], a, d)            # one observed channel
             lo, hi = (np.where(os.all(1), x, alone) for x in _eig_range(a, b, d))
             finite = np.isfinite(inn[:, :-1]).all(1)
-            flagged = seen & ~(finite & (lo > 0.0) & (hi <= COND_LIMIT * lo))
-    fail, fail_ping, fail_eig = np.zeros(M, dtype=int), np.full(M, -1), np.zeros((M, 2))
-    failed, non_finite = flagged.any(0), ~np.isfinite(total)
-    if failed.any() or non_finite.any():
-        member = np.arange(M)
-        at = np.where(failed, flagged.argmax(0), (~np.isfinite(terms)).argmax(-1))
-        fail = np.where(failed, np.where(finite[at, member], _SINGULAR, _NON_FINITE),
-                        np.where(non_finite, _NON_FINITE, 0))
-        fail_ping = np.where(fail != 0, at, -1)
-        singular = fail == _SINGULAR
-        fail_eig[singular] = np.stack([lo[at, member], hi[at, member]], -1)[singular]
     moments = None
     if store:
         moments = ()
         for x in (pred, filt):
             moments += (x[:, :n].transpose(2, 0, 1).reshape(batch + (T, n)),
                         x[:, n + full].transpose(3, 0, 1, 2).reshape(batch + (T, n, n)))
-    return _StackPass((terms if store else total).reshape(batch + ((T,) if store else ())),
-                      fail.reshape(batch), fail_ping.reshape(batch),
-                      fail_eig.reshape(batch + (2,)), moments, scalar=n == p == 1)
+    return _pass_result(terms, seen.T, finite.T, lo.T, hi.T, L, batch, store, moments,
+                        scalar=n == p == 1)
 
 
 def _series(spec: ModelSpec, y, missing, u, timestamps):
@@ -775,6 +769,21 @@ def _stack_series(series, p: int, q: int):
     return y, obs, u, lengths
 
 
+def _gap_steps(table, which, real):
+    """The steps (A, Sigma, G) of a stack of members, each (steps,) + B + its
+    matrix shape, as :func:`_kalman_stack` takes them.  The real gaps (mask
+    ``real``, B + (steps,)), in row-major order, use the entries ``which`` of
+    ``table``, stacked :func:`~emastate.model._gap_transitions` results;
+    every other step, past a member's last ping, is the identity with no
+    noise and no input."""
+    n, q = table[0].shape[-1], table[2].shape[-1]
+    pad = (np.eye(n), np.zeros((n, n)), np.zeros((n, q)))
+    rows = np.full(real.shape, -1)      # row -1: the identity step
+    rows[real] = which
+    rows = np.moveaxis(rows, -1, 0)
+    return tuple(np.concatenate([x, e[None]])[rows] for x, e in zip(table, pad))
+
+
 # Members of one stacked pass of :func:`_kalman_cohort`: bounds the memory of
 # its stored moments on big cohorts.
 _COHORT_CHUNK = 64
@@ -784,15 +793,16 @@ def _kalman_cohort(spec: ModelSpec, participants, with_steps=False):
     """Yield the Kalman filter of each participant (objects with ``Y``,
     ``missing``, ``U`` and ``timestamps``) in order, with ``with_steps`` also
     the (T-1, n, n) transition matrices of its steps.  Public filters are a
-    cohort of one, and each point of a continuous-time Kalman fit a cohort
-    of all participants; each participant equals its own call bit for bit.
+    cohort of one, and CLI ``filter`` a cohort of all participants; each
+    participant equals its own call bit for bit.
 
     Every series is checked first, and all gaps are discretized in one
     :func:`~emastate.model._gap_transitions` call; one stored
     :func:`_kalman_stack` pass runs per chunk of ``_COHORT_CHUNK``
-    participants, padded as in a pooled fit (identity steps, unobserved
-    pings).  The first participant whose series, gaps or filter fails raises
-    what its own call would, after the participants before it are yielded.
+    participants, padded as in a pooled fit (identity steps from
+    :func:`_gap_steps`, unobserved pings).  The first participant whose
+    series, gaps or filter fails raises what its own call would, after the
+    participants before it are yielded.
     """
     _require_gaussian(spec)
     series, pending = [], None
@@ -806,28 +816,21 @@ def _kalman_cohort(spec: ModelSpec, participants, with_steps=False):
     continuous = spec.time_mode == "continuous"
     while continuous and series:
         gaps = [np.diff(s[3]) for s in series]
+        starts = np.cumsum([0] + [g.size for g in gaps])
         try:
             *table, which = _gap_transitions(spec, np.concatenate(gaps))
             break
         except EmaError as err:     # the first participant with a failing gap
-            owner = np.repeat(np.arange(len(series)), [g.size for g in gaps])
-            del series[owner[err.gap]:]
+            del series[np.searchsorted(starts, err.gap, side="right") - 1:]
             pending = err
-    if continuous and series:       # row -1 pads: the identity step
-        pad = (np.eye(n), np.zeros((n, n)), np.zeros((n, q)))
-        table = [np.concatenate([x, e[None]]) for x, e in zip(table, pad)]
-        starts = np.cumsum([0] + [g.size for g in gaps])
 
     for lo in range(0, len(series), _COHORT_CHUNK):
         chunk = series[lo:lo + _COHORT_CHUNK]
         y, obs, u, lengths = _stack_series(chunk, spec.n_obs, q)
         R, T = y.shape[:2]
         if continuous:
-            rows = np.full((max(T - 1, 0), R), -1)
-            for r in range(R):
-                rows[:starts[lo + r + 1] - starts[lo + r], r] = \
-                    which[starts[lo + r]:starts[lo + r + 1]]
-            trans = tuple(x[rows] for x in table)
+            trans = _gap_steps(table, which[starts[lo]:starts[lo + R]],
+                               np.arange(T - 1) < lengths[:, None] - 1)
         else:
             trans = (spec.A[None], spec.Sigma[None], spec.G[None])
         res = _kalman_stack(y, obs, u, spec.initial_mean, spec.initial_cov, spec.H,
@@ -836,15 +839,12 @@ def _kalman_cohort(spec: ModelSpec, participants, with_steps=False):
         for r, (_, missing, _, timestamps) in enumerate(chunk):
             res.raise_failure(r)
             k = lengths[r]
-            ll = res.loglik[r, :k]
-            out = FilterResult(timestamps, pm[r, :k], pP[r, :k], fm[r, :k], fP[r, :k], ll,
-                               float(ll.sum()), int(missing.any(axis=1).sum()), missing)
-            if not with_steps:
-                yield out
-                continue
-            A = (table[0][which[starts[lo + r]:starts[lo + r + 1]]] if continuous
+            out = FilterResult(timestamps, pm[r, :k], pP[r, :k], fm[r, :k], fP[r, :k],
+                               res.loglik[r, :k], float(res.total[r]),
+                               int(missing.any(axis=1).sum()), missing)
+            A = (trans[0][:max(k - 1, 0), r] if continuous
                  else np.broadcast_to(spec.A, (max(k - 1, 0), n, n)))
-            yield out, A
+            yield (out, A) if with_steps else out
     if pending is not None:
         raise pending
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import emastate as es
 from emastate.errors import EmaError
-from emastate.estimate import FitOptions, Parameterization
+from emastate.estimate import _FD_STEP, FitOptions, Parameterization
 
 from oracles import ObservedCellGaussian, central_diff_grad, gaussian_joint, random_stable_spec
 
@@ -386,7 +386,7 @@ def test_fit_continuous_time_model_on_irregular_pings():
     assert es.validate_model(r.spec_hat).errors == []
 
 
-# --- continuous-time fits: one cohort pass per point ------------------------
+# --- continuous-time fits: one stacked pass of all points ---------------------
 
 class _Caught(Exception):
     pass
@@ -550,9 +550,9 @@ def test_stacked_gradient_equals_per_series_central_differences():
     rng = np.random.default_rng(3)
     for _ in range(3):
         theta = par.start_vector() + rng.normal(scale=0.1, size=par.n_free)
-        want = central_diff_grad(lambda pts: [f(x) for x in pts], theta, FAST.fd_step)
+        want = central_diff_grad(lambda pts: [f(x) for x in pts], theta, _FD_STEP)
         got = central_diff_grad(
-            lambda pts: _stacked_objectives(par, stack, 1e12, pts), theta, FAST.fd_step)
+            lambda pts: _stacked_objectives(par, stack, 1e12, pts), theta, _FD_STEP)
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
         assert _stacked_objectives(par, stack, 1e12, [theta])[0] == pytest.approx(
             f(theta), rel=1e-12)
@@ -573,7 +573,7 @@ def test_stacked_fit_reaches_per_series_optimum():
     f = per_series_objective(par, data.participants)
     ref = minimize(f, par.start_vector(), method="BFGS",
                    jac=lambda x: central_diff_grad(lambda pts: [f(q) for q in pts],
-                                                    x, opts.fd_step),
+                                                    x, _FD_STEP),
                    options={"gtol": opts.tol, "maxiter": opts.max_iter})
     assert r.converged
     assert abs(r.log_likelihood - (-ref.fun)) < 1e-6
@@ -623,8 +623,9 @@ def test_particle_objective_penalizes_overflowing_theta(monkeypatch):
 @pytest.mark.parametrize("path", ["discrete", "continuous", "particle"])
 def test_overflowed_entry_that_never_meets_an_observed_ping_is_penalized(monkeypatch, path):
     """A point whose Theta log-sd overflows on a channel that is never
-    observed gets the penalty on every fit path: the score of matrix fits
-    and the per-point objective of continuous-time and particle fits.  The
+    observed gets the penalty on every fit path: the score of matrix fits,
+    the stacked objective of continuous-time fits and the per-point
+    objective of particle fits.  The
     particle filter never reads that Theta entry, so only the finiteness
     check of the point's matrices penalizes it there."""
     from scipy.optimize import OptimizeResult
@@ -766,7 +767,7 @@ def test_unit_root_scalar_fit_follows_the_per_series_search():
     f = per_series_objective(par, data.participants)
     ref = minimize(f, par.start_vector(), method="BFGS",
                    jac=lambda x: central_diff_grad(lambda pts: [f(q) for q in pts],
-                                                    x, opts.fd_step),
+                                                    x, _FD_STEP),
                    options={"gtol": opts.tol, "maxiter": opts.max_iter})
     assert r.spec_hat.A[0, 0] == 1.0
     assert r.theta_hat.tobytes() == ref.x.tobytes()
@@ -786,6 +787,34 @@ def test_matrix_stacked_objective_equals_per_series_sum_bit_for_bit(monkeypatch)
         monkeypatch.setattr(es.filtering, "_STACK_MIN_MEMBERS_SMALL", threshold)
         got = _stacked_objectives(par, stack, 1e12, thetas)
         assert got.tolist() == [f(x) for x in thetas]
+
+
+@pytest.mark.parametrize("n, p", [(2, 3), (4, 2)])
+def test_general_recursion_stacked_objective_equals_per_series_sum_bit_for_bit(n, p):
+    """Shapes past the closed-form recursion run the matrix recursion: its
+    lean pass sums each member's terms over its own pings, as a stored pass
+    and a public filter call do, so the stacked objective is minus the sum
+    of the participants' own ``kalman_filter`` log-likelihoods, bit for
+    bit.  Ragged series of 8 to 20 pings, 20 % MCAR."""
+    from emastate.estimate import _stack_participants, _stacked_objectives
+    rng = np.random.default_rng(n * 10 + p)
+    truth = es.ModelSpec(A=0.5 * np.eye(n) + 0.1 * rng.normal(size=(n, n)), Sigma=np.eye(n),
+                         H=np.eye(p, n) + 0.3 * rng.normal(size=(p, n)),
+                         Theta=0.5 * np.eye(p))
+    data = simulate(truth, T=20, seed=n + p, n_participants=3,
+                    miss=es.MissingnessSpec("MCAR", 0.2))
+    for i, k in ((1, 8), (2, 13)):
+        q = data.participants[i]
+        data.participants[i] = es.Participant(q.pid, q.timestamps[:k], q.Y[:k],
+                                              q.missing[:k], q.U[:k])
+    pmap = es.ParameterMap({"A": [["free"] * n] * n,
+                            "Sigma": np.where(np.eye(n, dtype=bool), "free", "fixed").tolist(),
+                            "Theta": np.where(np.eye(p, dtype=bool), "free", "fixed").tolist()})
+    par = Parameterization(truth, pmap)
+    f = per_series_objective(par, data.participants)
+    thetas = par.start_vector() + rng.normal(scale=0.1, size=(30, par.n_free))
+    got = _stacked_objectives(par, _stack_participants(truth, data.participants), 1e12, thetas)
+    assert got.tolist() == [f(x) for x in thetas]
 
 
 # --- every series is checked before any search --------------------------------

@@ -3,9 +3,10 @@
 A fit hands BFGS one function that returns an iterate's value and its
 gradient from a single evaluation.  Scalar, continuous-time and particle
 fits take central differences from the 2k+1 points (the iterate, then
-x + h_i e_i and x - h_i e_i), and a discrete-time scalar Kalman fit
+x + h_i e_i and x - h_i e_i), and a scalar or continuous-time Kalman fit
 evaluates them as one stacked pass whose matrices
-``Parameterization.scatter`` writes for all points at once.  A
+``Parameterization.scatter`` writes for all points at once (in continuous
+time, each point's gaps then go through one gap-kernel call).  A
 discrete-time Kalman fit of a larger model takes the exact score from one
 stored pass at the iterate.  These tests hold that design to the sequential
 one (a one-point objective pass, then a 2k-point gradient pass or a
@@ -120,6 +121,17 @@ def _continuous_time():
     return truth, pmap, data, "pooled", FitOptions(n_restarts=1, max_iter=30, seed=0)
 
 
+def _idiographic_continuous_time():
+    truth = es.to_continuous(es.ModelSpec(A=[[0.6]], Sigma=[[1.0]], Theta=[[0.3]]), 1.0)
+    pmap = es.ParameterMap({"A": [["free"]], "Sigma": [["free"]], "Theta": [["free"]]})
+    data = _simulate(truth, 30.0, 3, seed=19, kind="jittered")
+    for i, k in ((1, 21), (2, 12)):         # ragged lengths
+        p = data.participants[i]
+        data.participants[i] = es.Participant(p.pid, p.timestamps[:k], p.Y[:k],
+                                              p.missing[:k], p.U[:k])
+    return truth, pmap, data, "idiographic", FitOptions(n_restarts=2, max_iter=40, seed=4)
+
+
 def _particle():
     ch = es.MeasurementChannel(family="poisson", scale=1.0, link="log")
     truth = es.ModelSpec(A=[[0.5]], Sigma=[[0.4]], Theta=[[0.0]], channels=(ch,))
@@ -130,7 +142,7 @@ def _particle():
 
 
 @pytest.mark.parametrize("case", [_pooled_var2, _idiographic_ar1, _continuous_time,
-                                  _particle])
+                                  _idiographic_continuous_time, _particle])
 def test_fused_search_equals_the_sequential_search_bit_for_bit(monkeypatch, case):
     template, pmap, data, mode, opts = case()
     passes = []
@@ -147,14 +159,16 @@ def test_fused_search_equals_the_sequential_search_bit_for_bit(monkeypatch, case
         _sequential(m)
         sequential = run()
     assert fused == sequential
-    if template.time_mode == "discrete" and opts.likelihood == "kalman":
+    if opts.likelihood == "kalman":        # fewer stacked passes than the sequential run
         assert 0 < fused_passes < len(passes) - fused_passes
 
 
 # --- a point's value does not depend on its stack ------------------------------
 
-def _cohort(rng, p, q, n_people):
-    """Participants of unequal lengths with missing cells (one nearly empty)."""
+def _cohort(rng, p, q, n_people, irregular=False):
+    """Participants of unequal lengths with missing cells (one nearly empty);
+    with ``irregular``, pinged at gaps of 0.2 to 4 h or, one in four, 1 to 3
+    days, the first gap 2 days."""
     people = []
     for i in range(n_people):
         T = int(rng.integers(2, 25))
@@ -162,8 +176,13 @@ def _cohort(rng, p, q, n_people):
         missing = rng.random((T, p)) < 0.3
         if i == 1:
             missing[1:] = True
-        people.append(es.Participant(f"p{i}", np.arange(T, dtype=float), Y, missing,
-                                     rng.normal(size=(T, q))))
+        U, t = rng.normal(size=(T, q)), np.arange(T, dtype=float)
+        if irregular:
+            gaps = np.where(rng.random(T) < 0.25, rng.uniform(24.0, 72.0, T),
+                            rng.uniform(0.2, 4.0, T))
+            gaps[1] = 48.0
+            t = np.cumsum(gaps)
+        people.append(es.Participant(f"p{i}", t, Y, missing, U))
     return people
 
 
@@ -176,33 +195,42 @@ MATRIX = (es.ModelSpec(A=[[0.5, 0.1], [0.0, 0.4]], Sigma=[[1.0, 0.2], [0.2, 0.8]
                            "G": [["free"], ["fixed"]],
                            "Sigma": [["free", "free"], ["free", "free"]],
                            "Theta": [["free", "fixed"], ["fixed", "free"]]}))
+CONTINUOUS = (es.ModelSpec(A=[[-0.5, 0.1], [0.0, -0.4]], Sigma=[[1.0, 0.2], [0.2, 0.8]],
+                           G=[[0.3], [0.0]], Theta=np.diag([0.4, 0.3]), time_mode="continuous",
+                           initial_cov=np.eye(2)),
+              MATRIX[1])
+MODELS = {"scalar": SCALAR, "matrix": MATRIX, "continuous": CONTINUOUS}
 
 
 @settings(max_examples=60, deadline=None)
-@given(model=st.sampled_from(["scalar", "matrix"]), n_people=st.integers(1, 3),
+@given(model=st.sampled_from(list(MODELS)), n_people=st.integers(1, 3),
        n_others=st.integers(1, 12), overflow=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 # Sigma[0, 0] overflows and reaches only an all-missing last ping
 @example(model="matrix", n_people=1, n_others=1, overflow=True, seed=27)
 def test_a_point_s_value_does_not_depend_on_the_other_points_of_its_stack(
         model, n_people, n_others, overflow, seed):
-    template, pmap = SCALAR if model == "scalar" else MATRIX
+    template, pmap = MODELS[model]
     rng = np.random.default_rng(seed)
-    people = _cohort(rng, template.n_obs, template.n_inputs, n_people)
+    people = _cohort(rng, template.n_obs, template.n_inputs, n_people,
+                     irregular=model == "continuous")
     par = Parameterization(template, pmap)
     stack = _stack_participants(template, people)
     x0 = par.start_vector()
     points = x0 + rng.normal(scale=0.5, size=(n_others + 1, par.n_free))
     at = int(rng.integers(0, n_others + 1))
-    if overflow:                    # a neighbour whose log-sd overflows to inf
-        big = (at + 1) % (n_others + 1)
+    big = (at + 1) % (n_others + 1)         # the neighbour that overflows
+    if overflow and model == "continuous":  # its drift: exp(40/h x 48 h) is inf
+        points[big, [("A", (0, 0)) in s.targets for s in par.slots]] = 40.0
+    elif overflow:                          # its log-sd: exp(400) is inf
         log_sd = [k for k, s in enumerate(par.slots) if s.transform in ("log_sd", "chol_diag")]
         points[big, rng.choice(log_sd)] = 400.0
     # 1x1: alone runs the float loop per member (fewer than _STACK_MIN_MEMBERS),
     # the stack runs it too or the elementwise branch, depending on its size
-    alone = _stacked_objectives(par, stack, PENALTY, points[at:at + 1])
     together = _stacked_objectives(par, stack, PENALTY, points)
-    assert alone[0].tobytes() == together[at].tobytes()
+    for k in (at, big):
+        alone = _stacked_objectives(par, stack, PENALTY, points[k:k + 1])
+        assert alone[0].tobytes() == together[k].tobytes()
     if overflow:
         assert together[big] == PENALTY
 

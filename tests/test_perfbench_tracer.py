@@ -56,7 +56,7 @@ def test_traced_pooled_fit_completes_and_counts_iterations(monkeypatch):
 
 
 def test_traced_continuous_time_fit_completes_and_equals_the_untraced_fit(monkeypatch):
-    """A continuous-time fit filters through the cohort pass, not the
+    """A continuous-time fit filters through the stacked objective, not the
     ``kalman_filter_ct`` binding the tracer wraps in ``estimate``; traced,
     it must still run and give the untraced answer."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
