@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from . import dataio
 from .errors import IO_CODES, NUMERICAL_CODES, EmaError
-from .estimate import FitOptions, ParameterMap, fit, rank_fits
+from .estimate import FitOptions, ParameterMap, fit, fit_candidates, rank_fits
 from .filtering import _kalman_cohort, particle_filter
 # perfbench/spans.py wraps the two Kalman filters where this module binds them
 from .filtering import kalman_filter, kalman_filter_ct  # noqa: F401
@@ -178,11 +178,9 @@ def _cmd_filter(args) -> int:
 
 def _cmd_compare(args) -> int:
     data = dataio.read_dataset(args.data)
-    labels, fits, options = [], [], _fit_options(args)
-    for path in args.templates:
-        template, pmap = _load_template(path)
-        labels.append(os.path.splitext(os.path.basename(path))[0])
-        fits.append(fit(template, pmap, data, mode="pooled", options=options))
+    labels = [os.path.splitext(os.path.basename(path))[0] for path in args.templates]
+    fits = fit_candidates(((*_load_template(path), data) for path in args.templates),
+                          _fit_options(args))
     table = rank_fits(labels, fits)
     lines = [f"compare: wrote {args.out}",
              f"candidates: {len(labels)} (full table reported)"]

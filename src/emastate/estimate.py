@@ -14,15 +14,20 @@ only).  Pooled fits share one parameter vector across participants, each
 participant's filter starting from the initial distribution.  BFGS gets the
 value and the gradient of each iterate from one evaluation.  For Kalman
 fits the participants are stacked once, padded to the longest series, and
-every likelihood comes from :func:`_kalman_pass`: one scatter writes the
-matrices of all its points, and one stacked pass filters all points times
-all participants.
+every likelihood comes from :func:`_kalman_pass`: one scatter per
+candidate writes the matrices of its points, and one stacked pass filters
+all points times all participants.
 
 All searches of one :func:`fit` call (its restarts, and for an idiographic
-fit every participant's restarts) run in lockstep on the main thread
-through :func:`emastate.bfgs.minimize`, a resumable port of scipy's BFGS:
-each round, every live search's pending point is evaluated together, and
-each search reaches the iterates it would reach alone, bit for bit.
+fit every participant's restarts), and of one :func:`fit_candidates` call
+(every candidate's restarts, as CLI ``compare`` and
+:func:`compare_disturbance_codings` run them), go through one lockstep
+driver, :func:`_fit_single`, on the main thread.  It runs
+:func:`emastate.bfgs.minimize`, a resumable port of scipy's BFGS: each
+round, every live search's pending point is evaluated together, and each
+search reaches the iterates it would reach alone, bit for bit.  Each
+problem it searches (a candidate's pooled fit, or one participant's fit)
+carries its own ``Parameterization`` and data.
 
 - Discrete-time models with more than one state or channel get the exact
   score: one stored pass at the iterate over all participants, one
@@ -33,12 +38,12 @@ each search reaches the iterates it would reach alone, bit for bit.
   differences from the 2k+1 points (the iterate and its 2k neighbours).
   For a 1x1 model a pass of all 2k+1 points costs about as much as a pass
   at the iterate alone, so the score could not pay there.  Each round, one
-  lean pass serves the points of every live Kalman search (up to
-  ``_PASS_MEMBERS`` members), an idiographic member carrying its own
-  participant's series.  In continuous time each point first discretizes
-  its members' gaps in one gap-kernel call.  A particle fit filters one
-  series at a time.  Score and particle searches are evaluated one search
-  at a time.
+  lean pass serves the points of every live such search of every problem
+  with the same shape and time mode (up to ``_PASS_MEMBERS`` members), with
+  one scatter per candidate; each member carries its own problem's series.
+  In continuous time each point first discretizes its members' gaps in one
+  gap-kernel call.  A particle fit filters one series at a time.  Score and
+  particle searches are evaluated one search at a time.
 
 Kalman fits get the same values, bit for bit, as filtering each series
 alone: each participant's terms are summed over its own pings, and the
@@ -48,6 +53,7 @@ participants are added left to right.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -360,17 +366,15 @@ def _fd_points(x: np.ndarray, step: float):
 
 def _value_and_grad(objectives, step: float):
     """``[(owner, x)] -> [(f(x), central differences)]`` from one
-    ``objectives(points, owners)`` call over the 2k + 1 points of
-    :func:`_fd_points` of every x, each point tagged with its x's owner: a
-    search asks for both at every iterate.  Each point's value does not
-    depend on the others in the call, so each pair equals a one-point call
-    plus central differences of 2k points."""
+    ``objectives`` call over the 2k + 1 points of :func:`_fd_points` of
+    every x, as ``[(owner, points)]``: a search asks for both at every
+    iterate.  Each point's value does not depend on the others in the call,
+    so each pair equals a one-point call plus central differences of 2k
+    points."""
     def value_and_grad(pending):
         fd = [_fd_points(x, step) for _, x in pending]
-        owners = np.repeat([o for o, _ in pending], len(fd[0][0]))
-        f = np.asarray(objectives(np.concatenate([points for points, _ in fd]), owners),
-                       dtype=float).reshape(len(pending), -1)
-        return [(float(v[0]), (v[1::2] - v[2::2]) / h2) for v, (_, h2) in zip(f, fd)]
+        values = objectives([(o, points) for (o, _), (points, _) in zip(pending, fd)])
+        return [(float(v[0]), (v[1::2] - v[2::2]) / h2) for v, (_, h2) in zip(values, fd)]
     return value_and_grad
 
 
@@ -389,9 +393,10 @@ def _stack_participants(spec: ModelSpec, participants: Sequence[Participant]):
     return stack
 
 
-def _ct_steps(template: ModelSpec, mats, gaps, lengths, ok):
-    """The steps of a continuous-time (points, participants) stack.  Each
-    point marked in ``ok`` discretizes its members' gaps in one
+def _ct_steps(templates, mats, gaps, lengths, ok):
+    """The steps of a continuous-time (points, participants) stack, each
+    point under its own template.  Each point marked in ``ok`` discretizes
+    its members' gaps in one
     :func:`~emastate.model._gap_transitions` call; a point whose gap
     overflows (``NON_FINITE``) is cleared in ``ok``, and another kernel
     error is raised.  The steps of a cleared point, and every step past a
@@ -402,7 +407,8 @@ def _ct_steps(template: ModelSpec, mats, gaps, lengths, ok):
     for k in range(K):
         table, which = [mats[name][:0] for name in ("A", "Sigma", "G")], []
         if ok[k]:
-            spec = template.with_matrices(A=mats["A"][k], Sigma=mats["Sigma"][k], G=mats["G"][k])
+            spec = templates[k].with_matrices(A=mats["A"][k], Sigma=mats["Sigma"][k],
+                                              G=mats["G"][k])
             try:
                 *table, which = _gap_transitions(spec, gaps[k][real[k]])
             except EmaError as err:
@@ -413,21 +419,27 @@ def _ct_steps(template: ModelSpec, mats, gaps, lengths, ok):
     return tuple(np.stack(x, 1) for x in zip(*steps))
 
 
-def _kalman_pass(par: Parameterization, stack, thetas, store=False):
+def _kalman_pass(segments, stack, store=False):
     """One lean (or with ``store``, stored) Kalman pass over a (points,
-    participants) stack: the points' matrices, the pass, each point's
-    negative pooled log-likelihood, and whether that value stands.  It does
-    not stand where the point's matrices are not all finite (even if the
-    infinite entry never reaches an observed ping), a gap overflows, a
-    participant fails, or the total is not finite.  Participant totals are
-    added left to right, as a sum of the participants' own filter
-    log-likelihoods is."""
+    participants) stack, its points given as ``[(par, thetas)]`` in order,
+    one :meth:`Parameterization.scatter` per entry: the points' matrices,
+    the pass, each point's negative pooled log-likelihood, and whether that
+    value stands.  It does not stand where the point's matrices are not all
+    finite (even if the infinite entry never reaches an observed ping), a
+    gap overflows, a participant fails, or the total is not finite.
+    Participant totals are added left to right, as a sum of the
+    participants' own filter log-likelihoods is."""
     y, obs, u, lengths, *gaps = stack
-    mats = par.scatter(thetas)
+    parts = [par.scatter(thetas) for par, thetas in segments]
+    mats = parts[0] if len(parts) == 1 else {
+        name: np.concatenate([m[name] for m in parts]) for name in parts[0]}
     ok = np.isfinite(np.concatenate([v.reshape(len(v), -1) for v in mats.values()], 1)).all(1)
     m = {name: v[:, None] for name, v in mats.items()}
-    trans = (_ct_steps(par.template, mats, gaps[0], lengths, ok) if gaps
-             else (m["A"][None], m["Sigma"][None], m["G"][None]))
+    if gaps:
+        templates = [par.template for par, thetas in segments for _ in range(len(thetas))]
+        trans = _ct_steps(templates, mats, gaps[0], lengths, ok)
+    else:
+        trans = (m["A"][None], m["Sigma"][None], m["G"][None])
     res = _kalman_stack(y, obs, u, m["initial_mean"], m["initial_cov"], m["H"], m["Theta"],
                         trans, store=store, lengths=lengths)
     with np.errstate(all="ignore"):       # failed members may hold inf or NaN
@@ -439,7 +451,7 @@ def _stacked_objectives(par: Parameterization, stack, penalty: float,
                         thetas) -> np.ndarray:
     """Negative pooled log-likelihood at each point, from one lean
     :func:`_kalman_pass`, or the penalty where that value does not stand."""
-    _, _, value, ok = _kalman_pass(par, stack, thetas)
+    _, _, value, ok = _kalman_pass([(par, thetas)], stack)
     return np.where(ok, value, penalty)
 
 
@@ -452,7 +464,7 @@ def _value_and_score(par: Parameterization, stack, penalty: float):
     A point whose value does not stand, or whose score is not finite, gets
     ``(penalty, zeros)``."""
     def value_and_score(x):
-        mats, res, value, ok = _kalman_pass(par, stack, [x], store=True)
+        mats, res, value, ok = _kalman_pass([(par, [x])], stack, store=True)
         if ok[0]:
             with np.errstate(all="ignore"):
                 g = par.chain(x, _kalman_score(*stack[:3], res.moments[0][0], res.moments[1][0],
@@ -506,14 +518,16 @@ def _heuristic_start(par: Parameterization, participants: Sequence[Participant])
 _RECOVERABLE = frozenset({"SINGULAR_INNOVATION", "DEGENERATE_WEIGHTS",
                           "NON_FINITE", "NEGATIVE_RATE"})
 # Members of one stacked pass of a lockstep fit's objective, unless a single
-# search's points need more: bounds the memory of wide idiographic rounds.
+# search's points need more: bounds the memory of wide rounds.
 _PASS_MEMBERS = 2048
 
 
 class _Problem(NamedTuple):
-    """One likelihood to maximize: a pooled fit, or one participant's
-    idiographic fit, with its own heuristic start and restart seed."""
+    """One likelihood to maximize: a candidate's pooled fit, or one
+    participant's idiographic fit, under its own parameterization, with its
+    own heuristic start and restart seed."""
 
+    par: Parameterization
     theta0: np.ndarray
     participants: Sequence[Participant]
     n_obs_used: int
@@ -521,64 +535,120 @@ class _Problem(NamedTuple):
     pid: str | None
 
 
-def _fit_single(par: Parameterization, problems: Sequence[_Problem],
-                options: FitOptions) -> list:
-    """One :class:`FitResult` per problem, every problem's restarts searched
-    together.
+def _lean_objectives(group: dict, penalty: float):
+    """``[(j, points)] -> [values at the points]``, the lean objective of
+    the Kalman problems ``group`` ({j: problem}), which share a shape, time
+    mode, input count and participant count.
 
-    Each problem's starts are its ``theta0`` and perturbations of it; one
-    :func:`~emastate.bfgs.minimize` call then runs all of their BFGS
-    searches in lockstep, each iterate's value and gradient from one
-    evaluation.  A 1x1 or continuous-time Kalman fit serves every pending
-    search's 2k+1 points from one stacked pass, each member carrying its own
-    problem's series, lengths and gaps; matrix-score and particle searches
-    are evaluated one pending search at a time.  Each search's
-    iterates depend only on its own values, so each result equals a search
-    run alone.  The problems share the template and map of ``par``.
-    """
-    penalty = 1e12
-    tpl = par.template
+    Consecutive whole blocks of points share a :func:`_kalman_pass` of at
+    most ``_PASS_MEMBERS`` members (a block that needs more runs alone),
+    with one scatter per run of points under one ``Parameterization``.
+    Each member carries its own problem's series, lengths and gaps;
+    problems that share their participants share one row of the stack."""
+    rows = {}           # one row of the stack per distinct participant list
+    row = {j: rows.setdefault(id(prob.participants), (len(rows), prob.participants))[0]
+           for j, prob in group.items()}
+    lists = [people for _, people in rows.values()]
+    stack = [x.reshape((len(lists), len(lists[0])) + x.shape[1:]) for x in _stack_participants(
+        next(iter(group.values())).par.template, [p for people in lists for p in people])]
+    width = max(_PASS_MEMBERS // len(lists[0]),
+                *(2 * prob.par.n_free + 1 for prob in group.values()))
 
-    by_owner = None         # [(problem, x)] -> [(f, g)]
-    if options.likelihood == "kalman":
-        # problems have equal participant counts: one each, or a single pooled problem
-        n_rows = len(problems[0].participants)
-        stack = [x.reshape((len(problems), n_rows) + x.shape[1:]) for x in _stack_participants(
-            tpl, [p for prob in problems for p in prob.participants])]
+    def run(chunk):
+        parts = [(par, np.concatenate([points for _, points in seg])) for par, seg in
+                 groupby(chunk, key=lambda seg: group[seg[0]].par)]
+        sizes = [len(points) for _, points in chunk]
+        owners = np.repeat([row[j] for j, _ in chunk], sizes)
+        _, _, value, ok = _kalman_pass(parts, [x[0] if len(lists) == 1 else x[owners]
+                                               for x in stack])
+        return np.split(np.where(ok, value, penalty), np.cumsum(sizes)[:-1])
 
-        step = max(_PASS_MEMBERS // n_rows, 2 * par.n_free + 1)
+    def objectives(segments):
+        values, chunk, size = [], [], 0
+        for seg in segments:
+            if chunk and size + len(seg[1]) > width:
+                values += run(chunk)
+                chunk, size = [], 0
+            chunk.append(seg)
+            size += len(seg[1])
+        return values + run(chunk)
+    return objectives
 
-        def objectives(thetas, owners=None):
-            return np.concatenate([_stacked_objectives(
-                par, [x[0] if len(problems) == 1 else x[owners[at:at + step]] for x in stack],
-                penalty, thetas[at:at + step]) for at in range(0, len(thetas), step)])
-        # The exact score needs one pass at the iterate whatever k is; a 1x1
-        # pass of all 2k+1 points costs about as much as one point.
-        if tpl.time_mode == "discrete" and (tpl.n_states > 1 or tpl.n_obs > 1):
-            scores = [_value_and_score(par, _stack_participants(tpl, prob.participants),
-                                       penalty) for prob in problems]
 
-            def by_owner(pending):
-                return [scores[o](x) for o, x in pending]
-    else:
-        def objective(participants, theta):
-            spec = par.unpack(theta)
+def _evaluators(problems: Sequence[_Problem], options: FitOptions, penalty: float):
+    """Per problem, its lean objective ``[(j, points)] -> [values]`` and its
+    round evaluator ``[(j, x)] -> [(f, g)]``; problems that are served
+    together share one function.
+
+    Kalman problems of one shape, time mode, input count and participant
+    count share a :func:`_lean_objectives`.  1x1 and continuous-time
+    problems take central differences from it (:func:`_value_and_grad`),
+    so each round one stacked pass serves the 2k+1 points of each of their
+    pending searches.  Other discrete-time problems take the exact score
+    (:func:`_value_and_score`) one search at a time, as do particle
+    problems, whose points are filtered one series at a time."""
+    if options.likelihood == "particle":
+        def objective(prob, theta):
+            spec = prob.par.unpack(theta)
             if not all(np.isfinite(getattr(spec, name)).all() for name in _MATRIX_NAMES):
                 return penalty
             try:
                 with np.errstate(all="ignore"):   # non-finite points are penalized
                     total = sum(float(_particle_pass(
                         spec, p.Y, options.n_particles, options.particle_seed, p.missing,
-                        p.U, p.timestamps, store=False)[2].sum()) for p in participants)
+                        p.U, p.timestamps, store=False)[2].sum()) for p in prob.participants)
             except EmaError as err:
                 if err.code in _RECOVERABLE:      # a different theta may cure these
                     return penalty
                 raise
             return -total if np.isfinite(total) else penalty
 
-        def objectives(thetas, owners):
-            return [objective(problems[o].participants, x) for o, x in zip(owners, thetas)]
+        def particle(segments):
+            return [np.array([objective(problems[j], x) for x in points])
+                    for j, points in segments]
+        return [particle] * len(problems), [_value_and_grad(particle, _FD_STEP)] * len(problems)
 
+    groups = {}
+    for j, prob in enumerate(problems):
+        tpl = prob.par.template
+        key = tpl.time_mode, tpl.n_states, tpl.n_obs, tpl.n_inputs, len(prob.participants)
+        groups.setdefault(key, {})[j] = prob
+    scores, lean, rounds = {}, [None] * len(problems), [None] * len(problems)
+
+    def score_rounds(pending):
+        return [scores[j](x) for j, x in pending]
+    for group in groups.values():
+        objectives = _lean_objectives(group, penalty)
+        fd = _value_and_grad(objectives, _FD_STEP)
+        for j, prob in group.items():
+            tpl, lean[j], rounds[j] = prob.par.template, objectives, fd
+            # The exact score needs one pass at the iterate whatever k is; a 1x1
+            # pass of all 2k+1 points costs about as much as one point.
+            if tpl.time_mode == "discrete" and (tpl.n_states > 1 or tpl.n_obs > 1):
+                scores[j] = _value_and_score(
+                    prob.par, _stack_participants(tpl, prob.participants), penalty)
+                rounds[j] = score_rounds
+    return lean, rounds
+
+
+def _fit_single(problems: Sequence[_Problem], options: FitOptions) -> list:
+    """One :class:`FitResult` per problem, every problem's restarts searched
+    together.
+
+    Each problem's starts are its ``theta0`` and perturbations of it, and
+    its first start of finite likelihood is sought first, problem by
+    problem in order.  Then one :func:`~emastate.bfgs.minimize` call runs
+    the BFGS searches of every problem in lockstep, each iterate's value
+    and gradient from one evaluation.  Each round, the pending searches
+    are handed to their problems' round evaluators (:func:`_evaluators`),
+    one call per evaluator: the 1x1 and continuous-time Kalman searches of
+    every problem of one shape and time mode, whatever its template, share
+    one stacked pass.  Each search's iterates depend only on its own
+    values, so each result equals a search run alone, and a problem failing
+    after its search raises in problem order.
+    """
+    penalty = 1e12
+    lean, rounds = _evaluators(problems, options, penalty)
     starts, owner = [], []
     for j, prob in enumerate(problems):
         rng = np.random.default_rng(prob.seed_seq)
@@ -586,7 +656,7 @@ def _fit_single(par: Parameterization, problems: Sequence[_Problem],
         for _ in range(options.n_restarts - 1):
             scale = _PERTURB_SCALE * (1.0 + np.abs(prob.theta0))
             own.append(prob.theta0 + rng.normal(0.0, scale))
-        if not any(objectives([s], [j])[0] < penalty for s in own):
+        if not any(lean[j]([(j, s[None])])[0][0] < penalty for s in own):
             raise EmaError("NONFINITE_LIKELIHOOD",
                            "likelihood is non-finite at every multi-start initialization")
         starts += own
@@ -594,9 +664,16 @@ def _fit_single(par: Parameterization, problems: Sequence[_Problem],
 
     # A penalized point gets the gradient 0 from the score, and from central
     # differences when both of its neighbours are penalized too.
-    by_owner = by_owner or _value_and_grad(objectives, _FD_STEP)
-    searches = minimize(lambda pending: by_owner([(owner[i], x) for i, x in pending]),
-                        starts, gtol=options.tol, maxiter=options.max_iter).results
+    def evaluate(pending):
+        out, by_evaluator = [None] * len(pending), {}
+        for at, (i, _) in enumerate(pending):
+            by_evaluator.setdefault(rounds[owner[i]], []).append(at)
+        for evaluator, ats in by_evaluator.items():
+            for at, fg in zip(ats, evaluator([(owner[pending[at][0]], pending[at][1])
+                                              for at in ats])):
+                out[at] = fg
+        return out
+    searches = minimize(evaluate, starts, gtol=options.tol, maxiter=options.max_iter).results
 
     results = []
     for j, prob in enumerate(problems):
@@ -606,6 +683,7 @@ def _fit_single(par: Parameterization, problems: Sequence[_Problem],
             raise EmaError("NONFINITE_LIKELIHOOD", "no restart reached a finite likelihood")
         gnorm = float(np.max(np.abs(best.jac))) if best.jac is not None else np.inf
         ll = -float(best.fun)
+        par = prob.par
         aic, bic = information_criteria(ll, par.n_free, prob.n_obs_used)
         results.append(FitResult(
             spec_hat=par.unpack(best.x), log_likelihood=ll, n_free=par.n_free,
@@ -674,22 +752,10 @@ def information_criteria(log_likelihood: float, k: int, n_obs_used: int) -> tupl
     return float(aic), float(bic)
 
 
-def fit(template: ModelSpec, pmap: ParameterMap, data: EmaDataset,
-        mode: str = "pooled", options: FitOptions = FitOptions()):
-    """Maximize the filter likelihood over the free parameters.
-
-    mode "pooled"       one shared parameter set over every participant, the
-                        filter restarting from the initial distribution at
-                        each participant boundary; returns one FitResult.
-    mode "idiographic"  an independent fit per participant; returns a list.
-
-    Before any search, every participant's series gets the filters' checks
-    and a failure names the participant; an observed infinite cell, whose
-    likelihood no parameter makes finite, is ``NONFINITE_LIKELIHOOD``.
-    Then each fit's starts must reach a finite likelihood, and every
-    restart of every fit runs in one lockstep :func:`_fit_single` call,
-    with the results each search gives when run alone.
-    """
+def _problems(template: ModelSpec, pmap: ParameterMap, data: EmaDataset, mode: str,
+              options: FitOptions) -> list:
+    """The checks of :func:`fit`, then its problems: one pooled problem, or
+    one per participant, all under one ``Parameterization``."""
     require_valid(template)
     if not data.participants:
         raise EmaError("BAD_SCENARIO", "dataset has no participants")
@@ -720,18 +786,54 @@ def fit(template: ModelSpec, pmap: ParameterMap, data: EmaDataset,
 
     if mode == "pooled":
         _heuristic_start(par, data.participants)
-        return _fit_single(par, [_Problem(par.start_vector(), data.participants,
-                                          data.observed_cells(),
-                                          np.random.SeedSequence((options.seed, 0)), None)],
-                           options)[0]
-
+        return [_Problem(par, par.start_vector(), data.participants, data.observed_cells(),
+                         np.random.SeedSequence((options.seed, 0)), None)]
     problems = []
     for i, p in enumerate(data.participants):
         par_i = Parameterization(template, pmap)
         _heuristic_start(par_i, [p])
-        problems.append(_Problem(par_i.start_vector(), [p], int(p.observed.sum()),
+        problems.append(_Problem(par, par_i.start_vector(), [p], int(p.observed.sum()),
                                  np.random.SeedSequence((options.seed, i)), p.pid))
-    return _fit_single(par, problems, options)
+    return problems
+
+
+def fit(template: ModelSpec, pmap: ParameterMap, data: EmaDataset,
+        mode: str = "pooled", options: FitOptions = FitOptions()):
+    """Maximize the filter likelihood over the free parameters.
+
+    mode "pooled"       one shared parameter set over every participant, the
+                        filter restarting from the initial distribution at
+                        each participant boundary; returns one FitResult.
+    mode "idiographic"  an independent fit per participant; returns a list.
+
+    Before any search, every participant's series gets the filters' checks
+    and a failure names the participant; an observed infinite cell, whose
+    likelihood no parameter makes finite, is ``NONFINITE_LIKELIHOOD``.
+    Then each fit's starts must reach a finite likelihood, and every
+    restart of every fit runs in one lockstep :func:`_fit_single` call, the
+    driver that :func:`fit_candidates` shares, with the results each search
+    gives when run alone.
+    """
+    results = _fit_single(_problems(template, pmap, data, mode, options), options)
+    return results[0] if mode == "pooled" else results
+
+
+def fit_candidates(candidates, options: FitOptions = FitOptions()) -> list:
+    """One pooled :func:`fit` per candidate ``(template, pmap, data)``, in
+    order, with the results each gives alone.
+
+    The candidates are taken one at a time and each gets :func:`fit`'s
+    checks before the next is taken, so a candidate that fails to load (an
+    error the iterable raises) or to pass them is raised in candidate
+    order, before any search.  Then one lockstep :func:`_fit_single` call
+    searches every candidate: each round, one stacked pass serves the
+    searches of all 1x1 and continuous-time Kalman candidates of one shape
+    and time mode.  A candidate's failure to reach a finite likelihood is
+    raised after every candidate has passed its checks.
+    """
+    return _fit_single([prob for template, pmap, data in candidates
+                        for prob in _problems(template, pmap, data, "pooled", options)],
+                       options)
 
 
 # ---------------------------------------------------------------------------
@@ -803,19 +905,20 @@ def compare_disturbance_codings(template: ModelSpec, pmap: ParameterMap,
 
     Each candidate's events are re-encoded onto every participant's ping
     grid, overwriting exactly the input slots the candidate touches; all
-    other inputs and every other modelling choice stay identical.
+    other inputs and every other modelling choice stay identical.  The
+    codings are fitted together by :func:`fit_candidates`.
     """
     if len(candidates) < 1:
         raise EmaError("BAD_SCENARIO", "need at least one candidate coding")
     if labels is None:
         labels = [f"coding_{i}" for i in range(len(candidates))]
-    fits = []
-    for events in candidates:
+
+    def coded(events):
         d = data.copy()
         slots = sorted({e.input_slot for e in events})
         for p in d.participants:
             enc = encode_disturbance(list(events), p.timestamps, template.n_inputs)
             for s in slots:
                 p.U[:, s] = enc[:, s]
-        fits.append(fit(template, pmap, d, mode="pooled", options=options))
-    return rank_fits(list(labels), fits)
+        return template, pmap, d
+    return rank_fits(list(labels), fit_candidates(map(coded, candidates), options))

@@ -4,13 +4,14 @@ Linear-Gaussian models get the exact Kalman filter and fixed-interval
 smoother, with missing channels dropped from each update by zeroed selection
 rows (a fully missing ping keeps the prediction untouched).  One recursion
 runs over a stack of members that each carry their own series and spec
-arrays: a pooled fit stacks participants (and, for 1x1 models,
-finite-difference points), CLI ``filter`` a chunk of participants, and every
-public filter is a stack of one, so a participant gets the numbers, and the
-errors, of its own call.  One backward pass over a stored pass, Koopman &
-Shephard's disturbance smoother (:func:`_backward`), serves both the exact
-score of matrix fits (:func:`_kalman_score`) and the smoother, whose
-moments follow from it with no inverse of a predicted covariance.
+arrays: a pooled fit stacks participants (and, for 1x1 models, the
+finite-difference points of every search of every compared candidate), CLI
+``filter`` a chunk of participants, and every public filter is a stack of
+one, so a participant gets the numbers, and the errors, of its own call.
+One backward pass over a stored pass, Koopman & Shephard's disturbance
+smoother (:func:`_backward`), serves both the exact score of matrix fits
+(:func:`_kalman_score`) and the smoother, whose moments follow from it with
+no inverse of a predicted covariance.
 Models with up to 3 states and 2 channels run one recursion written out over
 scalar entries, with S inverted in closed form: on Python floats per member
 for small stacks, elementwise for large ones, bit for bit alike; larger
@@ -147,15 +148,17 @@ def _pass_result(terms, seen, finite, lo, hi, L, batch, store, moments=None,
     member's total sums its terms over its own ``L`` pings, as the total of
     a single series does.  A member fails at its first observed ping whose
     S is non-finite (``NON_FINITE``) or fails the eigenvalue range check
-    (``SINGULAR_INNOVATION``), else at its first non-finite term if its
-    total is not finite."""
+    (``SINGULAR_INNOVATION``; on a ``scalar`` pass, where lo is hi, only
+    lo > 0 can fail), else at its first non-finite term if its total is not
+    finite.  Failed members may hold inf or NaN, so the callers run it
+    under their ``np.errstate``."""
     M, T = terms.shape
-    with np.errstate(all="ignore"):     # failed members may hold inf or NaN
-        total = np.empty(M)
-        for k in set(L.tolist()):       # each member over its own pings
-            own = L == k
-            total[own] = terms[own, :k].sum(-1)
-        flagged = seen & ~(finite & (lo > 0.0) & (hi <= COND_LIMIT * lo))
+    total = np.empty(M)
+    for k in set(L.tolist()):           # each member over its own pings
+        own = L == k
+        total[own] = terms[own, :k].sum(-1)
+    ok = finite & (lo > 0.0)
+    flagged = seen & ~(ok if scalar else ok & (hi <= COND_LIMIT * lo))
     fail, fail_ping, fail_eig = np.zeros(M, dtype=int), np.full(M, -1), np.zeros((M, 2))
     failed, non_finite = flagged.any(-1), ~np.isfinite(total)
     if failed.any() or non_finite.any():
@@ -286,9 +289,9 @@ def _kalman_stack(y, obs, u, mu0, P0, H, Theta, trans, store=False,
             if store:
                 fm[..., t, :], fP[..., t, :, :] = m, P
 
-    return _pass_result(*(np.broadcast_to(x, batch + (T,)).reshape(L.size, T)
-                          for x in (ll, member_any, finite, lo, hi)),
-                        L.reshape(-1), batch, store, (pm, pP, fm, fP) if store else None)
+        return _pass_result(*(np.broadcast_to(x, batch + (T,)).reshape(L.size, T)
+                              for x in (ll, member_any, finite, lo, hi)),
+                            L.reshape(-1), batch, store, (pm, pP, fm, fP) if store else None)
 
 
 def _sym(x, i, j):
@@ -530,53 +533,58 @@ _STACK_MIN_MEMBERS, _STACK_MIN_MEMBERS_SMALL, _SCORE_MIN_MEMBERS = 8, 32, 8
 
 def _paired_1x1(y, o, gu, a, sigma, m0, P0, h, theta):
     """The elementwise form of the 1x1 recursion with [P, m] paired in one
-    array, so that one ufunc steps both: about 15 calls per ping, not 24.
+    array, so that one ufunc steps both: about 16 calls per ping, not 24.
     Its operations are the float form's, at most commuted (m a is taken as
-    m a 1 and y - h m as y + h m (-1), which IEEE arithmetic leaves exact),
-    so its numbers are too.  Arguments are per ping (T, M) or per step
-    (steps, M) or (1, M); returns the elementwise form's (pred, filt, inn)
-    as (T, 2, M)."""
+    m a 1, y - h m as y + h m (-1), and a sum as its mirror image, all of
+    which IEEE arithmetic leaves exact), so its numbers are too.  It stays
+    in cache at any width: a shared step is one (2, M) row, the outputs
+    start out holding the terms each ping adds to ([Sigma, G u] in the
+    predictions, [theta, y] in the innovations), and each filtered row,
+    an unobserved ping's too, is written as the loop reaches it.  Arguments
+    are per ping (T, M) or per step (steps, M) or (1, M); returns the
+    elementwise form's (pred, filt, inn) as (T, 2, M)."""
     T, M = y.shape
+    steps = len(a)
 
     def pair(first, second, lead=()):
         out = np.empty(lead + (2, M))
         out[..., 0, :], out[..., 1, :] = first, second
         return out
 
-    a_a, a_one = pair(a, a, (T - 1,)), pair(a, 1.0, (T - 1,))
-    sig_gu, theta_y = pair(sigma, gu, (T - 1,)), pair(theta, y, (T,))
-    h_h, h_neg = pair(h, h), pair(h, -1.0)
+    a_a, a_one = pair(a, a, (steps,)), pair(a, 1.0, (steps,))
+    h_h, h_neg, q = pair(h, h), pair(h, -1.0), pair(-h, theta)
     any_obs, all_obs, miss = o.any(1).tolist(), o.all(1).tolist(), ~o
-    sv = np.zeros((T, 4, M))                # per ping: s, v, -h, theta
-    sv[:, 2], sv[:, 3] = -h, theta
     pred = np.empty((T, 2, M))              # per ping: [P, m] predicted
-    filt = np.empty_like(pred)              # and filtered
     pred[0, 0], pred[0, 1] = P0, m0
+    pred[1:, 0], pred[1:, 1] = sigma, gu
+    filt = np.empty_like(pred)              # and filtered
+    inn = np.empty_like(pred)               # per ping: s, v, then v' S^-1 v
+    inn[:, 0], inn[:, 1] = theta, y
     for t in range(T):
         x_p = pred[t]
         if t:
-            step = x * a_a[t - 1]
-            step *= a_one[t - 1]
-            np.add(step, sig_gu[t - 1], out=x_p)        # [a P a + Sigma, a m + G u]
+            j = t - 1 if steps > 1 else 0
+            step = x * a_a[j]
+            step *= a_one[j]
+            x_p += step                                 # [a P a + Sigma, a m + G u]
         if not any_obs[t]:
-            x = x_p
+            filt[t] = x = x_p
             continue
-        s_v = sv[t]
+        s_v = inn[t]
         hx = x_p * h_h                                  # [h P, h m]
-        np.add(theta_y[t], hx * h_neg, out=s_v[:2])     # [s, v]
+        s_v += hx * h_neg                               # [s, v]
         k = hx[0] / s_v[0]
-        kq = k * s_v[1:]                                # [k v, -k h, k theta]
+        kq = k * q                                      # [-k h, k theta]
         x = filt[t]
-        np.add(x_p[1], kq[0], out=x[1])                 # m + k v
-        ikh = 1.0 + kq[1]
+        np.add(x_p[1], k * s_v[1], out=x[1])            # m + k v
+        ikh = 1.0 + kq[0]
         joseph = ikh * x_p[0]
         joseph *= ikh
-        np.add(joseph, kq[2] * k, out=x[0])            # ikh P ikh + k theta k
+        np.add(joseph, kq[1] * k, out=x[0])            # ikh P ikh + k theta k
         if not all_obs[t]:
             np.copyto(x, x_p, where=miss[t])
-    np.copyto(filt, pred, where=miss[:, None])
-    sv[:, 1] = sv[:, 1] * sv[:, 1] / sv[:, 0]           # [s, v' S^-1 v]
-    return pred[:, ::-1], filt[:, ::-1], sv[:, :2]
+    inn[:, 1] = inn[:, 1] * inn[:, 1] / inn[:, 0]       # [s, v' S^-1 v]
+    return pred[:, ::-1], filt[:, ::-1], inn
 
 
 def _small_stack(y, obs, u, mu0, P0, H, Theta, trans, store, L) -> _StackPass:
@@ -660,14 +668,14 @@ def _small_stack(y, obs, u, mu0, P0, H, Theta, trans, store, L) -> _StackPass:
             alone = np.where(os[:, 0], a, d)            # one observed channel
             lo, hi = (np.where(os.all(1), x, alone) for x in _eig_range(a, b, d))
             finite = np.isfinite(inn[:, :-1]).all(1)
-    moments = None
-    if store:
-        moments = ()
-        for x in (pred, filt):
-            moments += (x[:, :n].transpose(2, 0, 1).reshape(batch + (T, n)),
-                        x[:, n + full].transpose(3, 0, 1, 2).reshape(batch + (T, n, n)))
-    return _pass_result(terms, seen.T, finite.T, lo.T, hi.T, L, batch, store, moments,
-                        scalar=n == p == 1)
+        moments = None
+        if store:
+            moments = ()
+            for x in (pred, filt):
+                moments += (x[:, :n].transpose(2, 0, 1).reshape(batch + (T, n)),
+                            x[:, n + full].transpose(3, 0, 1, 2).reshape(batch + (T, n, n)))
+        return _pass_result(terms, seen.T, finite.T, lo.T, hi.T, L, batch, store, moments,
+                            scalar=n == p == 1)
 
 
 def _series(spec: ModelSpec, y, missing, u, timestamps):

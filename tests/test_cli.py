@@ -230,6 +230,33 @@ def test_compare_identical_templates_tie_break_listed_order(tmp_path, model_file
     assert rows[0].split(",")[2] == rows[1].split(",")[2]    # identical loglik
 
 
+@pytest.mark.parametrize("order", [("no_free", "missing"), ("missing", "no_free")])
+def test_compare_reports_the_first_failing_template_in_listed_order(tmp_path, model_file,
+                                                                    scenario_file, order,
+                                                                    capsys):
+    """A template that fails to load, or fails the fit's checks, is reported
+    in listed order, before any search runs."""
+    from emastate import estimate
+    data_out = tmp_path / "d.csv"
+    main(["simulate", "--model", model_file, "--scenario", scenario_file,
+          "--out", str(data_out), "--seed", "25"])
+    model = dict(AR1_MODEL); model["G"] = [[0.0]]; model["n_inputs"] = 1
+    paths = {"good": _write(tmp_path / "good.json",
+                            {"model": model, "parameters": {"A": [["free"]]}}),
+             "no_free": _write(tmp_path / "no_free.json", {"model": model}),
+             "missing": str(tmp_path / "missing.json")}
+    want = {"no_free": "error NO_FREE_PARAMS", "missing": "error FILE_NOT_FOUND"}
+    capsys.readouterr()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimate, "minimize", None)
+        rc = main(["compare", "--data", str(data_out), "--templates", paths["good"],
+                   *[paths[name] for name in order], "--restarts", "1",
+                   "--out", str(tmp_path / "table.csv"), "--seed", "27"])
+    assert rc in (2, 4)
+    assert capsys.readouterr().err.startswith(want[order[0]])
+    assert not (tmp_path / "table.csv").exists()
+
+
 def test_plotdata_figures(tmp_path):
     for fig in ("fig1a", "fig1b", "fig3a", "fig3b", "fig3c"):
         rc = main(["plotdata", "--figure", fig, "--out", str(tmp_path / fig),

@@ -406,7 +406,7 @@ def _ct_objectives(template, pmap, people, options=FitOptions(n_restarts=1)):
         mp.setattr(estimate, "_value_and_grad", catch)
         with pytest.raises(_Caught):
             es.fit(template, pmap, es.EmaDataset(people, [], []), options=options)
-    return caught[0]
+    return lambda thetas: caught[0]([(0, np.asarray(thetas, dtype=float))])[0]
 
 
 def _minus_filter_sum(spec, people):

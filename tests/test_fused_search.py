@@ -13,7 +13,9 @@ one (a one-point objective pass, then a 2k-point gradient pass or a
 separate score call) bit for bit: a point's value must not depend on the
 other points of its stack, the score's pass must give the one-point
 objective's value, and each row of the scatter must be the matrices
-``unpack`` gives for that point.
+``unpack`` gives for that point.  A compare, whose candidates' searches
+share passes whatever their templates, is held to one sequential fit per
+candidate the same way.
 """
 
 import dataclasses
@@ -58,9 +60,9 @@ def _sequential(monkeypatch):
 
     def split(objectives, step):
         def pairs(pending):
-            return [(lambda x, o=o: float(objectives([x], [o])[0]),
+            return [(lambda x, o=o: float(objectives([(o, x[None])])[0][0]),
                      lambda x, o=o: central_diff_grad(
-                         lambda points: objectives(points, [o] * len(points)), x, step))
+                         lambda points: objectives([(o, np.array(points))])[0], x, step))
                     for o, _ in pending]
         return pairs
 
@@ -94,7 +96,15 @@ def _simulate(spec, horizon, n_participants, seed, kind="fixed", miss=0.2):
     return data
 
 
-def _pooled_var2():
+def _fit_case(template, pmap, data, mode, opts):
+    """A case of one fit call, run the same way both times."""
+    def run():
+        r = es.fit(template, pmap, data, mode=mode, options=opts)
+        return r if mode == "idiographic" else [r]
+    return run, run, opts.likelihood == "kalman"
+
+
+def _var2_inputs():
     truth = es.ModelSpec(A=[[0.6, 0.15], [0.1, 0.5]], Sigma=np.diag([1.0, 0.8]),
                          Theta=np.diag([0.4, 0.4]))
     pmap = es.ParameterMap({"A": [["free", "free"], ["free", "free"]],
@@ -104,21 +114,26 @@ def _pooled_var2():
     p = data.participants[2]        # one shorter series
     data.participants[2] = es.Participant(p.pid, p.timestamps[:28], p.Y[:28],
                                           p.missing[:28], p.U[:28])
-    return truth, pmap, data, "pooled", FitOptions(n_restarts=3, max_iter=60, seed=2)
+    return truth, pmap, data
+
+
+def _pooled_var2():
+    return _fit_case(*_var2_inputs(), "pooled", FitOptions(n_restarts=3, max_iter=60, seed=2))
 
 
 def _idiographic_ar1():
     truth = es.ModelSpec(A=[[0.5]], Sigma=[[1.0]], Theta=[[0.5]])
     pmap = es.ParameterMap({"A": [["free"]], "Sigma": [["free"]], "Theta": [["free"]]})
     data = _simulate(truth, 40.0, 3, seed=7)
-    return truth, pmap, data, "idiographic", FitOptions(n_restarts=2, max_iter=60, seed=1)
+    return _fit_case(truth, pmap, data, "idiographic", FitOptions(n_restarts=2, max_iter=60,
+                                                                  seed=1))
 
 
 def _continuous_time():
     truth = es.to_continuous(es.ModelSpec(A=[[0.6]], Sigma=[[1.0]], Theta=[[0.3]]), 1.0)
     pmap = es.ParameterMap({"A": [["free"]], "Sigma": [["free"]]})
     data = _simulate(truth, 40.0, 2, seed=33, kind="jittered", miss=0.0)
-    return truth, pmap, data, "pooled", FitOptions(n_restarts=1, max_iter=30, seed=0)
+    return _fit_case(truth, pmap, data, "pooled", FitOptions(n_restarts=1, max_iter=30, seed=0))
 
 
 def _idiographic_continuous_time():
@@ -129,7 +144,8 @@ def _idiographic_continuous_time():
         p = data.participants[i]
         data.participants[i] = es.Participant(p.pid, p.timestamps[:k], p.Y[:k],
                                               p.missing[:k], p.U[:k])
-    return truth, pmap, data, "idiographic", FitOptions(n_restarts=2, max_iter=40, seed=4)
+    return _fit_case(truth, pmap, data, "idiographic", FitOptions(n_restarts=2, max_iter=40,
+                                                                  seed=4))
 
 
 def _particle():
@@ -138,29 +154,125 @@ def _particle():
     data = _simulate(truth, 30.0, 1, seed=15, miss=0.0)
     opts = FitOptions(n_restarts=1, max_iter=15, tol=1e-2, likelihood="particle",
                       n_particles=100, particle_seed=7)
-    return truth, es.ParameterMap({"A": [["free"]]}), data, "pooled", opts
+    return _fit_case(truth, es.ParameterMap({"A": [["free"]]}), data, "pooled", opts)
+
+
+def _candidates_case(candidates, opts):
+    """A compare: one fit_candidates call, against one fit per candidate."""
+    return (lambda: estimate.fit_candidates(candidates, opts),
+            lambda: [es.fit(*c, mode="pooled", options=opts) for c in candidates], True)
+
+
+def _mixed_candidates():
+    """Candidates of every kind: two 1x1 discrete-time templates (one a
+    random walk) and two 1x1 continuous-time ones on one jittered cohort,
+    whose searches share passes, and a 2x2 score template on its own data."""
+    ar1 = es.ModelSpec(A=[[0.5]], Sigma=[[1.0]], G=[[0.8]], Theta=[[0.5]])
+    ct = es.to_continuous(ar1, 1.0)
+    data = _simulate(ct, 30.0, 3, seed=23, kind="jittered")
+    free = {"A": [["free"]], "Sigma": [["free"]], "Theta": [["free"]]}
+    walk = dataclasses.replace(ar1.with_matrices(A=[[1.0]], initial_cov=[[4.0]]),
+                               random_walk_states={0})
+    return _candidates_case([
+        (ar1, es.ParameterMap(free), data),
+        (walk, es.ParameterMap({"G": [["free"]], "Sigma": [["free"]], "Theta": [["free"]]}),
+         data),
+        _var2_inputs(),
+        (ct, es.ParameterMap({"A": [["free"]], "Sigma": [["free"]]}), data),
+        (ct, es.ParameterMap(free), data)], FitOptions(n_restarts=2, max_iter=30, seed=5))
+
+
+def _narrow_passes():
+    """The mixed candidates in passes of at most 30 members (10 points of 3
+    participants): a round's blocks split over several passes, and a pass
+    may hold two candidates."""
+    fused, sequential, kalman = _mixed_candidates()
+
+    def narrow():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimate, "_PASS_MEMBERS", 30)
+            return fused()
+    return narrow, sequential, kalman
+
+
+def _disturbance_codings():
+    """compare_disturbance_codings, against one fit per candidate's coded
+    data, ranked."""
+    truth = es.ModelSpec(A=[[0.5]], Sigma=[[1.0]], G=[[1.0]], Theta=[[0.5]])
+    sched = es.PingSchedule(kind="fixed", horizon=40.0, interval=1.0)
+    event = es.DisturbanceEvent(onset=20.0, coding="persistent", magnitude=3.0)
+    data = es.simulate_dataset(truth, sched, events=[event], n_participants=3, rng_seed=11)
+    pmap = es.ParameterMap({"A": [["free"]], "G": [["free"]], "Sigma": [["free"]]})
+    codings = [[es.DisturbanceEvent(onset=20.0, coding="pulse", magnitude=3.0)],
+               [event],
+               [es.DisturbanceEvent(onset=20.0, coding="geometric_decay", magnitude=3.0,
+                                    decay_ratio=0.5)]]
+    opts = FitOptions(n_restarts=2, max_iter=60, seed=3)
+
+    def coded(events):
+        d = data.copy()
+        for p in d.participants:
+            enc = es.encode_disturbance(list(events), p.timestamps, truth.n_inputs)
+            for slot in sorted({e.input_slot for e in events}):
+                p.U[:, slot] = enc[:, slot]
+        return d
+
+    labels = ["pulse", "persistent", "geometric"]
+    return (lambda: es.compare_disturbance_codings(truth, pmap, data, codings, opts,
+                                                   labels).rows,
+            lambda: es.rank_fits(labels, [es.fit(truth, pmap, coded(c), options=opts)
+                                          for c in codings]).rows, True)
 
 
 @pytest.mark.parametrize("case", [_pooled_var2, _idiographic_ar1, _continuous_time,
-                                  _idiographic_continuous_time, _particle])
+                                  _idiographic_continuous_time, _particle,
+                                  _mixed_candidates, _narrow_passes,
+                                  _disturbance_codings])
 def test_fused_search_equals_the_sequential_search_bit_for_bit(monkeypatch, case):
-    template, pmap, data, mode, opts = case()
-    passes = []
-    stacked = estimate._stacked_objectives
-    monkeypatch.setattr(estimate, "_stacked_objectives",
-                        lambda *a: passes.append(1) or stacked(*a))
+    fused_run, sequential_run, kalman = case()
+    lean = []
+    kalman_pass = estimate._kalman_pass
 
-    def run():
-        r = es.fit(template, pmap, data, mode=mode, options=opts)
-        return [_bits(x) for x in (r if mode == "idiographic" else [r])]
+    def counted(segments, stack, store=False):
+        lean.append(not store)
+        return kalman_pass(segments, stack, store)
+    monkeypatch.setattr(estimate, "_kalman_pass", counted)
 
-    fused, fused_passes = run(), len(passes)
+    fused, fused_passes = [_bits(x) for x in fused_run()], sum(lean)
     with monkeypatch.context() as m:
         _sequential(m)
-        sequential = run()
+        sequential = [_bits(x) for x in sequential_run()]
     assert fused == sequential
-    if opts.likelihood == "kalman":        # fewer stacked passes than the sequential run
-        assert 0 < fused_passes < len(passes) - fused_passes
+    if kalman:                  # fewer lean passes than the sequential run
+        assert 0 < fused_passes < sum(lean) - fused_passes
+
+
+def _failing_candidates():
+    """A healthy 1x1 candidate and three that fail fit's checks, each in
+    its own way."""
+    ar1 = es.ModelSpec(A=[[0.5]], Sigma=[[1.0]], Theta=[[0.5]])
+    data = _simulate(ar1, 20.0, 2, seed=3)
+    free = es.ParameterMap({"A": [["free"]]})
+    counts = dataclasses.replace(ar1, channels=(es.MeasurementChannel(family="poisson"),))
+    var2, var2_map, _ = _var2_inputs()
+    return (ar1, free, data), {
+        "nothing free": (ar1, es.ParameterMap({}), data),
+        "non-Gaussian": (counts, free, data),
+        "wrong channels": (var2, var2_map, data)}
+
+
+@pytest.mark.parametrize("order", [("nothing free", "non-Gaussian", "wrong channels"),
+                                   ("wrong channels", "nothing free", "non-Gaussian"),
+                                   ("non-Gaussian", "wrong channels", "nothing free")])
+def test_a_candidate_failing_its_checks_raises_what_its_own_fit_raises_in_order(
+        monkeypatch, order):
+    healthy, failing = _failing_candidates()
+    with pytest.raises(es.EmaError) as want:
+        es.fit(*failing[order[0]])
+    monkeypatch.setattr(estimate, "minimize", None)     # no search starts
+    with pytest.raises(es.EmaError) as got:
+        estimate.fit_candidates([healthy] + [failing[name] for name in order])
+    assert (got.value.code, got.value.message) == (want.value.code, want.value.message)
 
 
 # --- a point's value does not depend on its stack ------------------------------

@@ -459,6 +459,54 @@ def test_small_model_float_and_elementwise_forms_agree_bit_for_bit(
     rng = np.random.default_rng(seed)
     args, lengths = _small_stack_case(rng, n, p, n_specs, n_people, q, miss_frac,
                                       per_step, failing)
+    _assert_forms_agree(args, lengths)
+
+
+def _wide_1x1_case(rng, n_specs, n_people, q, per_step, failing):
+    """``n_specs`` random 1x1 specs with q inputs over ragged participants
+    of up to 70 pings with MCAR cells, and pings at which every member is
+    missing; with ``per_step`` every step gets its own transition.  A
+    ``failing`` spec is as in :func:`_small_stack_case`."""
+    lengths = rng.integers(1, 71, size=n_people)
+    T = int(lengths.max())
+    y = np.full((n_people, T, 1), np.nan)
+    obs = rng.uniform(size=(n_people, T, 1)) >= 0.3
+    obs[:, rng.uniform(size=T) < 0.15] = False
+    obs &= np.arange(T)[:, None] < lengths[:, None, None]
+    y[obs] = rng.normal(scale=2.0, size=int(obs.sum()))
+    u = rng.normal(size=(n_people, T, q))
+    shape = (n_specs, 1, 1, 1)
+    spec = {"A": rng.uniform(-0.95, 0.95, shape), "Sigma": rng.uniform(0.2, 2.0, shape),
+            "H": rng.normal(size=shape), "Theta": rng.uniform(0.2, 2.0, shape),
+            "initial_mean": rng.normal(size=(n_specs, 1, 1)),
+            "initial_cov": rng.uniform(0.5, 3.0, shape), "G": rng.normal(size=shape[:3] + (q,))}
+    k = int(rng.integers(n_specs))
+    if failing == "singular":
+        spec["Theta"][k] = spec["initial_cov"][k] = spec["Sigma"][k] = 0.0
+    elif failing == "non-finite":
+        spec["Sigma"][k] = np.inf
+    trans = _steps(rng, (spec["A"], spec["Sigma"], spec["G"]), T, per_step)
+    return (y, obs, u, spec["initial_mean"], spec["initial_cov"], spec["H"], spec["Theta"],
+            trans), lengths
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_specs=st.integers(25, 100), n_people=st.integers(4, 11), q=st.integers(0, 2),
+       per_step=st.booleans(), failing=st.sampled_from([None, "singular", "non-finite"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_wide_1x1_stacks_float_and_elementwise_forms_agree_bit_for_bit(
+        n_specs, n_people, q, per_step, failing, seed):
+    """Stacks of 100 to 1,100 1x1 members, where the elementwise form keeps
+    its shared step, its outputs and its filtered rows in cache."""
+    rng = np.random.default_rng(seed)
+    args, lengths = _wide_1x1_case(rng, n_specs, n_people, q, per_step, failing)
+    _assert_forms_agree(args, lengths)
+
+
+def _assert_forms_agree(args, lengths):
+    """The float and elementwise forms give the same failures and, on every
+    other member, the same lean and stored numbers bit for bit; the matrix
+    recursion gives the same failures and likelihoods to rounding."""
     floats = [_run_small(args, lengths, 10**9, store) for store in (False, True)]
     arrays = [_run_small(args, lengths, 1, store) for store in (False, True)]
     for got, want in zip(arrays, floats):
