@@ -32,6 +32,7 @@ VALIDATION_CODES = frozenset(
         "UNKNOWN_KEY",
         "BAD_PARAMETER_MAP",
         "BAD_SCENARIO",
+        "BAD_FIT_OPTIONS",
         "NO_OBSERVATIONS",
     }
 )

@@ -29,21 +29,25 @@ search reaches the iterates it would reach alone, bit for bit.  Each
 problem it searches (a candidate's pooled fit, or one participant's fit)
 carries its own ``Parameterization`` and data.
 
+Kalman problems of one time mode, shape, input count and participant
+count form a group with one round evaluator: each round, one stacked pass
+(up to ``_PASS_MEMBERS`` members) serves every live search of the group,
+with one scatter per candidate; each member carries its own problem's
+series.
+
 - Discrete-time models with more than one state or channel get the exact
-  score: one stored pass at the iterate over all participants, one
-  backward pass (:func:`~emastate.filtering._kalman_score`), and the
-  matrix gradients chained to the free parameters by
-  :meth:`Parameterization.chain`, whatever the number k of free parameters.
+  score, whatever the number k of free parameters: one stored pass at the
+  iterates, then per search one backward pass
+  (:func:`~emastate.filtering._kalman_score`) over its own participants,
+  and the matrix gradients chained to the free parameters by
+  :meth:`Parameterization.chain`.
 - 1x1 and continuous-time Kalman fits, and particle fits, take central
   differences from the 2k+1 points (the iterate and its 2k neighbours).
   For a 1x1 model a pass of all 2k+1 points costs about as much as a pass
-  at the iterate alone, so the score could not pay there.  Each round, one
-  lean pass serves the points of every live such search of every problem
-  with the same shape and time mode (up to ``_PASS_MEMBERS`` members), with
-  one scatter per candidate; each member carries its own problem's series.
-  In continuous time each point first discretizes its members' gaps in one
-  gap-kernel call.  A particle fit filters one series at a time.  Score and
-  particle searches are evaluated one search at a time.
+  at the iterate alone, so the score could not pay there.  The Kalman
+  ones run all their points in one lean pass; in continuous time each
+  point first discretizes its members' gaps in one gap-kernel call.  A
+  particle fit filters one series at a time.
 
 Kalman fits get the same values, bit for bit, as filtering each series
 alone: each participant's terms are summed over its own pings, and the
@@ -125,10 +129,7 @@ class ParameterMap:
         return arr.reshape(shape)
 
     def to_dict(self) -> dict:
-        out = {}
-        for name, g in self.statuses.items():
-            out[name] = np.asarray(g, dtype=object).tolist()
-        return out
+        return {name: np.asarray(g, dtype=object).tolist() for name, g in self.statuses.items()}
 
     @staticmethod
     def from_dict(d: dict) -> "ParameterMap":
@@ -455,26 +456,6 @@ def _stacked_objectives(par: Parameterization, stack, penalty: float,
     return np.where(ok, value, penalty)
 
 
-def _value_and_score(par: Parameterization, stack, penalty: float):
-    """``x -> (f(x), exact gradient)`` of the negative pooled
-    log-likelihood of a discrete-time stack, from one stored one-point
-    :func:`_kalman_pass` over the participants and the backward pass of
-    :func:`~emastate.filtering._kalman_score`, whatever the number of free
-    parameters.  f is :func:`_stacked_objectives`'s value at x, bit for bit.
-    A point whose value does not stand, or whose score is not finite, gets
-    ``(penalty, zeros)``."""
-    def value_and_score(x):
-        mats, res, value, ok = _kalman_pass([(par, [x])], stack, store=True)
-        if ok[0]:
-            with np.errstate(all="ignore"):
-                g = par.chain(x, _kalman_score(*stack[:3], res.moments[0][0], res.moments[1][0],
-                                               mats["A"][0], mats["H"][0], mats["Theta"][0]))
-            if np.isfinite(g).all():
-                return float(value[0]), -g
-        return penalty, np.zeros(par.n_free)
-    return value_and_score
-
-
 def _heuristic_start(par: Parameterization, participants: Sequence[Participant]) -> None:
     """Lag-one regression start for A; residual moments for the variances.
 
@@ -498,9 +479,7 @@ def _heuristic_start(par: Parameterization, participants: Sequence[Participant])
     if not X0:
         return
     X0 = np.vstack(X0); X1 = np.vstack(X1)
-    if X0.shape[0] < 3 * n:
-        return
-    if not (np.all(np.isfinite(X0)) and np.all(np.isfinite(X1))):
+    if X0.shape[0] < 3 * n or not (np.isfinite(X0).all() and np.isfinite(X1).all()):
         return
     A_hat, *_ = np.linalg.lstsq(X0, X1, rcond=None)
     A_hat = A_hat.T
@@ -535,44 +514,81 @@ class _Problem(NamedTuple):
     pid: str | None
 
 
-def _lean_objectives(group: dict, penalty: float):
-    """``[(j, points)] -> [values at the points]``, the lean objective of
-    the Kalman problems ``group`` ({j: problem}), which share a shape, time
-    mode, input count and participant count.
+def _kalman_evaluators(group: dict, penalty: float):
+    """The lean objective ``[(j, points)] -> [values at the points]`` and
+    the round evaluator ``[(j, x)] -> [(f, g)]`` of the Kalman problems
+    ``group`` ({j: problem}), which share a shape, time mode, input count
+    and participant count R.
 
-    Consecutive whole blocks of points share a :func:`_kalman_pass` of at
-    most ``_PASS_MEMBERS`` members (a block that needs more runs alone),
-    with one scatter per run of points under one ``Parameterization``.
-    Each member carries its own problem's series, lengths and gaps;
-    problems that share their participants share one row of the stack."""
+    Both run :func:`_kalman_pass`es over one stack.  Consecutive whole
+    blocks of points share a pass of at most ``_PASS_MEMBERS`` members (a
+    block that needs more runs alone), with one scatter per run of points
+    under one ``Parameterization``.  Each member carries its own problem's
+    series, lengths and gaps; problems that share their participants share
+    one row of the stack.
+
+    1x1 and continuous-time groups take central differences of the lean
+    objective (:func:`_value_and_grad`).  The others take the exact score:
+    one stored pass at the pending iterates, then, per search,
+    :func:`~emastate.filtering._kalman_score` over its own R members, cut to
+    its own longest series, and :meth:`Parameterization.chain`.  So each
+    search's backward pass runs in the form it runs in alone, and its f is
+    the lean value at x, bit for bit.  A point whose value does not stand,
+    or whose score is not finite, gets ``(penalty, zeros)``."""
     rows = {}           # one row of the stack per distinct participant list
     row = {j: rows.setdefault(id(prob.participants), (len(rows), prob.participants))[0]
            for j, prob in group.items()}
     lists = [people for _, people in rows.values()]
+    tpl = next(iter(group.values())).par.template
     stack = [x.reshape((len(lists), len(lists[0])) + x.shape[1:]) for x in _stack_participants(
-        next(iter(group.values())).par.template, [p for people in lists for p in people])]
-    width = max(_PASS_MEMBERS // len(lists[0]),
-                *(2 * prob.par.n_free + 1 for prob in group.values()))
+        tpl, [p for people in lists for p in people])]
+    width = max(_PASS_MEMBERS // len(lists[0]), 1)
 
-    def run(chunk):
-        parts = [(par, np.concatenate([points for _, points in seg])) for par, seg in
-                 groupby(chunk, key=lambda seg: group[seg[0]].par)]
-        sizes = [len(points) for _, points in chunk]
-        owners = np.repeat([row[j] for j, _ in chunk], sizes)
-        _, _, value, ok = _kalman_pass(parts, [x[0] if len(lists) == 1 else x[owners]
-                                               for x in stack])
-        return np.split(np.where(ok, value, penalty), np.cumsum(sizes)[:-1])
+    def passes(segments, store=False):
+        """Each pass's segments, and the pass."""
+        chunks, size = [[]], 0
+        for seg in segments:
+            if chunks[-1] and size + len(seg[1]) > width:
+                chunks.append([])
+                size = 0
+            chunks[-1].append(seg)
+            size += len(seg[1])
+        for chunk in chunks:
+            parts = [(par, np.concatenate([points for _, points in seg])) for par, seg in
+                     groupby(chunk, key=lambda seg: group[seg[0]].par)]
+            owners = np.repeat([row[j] for j, _ in chunk], [len(points) for _, points in chunk])
+            yield chunk, _kalman_pass(parts, [x[0] if len(lists) == 1 else x[owners]
+                                              for x in stack], store)
 
     def objectives(segments):
-        values, chunk, size = [], [], 0
-        for seg in segments:
-            if chunk and size + len(seg[1]) > width:
-                values += run(chunk)
-                chunk, size = [], 0
-            chunk.append(seg)
-            size += len(seg[1])
-        return values + run(chunk)
-    return objectives
+        values = []
+        for chunk, (_, _, value, ok) in passes(segments):
+            values += np.split(np.where(ok, value, penalty),
+                               np.cumsum([len(points) for _, points in chunk])[:-1])
+        return values
+
+    # The exact score needs one pass at the iterate whatever k is; a 1x1
+    # pass of all 2k+1 points costs about as much as one point.
+    if tpl.time_mode == "continuous" or tpl.n_states == tpl.n_obs == 1:
+        return objectives, _value_and_grad(objectives, _FD_STEP)
+
+    def scores(pending):
+        out = []
+        for chunk, (mats, res, value, ok) in passes([(j, x[None]) for j, x in pending], True):
+            for k, (j, (x,)) in enumerate(chunk):
+                # its own rows of the stack and of the pass, cut to its own
+                # longest series: the arrays a stack of its own would give
+                par, T, g = group[j].par, stack[3][row[j]].max(), None
+                if ok[k]:
+                    with np.errstate(all="ignore"):
+                        g = par.chain(x, _kalman_score(
+                            *(s[row[j], :, :T] for s in stack[:3]),
+                            *(m[k][:, :T] for m in res.moments[:2]),
+                            mats["A"][k], mats["H"][k], mats["Theta"][k]))
+                out.append((float(value[k]), -g) if g is not None and np.isfinite(g).all()
+                           else (penalty, np.zeros(par.n_free)))
+        return out
+    return objectives, scores
 
 
 def _evaluators(problems: Sequence[_Problem], options: FitOptions, penalty: float):
@@ -581,12 +597,12 @@ def _evaluators(problems: Sequence[_Problem], options: FitOptions, penalty: floa
     together share one function.
 
     Kalman problems of one shape, time mode, input count and participant
-    count share a :func:`_lean_objectives`.  1x1 and continuous-time
-    problems take central differences from it (:func:`_value_and_grad`),
-    so each round one stacked pass serves the 2k+1 points of each of their
-    pending searches.  Other discrete-time problems take the exact score
-    (:func:`_value_and_score`) one search at a time, as do particle
-    problems, whose points are filtered one series at a time."""
+    count form a group, and each group gets one pair from
+    :func:`_kalman_evaluators`: each round, one stacked pass serves every
+    pending search of the group, lean over the 2k+1 points of each (1x1
+    and continuous-time groups) or stored at each iterate (the exact
+    score).  Particle problems take central differences of an objective
+    that filters their points one series at a time."""
     if options.likelihood == "particle":
         def objective(prob, theta):
             spec = prob.par.unpack(theta)
@@ -608,85 +624,78 @@ def _evaluators(problems: Sequence[_Problem], options: FitOptions, penalty: floa
                     for j, points in segments]
         return [particle] * len(problems), [_value_and_grad(particle, _FD_STEP)] * len(problems)
 
+    keys = [(p.par.template.time_mode, p.par.template.n_states, p.par.template.n_obs,
+             p.par.template.n_inputs, len(p.participants)) for p in problems]
     groups = {}
-    for j, prob in enumerate(problems):
-        tpl = prob.par.template
-        key = tpl.time_mode, tpl.n_states, tpl.n_obs, tpl.n_inputs, len(prob.participants)
-        groups.setdefault(key, {})[j] = prob
-    scores, lean, rounds = {}, [None] * len(problems), [None] * len(problems)
+    for j, key in enumerate(keys):
+        groups.setdefault(key, {})[j] = problems[j]
+    pairs = {key: _kalman_evaluators(group, penalty) for key, group in groups.items()}
+    return [pairs[key][0] for key in keys], [pairs[key][1] for key in keys]
 
-    def score_rounds(pending):
-        return [scores[j](x) for j, x in pending]
-    for group in groups.values():
-        objectives = _lean_objectives(group, penalty)
-        fd = _value_and_grad(objectives, _FD_STEP)
-        for j, prob in group.items():
-            tpl, lean[j], rounds[j] = prob.par.template, objectives, fd
-            # The exact score needs one pass at the iterate whatever k is; a 1x1
-            # pass of all 2k+1 points costs about as much as one point.
-            if tpl.time_mode == "discrete" and (tpl.n_states > 1 or tpl.n_obs > 1):
-                scores[j] = _value_and_score(
-                    prob.par, _stack_participants(tpl, prob.participants), penalty)
-                rounds[j] = score_rounds
-    return lean, rounds
+
+def _dispatch(functions, items):
+    """Each item ``(j, x)`` through ``functions[j]``, in one call per
+    distinct function, which takes and returns lists; the results in item
+    order."""
+    calls = {}
+    for at, (j, _) in enumerate(items):
+        calls.setdefault(functions[j], []).append(at)
+    out = {at: result for function, ats in calls.items()
+           for at, result in zip(ats, function([items[at] for at in ats]))}
+    return [out[at] for at in range(len(items))]
 
 
 def _fit_single(problems: Sequence[_Problem], options: FitOptions) -> list:
     """One :class:`FitResult` per problem, every problem's restarts searched
     together.
 
-    Each problem's starts are its ``theta0`` and perturbations of it, and
-    its first start of finite likelihood is sought first, problem by
-    problem in order.  Then one :func:`~emastate.bfgs.minimize` call runs
-    the BFGS searches of every problem in lockstep, each iterate's value
-    and gradient from one evaluation.  Each round, the pending searches
-    are handed to their problems' round evaluators (:func:`_evaluators`),
-    one call per evaluator: the 1x1 and continuous-time Kalman searches of
-    every problem of one shape and time mode, whatever its template, share
-    one stacked pass.  Each search's iterates depend only on its own
-    values, so each result equals a search run alone, and a problem failing
-    after its search raises in problem order.
+    Each problem's starts are its ``theta0`` and perturbations of it.
+    Before any search, each problem's first start of finite likelihood is
+    sought: the first start of every problem in one call per lean
+    objective, then each later start for the problems whose earlier
+    starts were all penalized.  The first problem (in problem order) left
+    without one raises ``NONFINITE_LIKELIHOOD``.  Then one
+    :func:`~emastate.bfgs.minimize` call runs the BFGS searches of every
+    problem in lockstep, each iterate's value and gradient from one
+    evaluation.  Each round, the pending searches are handed to their
+    problems' round evaluators (:func:`_evaluators`), one call per
+    evaluator: the Kalman searches of every problem of one group, whatever
+    its template, share one stacked pass.  Each search's iterates depend
+    only on its own values, so each result equals a search run alone, and
+    a problem failing after its search raises in problem order.
     """
     penalty = 1e12
     lean, rounds = _evaluators(problems, options, penalty)
-    starts, owner = [], []
-    for j, prob in enumerate(problems):
+    n, starts = options.n_restarts, []     # search i is start i % n of problem i // n
+    for prob in problems:
         rng = np.random.default_rng(prob.seed_seq)
-        own = [prob.theta0]
-        for _ in range(options.n_restarts - 1):
-            scale = _PERTURB_SCALE * (1.0 + np.abs(prob.theta0))
-            own.append(prob.theta0 + rng.normal(0.0, scale))
-        if not any(lean[j]([(j, s[None])])[0][0] < penalty for s in own):
-            raise EmaError("NONFINITE_LIKELIHOOD",
-                           "likelihood is non-finite at every multi-start initialization")
-        starts += own
-        owner += [j] * len(own)
+        scale = _PERTURB_SCALE * (1.0 + np.abs(prob.theta0))
+        starts += [prob.theta0] + [prob.theta0 + rng.normal(0.0, scale) for _ in range(n - 1)]
+    unchecked = list(range(len(problems)))      # no start of finite likelihood found yet
+    for i in range(n):
+        values = _dispatch(lean, [(j, starts[j * n + i][None]) for j in unchecked])
+        unchecked = [j for j, v in zip(unchecked, values) if v[0] >= penalty]
+    if unchecked:
+        raise EmaError("NONFINITE_LIKELIHOOD",
+                       "likelihood is non-finite at every multi-start initialization")
 
     # A penalized point gets the gradient 0 from the score, and from central
     # differences when both of its neighbours are penalized too.
     def evaluate(pending):
-        out, by_evaluator = [None] * len(pending), {}
-        for at, (i, _) in enumerate(pending):
-            by_evaluator.setdefault(rounds[owner[i]], []).append(at)
-        for evaluator, ats in by_evaluator.items():
-            for at, fg in zip(ats, evaluator([(owner[pending[at][0]], pending[at][1])
-                                              for at in ats])):
-                out[at] = fg
-        return out
+        return _dispatch(rounds, [(i // n, x) for i, x in pending])
     searches = minimize(evaluate, starts, gtol=options.tol, maxiter=options.max_iter).results
 
     results = []
     for j, prob in enumerate(problems):
-        own = [r for r, o in zip(searches, owner) if o == j]
+        own = searches[j * n:(j + 1) * n]
         best = min(own, key=lambda r: r.fun)      # the first of equal minima
         if best.fun >= penalty:
             raise EmaError("NONFINITE_LIKELIHOOD", "no restart reached a finite likelihood")
         gnorm = float(np.max(np.abs(best.jac))) if best.jac is not None else np.inf
         ll = -float(best.fun)
-        par = prob.par
-        aic, bic = information_criteria(ll, par.n_free, prob.n_obs_used)
+        aic, bic = information_criteria(ll, prob.par.n_free, prob.n_obs_used)
         results.append(FitResult(
-            spec_hat=par.unpack(best.x), log_likelihood=ll, n_free=par.n_free,
+            spec_hat=prob.par.unpack(best.x), log_likelihood=ll, n_free=prob.par.n_free,
             n_obs_used=prob.n_obs_used, aic=aic, bic=bic,
             converged=bool(gnorm < options.tol and best.status == 0),
             n_restarts_used=len(own), restart_objectives=[float(r.fun) for r in own],
@@ -755,7 +764,9 @@ def information_criteria(log_likelihood: float, k: int, n_obs_used: int) -> tupl
 def _problems(template: ModelSpec, pmap: ParameterMap, data: EmaDataset, mode: str,
               options: FitOptions) -> list:
     """The checks of :func:`fit`, then its problems: one pooled problem, or
-    one per participant, all under one ``Parameterization``."""
+    one per participant, all under one ``Parameterization``.  Options out
+    of range (fewer than one start, a negative ``max_iter``, a negative or
+    non-finite ``tol``) are ``BAD_FIT_OPTIONS``."""
     require_valid(template)
     if not data.participants:
         raise EmaError("BAD_SCENARIO", "dataset has no participants")
@@ -763,6 +774,12 @@ def _problems(template: ModelSpec, pmap: ParameterMap, data: EmaDataset, mode: s
         raise EmaError("BAD_SCENARIO", f"unknown fit mode {mode!r}")
     if options.likelihood not in ("kalman", "particle"):
         raise EmaError("BAD_PARAMETER_MAP", f"unknown likelihood {options.likelihood!r}")
+    for name, ok, rule in (("n_restarts", options.n_restarts >= 1, "at least 1"),
+                           ("max_iter", options.max_iter >= 0, "at least 0"),
+                           ("tol", 0.0 <= options.tol < np.inf, "finite and at least 0")):
+        if not ok:
+            raise EmaError("BAD_FIT_OPTIONS",
+                           f"{name} must be {rule}, got {getattr(options, name)}")
     if options.likelihood == "kalman" and not template.all_gaussian:
         raise EmaError("LIKELIHOOD_MODE_MISMATCH",
                        "kalman likelihood requires all-Gaussian channels; "
@@ -827,9 +844,9 @@ def fit_candidates(candidates, options: FitOptions = FitOptions()) -> list:
     error the iterable raises) or to pass them is raised in candidate
     order, before any search.  Then one lockstep :func:`_fit_single` call
     searches every candidate: each round, one stacked pass serves the
-    searches of all 1x1 and continuous-time Kalman candidates of one shape
-    and time mode.  A candidate's failure to reach a finite likelihood is
-    raised after every candidate has passed its checks.
+    searches of all Kalman candidates of one time mode, shape, input count
+    and participant count.  A candidate's failure to reach a finite
+    likelihood is raised after every candidate has passed its checks.
     """
     return _fit_single([prob for template, pmap, data in candidates
                         for prob in _problems(template, pmap, data, "pooled", options)],

@@ -257,6 +257,29 @@ def test_compare_reports_the_first_failing_template_in_listed_order(tmp_path, mo
     assert not (tmp_path / "table.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "compare"])
+@pytest.mark.parametrize("flags, message", [
+    (["--restarts", "0"], "n_restarts must be at least 1, got 0"),
+    (["--max-iter", "-1"], "max_iter must be at least 0, got -1"),
+    (["--tol", "nan"], "tol must be finite and at least 0, got nan"),
+    (["--tol", "-1"], "tol must be finite and at least 0, got -1.0")])
+def test_out_of_range_fit_flags_exit_2_and_write_nothing(tmp_path, model_file, scenario_file,
+                                                         command, flags, message, capsys):
+    data_out = tmp_path / "d.csv"
+    main(["simulate", "--model", model_file, "--scenario", scenario_file,
+          "--out", str(data_out), "--seed", "5"])
+    model = dict(AR1_MODEL); model["G"] = [[0.0]]; model["n_inputs"] = 1
+    tpl = _write(tmp_path / "tpl.json", {"model": model, "parameters": {"A": [["free"]]}})
+    out = tmp_path / "result"
+    inputs = (["--template", tpl] if command == "fit" else ["--templates", tpl, tpl])
+    capsys.readouterr()
+    rc = main([command, "--data", str(data_out), *inputs, *flags, "--out", str(out),
+               "--seed", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == f"error BAD_FIT_OPTIONS: {message}"
+    assert not [name for name in os.listdir(tmp_path) if name.startswith("result")]
+
+
 def test_plotdata_figures(tmp_path):
     for fig in ("fig1a", "fig1b", "fig3a", "fig3b", "fig3c"):
         rc = main(["plotdata", "--figure", fig, "--out", str(tmp_path / fig),

@@ -512,6 +512,36 @@ def test_unknown_likelihood_is_rejected_before_any_fit(monkeypatch, mode, time_m
                                                    "unknown likelihood 'exact'")
 
 
+BAD_OPTIONS = [({"n_restarts": 0}, "n_restarts must be at least 1, got 0"),
+               ({"n_restarts": -3}, "n_restarts must be at least 1, got -3"),
+               ({"max_iter": -1}, "max_iter must be at least 0, got -1"),
+               ({"tol": -1e-3}, "tol must be finite and at least 0, got -0.001"),
+               ({"tol": float("nan")}, "tol must be finite and at least 0, got nan"),
+               ({"tol": float("inf")}, "tol must be finite and at least 0, got inf")]
+
+
+@pytest.mark.parametrize("mode", ["pooled", "idiographic"])
+@pytest.mark.parametrize("bad, message", BAD_OPTIONS)
+def test_out_of_range_fit_options_are_rejected_before_any_search(monkeypatch, mode, bad,
+                                                                 message):
+    from emastate import estimate
+    monkeypatch.setattr(estimate, "_fit_single", None)     # nothing past validation runs
+    data = simulate(ar1_truth(), T=10, n_participants=2)
+    for run in (lambda opts: es.fit(ar1_truth(), AR1_MAP, data, mode=mode, options=opts),
+                lambda opts: estimate.fit_candidates([(ar1_truth(), AR1_MAP, data)], opts)):
+        with pytest.raises(EmaError) as exc:
+            run(FitOptions(**bad))
+        assert (exc.value.code, exc.value.message) == ("BAD_FIT_OPTIONS", message)
+    assert "BAD_FIT_OPTIONS" in es.errors.VALIDATION_CODES
+
+
+def test_edge_fit_options_still_run():
+    """One start, no iteration and a zero tolerance are in range."""
+    data = simulate(ar1_truth(), T=30, n_participants=1)
+    r = es.fit(ar1_truth(), AR1_MAP, data, options=FitOptions(n_restarts=1, max_iter=0, tol=0.0))
+    assert r.n_restarts_used == 1 and r.restarts[0]["nit"] == 0 and not r.converged
+
+
 # --- stacked likelihood of matrix models -------------------------------------
 
 VAR2_MAP = es.ParameterMap({"A": [["free", "free"], ["free", "free"]],
@@ -540,13 +570,22 @@ def per_series_objective(par, participants):
     return f
 
 
+def group_score(par, participants):
+    """``x -> (f, exact gradient)``: the round evaluator of a pooled matrix
+    fit of ``participants`` under ``par``, handed that one search."""
+    from emastate import estimate
+    prob = estimate._Problem(par, par.start_vector(), participants, 0, None, None)
+    _, rounds = estimate._evaluators([prob], FitOptions(), 1e12)
+    return lambda x: rounds[0]([(0, x)])[0]
+
+
 def test_stacked_gradient_equals_per_series_central_differences():
-    from emastate.estimate import _stack_participants, _stacked_objectives, _value_and_score
+    from emastate.estimate import _stack_participants, _stacked_objectives
     truth, data = var2_cohort()
     par = Parameterization(truth, VAR2_MAP)
     stack = _stack_participants(truth, data.participants)
     f = per_series_objective(par, data.participants)
-    score = _value_and_score(par, stack, 1e12)
+    score = group_score(par, data.participants)
     rng = np.random.default_rng(3)
     for _ in range(3):
         theta = par.start_vector() + rng.normal(scale=0.1, size=par.n_free)
@@ -580,7 +619,7 @@ def test_stacked_fit_reaches_per_series_optimum():
 
 
 def test_overflowing_point_is_penalized_not_raised():
-    from emastate.estimate import _stack_participants, _stacked_objectives, _value_and_score
+    from emastate.estimate import _stack_participants, _stacked_objectives
     truth, data = var2_cohort()
     par = Parameterization(truth, VAR2_MAP)
     stack = _stack_participants(truth, data.participants)
@@ -591,7 +630,7 @@ def test_overflowing_point_is_penalized_not_raised():
     assert np.isfinite(out[0]) and out[0] < 1e12
     assert out[1] == 1e12
     # the score path, which matrix fits search with: the penalty and a zero gradient
-    score = _value_and_score(par, stack, 1e12)
+    score = group_score(par, data.participants)
     value, grad = score(theta)
     assert value == out[0] and np.isfinite(grad).all() and grad.any()
     value, grad = score(huge)
@@ -664,7 +703,6 @@ def test_overflowed_entry_that_never_meets_an_observed_ping_is_penalized(monkeyp
 
 
 def test_matrix_fit_on_infinite_data_reports_nonfinite_likelihood():
-    from emastate.estimate import _stack_participants, _value_and_score
     truth, data = var2_cohort()
     data.participants[0].Y[4, 1] = np.inf
     data.participants[0].missing[4, 1] = False
@@ -673,7 +711,7 @@ def test_matrix_fit_on_infinite_data_reports_nonfinite_likelihood():
     assert exc.value.code == "NONFINITE_LIKELIHOOD"
     # every point of the score path is penalized with a zero gradient
     par = Parameterization(truth, VAR2_MAP)
-    score = _value_and_score(par, _stack_participants(truth, data.participants), 1e12)
+    score = group_score(par, data.participants)
     for theta in (par.start_vector(), par.start_vector() + 0.1):
         value, grad = score(theta)
         assert value == 1e12 and grad.tolist() == [0.0] * par.n_free

@@ -1,18 +1,23 @@
-"""One evaluation per BFGS iterate.
+"""One evaluation per BFGS iterate, one stacked pass per round and group.
 
 A fit hands BFGS one function that returns an iterate's value and its
-gradient from a single evaluation.  Scalar, continuous-time and particle
-fits take central differences from the 2k+1 points (the iterate, then
-x + h_i e_i and x - h_i e_i), and a scalar or continuous-time Kalman fit
-evaluates them as one stacked pass whose matrices
+gradient from a single evaluation, and the lockstep driver evaluates the
+pending iterates of all searches together.  Kalman problems of one time
+mode, shape, input count and participant count share one round
+evaluator.  Scalar and continuous-time Kalman searches take central
+differences from the 2k+1 points (the iterate, then x + h_i e_i and
+x - h_i e_i) of every pending search in one lean pass, whose matrices
 ``Parameterization.scatter`` writes for all points at once (in continuous
-time, each point's gaps then go through one gap-kernel call).  A
-discrete-time Kalman fit of a larger model takes the exact score from one
-stored pass at the iterate.  These tests hold that design to the sequential
-one (a one-point objective pass, then a 2k-point gradient pass or a
-separate score call) bit for bit: a point's value must not depend on the
-other points of its stack, the score's pass must give the one-point
-objective's value, and each row of the scatter must be the matrices
+time, each point's gaps then go through one gap-kernel call).  Discrete-time
+Kalman searches of a larger model take the exact score: one stored pass at
+every pending iterate, then each search's backward pass over its own
+participants.  Particle fits take central differences of points filtered
+one series at a time.  These tests hold that design to the sequential one,
+each search alone in scipy's BFGS with a one-point objective pass and a
+2k-point gradient pass or the score of a stored pass over its own
+participants, bit for bit: a point's value must not depend on the other
+points of its stack, a search's score must not depend on the other
+searches of its pass, and each row of the scatter must be the matrices
 ``unpack`` gives for that point.  A compare, whose candidates' searches
 share passes whatever their templates, is held to one sequential fit per
 candidate the same way.
@@ -26,9 +31,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import emastate as es
-from emastate import estimate
+from emastate import estimate, filtering
 from emastate.estimate import (FitOptions, Parameterization, _stack_participants,
                                _stacked_objectives)
+from emastate.filtering import _kalman_score
 
 from oracles import central_diff_grad
 
@@ -50,28 +56,50 @@ def _bits(r):
     return {f.name: b(getattr(r, f.name)) for f in dataclasses.fields(r)}
 
 
+def _score_alone(prob, x):
+    """The exact score of one search run alone, as a discrete-time matrix
+    fit searched one search at a time: one stored one-point pass over its
+    own participants' stack, the backward pass and the chain; a point whose
+    value does not stand, or whose score is not finite, gets zeros."""
+    par = prob.par
+    stack = _stack_participants(par.template, prob.participants)
+    mats, res, _, ok = estimate._kalman_pass([(par, [x])], stack, store=True)
+    if ok[0]:
+        with np.errstate(all="ignore"):
+            g = par.chain(x, _kalman_score(*stack[:3], res.moments[0][0], res.moments[1][0],
+                                           mats["A"][0], mats["H"][0], mats["Theta"][0]))
+        if np.isfinite(g).all():
+            return -g
+    return np.zeros(par.n_free)
+
+
 def _sequential(monkeypatch):
     """Run fits through the sequential search: each search runs alone in
     scipy's BFGS, which gets a one-point objective and, separately, a
-    2k-point central-difference gradient or (matrix Kalman fits) the
-    gradient of a score call.  The patched evaluations hand the driver
-    these function pairs in place of values."""
+    2k-point central-difference gradient or (discrete-time matrix Kalman
+    fits) the score of that search alone (:func:`_score_alone`).  The
+    patched evaluators hand the driver these function pairs in place of
+    values."""
     from scipy.optimize import OptimizeResult, minimize
+    evaluators = estimate._evaluators
 
-    def split(objectives, step):
+    def split(problems, options, penalty):
+        lean, _ = evaluators(problems, options, penalty)
+
         def pairs(pending):
-            return [(lambda x, o=o: float(objectives([(o, x[None])])[0][0]),
-                     lambda x, o=o: central_diff_grad(
-                         lambda points: objectives([(o, np.array(points))])[0], x, step))
-                    for o, _ in pending]
-        return pairs
-
-    score = estimate._value_and_score
-
-    def split_score(par, stack, penalty):
-        return lambda x: (
-            lambda x: float(estimate._stacked_objectives(par, stack, penalty, [x])[0]),
-            lambda x: score(par, stack, penalty)(x)[1])
+            out = []
+            for o, _ in pending:
+                prob, tpl = problems[o], problems[o].par.template
+                if (options.likelihood == "kalman" and tpl.time_mode == "discrete"
+                        and (tpl.n_states > 1 or tpl.n_obs > 1)):
+                    grad = lambda x, prob=prob: _score_alone(prob, x)   # noqa: E731
+                else:
+                    grad = lambda x, o=o: central_diff_grad(            # noqa: E731
+                        lambda points: lean[o]([(o, np.array(points))])[0], x,
+                        estimate._FD_STEP)
+                out.append((lambda x, o=o: float(lean[o]([(o, x[None])])[0][0]), grad))
+            return out
+        return lean, [pairs] * len(problems)
 
     def sequential_minimize(evaluate, starts, gtol, maxiter):
         results = []
@@ -82,8 +110,7 @@ def _sequential(monkeypatch):
         return OptimizeResult(results=results, nfev=sum(r.nfev for r in results),
                               nit=sum(r.nit for r in results))
 
-    monkeypatch.setattr(estimate, "_value_and_grad", split)
-    monkeypatch.setattr(estimate, "_value_and_score", split_score)
+    monkeypatch.setattr(estimate, "_evaluators", split)
     monkeypatch.setattr(estimate, "minimize", sequential_minimize)
 
 
@@ -96,12 +123,22 @@ def _simulate(spec, horizon, n_participants, seed, kind="fixed", miss=0.2):
     return data
 
 
+def _passes(templates, opts):
+    """The passes a case's searches make: none (particle fits), lean only,
+    or also the stored passes of the exact score (a discrete-time template
+    with more than one state or channel)."""
+    if opts.likelihood != "kalman":
+        return None
+    return "score" if any(t.time_mode == "discrete" and (t.n_states > 1 or t.n_obs > 1)
+                          for t in templates) else "lean"
+
+
 def _fit_case(template, pmap, data, mode, opts):
     """A case of one fit call, run the same way both times."""
     def run():
         r = es.fit(template, pmap, data, mode=mode, options=opts)
         return r if mode == "idiographic" else [r]
-    return run, run, opts.likelihood == "kalman"
+    return run, run, _passes([template], opts)
 
 
 def _var2_inputs():
@@ -119,6 +156,34 @@ def _var2_inputs():
 
 def _pooled_var2():
     return _fit_case(*_var2_inputs(), "pooled", FitOptions(n_restarts=3, max_iter=60, seed=2))
+
+
+def _idiographic_var2():
+    """12 participants of ragged lengths, 3 restarts each: a round's stored
+    pass holds up to 36 searches' iterates, so it runs the elementwise
+    recursion (at least ``_STACK_MIN_MEMBERS_SMALL`` members), while each
+    search alone runs the float form on its one member."""
+    truth, pmap, _ = _var2_inputs()
+    data = _simulate(truth, 30.0, 12, seed=43)
+    for i, k in ((1, 21), (4, 12), (7, 25)):
+        p = data.participants[i]
+        data.participants[i] = es.Participant(p.pid, p.timestamps[:k], p.Y[:k],
+                                              p.missing[:k], p.U[:k])
+    run, sequential, passes = _fit_case(truth, pmap, data, "idiographic",
+                                        FitOptions(n_restarts=3, max_iter=40, seed=8))
+
+    def fused():
+        widths, kalman_pass = [], estimate._kalman_pass
+
+        def counted(segments, stack, store=False):
+            widths.append(store * sum(len(thetas) for _, thetas in segments))
+            return kalman_pass(segments, stack, store)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimate, "_kalman_pass", counted)
+            out = run()
+        assert max(widths) >= filtering._STACK_MIN_MEMBERS_SMALL
+        return out
+    return fused, sequential, passes
 
 
 def _idiographic_ar1():
@@ -160,7 +225,8 @@ def _particle():
 def _candidates_case(candidates, opts):
     """A compare: one fit_candidates call, against one fit per candidate."""
     return (lambda: estimate.fit_candidates(candidates, opts),
-            lambda: [es.fit(*c, mode="pooled", options=opts) for c in candidates], True)
+            lambda: [es.fit(*c, mode="pooled", options=opts) for c in candidates],
+            _passes([c[0] for c in candidates], opts))
 
 
 def _mixed_candidates():
@@ -180,6 +246,17 @@ def _mixed_candidates():
         _var2_inputs(),
         (ct, es.ParameterMap({"A": [["free"]], "Sigma": [["free"]]}), data),
         (ct, es.ParameterMap(free), data)], FitOptions(n_restarts=2, max_iter=30, seed=5))
+
+
+def _var2_candidates():
+    """Two 2x2 score templates on one dataset, whose searches share stored
+    passes, and one on data with a different participant count."""
+    truth, pmap, data = _var2_inputs()
+    diagonal = es.ParameterMap({**pmap.statuses, "A": [["free", "fixed"], ["fixed", "free"]],
+                                "Sigma": [["free", "free"], ["free", "free"]]})
+    return _candidates_case([(truth, pmap, data), (truth, diagonal, data),
+                             (truth, pmap, _simulate(truth, 25.0, 4, seed=47))],
+                            FitOptions(n_restarts=2, max_iter=40, seed=9))
 
 
 def _narrow_passes():
@@ -221,30 +298,35 @@ def _disturbance_codings():
     return (lambda: es.compare_disturbance_codings(truth, pmap, data, codings, opts,
                                                    labels).rows,
             lambda: es.rank_fits(labels, [es.fit(truth, pmap, coded(c), options=opts)
-                                          for c in codings]).rows, True)
+                                          for c in codings]).rows, "lean")
 
 
 @pytest.mark.parametrize("case", [_pooled_var2, _idiographic_ar1, _continuous_time,
                                   _idiographic_continuous_time, _particle,
                                   _mixed_candidates, _narrow_passes,
-                                  _disturbance_codings])
+                                  _disturbance_codings, _idiographic_var2, _var2_candidates])
 def test_fused_search_equals_the_sequential_search_bit_for_bit(monkeypatch, case):
-    fused_run, sequential_run, kalman = case()
-    lean = []
+    fused_run, sequential_run, passes = case()
+    flags = []              # per _kalman_pass call, whether it stored its moments
     kalman_pass = estimate._kalman_pass
 
     def counted(segments, stack, store=False):
-        lean.append(not store)
+        flags.append(store)
         return kalman_pass(segments, stack, store)
     monkeypatch.setattr(estimate, "_kalman_pass", counted)
 
-    fused, fused_passes = [_bits(x) for x in fused_run()], sum(lean)
+    fused = [_bits(x) for x in fused_run()]
+    n_fused = len(flags)
     with monkeypatch.context() as m:
         _sequential(m)
         sequential = [_bits(x) for x in sequential_run()]
     assert fused == sequential
-    if kalman:                  # fewer lean passes than the sequential run
-        assert 0 < fused_passes < sum(lean) - fused_passes
+    lean, kept = ([runs.count(kind) for runs in (flags[:n_fused], flags[n_fused:])]
+                  for kind in (False, True))
+    if passes:                  # fewer lean passes than the sequential run
+        assert 0 < lean[0] < lean[1]
+    if passes == "score":       # and fewer stored passes
+        assert 0 < kept[0] < kept[1]
 
 
 def _failing_candidates():
@@ -273,6 +355,44 @@ def test_a_candidate_failing_its_checks_raises_what_its_own_fit_raises_in_order(
     with pytest.raises(es.EmaError) as got:
         estimate.fit_candidates([healthy] + [failing[name] for name in order])
     assert (got.value.code, got.value.message) == (want.value.code, want.value.message)
+
+
+class _Searching(Exception):
+    """The lockstep search was reached."""
+
+
+@pytest.mark.parametrize("cured", [True, False])
+def test_start_checks_try_a_later_start_only_where_every_earlier_one_is_penalized(
+        monkeypatch, cured):
+    """Three candidates of one group, 3 starts each: every problem's first
+    start goes in one lean call, then each later start only for the
+    problems whose earlier ones were all penalized.  A problem with no
+    finite start stops the fit before any search."""
+    ar1 = es.ModelSpec(A=[[0.5]], Sigma=[[1.0]], Theta=[[0.5]])
+    data = _simulate(ar1, 20.0, 2, seed=3)
+    free = es.ParameterMap({"A": [["free"]], "Sigma": [["free"]]})
+    penalized = {(1, 0), (2, 0), (2, 1)} | (set() if cured else {(2, 2)})
+    calls, evaluators = [], estimate._evaluators
+
+    def counting(problems, options, penalty):
+        lean, rounds = evaluators(problems, options, penalty)
+
+        def checked(segments):
+            calls.append([j for j, _ in segments])
+            tries = len(calls) - 1          # each call tries one start of each problem
+            return [np.where((j, tries) in penalized, penalty, v)
+                    for (j, _), v in zip(segments, lean[0](segments))]
+        return [checked] * len(problems), rounds
+
+    def searching(*args, **kwargs):
+        raise _Searching
+    monkeypatch.setattr(estimate, "_evaluators", counting)
+    monkeypatch.setattr(estimate, "minimize", searching)
+    with pytest.raises(_Searching if cured else es.EmaError) as got:
+        estimate.fit_candidates([(ar1, free, data)] * 3, FitOptions(n_restarts=3))
+    assert calls == [[0, 1, 2], [1, 2], [2]]
+    if not cured:
+        assert got.value.code == "NONFINITE_LIKELIHOOD"
 
 
 # --- a point's value does not depend on its stack ------------------------------
