@@ -160,7 +160,7 @@ def _cmd_filter(args) -> int:
         results = (particle_filter(spec, p.Y, args.particles, args.seed, p.missing,
                                    p.U, p.timestamps) for p in data.participants)
     else:
-        results = _kalman_cohort(spec, data.participants)
+        results = (r for r, _ in _kalman_cohort(spec, data.participants))
     blocks = []
     total_ll = 0.0
     for p, r in zip(data.participants, results):

@@ -69,7 +69,7 @@ from .filtering import (_gap_steps, _kalman_score, _kalman_stack, _particle_pass
                         _stack_series)
 # perfbench/spans.py wraps these here
 from .filtering import kalman_filter, kalman_filter_ct, particle_filter  # noqa: F401
-from .model import ModelSpec, _gap_transitions, require_valid
+from .model import ModelSpec, _cohort_steps, require_valid
 from .simulate import DisturbanceEvent, encode_disturbance
 
 FREE = "free"
@@ -396,28 +396,28 @@ def _stack_participants(spec: ModelSpec, participants: Sequence[Participant]):
 
 def _ct_steps(templates, mats, gaps, lengths, ok):
     """The steps of a continuous-time (points, participants) stack, each
-    point under its own template.  Each point marked in ``ok`` discretizes
-    its members' gaps in one
-    :func:`~emastate.model._gap_transitions` call; a point whose gap
-    overflows (``NON_FINITE``) is cleared in ``ok``, and another kernel
-    error is raised.  The steps of a cleared point, and every step past a
-    member's end, are the identity (:func:`~emastate.filtering._gap_steps`)."""
-    K, R = len(ok), np.shape(lengths)[-1]
-    real = np.arange(gaps.shape[-1]) < np.broadcast_to(lengths, (K, R))[..., None] - 1
-    gaps, steps = np.broadcast_to(gaps, real.shape), []
-    for k in range(K):
-        table, which = [mats[name][:0] for name in ("A", "Sigma", "G")], []
-        if ok[k]:
-            spec = templates[k].with_matrices(A=mats["A"][k], Sigma=mats["Sigma"][k],
-                                              G=mats["G"][k])
-            try:
-                *table, which = _gap_transitions(spec, gaps[k][real[k]])
-            except EmaError as err:
-                if err.code != "NON_FINITE":
-                    raise
-                ok[k] = False
-        steps.append(_gap_steps(table, which, real[k] & ok[k]))
-    return tuple(np.stack(x, 1) for x in zip(*steps))
+    point under its own template.  Each point marked in ``ok`` takes its
+    members' steps from one :func:`~emastate.model._cohort_steps` call, so
+    one kernel call; a point whose gap overflows (``NON_FINITE``) is
+    cleared in ``ok``, and its steps are not read; another kernel error is
+    raised.  The points' tables are stacked into one, gathered by
+    :func:`~emastate.filtering._gap_steps`: every step past a member's end
+    is the identity, unless one step serves the whole stack."""
+    lengths = np.broadcast_to(lengths, (len(ok), np.shape(lengths)[-1]))
+    gaps = np.broadcast_to(gaps, lengths.shape + gaps.shape[-1:])
+    table, size = [[mats[name][:0] for name in ("A", "Sigma", "G")]], 0
+    rows = np.full(gaps.shape, -1)
+    for k in np.flatnonzero(ok).tolist():
+        spec = templates[k].with_matrices(A=mats["A"][k], Sigma=mats["Sigma"][k], G=mats["G"][k])
+        entries, own, _, err = _cohort_steps(
+            spec, [g[:max(L - 1, 0)] for g, L in zip(gaps[k], lengths[k].tolist())])
+        if err is not None and err.code != "NON_FINITE":
+            raise err
+        ok[k] = err is None
+        rows[k, :, :own.shape[1]] = np.where(own < 0, -1, own + size)
+        table.append(entries)
+        size += len(entries[0])
+    return _gap_steps(tuple(np.concatenate(x) for x in zip(*table)), rows)
 
 
 def _kalman_pass(segments, stack, store=False):

@@ -15,11 +15,13 @@ no inverse of a predicted covariance.
 Models with up to 3 states and 2 channels run one recursion written out over
 scalar entries, with S inverted in closed form: on Python floats per member
 for small stacks, elementwise for large ones, bit for bit alike; larger
-models run a vectorized matrix recursion.  Continuous-time specs discretize
-each inter-ping gap exactly (one truncated-Taylor kernel for all gaps of a
-call, its truncation error below 2^-53: one coefficient table per drift,
-evaluated at each gap's scaled step; see
-:func:`emastate.model._gap_transitions`).  Models with count,
+models run a vectorized matrix recursion.  Every filter, in both time
+modes, takes its steps from one builder,
+:func:`emastate.model._cohort_steps`: a table of the distinct steps and
+each step's row in it.  In continuous time the table holds each distinct
+inter-ping gap, discretized exactly by one truncated-Taylor kernel call
+for all gaps of the cohort (:func:`emastate.model._gap_transitions`); in
+discrete time it is the spec's own matrices.  Models with count,
 ordinal, or dichotomous channels fall back to a bootstrap particle filter;
 fits run its likelihood-only pass, which keeps no moments and gives the
 filter's log-likelihood to the bit.
@@ -42,7 +44,7 @@ from scipy.special import expit, gammaln, log_expit
 from .dataset import missing_cells
 from .errors import EmaError
 from .model import (GAUSSIAN, GRADED_RESPONSE, BERNOULLI_LOGISTIC, POISSON,
-                    ModelSpec, _gap_transitions, psd_sqrt, require_valid)
+                    ModelSpec, _cohort_steps, _step_roots, psd_sqrt, require_valid)
 from .model import discretize  # noqa: F401  (perfbench/spans.py wraps it here)
 
 COND_LIMIT = 1e12
@@ -732,7 +734,7 @@ def _kalman(spec: ModelSpec, y, missing, u, timestamps):
     :func:`~emastate.model.validate_model`."""
     require_valid(spec)
     one = SimpleNamespace(Y=y, missing=missing, U=u, timestamps=timestamps)
-    return next(_kalman_cohort(spec, [one], with_steps=True))
+    return next(_kalman_cohort(spec, [one]))
 
 
 def kalman_filter(spec: ModelSpec, y, missing=None, u=None,
@@ -777,17 +779,16 @@ def _stack_series(series, p: int, q: int):
     return y, obs, u, lengths
 
 
-def _gap_steps(table, which, real):
-    """The steps (A, Sigma, G) of a stack of members, each (steps,) + B + its
-    matrix shape, as :func:`_kalman_stack` takes them.  The real gaps (mask
-    ``real``, B + (steps,)), in row-major order, use the entries ``which`` of
-    ``table``, stacked :func:`~emastate.model._gap_transitions` results;
-    every other step, past a member's last ping, is the identity with no
-    noise and no input."""
-    n, q = table[0].shape[-1], table[2].shape[-1]
-    pad = (np.eye(n), np.zeros((n, n)), np.zeros((n, q)))
-    rows = np.full(real.shape, -1)      # row -1: the identity step
-    rows[real] = which
+def _gap_steps(table, rows):
+    """The steps (A, Sigma, G) of a stack of members as :func:`_kalman_stack`
+    takes them: step k of member b is entry ``rows[b + (k,)]`` of ``table``
+    (:func:`~emastate.model._cohort_steps`), stacked as (steps,) + B + its
+    matrix shape, and a row of -1, past a member's last ping, is the
+    identity with no noise and no input.  A one-entry table is one step
+    that serves every ping, so it passes as it is."""
+    if len(table[0]) == 1:
+        return table
+    pad = (np.eye(table[0].shape[-1]), *(np.zeros(x.shape[1:]) for x in table[1:]))
     rows = np.moveaxis(rows, -1, 0)
     return tuple(np.concatenate([x, e[None]])[rows] for x, e in zip(table, pad))
 
@@ -797,15 +798,15 @@ def _gap_steps(table, which, real):
 _COHORT_CHUNK = 64
 
 
-def _kalman_cohort(spec: ModelSpec, participants, with_steps=False):
+def _kalman_cohort(spec: ModelSpec, participants):
     """Yield the Kalman filter of each participant (objects with ``Y``,
-    ``missing``, ``U`` and ``timestamps``) in order, with ``with_steps`` also
-    the (T-1, n, n) transition matrices of its steps.  Public filters are a
-    cohort of one, and CLI ``filter`` a cohort of all participants; each
-    participant equals its own call bit for bit.
+    ``missing``, ``U`` and ``timestamps``) in order, with the (T-1, n, n)
+    transition matrices of its steps.  Public filters are a cohort of one,
+    and CLI ``filter`` a cohort of all participants; each participant
+    equals its own call bit for bit.
 
-    Every series is checked first, and all gaps are discretized in one
-    :func:`~emastate.model._gap_transitions` call; one stored
+    Every series is checked first, and the steps of all of them come from
+    one :func:`~emastate.model._cohort_steps` call; one stored
     :func:`_kalman_stack` pass runs per chunk of ``_COHORT_CHUNK``
     participants, padded as in a pooled fit (identity steps from
     :func:`_gap_steps`, unobserved pings).  The first participant whose
@@ -820,39 +821,24 @@ def _kalman_cohort(spec: ModelSpec, participants, with_steps=False):
         except EmaError as err:
             pending = err
             break
-    n, q = spec.n_states, spec.n_inputs
-    continuous = spec.time_mode == "continuous"
-    while continuous and series:
-        gaps = [np.diff(s[3]) for s in series]
-        starts = np.cumsum([0] + [g.size for g in gaps])
-        try:
-            *table, which = _gap_transitions(spec, np.concatenate(gaps))
-            break
-        except EmaError as err:     # the first participant with a failing gap
-            del series[np.searchsorted(starts, err.gap, side="right") - 1:]
-            pending = err
+    table, rows, kept, err = _cohort_steps(spec, [np.diff(s[3]) for s in series])
+    del series[kept:]
+    pending = err or pending        # a cut participant comes before a failing series
 
     for lo in range(0, len(series), _COHORT_CHUNK):
         chunk = series[lo:lo + _COHORT_CHUNK]
-        y, obs, u, lengths = _stack_series(chunk, spec.n_obs, q)
-        R, T = y.shape[:2]
-        if continuous:
-            trans = _gap_steps(table, which[starts[lo]:starts[lo + R]],
-                               np.arange(T - 1) < lengths[:, None] - 1)
-        else:
-            trans = (spec.A[None], spec.Sigma[None], spec.G[None])
+        y, obs, u, lengths = _stack_series(chunk, spec.n_obs, spec.n_inputs)
+        steps = rows[lo:lo + len(chunk), :max(y.shape[1] - 1, 0)]
         res = _kalman_stack(y, obs, u, spec.initial_mean, spec.initial_cov, spec.H,
-                            spec.Theta, trans, store=True, lengths=lengths)
+                            spec.Theta, _gap_steps(table, steps), store=True, lengths=lengths)
         pm, pP, fm, fP = res.moments
         for r, (_, missing, _, timestamps) in enumerate(chunk):
             res.raise_failure(r)
             k = lengths[r]
-            out = FilterResult(timestamps, pm[r, :k], pP[r, :k], fm[r, :k], fP[r, :k],
-                               res.loglik[r, :k], float(res.total[r]),
-                               int(missing.any(axis=1).sum()), missing)
-            A = (trans[0][:max(k - 1, 0), r] if continuous
-                 else np.broadcast_to(spec.A, (max(k - 1, 0), n, n)))
-            yield (out, A) if with_steps else out
+            yield (FilterResult(timestamps, pm[r, :k], pP[r, :k], fm[r, :k], fP[r, :k],
+                                res.loglik[r, :k], float(res.total[r]),
+                                int(missing.any(axis=1).sum()), missing),
+                   table[0][steps[r, :max(k - 1, 0)]])
     if pending is not None:
         raise pending
 
@@ -1070,10 +1056,9 @@ def _particle_pass(spec: ModelSpec, y, n_particles: int, rng_seed: int, missing,
 
     Returns (timestamps, missing, per-ping log-likelihood terms, moments);
     the moments (predicted and filtered means and covariances) only with
-    ``store``.  The step into ping k+1 takes row ``which[k]`` of a table
-    of (A, Sigma, G): the exact gaps of
-    :func:`~emastate.model._gap_transitions` in continuous time, the spec's
-    own matrices in discrete time; each Sigma is factored at its first use.
+    ``store``.  The step into ping k+1 takes its row of the step table of
+    :func:`~emastate.model._cohort_steps`, whose noises
+    :func:`~emastate.model._step_roots` factors.
     The particles are one state-major array P (n, N), stepped as
     A P + G u + L Z' with Z the (N, n) normal block: the random stream and
     the log-likelihood terms are those of an (N, n) array bit for bit, and
@@ -1089,18 +1074,16 @@ def _particle_pass(spec: ModelSpec, y, n_particles: int, rng_seed: int, missing,
     y, missing, u, timestamps = _series(spec, y, missing, u, timestamps)
     density = _observation_density(spec, y, missing)
     T, n, N = y.shape[0], spec.n_states, n_particles
-    if spec.time_mode == "continuous":
-        A_d, Sigma_d, G_d, which = _gap_transitions(spec, np.diff(timestamps))
-        which = which.tolist()
-    else:
-        A_d, Sigma_d, G_d, which = spec.A[None], spec.Sigma[None], spec.G[None], [0] * (T - 1)
+    (A_d, Sigma_d, G_d), rows, _, err = _cohort_steps(spec, [np.diff(timestamps)])
+    if err is not None:
+        raise err
 
     rng = np.random.default_rng(rng_seed)
     L0 = psd_sqrt(spec.initial_cov)
-    chol = {}
-    for e in which:
-        if e not in chol:
-            chol[e] = psd_sqrt(Sigma_d[e])
+    chol, _, err = _step_roots(Sigma_d, rows)
+    if err is not None:
+        raise err
+    steps = [x[rows[0]] for x in (A_d, G_d, chol)]     # into each ping after the first
 
     P = spec.initial_mean[:, None] + L0 @ rng.standard_normal((N, n)).T
     log_w = flat_log_w = np.full(N, -np.log(N))
@@ -1114,8 +1097,7 @@ def _particle_pass(spec: ModelSpec, y, n_particles: int, rng_seed: int, missing,
 
     for t in range(T):
         if t > 0:
-            e = which[t - 1]
-            A, G, L = A_d[e], G_d[e], chol[e]
+            A, G, L = (x[t - 1] for x in steps)
             drift = (G @ u[t - 1])[:, None] if G.shape[1] else 0.0
             P = A @ P + drift + L @ rng.standard_normal((N, n)).T
         if store:

@@ -17,7 +17,11 @@ truncation error stays below 2^-53 relative, then doublings back to the gap.
 The series is a polynomial in the scaled step with one table of matrix
 coefficients per drift, so a gap costs an elementwise Horner evaluation
 and its doublings.
-Callers index the kernel's stack of distinct gaps by each gap's row.
+The filters, the particle filter, the simulator and continuous-time fits
+take their steps, in both time modes, from one builder,
+:func:`_cohort_steps`: a table of a cohort's distinct steps, each step's
+row in it, and one failure cut at the first series whose gap fails.  Their
+noise factors come from :func:`_step_roots`.
 
 Every JSON document (model, scenario, template) is built by one reader,
 :func:`from_document`: a document's keys are its dataclass's init fields
@@ -317,8 +321,8 @@ def non_finite_matrices(spec) -> list[str]:
 def _default_initial_cov(A, Sigma, time_mode) -> np.ndarray:
     for name, M in (("A", A), ("Sigma", Sigma)):
         if not np.isfinite(M).all():
-            raise EmaError("NON_FINITE", f"{name} has a non-finite entry, so the default "
-                                         f"initial_cov cannot be computed")
+            raise EmaError("NON_FINITE", f"{name} has a non-finite entry, so no stationary "
+                                         f"covariance can be computed")
     if _is_stable(A, time_mode):
         if time_mode == "discrete":
             cov = solve_discrete_lyapunov(A, Sigma)
@@ -579,6 +583,70 @@ def _gap_transitions(spec: ModelSpec, dts, drifts=None):
     return A_d, Sigma_d, G_d, which
 
 
+def _cohort_steps(spec: ModelSpec, gaps, drifts=None):
+    """The steps of a cohort of series, as every caller of the gap kernel
+    takes them: ``gaps`` holds each series' gaps between pings and
+    ``drifts``, if given, each series' drift per step, (gaps, n, n).
+
+    Returns ``table``, the (A_d, Sigma_d, G_d) of the distinct steps, each
+    stacked; ``rows``, (series, most gaps): each step's entry of ``table``,
+    -1 past a series' end; ``kept``, the number of series whose steps are
+    in ``rows``; and ``err``, the error that cut the others, or None.
+
+    In continuous time every gap goes into one :func:`_gap_transitions`
+    call.  A gap that fails cuts the series that owns it and every later
+    one, so ``err`` is the error a series-by-series loop meets first; the
+    kept series' gaps then run alone, and no entry depends on the other
+    gaps of its call.  In discrete time the table is the spec's own
+    matrices, one entry, or with ``drifts`` one entry per step: its drift
+    with the spec's Sigma and G.
+    """
+    counts = np.array([len(g) for g in gaps], dtype=int)
+    starts, kept, err = np.cumsum([0, *counts]), counts.size, None
+    flat = None if drifts is None else np.concatenate([*drifts, np.zeros((0,) + spec.A.shape)])
+    if spec.time_mode == "continuous":
+        dts = np.concatenate([*gaps, np.zeros(0)])
+        try:
+            *table, which = _gap_transitions(spec, dts, flat)
+        except EmaError as first:
+            kept, err = int(np.searchsorted(starts, first.gap, side="right")) - 1, first
+            end = starts[kept]
+            *table, which = _gap_transitions(spec, dts[:end], None if flat is None else flat[:end])
+    else:           # the spec's own step, or one per drift
+        A = spec.A[None] if flat is None else flat
+        table = [A, *(np.broadcast_to(x, (len(A),) + x.shape) for x in (spec.Sigma, spec.G))]
+        which = 0 if flat is None else np.arange(len(A))
+    rows = np.full((counts.size, counts.max(initial=0)), -1)
+    counts[kept:] = 0
+    rows[np.arange(rows.shape[1]) < counts[:, None]] = which
+    return tuple(table), rows, kept, err
+
+
+def _step_roots(Sigma_d, rows):
+    """Factors L with L L' = Sigma_d[e] of a step table's noises (see
+    :func:`_cohort_steps`), from one Cholesky call.  Where a noise is
+    singular, the entries that ``rows`` uses are factored by
+    :func:`psd_sqrt` instead, once per distinct noise, in order of first
+    use.  Returns the factors, the number of series before the first step
+    whose noise cannot be factored (all of them if none), and its error
+    (or None)."""
+    try:
+        return np.linalg.cholesky(Sigma_d), len(rows), None
+    except np.linalg.LinAlgError:       # some noise is singular
+        roots, factors = np.zeros(np.shape(Sigma_d)), {}
+    entries, first = np.unique(rows, return_index=True)
+    for at in np.sort(first[entries >= 0]).tolist():
+        e = rows.flat[at]
+        key = Sigma_d[e].tobytes()
+        if key not in factors:
+            try:
+                factors[key] = psd_sqrt(Sigma_d[e])
+            except EmaError as err:
+                return roots, at // rows.shape[1], err
+        roots[e] = factors[key]
+    return roots, len(rows), None
+
+
 def discretize(spec: ModelSpec, dt: float) -> ModelSpec:
     """Exact discretization of a continuous-time spec over a step of ``dt``.
 
@@ -604,8 +672,8 @@ def to_continuous(spec: ModelSpec, dt: float) -> ModelSpec:
     """
     if spec.time_mode != "discrete":
         raise EmaError("INVALID_MODEL", "to_continuous expects a discrete-time spec")
-    if not dt > 0:
-        raise EmaError("INVALID_MODEL", f"dt must be positive, got {dt}")
+    if not 0 < dt < np.inf:
+        raise EmaError("INVALID_MODEL", f"dt must be positive and finite, got {dt}")
     eig = np.linalg.eigvals(spec.A)
     bad = (np.abs(eig.imag) < 1e-12) & (eig.real <= 0.0)
     if np.any(bad):
@@ -639,17 +707,17 @@ def stationary_moments(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     """
     if spec.time_mode != "discrete":
         raise EmaError("INVALID_MODEL", "stationary_moments expects a discrete-time spec")
+    cov = _default_initial_cov(spec.A, spec.Sigma, "discrete")      # NON_FINITE first
     rho = float(np.max(np.abs(np.linalg.eigvals(spec.A))))
     if rho >= 1.0:
         raise EmaError("NOT_STATIONARY",
                        f"spectral radius {rho:.6g} >= 1; no stationary distribution")
-    cov = solve_discrete_lyapunov(spec.A, spec.Sigma)
-    return np.zeros(spec.n_states), 0.5 * (cov + cov.T)
+    return np.zeros(spec.n_states), cov
 
 
 def nyquist_check(process_period: float, sampling_interval: float) -> str:
     """Advisory sampling-rate check: sample strictly faster than half the
     period of the process under study.  Returns "adequate" or "inadequate"."""
-    if process_period <= 0 or sampling_interval <= 0:
-        raise EmaError("INVALID_MODEL", "period and interval must be positive")
+    if not (0 < process_period < np.inf and 0 < sampling_interval < np.inf):
+        raise EmaError("INVALID_MODEL", "period and interval must be positive and finite")
     return "adequate" if sampling_interval < process_period / 2.0 else "inadequate"

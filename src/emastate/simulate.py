@@ -9,6 +9,12 @@ Reproducibility: participant ``i`` of a run seeded with ``s`` draws from
 ``np.random.SeedSequence((s, i, stream))`` so serial and parallel
 generation agree bit for bit.
 
+Every step, in both time modes, comes from the step builder the filters
+share (:func:`~emastate.model._cohort_steps`), and every step noise's
+factor from :func:`~emastate.model._step_roots`.  A dataset holds only
+finite values: an input that is not finite is ``BAD_SCENARIO`` and a draw
+that is not ``NON_FINITE``, naming the participant and the ping.
+
 A scenario document is read by :func:`scenario_from_dict`: the keys and
 defaults of each section are the fields of its dataclass (``Scenario``,
 ``PingSchedule``, ``TrendSpec`` and so on), built by
@@ -26,7 +32,7 @@ from scipy.special import expit
 from .dataset import EmaDataset, Participant, default_names
 from .errors import EmaError
 from .model import (GAUSSIAN, GRADED_RESPONSE, BERNOULLI_LOGISTIC, POISSON,
-                    ModelSpec, _floats, _gap_transitions, from_document, psd_sqrt,
+                    ModelSpec, _cohort_steps, _floats, _step_roots, from_document, psd_sqrt,
                     require_valid)
 from .model import discretize  # noqa: F401  (perfbench/spans.py wraps it here)
 
@@ -75,14 +81,16 @@ class PingSchedule:
 def _schedule_draw(sched: PingSchedule, rng: np.random.Generator) -> np.ndarray:
     if sched.horizon <= 0:
         raise EmaError("EMPTY_SCHEDULE", f"horizon {sched.horizon} admits no pings")
+    if not np.isfinite(sched.horizon):
+        raise EmaError("INVALID_SCHEDULE", f"horizon must be finite, got {sched.horizon}")
     if sched.kind == "fixed":
-        if not sched.interval or sched.interval <= 0:
+        if not (sched.interval or 0) > 0:      # NaN too
             raise EmaError("INVALID_SCHEDULE", "fixed schedule needs interval > 0")
         n = int(np.ceil(sched.horizon / sched.interval)) + 1
         t = np.arange(n) * sched.interval
         t = t[t < sched.horizon]
     elif sched.kind == "jittered":
-        if not sched.interval or sched.interval <= 0:
+        if not (sched.interval or 0) > 0:
             raise EmaError("INVALID_SCHEDULE", "jittered schedule needs interval > 0")
         if not 0 <= sched.max_jitter < sched.interval / 2:
             raise EmaError("INVALID_SCHEDULE",
@@ -97,8 +105,8 @@ def _schedule_draw(sched: PingSchedule, rng: np.random.Generator) -> np.ndarray:
             raise EmaError("INVALID_SCHEDULE",
                            "random_window schedule needs windows and pings_per_day > 0")
         widths = np.array([hi - lo for lo, hi in sched.windows], dtype=float)
-        if np.any(widths <= 0):
-            raise EmaError("INVALID_SCHEDULE", "every window needs positive width")
+        if not np.all((widths > 0) & (widths < np.inf)):     # NaN and infinite bounds too
+            raise EmaError("INVALID_SCHEDULE", "every window needs finite bounds with hi > lo")
         edges = np.concatenate([[0.0], np.cumsum(widths)])
         days = int(np.ceil(sched.horizon / HOURS_PER_DAY))
         u = np.sort(rng.uniform(0.0, edges[-1], size=(days, sched.pings_per_day)), axis=1)
@@ -209,6 +217,8 @@ def encode_disturbance(events: Sequence[DisturbanceEvent], timestamps: np.ndarra
             raise EmaError("BAD_SCENARIO", "decay_ratio must lie in (0, 1)")
         if not 0 <= e.input_slot < U.shape[1]:
             raise EmaError("BAD_SCENARIO", f"input_slot {e.input_slot} out of range")
+        if not np.isfinite(e.onset):
+            raise EmaError("BAD_SCENARIO", f"event onset must be finite, got {e.onset}")
         k = int(np.searchsorted(t, e.onset, side="left"))
         if k >= t.size:
             continue
@@ -244,8 +254,8 @@ class RegimeSchedule:
         bp = tuple(float(b) for b in self.breakpoints)
         if len(bp) != len(self.regimes):
             raise EmaError("BAD_SCENARIO", "need one regime per breakpoint")
-        if len(bp) > 1 and np.any(np.diff(bp) <= 0):
-            raise EmaError("BAD_SCENARIO", "breakpoints must be strictly increasing")
+        if not np.isfinite(bp).all() or np.any(np.diff(bp) <= 0):
+            raise EmaError("BAD_SCENARIO", "breakpoints must be finite and strictly increasing")
         object.__setattr__(self, "breakpoints", bp)
 
     def segment(self, t: float) -> int:
@@ -303,9 +313,20 @@ def _measure_ping(spec: ModelSpec, x: np.ndarray, rng: np.random.Generator,
     return y
 
 
+def _finite(code: str, i: int, what: str, X: np.ndarray) -> np.ndarray:
+    """X, if every row is finite; else ``code``, naming participant ``i``
+    and the ping of its first row that is not."""
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise EmaError(code, f"participant p{i + 1:03d}: {what} at ping {bad[0]} is not finite")
+    return X
+
+
+@np.errstate(all="ignore")      # a non-finite input is raised below
 def _build_inputs(spec: ModelSpec, timestamps: np.ndarray,
                   trends: Sequence[TrendSpec], events: Sequence[DisturbanceEvent],
-                  start_weekday: int) -> np.ndarray:
+                  start_weekday: int, i: int) -> np.ndarray:
+    """The inputs of participant ``i``; ``BAD_SCENARIO`` if one is not finite."""
     U = np.zeros((timestamps.size, spec.n_inputs))
     for tr in trends:
         coef = np.asarray(tr.coefficients, dtype=float)
@@ -315,7 +336,7 @@ def _build_inputs(spec: ModelSpec, timestamps: np.ndarray,
         U += np.outer(tr.values(timestamps, start_weekday), coef)
     if events:
         U += encode_disturbance(events, timestamps, spec.n_inputs)
-    return U
+    return _finite("BAD_SCENARIO", i, "input", U)
 
 
 def _regime_paths(spec: ModelSpec, timestamps: np.ndarray, regimes: RegimeSchedule | None,
@@ -323,22 +344,22 @@ def _regime_paths(spec: ModelSpec, timestamps: np.ndarray, regimes: RegimeSchedu
     """Each step's drift (the step into ping k uses ping k's regime drift
     and tvp value) and each ping's state mean offset."""
     n = spec.n_states
-    T = timestamps.size
-    regs = regimes.regimes if regimes is not None else ()
-    drift_of = [np.asarray(spec.A, dtype=float)] + [
-        np.asarray(spec.A if r.A is None else r.A, dtype=float) for r in regs]
-    if any(A.shape != (n, n) for A in drift_of):
-        raise EmaError("BAD_SCENARIO", f"every regime A must be {n}x{n}")
-    offset_of = [np.zeros(n)] + [np.zeros(n) if r.mean_offset is None else
-                                 np.asarray(r.mean_offset, dtype=float).reshape(n) for r in regs]
-    segs = [regimes.segment(t) for t in timestamps] if regs else [0] * T
-
-    drifts = np.array([drift_of[seg] for seg in segs[1:]]).reshape(T - 1, n, n)
+    regs = (Regime(),) + (regimes.regimes if regimes is not None else ())
+    drift_of = [np.asarray(spec.A if r.A is None else r.A, dtype=float) for r in regs]
+    offset_of = [np.zeros(n) if r.mean_offset is None else
+                 np.asarray(r.mean_offset, dtype=float).reshape(-1) for r in regs]
+    if any(A.shape != (n, n) or x.shape != (n,) for A, x in zip(drift_of, offset_of)):
+        raise EmaError("BAD_SCENARIO", f"regime A must be {n}x{n} and mean_offset of length {n}")
+    if tvp is not None and not (len(tvp.target) == 2 and all(0 <= i < n for i in tvp.target)):
+        raise EmaError("BAD_SCENARIO", f"tvp target {tvp.target} is not an entry of A")
+    segs = np.searchsorted(() if regimes is None else regimes.breakpoints, timestamps, "right")
+    drifts = np.array(drift_of)[segs[1:]]
     if tvp is not None:
-        drifts[:, tvp.target[0], tvp.target[1]] = [tvp.value(t) for t in timestamps[1:]]
-    return drifts, np.array([offset_of[seg] for seg in segs]).reshape(T, n)
+        drifts[:, tvp.target[0], tvp.target[1]] = tvp.value(timestamps[1:])
+    return drifts, np.array(offset_of)[segs]
 
 
+@np.errstate(over="ignore", invalid="ignore")      # draws that overflow are raised below
 def _simulate_participant(spec: ModelSpec, A, R, G, U, offsets, L0, L_theta,
                           rng: np.random.Generator) -> np.ndarray:
     """State recursion + measurement; returns the (T, n_obs) observations.
@@ -373,53 +394,25 @@ def _simulate_cohort(spec: ModelSpec, cohort: list, rngs):
     drifts and offsets each), drawn from ``rngs``, and the error of the
     first participant that stops the cohort, or None.
 
-    One :func:`~emastate.model._gap_transitions` call discretizes every gap
-    of the cohort and one Cholesky call factors their distinct noises; no
-    gap's result depends on the rest of its call.  A participant whose gaps
-    or factors fail drops itself and every later one, so the error is the
-    one a participant-by-participant run meets first.
+    The steps of every participant come from one
+    :func:`~emastate.model._cohort_steps` call and their noise factors from
+    one :func:`~emastate.model._step_roots` call; each cuts the cohort at
+    the first participant whose steps fail, so the error is the one a
+    participant-by-participant run meets first.  A kept participant whose
+    draws are not all finite raises ``NON_FINITE`` at once, as it comes
+    before any cut participant.
     """
-    pending, counts = None, [c[0].size - 1 for c in cohort]
-    cohort = list(cohort)
-
-    def drop_from(gap):             # the participant owning ``gap`` and those after
-        del cohort[int(np.searchsorted(np.cumsum(counts), gap, side="right")):]
-
-    continuous = spec.time_mode == "continuous"
-    while continuous and cohort:
-        try:
-            A_d, S_d, G_d, which = _gap_transitions(
-                spec, np.concatenate([np.diff(c[0]) for c in cohort]),
-                np.concatenate([c[2] for c in cohort]))
-            break
-        except EmaError as err:
-            pending = err
-            drop_from(err.gap)
-    if not cohort:
-        return [], pending
-    if not continuous:              # every step's noise and inputs are the spec's
-        S_d, G_d, which = spec.Sigma[None], spec.G[None], np.zeros(sum(counts), dtype=int)
-    try:
-        roots = np.linalg.cholesky(S_d)
-    except np.linalg.LinAlgError:   # some gap noise is singular: factor each, in order of use
-        roots, done = np.zeros_like(S_d), set()
-        for g, e in enumerate(which[:sum(counts[:len(cohort)])].tolist()):
-            if e not in done:
-                try:
-                    roots[e] = psd_sqrt(S_d[e])
-                except EmaError as err:
-                    pending = err
-                    drop_from(g)
-                    break
-                done.add(e)
-    if cohort:
+    (A_d, S_d, G_d), rows, kept, pending = _cohort_steps(
+        spec, [np.diff(c[0]) for c in cohort], [c[2] for c in cohort])
+    roots, cut, err = _step_roots(S_d, rows)
+    kept, pending = min(kept, cut), err or pending      # a root fails only before the cut
+    if kept:
         L_theta, L0 = psd_sqrt(spec.Theta), psd_sqrt(spec.initial_cov)
-    Ys, start = [], 0
-    for (_, U, drifts, offsets), rng, k in zip(cohort, rngs, counts):
-        steps = which[start:start + k]
-        start += k
-        Ys.append(_simulate_participant(spec, A_d[steps] if continuous else drifts, roots[steps],
-                                        G_d[steps], U, offsets, L0, L_theta, rng))
+    Ys = []
+    for i, ((_, U, _, offsets), rng) in enumerate(zip(cohort[:kept], rngs)):
+        steps = rows[i, :len(offsets) - 1]
+        Ys.append(_finite("NON_FINITE", i, "simulated value", _simulate_participant(
+            spec, A_d[steps], roots[steps], G_d[steps], U, offsets, L0, L_theta, rng)))
     return Ys, pending
 
 
@@ -442,7 +435,8 @@ def simulate_dataset(spec: ModelSpec, sched: PingSchedule,
     its own random streams, then the whole cohort's gaps at once
     (:func:`_simulate_cohort`): the data, and the error raised when a
     participant fails, are those of simulating one participant after
-    another.
+    another.  Inputs or draws that are not all finite fail their
+    participant, so every error is raised before any data is returned.
     """
     require_valid(spec)
     if spec.time_mode == "discrete" and sched.kind != "fixed":
@@ -457,7 +451,7 @@ def simulate_dataset(spec: ModelSpec, sched: PingSchedule,
         rng_s = np.random.default_rng(np.random.SeedSequence((rng_seed, i, 0)))
         try:
             timestamps = _schedule_draw(sched, rng_s)
-            U = _build_inputs(spec, timestamps, trends, events, start_weekday)
+            U = _build_inputs(spec, timestamps, trends, events, start_weekday, i)
             cohort.append((timestamps, U, *_regime_paths(spec, timestamps, regimes, tvp)))
         except EmaError as err:
             pending = err

@@ -567,17 +567,25 @@ def simulate_participant_by_participant(spec, sched, trends=(), events=(), regim
     participant after another, as the simulator ran before it simulated the
     cohort at once: its own gap-kernel call and factoring per participant,
     and per ping one state draw and one measurement draw.  Raises the first
-    participant's error."""
+    participant's error; inputs or draws that are not all finite are one."""
     from emastate.simulate import _build_inputs, _schedule_draw
     out = []
     for i in range(n_participants):
         rng_s = np.random.default_rng(np.random.SeedSequence((rng_seed, i, 0)))
         rng_x = np.random.default_rng(np.random.SeedSequence((rng_seed, i, 1)))
         timestamps = _schedule_draw(sched, rng_s)
-        U = _build_inputs(spec, timestamps, trends, events, start_weekday)
+        U = _build_inputs(spec, timestamps, trends, events, start_weekday, i)
         Y = _simulate_participant(spec, timestamps, U, regimes, tvp, rng_x)
+        _require_finite(Y, "NON_FINITE", f"participant p{i + 1:03d}: simulated value")
         out.append((timestamps, U, Y))
     return out
+
+
+def _require_finite(X, code, what):
+    from emastate.errors import EmaError
+    for t, row in enumerate(X):
+        if not np.isfinite(row).all():
+            raise EmaError(code, f"{what} at ping {t} is not finite")
 
 
 def central_diff_grad(f_many, x, step):

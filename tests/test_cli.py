@@ -65,6 +65,55 @@ def test_simulate_zero_horizon_fails_with_exit_2(tmp_path, model_file):
     assert rc == 2
 
 
+CT_MODEL = {"A": [[-0.5]], "Sigma": [[1.0]], "Theta": [[0.5]], "G": [[0.0]],
+            "time_mode": "continuous"}
+FIXED = {"kind": "fixed", "horizon": 20.0, "interval": 1.0}
+
+
+@pytest.mark.parametrize("scenario, code", [
+    ({"schedule": dict(FIXED, horizon=float("nan"))}, "INVALID_SCHEDULE"),
+    ({"schedule": dict(FIXED, horizon=float("inf"))}, "INVALID_SCHEDULE"),
+    ({"schedule": dict(FIXED, interval=float("nan"))}, "INVALID_SCHEDULE"),
+    ({"schedule": {"kind": "random_window", "horizon": 48.0, "windows": [[9.0, float("nan")]],
+                   "pings_per_day": 3}}, "INVALID_SCHEDULE"),
+    ({"schedule": FIXED, "tvp": {"target": [2, 0], "start_value": -0.5, "end_value": -1.0,
+                                 "midpoint": 10.0, "steepness": 1.0}}, "BAD_SCENARIO"),
+    ({"schedule": FIXED, "tvp": {"target": [-1, 0], "start_value": -0.5, "end_value": -1.0,
+                                 "midpoint": 10.0, "steepness": 1.0}}, "BAD_SCENARIO"),
+    ({"schedule": FIXED, "regimes": {"breakpoints": [5.0],
+                                     "regimes": [{"mean_offset": [1.0, 2.0]}]}}, "BAD_SCENARIO"),
+    ({"schedule": FIXED, "regimes": {"breakpoints": [float("nan")], "regimes": [{}]}},
+     "BAD_SCENARIO"),
+    ({"schedule": FIXED, "events": [{"onset": float("nan"), "coding": "pulse",
+                                     "magnitude": 1.0}]}, "BAD_SCENARIO"),
+    ({"schedule": FIXED, "trends": [{"kind": "sinusoid", "coefficients": [1.0], "period": 0}]},
+     "BAD_SCENARIO"),
+    ({"schedule": FIXED, "events": [{"onset": 5.0, "coding": "persistent",
+                                     "magnitude": float("inf")}]}, "BAD_SCENARIO"),
+])
+def test_out_of_range_scenario_values_exit_2_and_write_nothing(tmp_path, capsys, scenario,
+                                                               code):
+    rc = main(["simulate", "--model", _write(tmp_path / "m.json", CT_MODEL),
+               "--scenario", _write(tmp_path / "s.json", scenario),
+               "--out", str(tmp_path / "d.csv"), "--seed", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error {code}: ")
+    assert not [name for name in os.listdir(tmp_path) if name.startswith("d.csv")]
+
+
+def test_simulate_of_an_explosive_model_exits_3_and_writes_nothing(tmp_path, capsys):
+    model = dict(AR1_MODEL, A=[[2.0]])
+    scenario = {"schedule": {"kind": "fixed", "horizon": 1200.0, "interval": 1.0}}
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["simulate", "--model", _write(tmp_path / "m.json", model),
+                   "--scenario", _write(tmp_path / "s.json", scenario),
+                   "--out", str(tmp_path / "d.csv"), "--seed", "1"])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(
+        "error NON_FINITE: participant p001: simulated value at ping ")
+    assert not [name for name in os.listdir(tmp_path) if name.startswith("d.csv")]
+
+
 def test_simulate_same_seed_byte_identical(tmp_path, model_file, scenario_file, monkeypatch):
     for d in ("run1", "run2"):
         (tmp_path / d).mkdir()

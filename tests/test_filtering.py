@@ -11,7 +11,7 @@ from emastate import filtering
 from emastate.errors import EmaError
 from emastate.filtering import (_logsumexp, _observation_density, _particle_pass, _series,
                                 _weighted_moments)
-from emastate.model import _gap_transitions, psd_sqrt
+from emastate.model import _gap_transitions
 
 from oracles import (bootstrap_filter, ct_gaussian_joint, gaussian_joint,
                      poisson_t2_loglik, random_stable_spec, rts_backward_loop)
@@ -644,18 +644,20 @@ def test_likelihood_only_pass_equals_the_filter_bit_for_bit(case):
                                                  timestamps=times).log_likelihood
 
 
-def test_state_noise_factored_once_per_distinct_transition(monkeypatch):
-    from emastate import filtering
-    calls = []
+@pytest.mark.parametrize("time_mode, distinct", [("discrete", 1), ("continuous", 3)])
+def test_state_noise_factored_once_per_distinct_transition(monkeypatch, time_mode, distinct):
+    factored, cholesky = [], np.linalg.cholesky
 
-    def counting(M):
-        calls.append(M)
-        return psd_sqrt(M)
+    def counting(M):            # psd_sqrt and the step roots both factor here
+        factored.append(int(np.prod(np.shape(M)[:-2])))
+        return cholesky(M)
 
-    monkeypatch.setattr(filtering, "psd_sqrt", counting)
-    spec = es.ModelSpec(A=[[0.5]], Sigma=[[1.0]], Theta=[[0.5]])
-    es.particle_filter(spec, np.zeros((500, 1)), 100, 0)
-    assert len(calls) == 2          # the initial covariance and one Sigma
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    spec = es.ModelSpec(A=[[0.5 if time_mode == "discrete" else -0.5]], Sigma=[[1.0]],
+                        Theta=[[0.5]], time_mode=time_mode)
+    times = np.cumsum(np.tile([1.0, 2.0, 3.0], 167))[:500]      # gaps of 1, 2 and 3
+    es.particle_filter(spec, np.zeros((500, 1)), 100, 0, timestamps=times)
+    assert sum(factored) == 1 + distinct    # the initial covariance and each distinct Sigma
 
 
 def test_gaussian_block_factored_once_per_missingness_pattern(monkeypatch):

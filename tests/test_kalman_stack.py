@@ -312,7 +312,7 @@ def test_cohort_pass_equals_each_participant_s_own_call_bit_for_bit(model, chunk
     people = _cohort_people(rng, spec, [9, 1, 14, 6, 11, 14, 3, 8])
     got = list(filtering._kalman_cohort(spec, people))
     assert len(got) == len(people)
-    for p, r in zip(people, got):
+    for p, (r, _) in zip(people, got):
         want = _own_call(spec, p)
         for name in FILTER_FIELDS:
             a, b = getattr(r, name), getattr(want, name)

@@ -7,7 +7,7 @@ from scipy.linalg import expm, solve_continuous_lyapunov
 
 import emastate as es
 from emastate.errors import NUMERICAL_CODES, EmaError
-from emastate.model import _gap_transitions, psd_sqrt
+from emastate.model import _cohort_steps, _gap_transitions, _step_roots, psd_sqrt
 
 from oracles import trapezoid_noise_integral, van_loan_reference
 
@@ -93,6 +93,14 @@ def test_to_continuous_matches_paper_rounding():
 def test_to_continuous_identity_gives_zero_drift():
     spec = es.ModelSpec(A=np.eye(2), Sigma=np.eye(2), initial_cov=np.eye(2))
     assert np.allclose(es.to_continuous(spec, 1.0).A, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dt", [np.inf, np.nan, 0.0])
+def test_to_continuous_rejects_a_step_that_is_not_positive_and_finite(dt):
+    spec = es.ModelSpec(A=[[0.5]], Sigma=[[1.0]])
+    with pytest.raises(EmaError) as exc:
+        es.to_continuous(spec, dt)
+    assert exc.value.code == "INVALID_MODEL"
 
 
 def test_to_continuous_rejects_negative_real_eigenvalue():
@@ -324,6 +332,14 @@ def test_stationary_random_walk_rejected():
     assert exc.value.code == "NOT_STATIONARY"
 
 
+@pytest.mark.parametrize("name", ["A", "Sigma"])
+def test_stationary_moments_of_a_non_finite_matrix_is_non_finite(name):
+    spec = es.ModelSpec(A=[[0.5]], Sigma=[[1.0]]).with_matrices(**{name: [[np.nan]]})
+    with pytest.raises(EmaError) as exc:
+        es.stationary_moments(spec)
+    assert exc.value.code == "NON_FINITE" and exc.value.message.startswith(f"{name} ")
+
+
 def test_stationary_cov_solves_fixed_point():
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -342,6 +358,14 @@ def test_nyquist_boundary_is_strict():
     assert es.nyquist_check(24.0, 12.0) == "inadequate"
     assert es.nyquist_check(24.0, 6.0) == "adequate"
     assert es.nyquist_check(7 * 24.0, 24.0) == "adequate"
+
+
+@pytest.mark.parametrize("period, interval", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0),
+                                              (1.0, np.inf), (0.0, 1.0), (1.0, -1.0)])
+def test_nyquist_rejects_a_period_or_interval_that_is_not_positive_and_finite(period, interval):
+    with pytest.raises(EmaError) as exc:
+        es.nyquist_check(period, interval)
+    assert exc.value.code == "INVALID_MODEL"
 
 
 # --- serialization -----------------------------------------------------------
@@ -431,3 +455,95 @@ def test_spec_matrices_are_immutable():
     spec = es.ModelSpec(A=[[0.5]], Sigma=[[1.0]])
     with pytest.raises(ValueError):
         spec.A[0, 0] = 0.9
+
+
+# --- the step builder --------------------------------------------------------
+
+def _series_by_series(spec, gaps, drifts):
+    """Each series' steps from its own kernel call (the spec's matrices in
+    discrete time), up to the first series whose call fails, and that
+    error."""
+    steps = []
+    for s, g in enumerate(gaps):
+        drift = None if drifts is None else drifts[s]
+        if spec.time_mode == "discrete":
+            A = np.repeat(spec.A[None], g.size, 0) if drift is None else drift
+            steps.append((A, np.repeat(spec.Sigma[None], g.size, 0),
+                          np.repeat(spec.G[None], g.size, 0)))
+            continue
+        try:
+            *table, which = _gap_transitions(spec, g, drift)
+        except EmaError as err:
+            return steps, err
+        steps.append(tuple(x[which] for x in table))
+    return steps, None
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), continuous=st.booleans(),
+       with_drifts=st.booleans(), pings=st.lists(st.integers(0, 12), min_size=1, max_size=6),
+       overflow=st.integers(-1, 5))
+def test_cohort_steps_equal_each_series_own_kernel_call(seed, n, continuous, with_drifts,
+                                                        pings, overflow):
+    """One builder call against a series-by-series loop: every kept step
+    bit for bit, and the same cut.  With ``overflow`` naming a series that
+    has a gap, one of its gaps is 1e3 h under an explosive drift."""
+    rng, A, Sigma = _drift(seed, n, stable=continuous)
+    spec = es.ModelSpec(A=A, Sigma=Sigma, G=rng.normal(size=(n, 1)), initial_cov=np.eye(n),
+                        time_mode="continuous" if continuous else "discrete")
+    gaps = [rng.uniform(0.05, 30.0, max(T - 1, 0)) for T in pings]
+    drifts = [A + rng.uniform(-0.1, 0.1, (g.size, n, n)) for g in gaps] if with_drifts else None
+    placed = 0 <= overflow < len(gaps) and gaps[overflow].size > 0
+    if placed:
+        # eigenvalues with real parts in [0.4, 1.6]: 1e3 h overflows, 30 h does not
+        explosive = np.eye(n) + rng.uniform(-0.2, 0.2, (n, n))
+        k = rng.integers(gaps[overflow].size)
+        gaps[overflow][k] = 1e3
+        if drifts is None:
+            spec = spec.with_matrices(A=explosive)
+        else:
+            drifts[overflow][k] = explosive
+    want, want_err = _series_by_series(spec, gaps, drifts)
+
+    table, rows, kept, err = _cohort_steps(spec, gaps, drifts)
+    assert kept == len(want) == (overflow if placed and continuous else len(gaps))
+    assert (err is None) == (want_err is None)
+    if err is not None:
+        assert (err.code, err.message) == (want_err.code, want_err.message)
+    assert rows.shape == (len(gaps), max(g.size for g in gaps))
+    for s, g in enumerate(gaps):
+        used = rows[s, :g.size] if s < kept else np.zeros(0, dtype=int)
+        assert (rows[s, used.size:] == -1).all() and (used >= 0).all()
+        for got, ref in zip((x[used] for x in table), want[s] if s < kept else ()):
+            assert got.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), entries=st.integers(1, 5),
+       singular=st.integers(-1, 4), not_psd=st.integers(-1, 4),
+       lengths=st.lists(st.integers(0, 8), min_size=1, max_size=4))
+def test_step_roots_equal_psd_sqrt_per_entry_in_order_of_first_use(seed, n, entries, singular,
+                                                                   not_psd, lengths):
+    rng = np.random.default_rng(seed)
+    L = rng.normal(size=(entries, n, n))
+    Sigma_d = L @ L.swapaxes(1, 2) + 0.1 * np.eye(n)
+    if 0 <= singular < entries:
+        Sigma_d[singular, :, 0] = Sigma_d[singular, 0, :] = 0.0
+    if 0 <= not_psd < entries:
+        Sigma_d[not_psd] -= 2.0 * np.linalg.eigvalsh(Sigma_d[not_psd])[-1] * np.eye(n)
+    rows = np.full((len(lengths), max(lengths)), -1)
+    for s, k in enumerate(lengths):
+        rows[s, :k] = rng.integers(entries, size=k)
+
+    roots, kept, err = _step_roots(Sigma_d, rows)
+    want_kept, want_err = len(rows), None
+    for s, k in zip(*np.nonzero(rows >= 0)):     # every step, in order of use
+        try:
+            ref = psd_sqrt(Sigma_d[rows[s, k]])
+        except EmaError as bad:
+            want_kept, want_err = s, bad
+            break
+        assert roots[rows[s, k]].tobytes() == ref.tobytes()
+    assert kept == want_kept and (err is None) == (want_err is None)
+    if err is not None:
+        assert err.message == want_err.message

@@ -299,7 +299,11 @@ def test_cohort_simulation_equals_the_participant_loop_byte_for_byte(case):
     # a gap whose noise overflows at participant 3
     (es.ModelSpec(A=[[0.3]], Sigma=[[1.0]], Theta=[[0.5]], time_mode="continuous",
                   initial_cov=[[1.0]]),
-     es.PingSchedule(kind="event_driven", horizon=6000.0, mean_interval=700.0), 6, 3),
+     es.PingSchedule(kind="event_driven", horizon=1500.0, mean_interval=700.0), 2, 3),
+    # states that overflow at participant 2, whose gaps do not
+    (es.ModelSpec(A=[[0.3]], Sigma=[[1.0]], Theta=[[0.5]], time_mode="continuous",
+                  initial_cov=[[1.0]]),
+     es.PingSchedule(kind="event_driven", horizon=3000.0, mean_interval=700.0), 42, 2),
 ])
 def test_cohort_simulation_raises_what_the_participant_loop_raised_first(spec, sched, seed,
                                                                           first):
@@ -311,6 +315,51 @@ def test_cohort_simulation_raises_what_the_participant_loop_raised_first(spec, s
         with pytest.raises(EmaError) as got:
             es.simulate_dataset(spec, sched, n_participants=6, rng_seed=seed)
     assert (got.value.code, str(got.value)) == (want.value.code, str(want.value))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_cohort_simulation_orders_input_gap_and_draw_failures_as_the_participant_loop(seed):
+    """An explosive drift over long event-driven gaps, and an infinite pulse
+    near the horizon: participants fail on an input, a gap or their draws,
+    and the first one in participant order is raised."""
+    spec = es.ModelSpec(A=[[0.3]], Sigma=[[1.0]], G=[[1.0]], Theta=[[0.5]],
+                        time_mode="continuous", initial_cov=[[1.0]])
+    sched = es.PingSchedule(kind="event_driven", horizon=3000.0, mean_interval=700.0)
+    events = (es.DisturbanceEvent(onset=2900.0, coding="pulse", magnitude=np.inf),)
+    outcomes = []
+    with np.errstate(over="ignore", invalid="ignore"):     # unstable states overflow
+        for run in (simulate_participant_by_participant, es.simulate_dataset):
+            try:
+                run(spec, sched, events=events, n_participants=6, rng_seed=seed)
+                outcomes.append(None)
+            except EmaError as err:
+                outcomes.append((err.code, err.message))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_draws_that_overflow_raise_non_finite_naming_participant_and_ping():
+    spec = es.ModelSpec(A=[[2.0]], Sigma=[[1.0]], Theta=[[0.5]], initial_cov=[[1.0]])
+    sched = es.PingSchedule(kind="fixed", horizon=1200.0, interval=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EmaError) as exc:
+            es.simulate_dataset(spec, sched, n_participants=2, rng_seed=1)
+    assert exc.value.code == "NON_FINITE"
+    assert exc.value.message.startswith("participant p001: simulated value at ping ")
+
+
+@pytest.mark.parametrize("trend, event, ping", [
+    (es.TrendSpec(kind="sinusoid", coefficients=(1.0,), period=0.0), None, 0),
+    (None, es.DisturbanceEvent(onset=5.0, coding="persistent", magnitude=np.inf), 5),
+])
+def test_inputs_that_are_not_finite_raise_bad_scenario_naming_participant_and_ping(trend, event,
+                                                                                    ping):
+    spec = es.ModelSpec(A=[[0.5]], Sigma=[[1.0]], G=[[1.0]], Theta=[[0.5]])
+    sched = es.PingSchedule(kind="fixed", horizon=20.0, interval=1.0)
+    with pytest.raises(EmaError) as exc:
+        es.simulate_dataset(spec, sched, trends=[trend] if trend else (),
+                            events=[event] if event else (), n_participants=2)
+    assert (exc.value.code, exc.value.message) == (
+        "BAD_SCENARIO", f"participant p001: input at ping {ping} is not finite")
 
 
 @pytest.mark.parametrize("seed", range(5))
