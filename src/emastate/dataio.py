@@ -54,6 +54,15 @@ def read_dataset(path, sep: str = ",") -> EmaDataset:
     Raises PARSE_ERROR (with the offending line number, and the column of
     a cell that is not a finite number), NON_MONOTONE_TIME for unsorted or
     duplicated timestamps, and NA_IN_U for missing tokens in input columns.
+
+    The participant column is split off and every numeric cell of the file
+    is parsed by one numpy call, which reads text cells as Python's
+    ``float`` does; participants are cut where the participant column
+    changes.  Every check runs on those arrays, and the error raised is
+    that of the first failing row in file order, as a row-by-row reader
+    meets it.  Rows are read one at a time only to word that error
+    (:func:`_cell_error`), and to find the first cell that does not parse
+    when the bulk parse fails.
     """
     try:
         with open(path) as fh:
@@ -78,54 +87,74 @@ def read_dataset(path, sep: str = ",") -> EmaDataset:
         else:
             raise EmaError("PARSE_ERROR",
                            f"{path}:1: column {k} must be y.<name> or u.<name>")
-    n_y, n_u = len(y_names), len(u_names)
+    n_y = len(y_names)
+    cols = ["t"] + [f"y.{name}" for name in y_names] + [f"u.{name}" for name in u_names]
+    width = len(cols)               # numeric cells per row
 
-    order: list[str] = []
-    rows: dict[str, tuple] = {}     # per participant: t, y, missing and u, row by row
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(sep)
-        if len(cells) != 2 + n_y + n_u:
+    rows = [line for line in lines[1:] if line.strip()]
+    # rows before the first one of the wrong width, then before the first
+    # one whose cells do not all parse
+    stop = next((i for i, line in enumerate(rows) if line.count(sep) != width), len(rows))
+    cells = sep.join(rows[:stop]).split(sep) if stop else []
+    pids = cells[::width + 1]
+    del cells[::width + 1]
+    try:
+        values = _numbers(cells)
+    except ValueError:
+        stop = next(i for i in range(stop) if _cell_error(rows[i].split(sep), cols))
+        values = _numbers(cells[:stop * width])
+    values = values.reshape(stop, width)
+    t = values[:, 0]
+
+    # the first failing row of each kind: a bad cell (NA only where y allows
+    # it), a participant out of order, a time that does not increase
+    ok = np.isfinite(values)
+    na = np.zeros((stop, n_y), dtype=bool)
+    r, c = np.nonzero(~ok[:, 1:1 + n_y])
+    na[r, c] = [cells[k] == NA for k in (r * width + c + 1).tolist()]
+    ok[:, 1:1 + n_y] |= na
+    bad_cell = np.flatnonzero(~ok.all(1))
+    starts, earlier, misplaced = [0] if stop else [], set(), []
+    for i in range(1, stop):
+        if pids[i] != pids[i - 1]:
+            earlier.add(pids[i - 1])
+            if not misplaced and (pids[i] in earlier or pids[i] < pids[i - 1]):
+                misplaced = [i, pids[i] in earlier]
+            starts.append(i)
+    new = np.zeros(stop, dtype=bool)
+    new[starts] = True
+    late = np.flatnonzero(~(t[1:] > t[:-1]) & ~new[1:]) + 1
+
+    first = min([stop] + [x[0] for x in (bad_cell, late, misplaced) if len(x)])
+    if first < len(rows):
+        ln = [k for k, line in enumerate(lines[1:], start=2) if line.strip()][first]
+        row = rows[first].split(sep)
+        if first == stop and len(row) != width + 1:
+            raise EmaError("PARSE_ERROR", f"{path}:{ln}: expected {width + 1} cells, got {len(row)}")
+        if first == stop or bad_cell.size and bad_cell[0] == first:
+            code, what = _cell_error(row, cols)
+            raise EmaError(code, f"{path}:{ln}: {what}")
+        pid = row[0]
+        if misplaced and misplaced[0] == first:
             raise EmaError("PARSE_ERROR",
-                           f"{path}:{ln}: expected {2 + n_y + n_u} cells, got {len(cells)}")
-        pid = cells[0]
-        try:
-            t = _number(cells[1])
-            y = [math.nan if cell == NA else _number(cell) for cell in cells[2:2 + n_y]]
-            u = [_number(cell) for cell in cells[2 + n_y:]]
-        except ValueError:
-            raise _cell_error(path, ln, cells, y_names, u_names) from None
-        if pid not in rows:
-            if order and any(pid < q for q in order):
-                raise EmaError("PARSE_ERROR",
-                               f"{path}:{ln}: rows are not sorted by participant_id")
-            order.append(pid)
-            rows[pid] = ([], [], [], [])
-        elif order[-1] != pid:
-            raise EmaError("PARSE_ERROR",
-                           f"{path}:{ln}: participant {pid} appears in separate blocks")
-        ts, ys, miss, us = rows[pid]
-        if ts and t <= ts[-1]:
-            raise EmaError("NON_MONOTONE_TIME",
-                           f"{path}:{ln}: t={cells[1]} does not increase within "
-                           f"participant {pid}")
-        ts.append(t)
-        ys.append(y)
-        miss.append([cell == NA for cell in cells[2:2 + n_y]])
-        us.append(u)
+                           f"{path}:{ln}: participant {pid} appears in separate blocks"
+                           if misplaced[1] else f"{path}:{ln}: rows are not sorted by participant_id")
+        raise EmaError("NON_MONOTONE_TIME",
+                       f"{path}:{ln}: t={row[1]} does not increase within participant {pid}")
 
     participants = []
-    for pid in order:
-        ts, ys, miss, us = rows[pid]
+    for s, e in zip(starts, starts[1:] + [stop]):
         participants.append(Participant(
-            pid=pid,
-            timestamps=np.array(ts),
-            Y=np.array(ys).reshape(len(ts), n_y),
-            missing=np.array(miss, dtype=bool).reshape(len(ts), n_y),
-            U=np.array(us).reshape(len(ts), n_u),
-        ))
+            pid=pids[s], timestamps=t[s:e].copy(), Y=values[s:e, 1:1 + n_y].copy(),
+            missing=na[s:e], U=values[s:e, 1 + n_y:].copy()))
     return EmaDataset(participants, y_names, u_names, metadata={"source": str(path)})
+
+
+def _numbers(cells: list[str]) -> np.ndarray:
+    """The cells as floats, NA as NaN, in one call; numpy reads a text cell
+    as Python's ``float`` does, so a cell that does not parse raises
+    ValueError."""
+    return np.array([math.nan if cell == NA else cell for cell in cells], dtype=float)
 
 
 def _number(cell: str) -> float:
@@ -136,21 +165,22 @@ def _number(cell: str) -> float:
     return v
 
 
-def _cell_error(path, ln, cells, y_names, u_names) -> EmaError:
-    """The error of the first cell of a row, in column order, that does not
-    parse as a finite number: a bad timestamp or value, or NA in an input
-    column."""
-    cols = ["t"] + [f"y.{name}" for name in y_names] + [f"u.{name}" for name in u_names]
+def _cell_error(cells, cols):
+    """(code, message) of the first cell of a row, in column order, that
+    does not parse as a finite number: a bad timestamp or value, or NA in
+    an input column; None if every cell does.  ``cells`` is the row's
+    cells, its participant first, and ``cols`` the names of the others."""
     for cell, col in zip(cells[1:], cols):
         if cell == NA and col[0] != "t":
             if col[0] == "u":
-                return EmaError("NA_IN_U", f"{path}:{ln}: NA is not permitted in {col}")
+                return "NA_IN_U", f"NA is not permitted in {col}"
             continue
         try:
             _number(cell)
         except ValueError:
-            return EmaError("PARSE_ERROR", f"{path}:{ln}: bad timestamp {cell!r}" if col == "t"
-                            else f"{path}:{ln}: bad value {cell!r} in {col}")
+            return "PARSE_ERROR", (f"bad timestamp {cell!r}" if col == "t"
+                                   else f"bad value {cell!r} in {col}")
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -45,9 +45,10 @@ class Participant:
                            f"(T={T}, Y={self.Y.shape}, mask={self.missing.shape}, "
                            f"U={self.U.shape})")
         self.missing = missing_cells(self.Y, self.missing)
-        if T > 1 and np.any(np.diff(self.timestamps) <= 0):
-            raise EmaError("NON_MONOTONE_TIME",
-                           f"participant {self.pid}: timestamps must be strictly increasing")
+        t = self.timestamps
+        if not (np.isfinite(t).all() and (np.diff(t) > 0).all()):
+            raise EmaError("NON_MONOTONE_TIME", f"participant {self.pid}: timestamps must be "
+                                                f"finite and strictly increasing")
 
     @property
     def n_pings(self) -> int:

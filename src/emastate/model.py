@@ -32,6 +32,7 @@ A malformed document raises ``PARSE_ERROR`` and an unknown key
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import MISSING, dataclass, field, fields, replace
 
@@ -267,6 +268,20 @@ class ModelSpec:
     def all_gaussian(self) -> bool:
         return all(c.family == GAUSSIAN for c in self.channels)
 
+    # Work that depends on the spec alone runs once per instance and is kept
+    # on it: its arrays are read-only, so nothing kept can go stale.
+
+    @functools.cached_property
+    def _validation(self) -> "ValidationReport":
+        """The report of :func:`validate_model`'s checks."""
+        return _checks(self)
+
+    @functools.cached_property
+    def _drift_table(self):
+        """The norm and Taylor table of the spec's own drift in
+        :func:`_gap_transitions`."""
+        return _taylor_table(self, self.A[None])
+
     def with_matrices(self, **kwargs) -> "ModelSpec":
         """New spec with some matrices replaced (dims must be unchanged)."""
         return replace(self, **kwargs)
@@ -361,14 +376,19 @@ def _psd_violation(M: np.ndarray) -> str | None:
     return None
 
 
-@np.errstate(all="ignore")
 def validate_model(spec: ModelSpec) -> ValidationReport:
     """Check every ModelSpec invariant; violations come back as report data.
 
-    Pure: the spec is not touched and repeated calls return equal reports.
-    Non-finite entries are not reported here: the filters raise
-    ``NON_FINITE`` at the ping they first reach.
+    Pure: the checks run once per spec instance, and each call returns a
+    fresh copy of their report.  Non-finite entries are not reported here:
+    the filters raise ``NON_FINITE`` at the ping they first reach.
     """
+    report = spec._validation
+    return ValidationReport(list(report.errors), list(report.warnings))
+
+
+@np.errstate(all="ignore")
+def _checks(spec: ModelSpec) -> ValidationReport:
     report = ValidationReport()
 
     for name, M, code in (("Sigma", spec.Sigma, "NON_PSD_SIGMA"),
@@ -439,9 +459,9 @@ def validate_model(spec: ModelSpec) -> ValidationReport:
 
 def require_valid(spec: ModelSpec) -> None:
     """Raise the first validation error as an EmaError."""
-    report = validate_model(spec)
-    if report.errors:
-        code, msg = report.errors[0]
+    errors = spec._validation.errors
+    if errors:
+        code, msg = errors[0]
         raise EmaError(code, msg)
 
 
@@ -483,7 +503,9 @@ def _gap_transitions(spec: ModelSpec, dts, drifts=None):
         Sigma(h) / h = sum_{k<=17} tau^k M^k(Sigma) / (k+1)!.
 
     Each distinct drift builds one table of these matrix coefficients, one
-    stacked product per degree, and every gap under it evaluates the table
+    stacked product per degree (:func:`_taylor_table`; the spec's own
+    drift's, used when ``drifts`` is None, is built once per spec and kept
+    on it), and every gap under it evaluates the table
     by Horner's rule in its own tau, elementwise (Al-Mohy & Higham 2011,
     *SIAM J. Sci. Comput.* 33:488, on one exponential at many step
     lengths).  Products are stacked over drifts or entries, never across
@@ -503,7 +525,7 @@ def _gap_transitions(spec: ModelSpec, dts, drifts=None):
         err = EmaError("INVALID_MODEL", f"dt must be positive and finite, got {dts[bad][0]}")
         err.gap = int(np.argmax(bad))
         raise err
-    gaps, n, m, K = dts, spec.n_states, spec.n_inputs, dts.size
+    gaps, n, K = dts, spec.n_states, dts.size
     # sort the gaps by their bits, drift first: equal gaps form runs, and each
     # drift's entries one run of runs
     if drifts is None:
@@ -517,16 +539,14 @@ def _gap_transitions(spec: ModelSpec, dts, drifts=None):
     new[1:] = (keys[1:] != keys[:-1]).any(1)
     first, which = order[new], np.empty(K, dtype=int)
     which[order] = np.cumsum(new) - 1
-    if drifts is None:
-        A_c, drift = spec.A[None], np.zeros(first.size, dtype=int)
+    if drifts is None:      # the spec's own drift: its table is kept on the spec
+        (norm, table), drift = spec._drift_table, np.zeros(first.size, dtype=int)
     else:
         keys = keys[new, :-1]
         new = np.ones(first.size, dtype=bool)
         new[1:] = (keys[1:] != keys[:-1]).any(1)
         A_c, drift = flat[first[new]].reshape(-1, n, n), np.cumsum(new) - 1
-    # max(||A||_1, ||A||_inf) per drift; a non-finite drift fails below
-    norm = np.abs(A_c)
-    norm = np.maximum(norm.sum(1).max(1), norm.sum(2).max(1))
+        norm = _drift_norms(A_c)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         nu, dts = norm[drift], dts[first]
         s = np.where(np.isfinite(nu) & (nu * dts > 0.5),
@@ -535,23 +555,12 @@ def _gap_transitions(spec: ModelSpec, dts, drifts=None):
         by_s = np.argsort(s, kind="stable")
         first, drift, nu, dts, s = first[by_s], drift[by_s], nu[by_s], dts[by_s], s[by_s]
         which = np.argsort(by_s)[which]
-        if A_c.shape[0] == first.size:     # a drift per entry: no gather
-            A_c, norm, drift = A_c[drift], nu, slice(None)
+        if drifts is not None:
+            if A_c.shape[0] == first.size:     # a drift per entry: no gather
+                A_c, drift = A_c[drift], slice(None)
+            table = _taylor_table(spec, A_c)[1]
         h = np.ldexp(dts, -s)
-        B = A_c / np.where(norm > 0, norm, 1.0)[:, None, None]
-        # table[k] = [B^k, M^k(Sigma), B^k G] per drift, then times 1/k!,
-        # 1/(k+1)! and 1/(k+1)!
-        w = 2 * n + m
-        table = np.empty((_TAYLOR_DEGREE + 2, B.shape[0], n, w))
-        table[0] = np.concatenate([np.eye(n), 0.5 * (spec.Sigma + spec.Sigma.T), spec.G], axis=1)
-        for k in range(1, _TAYLOR_DEGREE + 2):
-            R = np.matmul(B, table[k - 1], out=table[k])[..., n:2 * n]
-            R += R.swapaxes(1, 2)           # numpy buffers the overlapping operand
-        table *= np.where(np.arange(w) < n, _INV_FACTORIALS[:-1, None],
-                          _INV_FACTORIALS[1:, None])[:, None, None, :]
-        table[-1, ..., n:] = 0.0
         # Horner's rule in tau per entry, entries last
-        table = table.reshape(_TAYLOR_DEGREE + 2, B.shape[0], n * w).transpose(0, 2, 1)
         if table.shape[-1] > 1:
             table = table[..., drift]
         tau = nu * h
@@ -560,7 +569,7 @@ def _gap_transitions(spec: ModelSpec, dts, drifts=None):
             P += c
             P *= tau
         P += table[0]
-        P = np.ascontiguousarray(P.T).reshape(first.size, n, w)
+        P = np.ascontiguousarray(P.T).reshape(first.size, n, 2 * n + spec.n_inputs)
         P[..., n:] *= h[:, None, None]      # [A(h), Sigma(h), G(h)] per entry
         for i in spec.random_walk_states:   # exact already for a zero drift row
             P[:, i, :n] = 0.0
@@ -581,6 +590,34 @@ def _gap_transitions(spec: ModelSpec, dts, drifts=None):
         err.gap = i
         raise err
     return A_d, Sigma_d, G_d, which
+
+
+def _drift_norms(A_c):
+    """max(||A||_1, ||A||_inf) of each drift of A_c (D, n, n); a drift that
+    is not finite fails in :func:`_gap_transitions`."""
+    norm = np.abs(A_c)
+    return np.maximum(norm.sum(1).max(1), norm.sum(2).max(1))
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _taylor_table(spec: ModelSpec, A_c):
+    """The norms of the drifts A_c (D, n, n) and their Horner table for
+    :func:`_gap_transitions`, (degree + 2, n (2n + inputs), D): degree k
+    holds [B^k / k!, M^k(Sigma) / (k+1)!, B^k G / (k+1)!] of B = A / norm,
+    one stacked product per degree."""
+    n, m = spec.n_states, spec.n_inputs
+    norm = _drift_norms(A_c)
+    B = A_c / np.where(norm > 0, norm, 1.0)[:, None, None]
+    w = 2 * n + m
+    table = np.empty((_TAYLOR_DEGREE + 2, B.shape[0], n, w))
+    table[0] = np.concatenate([np.eye(n), 0.5 * (spec.Sigma + spec.Sigma.T), spec.G], axis=1)
+    for k in range(1, _TAYLOR_DEGREE + 2):
+        R = np.matmul(B, table[k - 1], out=table[k])[..., n:2 * n]
+        R += R.swapaxes(1, 2)           # numpy buffers the overlapping operand
+    table *= np.where(np.arange(w) < n, _INV_FACTORIALS[:-1, None],
+                      _INV_FACTORIALS[1:, None])[:, None, None, :]
+    table[-1, ..., n:] = 0.0
+    return norm, table.reshape(_TAYLOR_DEGREE + 2, B.shape[0], n * w).transpose(0, 2, 1)
 
 
 def _cohort_steps(spec: ModelSpec, gaps, drifts=None):
@@ -627,9 +664,13 @@ def _step_roots(Sigma_d, rows):
     :func:`_cohort_steps`), from one Cholesky call.  Where a noise is
     singular, the entries that ``rows`` uses are factored by
     :func:`psd_sqrt` instead, once per distinct noise, in order of first
-    use.  Returns the factors, the number of series before the first step
-    whose noise cannot be factored (all of them if none), and its error
-    (or None)."""
+    use.  A table that holds one noise for every step (discrete time) is
+    factored once.  Returns the factors, the number of series before the
+    first step whose noise cannot be factored (all of them if none), and
+    its error (or None)."""
+    if len(Sigma_d) > 1 and Sigma_d.strides[0] == 0:
+        roots, cut, err = _step_roots(Sigma_d[:1], np.minimum(rows, 0))
+        return np.broadcast_to(roots, Sigma_d.shape), cut, err
     try:
         return np.linalg.cholesky(Sigma_d), len(rows), None
     except np.linalg.LinAlgError:       # some noise is singular

@@ -359,34 +359,52 @@ def _regime_paths(spec: ModelSpec, timestamps: np.ndarray, regimes: RegimeSchedu
     return drifts, np.array(offset_of)[segs]
 
 
-@np.errstate(over="ignore", invalid="ignore")      # draws that overflow are raised below
+@np.errstate(over="ignore", invalid="ignore")      # a state that overflows is raised below
 def _simulate_participant(spec: ModelSpec, A, R, G, U, offsets, L0, L_theta,
-                          rng: np.random.Generator) -> np.ndarray:
-    """State recursion + measurement; returns the (T, n_obs) observations.
-    Step k (into ping k+1) has transition A[k], noise factor R[k] and input
-    matrix G[k]; ping k's state is offset by offsets[k].  Per ping, n state
-    normals then the measurement's draws: with Gaussian channels only, one
-    call draws them all, and each product runs for all pings in one stacked
-    matmul, which calls the per-ping product's BLAS kernel once per ping."""
+                          rng: np.random.Generator, i: int) -> np.ndarray:
+    """State recursion + measurement of participant ``i`` of a spec with a
+    non-Gaussian channel; returns the (T, n_obs) observations.  Step k (into
+    ping k+1) has transition A[k], noise factor R[k] and input matrix G[k];
+    ping k's state is offset by offsets[k].  Per ping, n state normals then
+    the measurement's draws, which interleave; a state that is not finite
+    raises ``NON_FINITE`` before its ping is measured."""
     n, p, T = spec.n_states, spec.n_obs, offsets.shape[0]
     drive = (G @ U[:-1, :, None])[..., 0]
-    if not spec.all_gaussian:
-        Y = np.empty((T, p))
-        z = spec.initial_mean + L0 @ rng.standard_normal(n)
-        Y[0] = _measure_ping(spec, z + offsets[0], rng, L_theta)
-        for k in range(1, T):
+    Y = np.empty((T, p))
+    z = spec.initial_mean + L0 @ rng.standard_normal(n)
+    for k in range(T):
+        if k:
             z = A[k - 1] @ z + drive[k - 1] + R[k - 1] @ rng.standard_normal(n)
-            Y[k] = _measure_ping(spec, z + offsets[k], rng, L_theta)
-        return Y
-    E = rng.standard_normal((T, n + p))
-    noise = (R @ E[1:, :n, None])[..., 0]
-    Z = np.empty((T, n))
-    z = Z[0] = spec.initial_mean + L0 @ E[0, :n]
-    for k in range(1, T):
-        z = Z[k] = A[k - 1] @ z + drive[k - 1] + noise[k - 1]
-    X = (Z + offsets)[:, None]
-    nu = (L_theta @ E[:, n:, None])[..., 0]
-    return np.stack([(X @ h[:, None])[:, 0, 0] for h in spec.H], axis=-1) + nu
+        x = z + offsets[k]
+        if not np.isfinite(x).all():
+            raise EmaError("NON_FINITE", f"participant p{i + 1:03d}: state at ping {k} "
+                                         f"is not finite")
+        Y[k] = _measure_ping(spec, x, rng, L_theta)
+    return Y
+
+
+@np.errstate(over="ignore", invalid="ignore")      # draws that overflow are raised below
+def _simulate_gaussian(spec: ModelSpec, A, R, G, U, offsets, E, L0, L_theta) -> np.ndarray:
+    """The observations of a cohort of P participants of an all-Gaussian
+    spec, in lockstep: one loop over pings steps the (P, n) states, each
+    participant with its own rows.  Every argument is time-major, padded
+    past a participant's last ping: the steps A, R (noise factors) and G
+    (T - 1, P, ...), the inputs U (T, P, q), the state offsets (T, P, n)
+    and the normals E (T, P, n + p), each participant's block drawn from
+    its own generator.  Each product is stacked over pings and
+    participants; a stacked matmul calls the per-slice kernel once per
+    slice, so every participant's numbers are those of its own loop.
+    Returns (T, P, p)."""
+    n = spec.n_states
+    drive = (G @ U[:-1, ..., None])[..., 0]
+    noise = (R @ E[1:, :, :n, None])[..., 0]
+    Z = np.empty(offsets.shape)
+    z = Z[0] = spec.initial_mean + (L0 @ E[0, :, :n, None])[..., 0]
+    for k in range(1, len(Z)):
+        z = Z[k] = (A[k - 1] @ z[..., None])[..., 0] + drive[k - 1] + noise[k - 1]
+    X = (Z + offsets)[..., None, :]
+    nu = (L_theta @ E[..., n:, None])[..., 0]
+    return np.stack([(X @ h[:, None])[..., 0, 0] for h in spec.H], axis=-1) + nu
 
 
 def _simulate_cohort(spec: ModelSpec, cohort: list, rngs):
@@ -398,22 +416,39 @@ def _simulate_cohort(spec: ModelSpec, cohort: list, rngs):
     :func:`~emastate.model._cohort_steps` call and their noise factors from
     one :func:`~emastate.model._step_roots` call; each cuts the cohort at
     the first participant whose steps fail, so the error is the one a
-    participant-by-participant run meets first.  A kept participant whose
-    draws are not all finite raises ``NON_FINITE`` at once, as it comes
-    before any cut participant.
+    participant-by-participant run meets first.  An all-Gaussian spec steps
+    the kept participants in lockstep (:func:`_simulate_gaussian`), ragged
+    lengths padded; a spec with a non-Gaussian channel, whose draws
+    interleave, runs :func:`_simulate_participant` per participant.  The
+    first kept participant, in cohort order, whose states or draws are not
+    all finite raises ``NON_FINITE`` at once, as it comes before any cut
+    participant.
     """
     (A_d, S_d, G_d), rows, kept, pending = _cohort_steps(
         spec, [np.diff(c[0]) for c in cohort], [c[2] for c in cohort])
     roots, cut, err = _step_roots(S_d, rows)
     kept, pending = min(kept, cut), err or pending      # a root fails only before the cut
-    if kept:
-        L_theta, L0 = psd_sqrt(spec.Theta), psd_sqrt(spec.initial_cov)
-    Ys = []
-    for i, ((_, U, _, offsets), rng) in enumerate(zip(cohort[:kept], rngs)):
-        steps = rows[i, :len(offsets) - 1]
-        Ys.append(_finite("NON_FINITE", i, "simulated value", _simulate_participant(
-            spec, A_d[steps], roots[steps], G_d[steps], U, offsets, L0, L_theta, rng)))
-    return Ys, pending
+    if not kept:
+        return [], pending
+    L_theta, L0 = psd_sqrt(spec.Theta), psd_sqrt(spec.initial_cov)
+    if not spec.all_gaussian:
+        Ys = []
+        for i, ((_, U, _, offsets), rng) in enumerate(zip(cohort[:kept], rngs)):
+            steps = rows[i, :len(offsets) - 1]
+            Ys.append(_finite("NON_FINITE", i, "simulated value", _simulate_participant(
+                spec, A_d[steps], roots[steps], G_d[steps], U, offsets, L0, L_theta, rng, i)))
+        return Ys, pending
+    lengths = [len(c[3]) for c in cohort[:kept]]
+    T, n, p = max(lengths), spec.n_states, spec.n_obs
+    E, U, offsets = (np.zeros((T, kept, k)) for k in (n + p, spec.n_inputs, n))
+    for i, ((_, U_i, _, offsets_i), rng) in enumerate(zip(cohort, rngs[:kept])):
+        k = lengths[i]
+        E[:k, i], U[:k, i], offsets[:k, i] = rng.standard_normal((k, n + p)), U_i, offsets_i
+    steps = np.maximum(rows[:kept, :T - 1].T, 0)      # past a participant's end: not read
+    Y = _simulate_gaussian(spec, A_d[steps], roots[steps], G_d[steps], U, offsets, E, L0,
+                           L_theta)
+    return [_finite("NON_FINITE", i, "simulated value", Y[:k, i].copy())
+            for i, k in enumerate(lengths)], pending
 
 
 def simulate_dataset(spec: ModelSpec, sched: PingSchedule,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import emastate as es
 from emastate.errors import EmaError
@@ -218,3 +219,99 @@ def test_nan_cells_of_y_are_missing_cells():
     assert p.missing.tolist() == [[False, True], [True, False], [False, False]]
     data = es.EmaDataset([p], ["a", "b"], [])
     assert data.observed_cells() == 4
+
+
+# --- the bulk reader equals a row-by-row reader --------------------------------
+
+def _row_by_row(path, sep=","):
+    """Reference reader: every row's cells parsed and checked one by one, in
+    file order, by Python's float; returns (pid, t, Y, missing, U) per
+    participant, or raises the first error."""
+    lines = open(path).read().splitlines()
+    header = lines[0].split(sep)
+    n_y = sum(c.startswith("y.") for c in header)
+    cols = header[1:]
+    order, rows = [], {}
+    for ln, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(sep)
+        if len(cells) != len(header):
+            raise EmaError("PARSE_ERROR",
+                           f"{path}:{ln}: expected {len(header)} cells, got {len(cells)}")
+        values = []
+        for cell, col in zip(cells[1:], cols):
+            if cell == "NA" and col[0] != "t":
+                if col[0] == "u":
+                    raise EmaError("NA_IN_U", f"{path}:{ln}: NA is not permitted in {col}")
+                values.append(np.nan)
+                continue
+            try:
+                v = float(cell)
+                assert np.isfinite(v)
+            except (ValueError, AssertionError):
+                raise EmaError("PARSE_ERROR", f"{path}:{ln}: bad timestamp {cell!r}"
+                               if col == "t" else f"{path}:{ln}: bad value {cell!r} in {col}")
+            values.append(v)
+        pid = cells[0]
+        if pid not in rows:
+            if order and any(pid < q for q in order):
+                raise EmaError("PARSE_ERROR", f"{path}:{ln}: rows are not sorted by participant_id")
+            order.append(pid)
+            rows[pid] = []
+        elif order[-1] != pid:
+            raise EmaError("PARSE_ERROR",
+                           f"{path}:{ln}: participant {pid} appears in separate blocks")
+        if rows[pid] and values[0] <= rows[pid][-1][0][0]:
+            raise EmaError("NON_MONOTONE_TIME", f"{path}:{ln}: t={cells[1]} does not "
+                                                f"increase within participant {pid}")
+        rows[pid].append((values, [c == "NA" for c in cells[2:2 + n_y]]))
+    out = []
+    for pid in order:
+        v = np.array([r[0] for r in rows[pid]]).reshape(len(rows[pid]), len(cols))
+        m = np.array([r[1] for r in rows[pid]], dtype=bool).reshape(len(rows[pid]), n_y)
+        out.append((pid, v[:, 0], v[:, 1:1 + n_y], m, v[:, 1 + n_y:]))
+    return out
+
+
+_TOKENS = ["0", "1.5", "-2.25e-3", "7", "1e300", " 3 ", "1_0", "+4", ".5", "5.", "١",
+           "NA", "na", " NA", "+NA", "NAN", "nan", "-inf", "Infinity", "1e999", "",
+           "0x1p3", "1,5", "1d0", "abc"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_y=st.integers(0, 2), n_u=st.integers(0, 2), blank=st.booleans(),
+       rows=st.lists(st.tuples(st.sampled_from(["a", "b", "c"]), st.floats(-1.0, 6.0),
+                               st.lists(st.sampled_from(_TOKENS), min_size=4, max_size=4),
+                               st.integers(0, 30)),
+                     min_size=0, max_size=12))
+def test_bulk_reader_equals_a_row_by_row_reader(tmp_path_factory, n_y, n_u, blank, rows):
+    header = ["participant_id", "t"] + [f"y.y{j}" for j in range(n_y)] + \
+        [f"u.u{j}" for j in range(n_u)]
+    lines = [",".join(header)]
+    for pid, t, tokens, dice in rows:
+        cells = [pid, "%.3g" % t] + tokens[:n_y + n_u]
+        if dice == 0:
+            cells = cells[:-1] or ["a"]                     # a row of the wrong width
+        elif dice == 1:
+            cells[1] = tokens[0]                            # a timestamp of any token
+        elif dice > 10:                                     # mostly numbers, some NA
+            cells[2:] = ["NA" if (dice + k) % 5 == 0 and k < n_y else "%.17g" % (t * k - dice)
+                         for k in range(n_y + n_u)]
+        lines.append(",".join(cells))
+        if blank and dice == 2:
+            lines.append("  ")
+    path = tmp_path_factory.mktemp("bulk") / "d.csv"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        want = _row_by_row(path)
+    except EmaError as err:
+        with pytest.raises(EmaError) as got:
+            es.read_dataset(path)
+        assert (got.value.code, got.value.message) == (err.code, err.message)
+        return
+    data = es.read_dataset(path)
+    assert [p.pid for p in data.participants] == [w[0] for w in want]
+    for p, (_, t, Y, missing, U) in zip(data.participants, want):
+        for a, b in ((p.timestamps, t), (p.Y, Y), (p.missing, missing), (p.U, U)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()

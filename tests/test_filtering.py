@@ -244,7 +244,7 @@ def test_non_finite_gap_is_typed(entry, gap):
     }
     with pytest.raises(EmaError) as exc:
         calls[entry]()
-    assert exc.value.code == "INVALID_MODEL"
+    assert exc.value.code == "NON_MONOTONE_TIME"      # checked before any gap is built
 
 
 # --- smoother ----------------------------------------------------------------
@@ -1061,3 +1061,43 @@ def test_particle_filter_with_an_infinite_state_variance_is_non_finite_without_w
         with pytest.raises(EmaError) as exc:
             es.particle_filter(spec, y, 200, 0)
     assert exc.value.code == "NON_FINITE"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("time_mode", ["discrete", "continuous"])
+def test_non_finite_timestamps_are_non_monotone_time(bad, time_mode):
+    spec = es.ModelSpec(A=[[0.5 if time_mode == "discrete" else -0.5]], Sigma=[[1.0]],
+                        Theta=[[0.5]], time_mode=time_mode)
+    for times in ([0.0, bad, 2.0], [bad]):
+        y = np.zeros((len(times), 1))
+        for call in (es.kalman_smooth, es.kalman_filter if time_mode == "discrete" else None):
+            if call is None:
+                call = es.kalman_filter_ct
+                with pytest.raises(EmaError) as exc:
+                    call(spec, times, y)
+            else:
+                with pytest.raises(EmaError) as exc:
+                    call(spec, y, timestamps=times)
+            assert exc.value.code == "NON_MONOTONE_TIME"
+        with pytest.raises(EmaError) as exc:
+            es.Participant("p1", times, y, np.zeros_like(y, dtype=bool), np.zeros((len(times), 0)))
+        assert exc.value.code == "NON_MONOTONE_TIME"
+
+
+def test_state_noise_factored_once_under_discrete_drifts(monkeypatch):
+    """A discrete regime/tvp run holds one copy of Sigma per step; one factor serves."""
+    from emastate.model import _cohort_steps, _step_roots
+    factored, cholesky = [], np.linalg.cholesky
+
+    def counting(M):
+        factored.append(int(np.prod(np.shape(M)[:-2])))
+        return cholesky(M)
+
+    spec = es.ModelSpec(A=[[0.5, 0.1], [0.0, 0.4]], Sigma=[[1.0, 0.2], [0.2, 0.5]],
+                        Theta=np.eye(2))
+    drifts = [np.broadcast_to(spec.A, (k, 2, 2)) * 0.9 for k in (50, 30)]
+    (_, S_d, _), rows, _, _ = _cohort_steps(spec, [np.ones(50), np.ones(30)], drifts)
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    roots, cut, err = _step_roots(S_d, rows)
+    assert factored == [1] and cut == 2 and err is None
+    assert roots.shape == S_d.shape and (roots == cholesky(spec.Sigma)).all()

@@ -547,3 +547,23 @@ def test_step_roots_equal_psd_sqrt_per_entry_in_order_of_first_use(seed, n, entr
     assert kept == want_kept and (err is None) == (want_err is None)
     if err is not None:
         assert err.message == want_err.message
+
+
+def test_validation_and_drift_table_run_once_per_spec_instance(monkeypatch):
+    from emastate import model
+    calls = []
+    for name in ("_checks", "_taylor_table"):
+        def counting(*a, _f=getattr(model, name), _name=name):
+            calls.append(_name)
+            return _f(*a)
+        monkeypatch.setattr(model, name, counting)
+    spec = es.ModelSpec(A=[[-0.5, 0.1], [0.0, -0.3]], Sigma=np.eye(2), Theta=np.eye(2),
+                        time_mode="continuous")
+    for _ in range(3):
+        es.kalman_filter_ct(spec, [0.0, 1.0, 2.5], np.zeros((3, 2)))
+        es.validate_model(spec).errors.append(("X", "a caller's edit"))
+    assert sorted(calls) == ["_checks", "_taylor_table"]
+    assert es.validate_model(spec).errors == []
+    other = spec.with_matrices(A=[[-0.5, 0.1], [0.0, -0.4]])     # one entry differs
+    a, b = (_gap_transitions(s, [1.0])[0] for s in (spec, other))
+    assert a.tobytes() != b.tobytes() and len(calls) == 3

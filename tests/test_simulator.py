@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_continuous_lyapunov
 
 import emastate as es
 from emastate.errors import EmaError
 
-from oracles import (batch_means_se, graded_response_stationary_probs, random_window_schedule,
-                     simulate_participant_by_participant)
+from oracles import (batch_means_se, graded_response_stationary_probs, random_stable_spec,
+                     random_window_schedule, simulate_participant_by_participant)
 
 
 def ar1(a=0.5, sigma2=1.0, theta=0.0, **kw):
@@ -283,6 +284,45 @@ def test_cohort_simulation_equals_the_participant_loop_byte_for_byte(case):
     assert len(data.participants) == len(want)
     for p, (timestamps, U, Y) in zip(data.participants, want):
         for got, ref in ((p.timestamps, timestamps), (p.U, U), (p.Y, Y)):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), p=st.integers(1, 2),
+       q=st.integers(0, 2), continuous=st.booleans(), regimes=st.booleans(),
+       tvp=st.booleans(), people=st.integers(1, 4))
+def test_lockstep_simulation_equals_the_participant_loop_bit_for_bit(seed, n, p, q, continuous,
+                                                                      regimes, tvp, people):
+    """Random all-Gaussian specs, inputs, regimes and tvp; in continuous
+    time event-driven pings give every participant its own length."""
+    rng = np.random.default_rng(seed)
+    spec = random_stable_spec(rng, n, p).with_matrices(G=rng.normal(size=(n, q)))
+    if continuous:
+        K = rng.normal(scale=0.4, size=(n, n))
+        A = K - (np.linalg.eigvals(K).real.max() + 0.2) * np.eye(n)
+        spec = spec.with_matrices(A=A, time_mode="continuous")
+        sched = es.PingSchedule(kind="event_driven", horizon=60.0, mean_interval=3.0)
+    else:
+        sched = es.PingSchedule(kind="fixed", horizon=float(rng.integers(2, 40)), interval=1.0)
+    kw = {"trends": (es.TrendSpec(kind="sinusoid", coefficients=tuple(rng.normal(size=q))),)}
+    if regimes:
+        kw["regimes"] = es.RegimeSchedule(breakpoints=(10.0, 30.0), regimes=(
+            es.Regime(A=spec.A * 0.7, mean_offset=rng.normal(size=n)), es.Regime()))
+    if tvp:
+        i, j = rng.integers(0, n, size=2)
+        kw["tvp"] = es.TvpSchedule(target=(int(i), int(j)), start_value=spec.A[i, j],
+                                   end_value=spec.A[i, j] * 0.5, midpoint=20.0, steepness=0.3)
+    try:
+        want = simulate_participant_by_participant(spec, sched, n_participants=people,
+                                                   rng_seed=seed, **kw)
+    except EmaError as err:
+        with pytest.raises(EmaError) as got:
+            es.simulate_dataset(spec, sched, n_participants=people, rng_seed=seed, **kw)
+        assert (got.value.code, got.value.message) == (err.code, err.message)
+        return
+    data = es.simulate_dataset(spec, sched, n_participants=people, rng_seed=seed, **kw)
+    for person, (timestamps, U, Y) in zip(data.participants, want, strict=True):
+        for got, ref in ((person.timestamps, timestamps), (person.U, U), (person.Y, Y)):
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
@@ -580,3 +620,22 @@ def test_scenario_parses_regimes_and_tvp():
     assert sc.regimes.segment(40.0) == 1
     assert sc.regimes.regimes[1].A[0, 0] == 0.2
     assert sc.tvp.value(50.0) == pytest.approx(0.5)
+
+
+def test_overflowing_states_of_an_ordinal_channel_raise_non_finite(tmp_path):
+    spec = es.ModelSpec(A=[[2.0]], Sigma=[[1.0]], H=[[0.0]], Theta=[[0.0]], initial_cov=[[1.0]],
+                        channels=[es.MeasurementChannel("graded_response", thresholds=(0.0,))])
+    sched = es.PingSchedule(kind="fixed", horizon=1200.0, interval=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EmaError) as exc:
+            es.simulate_dataset(spec, sched, n_participants=2, rng_seed=1)
+    assert exc.value.code == "NON_FINITE"
+    assert exc.value.message.startswith("participant p001: state at ping ")
+    from emastate.cli import main
+    spec.save(tmp_path / "model.json")
+    (tmp_path / "scenario.json").write_text(
+        '{"schedule": {"kind": "fixed", "horizon": 1200.0, "interval": 1.0}, "seed": 1}')
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["simulate", "--model", str(tmp_path / "model.json"), "--scenario",
+                   str(tmp_path / "scenario.json"), "--out", str(tmp_path / "data.csv")])
+    assert rc == 3 and not (tmp_path / "data.csv").exists()
