@@ -130,15 +130,16 @@ def read_dataset(path, sep: str = ",") -> EmaDataset:
         ln = [k for k, line in enumerate(lines[1:], start=2) if line.strip()][first]
         row = rows[first].split(sep)
         if first == stop and len(row) != width + 1:
-            raise EmaError("PARSE_ERROR", f"{path}:{ln}: expected {width + 1} cells, got {len(row)}")
+            raise EmaError("PARSE_ERROR",
+                           f"{path}:{ln}: expected {width + 1} cells, got {len(row)}")
         if first == stop or bad_cell.size and bad_cell[0] == first:
             code, what = _cell_error(row, cols)
             raise EmaError(code, f"{path}:{ln}: {what}")
         pid = row[0]
         if misplaced and misplaced[0] == first:
-            raise EmaError("PARSE_ERROR",
-                           f"{path}:{ln}: participant {pid} appears in separate blocks"
-                           if misplaced[1] else f"{path}:{ln}: rows are not sorted by participant_id")
+            raise EmaError("PARSE_ERROR", f"{path}:{ln}: " + (
+                f"participant {pid} appears in separate blocks" if misplaced[1]
+                else "rows are not sorted by participant_id"))
         raise EmaError("NON_MONOTONE_TIME",
                        f"{path}:{ln}: t={row[1]} does not increase within participant {pid}")
 
