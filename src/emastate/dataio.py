@@ -114,16 +114,12 @@ def read_dataset(path, sep: str = ",") -> EmaDataset:
     na[r, c] = [cells[k] == NA for k in (r * width + c + 1).tolist()]
     ok[:, 1:1 + n_y] |= na
     bad_cell = np.flatnonzero(~ok.all(1))
-    starts, earlier, misplaced = [0] if stop else [], set(), []
-    for i in range(1, stop):
-        if pids[i] != pids[i - 1]:
-            earlier.add(pids[i - 1])
-            if not misplaced and (pids[i] in earlier or pids[i] < pids[i - 1]):
-                misplaced = [i, pids[i] in earlier]
-            starts.append(i)
-    new = np.zeros(stop, dtype=bool)
-    new[starts] = True
-    late = np.flatnonzero(~(t[1:] > t[:-1]) & ~new[1:]) + 1
+    starts = [i for i in range(stop) if not i or pids[i] != pids[i - 1]]
+    # while the blocks so far are sorted, a block is out of order (unsorted,
+    # or seen before) exactly when its participant sorts before the last one
+    misplaced = [i for i in starts[1:] if pids[i] < pids[i - 1]]
+    late = (np.flatnonzero(~(t[1:] > t[:-1])) + 1).tolist()
+    late = [i for i in late if pids[i] == pids[i - 1]]
 
     first = min([stop] + [x[0] for x in (bad_cell, late, misplaced) if len(x)])
     if first < len(rows):
@@ -138,7 +134,7 @@ def read_dataset(path, sep: str = ",") -> EmaDataset:
         pid = row[0]
         if misplaced and misplaced[0] == first:
             raise EmaError("PARSE_ERROR", f"{path}:{ln}: " + (
-                f"participant {pid} appears in separate blocks" if misplaced[1]
+                f"participant {pid} appears in separate blocks" if pid in pids[:first]
                 else "rows are not sorted by participant_id"))
         raise EmaError("NON_MONOTONE_TIME",
                        f"{path}:{ln}: t={row[1]} does not increase within participant {pid}")

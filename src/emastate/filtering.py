@@ -593,13 +593,10 @@ def _small_stack(y, obs, u, mu0, P0, H, Theta, trans, store, L) -> _StackPass:
     """:func:`_kalman_stack` by :func:`_small_recursion`: on floats once per
     member over its own pings (fewer than ``_STACK_MIN_MEMBERS`` members for
     1x1, ``_STACK_MIN_MEMBERS_SMALL`` else), or elementwise over all members
-    (1x1: :func:`_paired_1x1`).  The float form reads each member's own
-    rows of the arguments as given, broadcast over the stack but not copied
-    into lanes, so a stack of one stages nothing; the elementwise form
-    stages every argument with the members as its last axis.  The
-    likelihood terms and the eigenvalue range of S (:func:`_eig_range`)
-    come after the loop from each ping's S, det S and quadratic form, alike
-    for both forms; :func:`_pass_result` finds the failures.
+    (1x1: :func:`_paired_1x1`).  The likelihood terms and the eigenvalue
+    range of S (:func:`_eig_range`) come after the loop from each ping's S,
+    det S and quadratic form, alike for both forms; :func:`_pass_result`
+    finds the failures.
     """
     T, p = y.shape[-2:]
     n, q = mu0.shape[-1], u.shape[-1]
@@ -607,79 +604,58 @@ def _small_stack(y, obs, u, mu0, P0, H, Theta, trans, store, L) -> _StackPass:
     M = math.prod(batch)
     iu, ju, full = _upper(n)
     ip, jp, _ = _upper(p)
-    L = L.reshape(M)
 
-    def members(x, core=2, lead=0):
-        """x with its stack axes, broadcast to B, made one axis of M after ``lead``."""
-        head, tail = x.shape[:lead], x.shape[x.ndim - core:]
+    def lanes(x, core=2, lead=0):
+        """x, the axes after ``lead`` but before ``core`` made one last axis of B."""
+        outer, inner, nb = x.shape[:lead], x.shape[x.ndim - core:], len(batch)
         if M == 1:
-            return x.reshape(head + (1,) + tail)
-        x = x.reshape(head + (1,) * (len(batch) + lead + core - x.ndim) + x.shape[lead:])
-        return np.broadcast_to(x, head + batch + tail).reshape(head + (M,) + tail)
+            return x.reshape(outer + inner + (1,))
+        out = np.empty(outer + inner + batch, dtype=x.dtype)
+        out.transpose(*range(lead), *range(lead + core, lead + core + nb),
+                      *range(lead, lead + core))[...] = \
+            x.reshape(outer + (1,) * (nb + lead + core - x.ndim) + x.shape[lead:])
+        return out.reshape(outer + inner + (M,))
+
+    ys, os, us, L = lanes(y), lanes(obs), lanes(u), L.reshape(M)      # (T, p or q, M)
+    start = [lanes(mu0, 1), lanes(P0)[iu, ju], lanes(H).reshape(p * n, M), lanes(Theta)[ip, jp]]
+    A, Q, G = (lanes(x, 2, 1) for x in trans)      # (steps, ., ., M)
+    shared = len(A) == 1        # then one step serves every ping
+    A, Q = A.reshape(len(A), n * n, M), Q[:, iu, ju]
+    gus = np.zeros((T - 1, n, M))
+    for k in range(q):          # G u elementwise, inputs in order
+        term = G[:, :, k] * us[:-1, None, k]
+        gus = term if k == 0 else gus + term
 
     floats = M < (_STACK_MIN_MEMBERS if n == p == 1 else _STACK_MIN_MEMBERS_SMALL)
     fill = (1.0, 0.0) if p == 1 else (1.0, 0.0, 1.0, 1.0, 0.0)
     with np.errstate(all="ignore"):     # failures are detected after the loop
         if floats:
-            ys, obs, us = members(y), members(obs), members(u)          # (M, T, .)
-            start = [members(mu0, 1), members(P0)[:, iu, ju], members(H).reshape(M, p * n),
-                     members(Theta)[:, ip, jp]]
-            A, Q, G = (members(x, 2, 1) for x in trans)                  # (steps, M, ., .)
-            shared = len(A) == 1        # then one step serves every ping
             pred = np.zeros((M, T * (n + iu.size))); filt = np.zeros_like(pred)
             inn = np.tile(fill, (M, T))
             rec = _small_recursion(n, p, False)
             for r in range(M):
                 k = int(L[r])
-                gaps, o = max(k - 1, 0), obs[r, :k]
-                cut = slice(None if shared else gaps)
-                gus, Gr = np.zeros((gaps, n)), G[cut, r]
-                for j in range(q):      # G u elementwise, inputs in order
-                    term = Gr[:, :, j] * us[r, :gaps, None, j]
-                    gus = term if j == 0 else gus + term
-                steps = list(zip(A[cut, r].reshape(-1, n * n).tolist(),
-                                 Q[cut, r][:, iu, ju].tolist()))
-                live = o.any(1).tolist()
-                out = rec(ys[r, :k].tolist(), o.tolist(), gus.tolist(),
-                          steps * gaps if shared else steps,
-                          *(x[r].tolist() for x in start),
-                          list(zip(live, o.all(1).tolist(), live)), fill)
+                live = os[:k, :, r].any(1).tolist()
+                steps = list(zip(A[..., r].tolist(), Q[..., r].tolist()))
+                out = rec(ys[:k, :, r].tolist(), os[:k, :, r].tolist(), gus[..., r].tolist(),
+                          steps * (k - 1) if shared else steps[:max(k - 1, 0)],
+                          *(x[:, r].tolist() for x in start),
+                          list(zip(live, os[:k, :, r].all(1).tolist(), live)), fill)
                 for arr, rows in zip((pred, filt, inn), out):
                     arr[r, :len(rows)] = rows
-            os = obs.transpose(1, 2, 0)                                     # (T, p, M)
             pred, filt, inn = (x.reshape(M, T, -1).transpose(1, 2, 0) for x in (pred, filt, inn))
+        elif n == p == 1:
+            pred, filt, inn = _paired_1x1(ys[:, 0], os[:, 0], gus[:, 0], A[:, 0], Q[:, 0],
+                                          *(x[0] for x in start))
         else:
-            def lanes(x, core=2, lead=0):
-                """x, the axes after ``lead`` but before ``core`` made one last axis of B."""
-                outer, inner, nb = x.shape[:lead], x.shape[x.ndim - core:], len(batch)
-                out = np.empty(outer + inner + batch, dtype=x.dtype)
-                out.transpose(*range(lead), *range(lead + core, lead + core + nb),
-                              *range(lead, lead + core))[...] = \
-                    x.reshape(outer + (1,) * (nb + lead + core - x.ndim) + x.shape[lead:])
-                return out.reshape(outer + inner + (M,))
-
-            ys, os, us = lanes(y), lanes(obs), lanes(u)                     # (T, p or q, M)
-            start = [lanes(mu0, 1), lanes(P0)[iu, ju], lanes(H).reshape(p * n, M),
-                     lanes(Theta)[ip, jp]]
-            A, Q, G = (lanes(x, 2, 1) for x in trans)      # (steps, ., ., M)
-            shared = len(A) == 1        # then one step serves every ping
-            A, Q = A.reshape(len(A), n * n, M), Q[:, iu, ju]
-            gus = np.zeros((T - 1, n, M))
-            for k in range(q):          # G u elementwise, inputs in order
-                term = G[:, :, k] * us[:-1, None, k]
-                gus = term if k == 0 else gus + term
-            if n == p == 1:
-                pred, filt, inn = _paired_1x1(ys[:, 0], os[:, 0], gus[:, 0], A[:, 0], Q[:, 0],
-                                              *(x[0] for x in start))
-            else:
-                flags = zip(os.any((1, 2)).tolist(), os.all((1, 2)).tolist(),
-                            os.any(1).all(1).tolist())
-                out = _small_recursion(n, p, True)(
-                    list(ys), list(os), list(gus),
-                    [(A[0], Q[0])] * (T - 1) if shared else list(zip(A, Q)), *start,
-                    list(flags), tuple(np.full(M, v) for v in fill))
-                pred, filt, inn = (np.reshape(x, (T, -1, M)) if store or x is out[2] else None
-                                   for x in out)
+            flags = zip(os.any((1, 2)).tolist(), os.all((1, 2)).tolist(),
+                        os.any(1).all(1).tolist())
+            out = _small_recursion(n, p, True)(
+                list(ys), list(os), list(gus),
+                [(A[0], Q[0])] * (T - 1) if shared else list(zip(A, Q)), *start,
+                list(flags), tuple(np.full(M, v) for v in fill))
+            pred, filt, inn = (np.reshape(x, (T, -1, M)) if store or x is out[2] else None
+                               for x in out)
 
         seen = os.any(1)                                            # (T, M)
         det, quad = inn[:, 0 if p == 1 else 3], inn[:, -1]

@@ -278,9 +278,8 @@ class ModelSpec:
 
     @functools.cached_property
     def _drift_table(self):
-        """The norm and Taylor table of the spec's own drift in
-        :func:`_gap_transitions`."""
-        return _taylor_table(self, self.A[None])
+        """The Taylor table of the spec's own drift in :func:`_gap_transitions`."""
+        return _taylor_table(self, self.A[None], _drift_norms(self.A[None]))
 
     def with_matrices(self, **kwargs) -> "ModelSpec":
         """New spec with some matrices replaced (dims must be unchanged)."""
@@ -459,10 +458,8 @@ def _checks(spec: ModelSpec) -> ValidationReport:
 
 def require_valid(spec: ModelSpec) -> None:
     """Raise the first validation error as an EmaError."""
-    errors = spec._validation.errors
-    if errors:
-        code, msg = errors[0]
-        raise EmaError(code, msg)
+    if spec._validation.errors:
+        raise EmaError(*spec._validation.errors[0])
 
 
 def _pin_random_walk_rows(A: np.ndarray, rw: frozenset[int], time_mode: str) -> np.ndarray:
@@ -539,14 +536,14 @@ def _gap_transitions(spec: ModelSpec, dts, drifts=None):
     new[1:] = (keys[1:] != keys[:-1]).any(1)
     first, which = order[new], np.empty(K, dtype=int)
     which[order] = np.cumsum(new) - 1
-    if drifts is None:      # the spec's own drift: its table is kept on the spec
-        (norm, table), drift = spec._drift_table, np.zeros(first.size, dtype=int)
+    if drifts is None:
+        A_c, drift = spec.A[None], np.zeros(first.size, dtype=int)
     else:
         keys = keys[new, :-1]
         new = np.ones(first.size, dtype=bool)
         new[1:] = (keys[1:] != keys[:-1]).any(1)
         A_c, drift = flat[first[new]].reshape(-1, n, n), np.cumsum(new) - 1
-        norm = _drift_norms(A_c)
+    norm = _drift_norms(A_c)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         nu, dts = norm[drift], dts[first]
         s = np.where(np.isfinite(nu) & (nu * dts > 0.5),
@@ -555,10 +552,10 @@ def _gap_transitions(spec: ModelSpec, dts, drifts=None):
         by_s = np.argsort(s, kind="stable")
         first, drift, nu, dts, s = first[by_s], drift[by_s], nu[by_s], dts[by_s], s[by_s]
         which = np.argsort(by_s)[which]
-        if drifts is not None:
-            if A_c.shape[0] == first.size:     # a drift per entry: no gather
-                A_c, drift = A_c[drift], slice(None)
-            table = _taylor_table(spec, A_c)[1]
+        if A_c.shape[0] == first.size:     # a drift per entry: no gather
+            A_c, norm, drift = A_c[drift], nu, slice(None)
+        # the spec's own drift's table is kept on the spec
+        table = spec._drift_table if drifts is None else _taylor_table(spec, A_c, norm)
         h = np.ldexp(dts, -s)
         # Horner's rule in tau per entry, entries last
         if table.shape[-1] > 1:
@@ -600,13 +597,12 @@ def _drift_norms(A_c):
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _taylor_table(spec: ModelSpec, A_c):
-    """The norms of the drifts A_c (D, n, n) and their Horner table for
-    :func:`_gap_transitions`, (degree + 2, n (2n + inputs), D): degree k
-    holds [B^k / k!, M^k(Sigma) / (k+1)!, B^k G / (k+1)!] of B = A / norm,
-    one stacked product per degree."""
+def _taylor_table(spec: ModelSpec, A_c, norm):
+    """The Horner table for :func:`_gap_transitions` of the drifts A_c
+    (D, n, n) with norms ``norm`` (:func:`_drift_norms`), (degree + 2,
+    n (2n + inputs), D): degree k holds [B^k / k!, M^k(Sigma) / (k+1)!,
+    B^k G / (k+1)!] of B = A / norm, one stacked product per degree."""
     n, m = spec.n_states, spec.n_inputs
-    norm = _drift_norms(A_c)
     B = A_c / np.where(norm > 0, norm, 1.0)[:, None, None]
     w = 2 * n + m
     table = np.empty((_TAYLOR_DEGREE + 2, B.shape[0], n, w))
@@ -617,7 +613,7 @@ def _taylor_table(spec: ModelSpec, A_c):
     table *= np.where(np.arange(w) < n, _INV_FACTORIALS[:-1, None],
                       _INV_FACTORIALS[1:, None])[:, None, None, :]
     table[-1, ..., n:] = 0.0
-    return norm, table.reshape(_TAYLOR_DEGREE + 2, B.shape[0], n * w).transpose(0, 2, 1)
+    return table.reshape(_TAYLOR_DEGREE + 2, B.shape[0], n * w).transpose(0, 2, 1)
 
 
 def _cohort_steps(spec: ModelSpec, gaps, drifts=None):
@@ -664,11 +660,11 @@ def _step_roots(Sigma_d, rows):
     :func:`_cohort_steps`), from one Cholesky call.  Where a noise is
     singular, the entries that ``rows`` uses are factored by
     :func:`psd_sqrt` instead, once per distinct noise, in order of first
-    use.  A table that holds one noise for every step (discrete time) is
-    factored once.  Returns the factors, the number of series before the
-    first step whose noise cannot be factored (all of them if none), and
-    its error (or None)."""
-    if len(Sigma_d) > 1 and Sigma_d.strides[0] == 0:
+    use.  A table whose noises are all one noise, bit for bit (discrete
+    time under drifts), is factored once.  Returns the factors, the number
+    of series before the first step whose noise cannot be factored (all of
+    them if none), and its error (or None)."""
+    if len(Sigma_d) > 1 and (Sigma_d.view(np.uint64) == Sigma_d[:1].view(np.uint64)).all():
         roots, cut, err = _step_roots(Sigma_d[:1], np.minimum(rows, 0))
         return np.broadcast_to(roots, Sigma_d.shape), cut, err
     try:

@@ -441,8 +441,7 @@ def _simulate_cohort(spec: ModelSpec, cohort: list, rngs):
     lengths = [len(c[3]) for c in cohort[:kept]]
     T, n, p = max(lengths), spec.n_states, spec.n_obs
     E, U, offsets = (np.zeros((T, kept, k)) for k in (n + p, spec.n_inputs, n))
-    for i, ((_, U_i, _, offsets_i), rng) in enumerate(zip(cohort, rngs[:kept])):
-        k = lengths[i]
+    for i, (k, (_, U_i, _, offsets_i), rng) in enumerate(zip(lengths, cohort, rngs)):
         E[:k, i], U[:k, i], offsets[:k, i] = rng.standard_normal((k, n + p)), U_i, offsets_i
     steps = np.maximum(rows[:kept, :T - 1].T, 0)      # past a participant's end: not read
     Y = _simulate_gaussian(spec, A_d[steps], roots[steps], G_d[steps], U, offsets, E, L0,

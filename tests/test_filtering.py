@@ -247,6 +247,23 @@ def test_non_finite_gap_is_typed(entry, gap):
     assert exc.value.code == "NON_MONOTONE_TIME"      # checked before any gap is built
 
 
+@pytest.mark.parametrize("entry", ["kalman_filter_ct", "kalman_smooth", "particle_filter"])
+def test_overflowing_gap_of_finite_timestamps_is_typed(entry):
+    spec = es.ModelSpec(A=[[-0.5]], Sigma=[[1.0]], Theta=[[0.5]], initial_cov=[[1.0]],
+                        time_mode="continuous")
+    y = np.zeros((3, 1))
+    t = np.array([-1e308, 1e308, 1.5e308])      # increasing, but the first gap is inf
+    calls = {
+        "kalman_filter_ct": lambda: es.kalman_filter_ct(spec, t, y),
+        "kalman_smooth": lambda: es.kalman_smooth(spec, y, timestamps=t),
+        "particle_filter": lambda: es.particle_filter(spec, y, 100, 0, timestamps=t),
+    }
+    with pytest.raises(EmaError) as exc:
+        calls[entry]()
+    assert exc.value.code == "INVALID_MODEL"      # the gap kernel's check
+    assert "inf" in exc.value.message
+
+
 # --- smoother ----------------------------------------------------------------
 
 def test_smoother_t1_equals_filter():
@@ -644,8 +661,9 @@ def test_likelihood_only_pass_equals_the_filter_bit_for_bit(case):
                                                  timestamps=times).log_likelihood
 
 
-@pytest.mark.parametrize("time_mode, distinct", [("discrete", 1), ("continuous", 3)])
-def test_state_noise_factored_once_per_distinct_transition(monkeypatch, time_mode, distinct):
+@pytest.mark.parametrize("time_mode, tvp, distinct",
+                         [("discrete", False, 1), ("continuous", False, 3), ("discrete", True, 1)])
+def test_state_noise_factored_once_per_distinct_transition(monkeypatch, time_mode, tvp, distinct):
     factored, cholesky = [], np.linalg.cholesky
 
     def counting(M):            # psd_sqrt and the step roots both factor here
@@ -655,6 +673,12 @@ def test_state_noise_factored_once_per_distinct_transition(monkeypatch, time_mod
     monkeypatch.setattr(np.linalg, "cholesky", counting)
     spec = es.ModelSpec(A=[[0.5 if time_mode == "discrete" else -0.5]], Sigma=[[1.0]],
                         Theta=[[0.5]], time_mode=time_mode)
+    if tvp:     # a drift per step, each with the spec's own Sigma
+        es.simulate_dataset(spec, es.PingSchedule(kind="fixed", horizon=500.0, interval=1.0),
+                            tvp=es.TvpSchedule((0, 0), 0.2, 0.6, 250.0, 0.05),
+                            n_participants=3, rng_seed=1)
+        assert sum(factored) == 2 + distinct    # Theta, the initial covariance, Sigma
+        return
     times = np.cumsum(np.tile([1.0, 2.0, 3.0], 167))[:500]      # gaps of 1, 2 and 3
     es.particle_filter(spec, np.zeros((500, 1)), 100, 0, timestamps=times)
     assert sum(factored) == 1 + distinct    # the initial covariance and each distinct Sigma
@@ -1083,21 +1107,3 @@ def test_non_finite_timestamps_are_non_monotone_time(bad, time_mode):
             es.Participant("p1", times, y, np.zeros_like(y, dtype=bool), np.zeros((len(times), 0)))
         assert exc.value.code == "NON_MONOTONE_TIME"
 
-
-def test_state_noise_factored_once_under_discrete_drifts(monkeypatch):
-    """A discrete regime/tvp run holds one copy of Sigma per step; one factor serves."""
-    from emastate.model import _cohort_steps, _step_roots
-    factored, cholesky = [], np.linalg.cholesky
-
-    def counting(M):
-        factored.append(int(np.prod(np.shape(M)[:-2])))
-        return cholesky(M)
-
-    spec = es.ModelSpec(A=[[0.5, 0.1], [0.0, 0.4]], Sigma=[[1.0, 0.2], [0.2, 0.5]],
-                        Theta=np.eye(2))
-    drifts = [np.broadcast_to(spec.A, (k, 2, 2)) * 0.9 for k in (50, 30)]
-    (_, S_d, _), rows, _, _ = _cohort_steps(spec, [np.ones(50), np.ones(30)], drifts)
-    monkeypatch.setattr(np.linalg, "cholesky", counting)
-    roots, cut, err = _step_roots(S_d, rows)
-    assert factored == [1] and cut == 2 and err is None
-    assert roots.shape == S_d.shape and (roots == cholesky(spec.Sigma)).all()
