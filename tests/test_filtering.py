@@ -230,13 +230,19 @@ def test_ct_filter_and_smoother_across_multi_day_gaps_match_joint_oracle():
         assert np.allclose(got, o[want], rtol=0.0, atol=1e-8), want
 
 
-@pytest.mark.parametrize("gap", [np.nan, np.inf])
+@pytest.mark.parametrize("t, code, says", [
+    # a non-finite timestamp is rejected before any gap is built
+    ([0.0, 1.0, 2.0, np.nan], "NON_MONOTONE_TIME", "finite and strictly increasing"),
+    ([0.0, 1.0, 2.0, np.inf], "NON_MONOTONE_TIME", "finite and strictly increasing"),
+    # finite and increasing, but the first gap overflows: the gap kernel's check
+    ([-1e308, 1e308, 1.2e308, 1.5e308], "INVALID_MODEL", "dt must be positive and finite, got inf"),
+])
 @pytest.mark.parametrize("entry", ["kalman_filter_ct", "kalman_smooth", "particle_filter"])
-def test_non_finite_gap_is_typed(entry, gap):
+def test_non_finite_gap_is_typed(entry, t, code, says):
     spec = es.ModelSpec(A=[[-0.5]], Sigma=[[1.0]], Theta=[[0.5]], initial_cov=[[1.0]],
                         time_mode="continuous")
     y = np.zeros((4, 1))
-    t = np.array([0.0, 1.0, 2.0, 2.0 + gap])
+    t = np.array(t)
     calls = {
         "kalman_filter_ct": lambda: es.kalman_filter_ct(spec, t, y),
         "kalman_smooth": lambda: es.kalman_smooth(spec, y, timestamps=t),
@@ -244,24 +250,7 @@ def test_non_finite_gap_is_typed(entry, gap):
     }
     with pytest.raises(EmaError) as exc:
         calls[entry]()
-    assert exc.value.code == "NON_MONOTONE_TIME"      # checked before any gap is built
-
-
-@pytest.mark.parametrize("entry", ["kalman_filter_ct", "kalman_smooth", "particle_filter"])
-def test_overflowing_gap_of_finite_timestamps_is_typed(entry):
-    spec = es.ModelSpec(A=[[-0.5]], Sigma=[[1.0]], Theta=[[0.5]], initial_cov=[[1.0]],
-                        time_mode="continuous")
-    y = np.zeros((3, 1))
-    t = np.array([-1e308, 1e308, 1.5e308])      # increasing, but the first gap is inf
-    calls = {
-        "kalman_filter_ct": lambda: es.kalman_filter_ct(spec, t, y),
-        "kalman_smooth": lambda: es.kalman_smooth(spec, y, timestamps=t),
-        "particle_filter": lambda: es.particle_filter(spec, y, 100, 0, timestamps=t),
-    }
-    with pytest.raises(EmaError) as exc:
-        calls[entry]()
-    assert exc.value.code == "INVALID_MODEL"      # the gap kernel's check
-    assert "inf" in exc.value.message
+    assert exc.value.code == code and says in exc.value.message
 
 
 # --- smoother ----------------------------------------------------------------
