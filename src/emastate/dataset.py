@@ -45,8 +45,9 @@ class Participant:
                            f"(T={T}, Y={self.Y.shape}, mask={self.missing.shape}, "
                            f"U={self.U.shape})")
         self.missing = missing_cells(self.Y, self.missing)
+        # compared, not differenced: an overflowing gap is the gap kernel's error
         t = self.timestamps
-        if not (np.isfinite(t).all() and (np.diff(t) > 0).all()):
+        if not (np.isfinite(t).all() and (t[1:] > t[:-1]).all()):
             raise EmaError("NON_MONOTONE_TIME", f"participant {self.pid}: timestamps must be "
                                                 f"finite and strictly increasing")
 

@@ -388,8 +388,9 @@ def _stack_participants(spec: ModelSpec, participants: Sequence[Participant]):
                           spec.n_obs, spec.n_inputs)
     if spec.time_mode == "continuous":
         gaps = np.zeros((len(participants), max(stack[0].shape[1] - 1, 0)))
-        for r, p in enumerate(participants):
-            gaps[r, :max(len(p.timestamps) - 1, 0)] = np.diff(p.timestamps)
+        with np.errstate(over="ignore"):    # an overflowing gap is the gap kernel's error
+            for r, p in enumerate(participants):
+                gaps[r, :max(len(p.timestamps) - 1, 0)] = np.diff(p.timestamps)
         stack += (gaps,)
     return stack
 

@@ -716,7 +716,8 @@ def _series(spec: ModelSpec, y, missing, u, timestamps):
     timestamps = np.asarray(timestamps, dtype=float).reshape(-1)
     if timestamps.size != T:
         raise EmaError("INVALID_MODEL", f"{timestamps.size} timestamps for {T} pings")
-    if not (np.isfinite(timestamps).all() and (np.diff(timestamps) > 0).all()):
+    # compared, not differenced: an overflowing gap is the gap kernel's error
+    if not (np.isfinite(timestamps).all() and (timestamps[1:] > timestamps[:-1]).all()):
         raise EmaError("NON_MONOTONE_TIME", "timestamps must be finite and strictly increasing")
     return y, missing, u, timestamps
 
@@ -821,7 +822,9 @@ def _kalman_cohort(spec: ModelSpec, participants):
         except EmaError as err:
             pending = err
             break
-    table, rows, kept, err = _cohort_steps(spec, [np.diff(s[3]) for s in series])
+    with np.errstate(over="ignore"):    # an overflowing gap is the gap kernel's error
+        gaps = [np.diff(s[3]) for s in series]
+    table, rows, kept, err = _cohort_steps(spec, gaps)
     del series[kept:]
     pending = err or pending        # a cut participant comes before a failing series
 
@@ -883,26 +886,72 @@ def _logsumexp(a: np.ndarray) -> float:
     then ``log1p(s) + log(m) + max`` with s the mean excess over them; the
     result is bit-equal to scipy's on every input, including ties, -inf,
     +inf and NaN entries (Blanchard, Higham & Higham 2021, *IMA J. Numer.
-    Anal.* 41:2311, on this shifted form).
+    Anal.* 41:2311, on this shifted form).  Floating-point warnings are
+    ignored here; the particle pass, which ignores them for its whole
+    recursion, calls :func:`_lse` directly.
     """
+    with np.errstate(all="ignore"):
+        return _lse(a)
+
+
+def _lse(a: np.ndarray) -> float:
+    """:func:`_logsumexp` for callers already under ``np.errstate(all="ignore")``."""
     a_max = a.max()
     top = a == a_max
     m = float(np.count_nonzero(top))
-    with np.errstate(all="ignore"):
-        e = np.exp(a - a_max)
-        e[top] = 0.0
-        s = e.sum()
-        if s != 0:
-            s = s / m
-        return np.log1p(s) + np.log(m) + a_max
+    e = np.exp(a - a_max)
+    e[top] = 0.0
+    s = e.sum()
+    if s != 0:
+        s = s / m
+    return np.log1p(s) + np.log(m) + a_max
 
 
-def _systematic_resample(weights: np.ndarray, rng: np.random.Generator,
-                         grid: np.ndarray) -> np.ndarray:
-    """Indices of N particles drawn systematically; ``grid`` is arange(N)."""
+def _resample_due(log_w: np.ndarray) -> bool:
+    """Whether the effective sample size 1 / sum(w^2), w = exp(log_w), of
+    the normalized log weights ``log_w`` is below half their count N.
+
+    The decision is that of the exact form 1 / exp(logsumexp(2 log_w)) at
+    the cost of one exp and one dot.  Both forms round the same sum
+    s = sum(exp(2 log_w)).  The dot adds N non-negative squares of exps
+    that are within a few ulps, so it is within (N + 8)u of s relative,
+    u = 2^-53 (Higham 2002, *Accuracy and Stability of Numerical
+    Algorithms*, section 4.2); the exact form's shifted exponentials, their
+    sum and its log stay within (1.4N + 12 ln N + 8)u.  The two sizes thus
+    differ by under (2.4N + 12 ln N + 16)u relative, which is below the
+    band of N max(1e-9, 3e-16 N) around N/2 for every N (below 2e-9
+    relative up to N = 3.3 million).  Outside the band both forms fall on
+    the same side of N/2; inside it the exact form decides.
+    """
+    N = log_w.size
+    e = np.exp(log_w)
+    ess = 1.0 / e.dot(e)
+    if abs(ess - 0.5 * N) <= N * max(1e-9, 3e-16 * N):
+        ess = 1.0 / np.exp(_lse(2.0 * log_w))
+    return ess < 0.5 * N
+
+
+def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Indices of N particles drawn systematically: with one uniform U and
+    the positions p_k = (U + k) / N, k = 0..N-1, index k is the first i
+    whose cumulative weight c_i reaches p_k, and N - 1 past the last.
+
+    These are the indices of ``np.searchsorted(c, p)`` clipped at N - 1,
+    bit for bit, found by counting rather than searching.  G_i, the number
+    of positions at or below c_i, is floor(c_i N - U) + 1 but for rounding
+    that is far below one position (a few N u), so comparing c_i with the
+    exact positions at G_i - 1 and G_i corrects it by one either way; then
+    index k is the number of i with G_i <= k, and forcing G_{N-1} = N
+    gives the last particle every position past the end.
+    """
     N = weights.size
-    positions = (rng.uniform() + grid) / N
-    return np.minimum(np.searchsorted(np.cumsum(weights), positions), N - 1)
+    u = rng.uniform()
+    c = np.cumsum(weights)
+    G = (c * N + (1.0 - u)).astype(np.intp)     # within one of the count
+    G -= (u + (G - 1)) / N > c                  # position G - 1 lies above c_i
+    G += (u + G) / N <= c                       # position G lies at or below c_i
+    G[-1] = N
+    return np.bincount(G)[:N].cumsum()
 
 
 def _weighted_moments(P: np.ndarray, wts: np.ndarray):
@@ -1068,6 +1117,11 @@ def _particle_pass(spec: ModelSpec, y, n_particles: int, rng_seed: int, missing,
     likelihood of both modes is the same to the bit.  The effective
     sample size is checked only after an update: with no observed channel
     the weights are those that passed the last check (or are uniform).
+    That check (:func:`_resample_due`) and the resample
+    (:func:`_systematic_resample`) compute only the decisions they return,
+    the same ones as the exact log-sum-exp form and a binary search.  The
+    whole recursion runs under one ``np.errstate``, so its log-sum-exps
+    call :func:`_lse`.
     """
     if n_particles < 100:
         raise EmaError("PARTICLES_TOO_FEW", f"need >= 100 particles, got {n_particles}")
@@ -1087,9 +1141,8 @@ def _particle_pass(spec: ModelSpec, y, n_particles: int, rng_seed: int, missing,
 
     P = spec.initial_mean[:, None] + L0 @ rng.standard_normal((N, n)).T
     log_w = flat_log_w = np.full(N, -np.log(N))
-    wts = flat_wts = np.exp(flat_log_w - _logsumexp(flat_log_w))
+    wts = flat_wts = np.exp(flat_log_w - _lse(flat_log_w))
     ll = np.zeros(T)
-    grid = np.arange(N)
     observed = (~missing).any(axis=1).tolist()
     if store:
         pred_m = np.empty((T, n)); pred_P = np.empty((T, n, n))
@@ -1115,21 +1168,20 @@ def _particle_pass(spec: ModelSpec, y, n_particles: int, rng_seed: int, missing,
                                              f"{int(np.argmax(bad))} is NaN or +inf "
                                              f"at ping {t}")
         log_w = log_w + incr
-        tot = _logsumexp(log_w)
+        tot = _lse(log_w)
         if not np.isfinite(tot):
             raise EmaError("DEGENERATE_WEIGHTS",
                            f"all particle weights vanished at ping {t}")
         ll[t] = tot          # log sum of W_prev * incremental weight
         log_w = log_w - tot
         if store:
-            wts = np.exp(log_w - _logsumexp(log_w))
+            wts = np.exp(log_w - _lse(log_w))
             filt_m[t], filt_P[t] = _weighted_moments(P, wts)
 
-        ess = 1.0 / np.exp(_logsumexp(2.0 * log_w))
-        if ess < N / 2.0:
+        if _resample_due(log_w):
             if not store:
-                wts = np.exp(log_w - _logsumexp(log_w))
-            P = P.take(_systematic_resample(wts, rng, grid), axis=1)
+                wts = np.exp(log_w - _lse(log_w))
+            P = P.take(_systematic_resample(wts, rng), axis=1)
             log_w, wts = flat_log_w, flat_wts
 
     return timestamps, missing, ll, (pred_m, pred_P, filt_m, filt_P) if store else None

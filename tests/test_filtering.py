@@ -9,12 +9,13 @@ from scipy.special import gammaln, log_expit, logsumexp
 import emastate as es
 from emastate import filtering
 from emastate.errors import EmaError
-from emastate.filtering import (_logsumexp, _observation_density, _particle_pass, _series,
-                                _weighted_moments)
+from emastate.filtering import (_logsumexp, _observation_density, _particle_pass,
+                                _resample_due, _series, _systematic_resample, _weighted_moments)
 from emastate.model import _gap_transitions
 
 from oracles import (bootstrap_filter, ct_gaussian_joint, gaussian_joint,
                      poisson_t2_loglik, random_stable_spec, rts_backward_loop)
+from oracles import _systematic_resample as searched_resample
 
 
 def _simulate_series(spec, T, seed, miss_frac=0.0):
@@ -237,7 +238,9 @@ def test_ct_filter_and_smoother_across_multi_day_gaps_match_joint_oracle():
     # finite and increasing, but the first gap overflows: the gap kernel's check
     ([-1e308, 1e308, 1.2e308, 1.5e308], "INVALID_MODEL", "dt must be positive and finite, got inf"),
 ])
-@pytest.mark.parametrize("entry", ["kalman_filter_ct", "kalman_smooth", "particle_filter"])
+@pytest.mark.parametrize("entry", ["kalman_filter_ct", "kalman_smooth", "particle_filter",
+                                   "fit"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")    # the typed error is the only signal
 def test_non_finite_gap_is_typed(entry, t, code, says):
     spec = es.ModelSpec(A=[[-0.5]], Sigma=[[1.0]], Theta=[[0.5]], initial_cov=[[1.0]],
                         time_mode="continuous")
@@ -247,6 +250,10 @@ def test_non_finite_gap_is_typed(entry, t, code, says):
         "kalman_filter_ct": lambda: es.kalman_filter_ct(spec, t, y),
         "kalman_smooth": lambda: es.kalman_smooth(spec, y, timestamps=t),
         "particle_filter": lambda: es.particle_filter(spec, y, 100, 0, timestamps=t),
+        # the Participant checks its own timestamps first, then the fit its gaps
+        "fit": lambda: es.fit(spec, es.ParameterMap({"A": [["free"]]}), es.EmaDataset(
+            [es.Participant("p1", t, y, np.zeros((4, 1), bool), np.zeros((4, 0)))], ["y1"], []),
+            options=es.FitOptions(n_restarts=1, max_iter=1)),
     }
     with pytest.raises(EmaError) as exc:
         calls[entry]()
@@ -584,6 +591,82 @@ def test_logsumexp_is_bit_equal_to_scipy(seed, size, offset, spread, ties, neg_i
             a[rng.integers(0, size)] = np.nan
     ours = np.float64(_logsumexp(a))
     assert ours.tobytes() == np.float64(logsumexp(a)).tobytes()
+
+
+class _FixedUniform:
+    """A generator whose one uniform draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self):
+        return self.u
+
+
+@st.composite
+def _resample_weights(draw):
+    """Normalized weights of 1 to 5,000 particles: exponential, heavy-tailed,
+    mostly zero, one-hot, tied or uniform."""
+    N = draw(st.integers(1, 5000))
+    kind = draw(st.sampled_from(["exponential", "heavy", "zeros", "one-hot", "ties",
+                                 "uniform"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "exponential":
+        w = rng.exponential(size=N)
+    elif kind == "heavy":
+        w = rng.pareto(0.5, size=N)
+    elif kind == "zeros":
+        w = rng.exponential(size=N) * (rng.uniform(size=N) < 0.3)
+    elif kind == "one-hot":
+        w = np.zeros(N)
+        w[rng.integers(N)] = 1.0
+    elif kind == "ties":
+        w = rng.choice([0.0, 0.25, 1.0, 3.0], size=N)
+    else:
+        w = np.ones(N)
+    if not w.sum() > 0:
+        w[-1] = 1.0
+    return w / w.sum()
+
+
+@settings(max_examples=400, deadline=None)
+@given(w=_resample_weights(),
+       u=st.one_of(st.sampled_from([0.0, 0.5, 1.0 - 2.0**-53]),
+                   st.floats(0.0, 1.0, exclude_max=True)))
+def test_counting_resample_equals_the_binary_search_bit_for_bit(w, u):
+    got = _systematic_resample(w, _FixedUniform(u))
+    want = searched_resample(w, _FixedUniform(u))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 5000),
+       spread=st.floats(1e-3, 30.0), neg_inf=st.floats(0.0, 0.9))
+def test_resample_decision_equals_the_exact_effective_sample_size(seed, size, spread,
+                                                                 neg_inf):
+    rng = np.random.default_rng(seed)
+    a = spread * rng.standard_normal(size)
+    a[rng.uniform(size=size) < neg_inf] = -np.inf
+    a[rng.integers(size)] = 0.0
+    log_w = a - logsumexp(a)
+    assert _resample_due(log_w) == (1.0 / np.exp(_logsumexp(2.0 * log_w)) < size / 2.0)
+
+
+@pytest.mark.parametrize("weights", [(1.0, 0.0), (0.5, 0.5, 0.0, 0.0)])
+def test_effective_sample_size_of_exactly_half_is_decided_by_the_exact_form(monkeypatch,
+                                                                           weights):
+    exact, lse = [], filtering._lse
+
+    def counting(a):
+        exact.append(a.size)
+        return lse(a)
+
+    monkeypatch.setattr(filtering, "_lse", counting)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(np.array(weights))
+    assert 1.0 / np.exp(logsumexp(2.0 * log_w)) == len(weights) / 2.0
+    assert not _resample_due(log_w)         # ESS == N/2 is not below half
+    assert exact == [len(weights)]          # the fallback band ran the exact form
 
 
 def _particle_case(name):
