@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from . import dataio
 from .errors import IO_CODES, NUMERICAL_CODES, EmaError
 from .estimate import FitOptions, ParameterMap, fit, fit_candidates, rank_fits
-from .filtering import _kalman_cohort, particle_filter
+from .filtering import _cohort, particle_filter
 # perfbench/spans.py wraps the two Kalman filters where this module binds them
 from .filtering import kalman_filter, kalman_filter_ct  # noqa: F401
 from .figures import columns_to_delimited, figure_series
@@ -156,11 +156,11 @@ def _cmd_filter(args) -> int:
         args.method == "auto" and not spec.all_gaussian)
     if use_particle and args.seed is None:
         raise EmaError("BAD_SCENARIO", "--seed is mandatory for the particle filter")
-    if use_particle:
+    if use_particle:        # per participant: perfbench/spans.py times this binding
         results = (particle_filter(spec, p.Y, args.particles, args.seed, p.missing,
                                    p.U, p.timestamps) for p in data.participants)
     else:
-        results = (r for r, _ in _kalman_cohort(spec, data.participants))
+        results = (r for r, _ in _cohort(spec, data.participants))
     blocks = []
     total_ll = 0.0
     for p, r in zip(data.participants, results):

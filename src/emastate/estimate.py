@@ -47,7 +47,8 @@ series.
   at the iterate alone, so the score could not pay there.  The Kalman
   ones run all their points in one lean pass; in continuous time each
   point first discretizes its members' gaps in one gap-kernel call.  A
-  particle fit filters one series at a time.
+  particle fit filters one cohort of its participants per point, whose
+  gaps likewise go into one gap-kernel call.
 
 Kalman fits get the same values, bit for bit, as filtering each series
 alone: each participant's terms are summed over its own pings, and the
@@ -65,11 +66,11 @@ import numpy as np
 from .bfgs import minimize      # perfbench/spans.py wraps it here
 from .dataset import EmaDataset, Participant, missing_cells
 from .errors import EmaError
-from .filtering import (_gap_steps, _kalman_score, _kalman_stack, _particle_pass, _series,
-                        _stack_series)
+from .filtering import _cohort, _gap_steps, _kalman_score, _kalman_stack, _series, _stack_series
 # perfbench/spans.py wraps these here
 from .filtering import kalman_filter, kalman_filter_ct, particle_filter  # noqa: F401
-from .model import ModelSpec, _cohort_steps, require_valid
+from .model import (ModelSpec, _cohort_steps, _pin_random_walk_rows, non_finite_matrices,
+                    require_valid)
 from .simulate import DisturbanceEvent, encode_disturbance
 
 FREE = "free"
@@ -184,9 +185,8 @@ class Parameterization:
         for name in _COV_NAMES:
             self._compile_cov(name, pmap.grid(name, self._base[name].shape),
                               self._base[name])
-        for i in template.random_walk_states:
-            self._base["A"][i, :] = 0.0
-            self._base["A"][i, i] = 1.0 if template.time_mode == "discrete" else 0.0
+        self._base["A"] = _pin_random_walk_rows(self._base["A"], template.random_walk_states,
+                                                template.time_mode)
         self._writes = {key: (np.array(at), np.array(cols, dtype=int))
                         for key, (at, cols) in self._writes.items()}
         self.n_free = len(self.slots)
@@ -603,17 +603,18 @@ def _evaluators(problems: Sequence[_Problem], options: FitOptions, penalty: floa
     pending search of the group, lean over the 2k+1 points of each (1x1
     and continuous-time groups) or stored at each iterate (the exact
     score).  Particle problems take central differences of an objective
-    that filters their points one series at a time."""
+    that filters each point's participants as one particle cohort
+    (:func:`~emastate.filtering._cohort`)."""
     if options.likelihood == "particle":
         def objective(prob, theta):
             spec = prob.par.unpack(theta)
-            if not all(np.isfinite(getattr(spec, name)).all() for name in _MATRIX_NAMES):
+            if non_finite_matrices(spec):
                 return penalty
             try:
                 with np.errstate(all="ignore"):   # non-finite points are penalized
-                    total = sum(float(_particle_pass(
-                        spec, p.Y, options.n_particles, options.particle_seed, p.missing,
-                        p.U, p.timestamps, store=False)[2].sum()) for p in prob.participants)
+                    total = sum(float(ll.sum()) for ll, _ in _cohort(
+                        spec, prob.participants, options.n_particles, options.particle_seed,
+                        store=False))
             except EmaError as err:
                 if err.code in _RECOVERABLE:      # a different theta may cure these
                     return penalty

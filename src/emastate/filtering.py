@@ -26,6 +26,14 @@ ordinal, or dichotomous channels fall back to a bootstrap particle filter;
 fits run its likelihood-only pass, which keeps no moments and gives the
 filter's log-likelihood to the bit.
 
+Both filters enter through one cohort entry point, :func:`_cohort`: the
+public filters as a cohort of one (:func:`_alone`, which first validates
+the spec), CLI ``filter --method kalman`` and each point of a particle fit
+as a cohort of all participants.  It checks the filter's own arguments,
+then each series, then builds every series' steps in one call (and for the
+particle filter their noise factors), and raises the first failure in
+participant order, as filtering one participant after another would.
+
 Covariance updates use the Joseph form: EMA series are long and round-off
 accumulates.
 """
@@ -729,13 +737,13 @@ def _require_gaussian(spec: ModelSpec) -> None:
                        "use particle_filter for count/ordinal/dichotomous data")
 
 
-def _kalman(spec: ModelSpec, y, missing, u, timestamps):
-    """The Kalman filter of one series, run as a cohort of one, and the
-    transition matrices of its steps; the spec must pass
-    :func:`~emastate.model.validate_model`."""
+def _alone(spec: ModelSpec, y, missing, u, timestamps, **particles):
+    """The filter of one series, run as a cohort of one (:func:`_cohort`,
+    with ``particles`` its particle arguments), and the transition matrices
+    of its steps; the spec must pass :func:`~emastate.model.validate_model`."""
     require_valid(spec)
     one = SimpleNamespace(Y=y, missing=missing, U=u, timestamps=timestamps)
-    return next(_kalman_cohort(spec, [one]))
+    return next(_cohort(spec, [one], **particles))
 
 
 def kalman_filter(spec: ModelSpec, y, missing=None, u=None,
@@ -749,7 +757,7 @@ def kalman_filter(spec: ModelSpec, y, missing=None, u=None,
     if spec.time_mode != "discrete":
         raise EmaError("INVALID_MODEL", "kalman_filter expects a discrete-time spec; "
                                         "use kalman_filter_ct")
-    return _kalman(spec, y, missing, u, timestamps)[0]
+    return _alone(spec, y, missing, u, timestamps)[0]
 
 
 def kalman_filter_ct(spec: ModelSpec, timestamps, y, missing=None,
@@ -762,7 +770,7 @@ def kalman_filter_ct(spec: ModelSpec, timestamps, y, missing=None,
     """
     if spec.time_mode != "continuous":
         raise EmaError("INVALID_MODEL", "kalman_filter_ct expects a continuous-time spec")
-    return _kalman(spec, y, missing, u, timestamps)[0]
+    return _alone(spec, y, missing, u, timestamps)[0]
 
 
 def _stack_series(series, p: int, q: int):
@@ -794,56 +802,91 @@ def _gap_steps(table, rows):
     return tuple(np.concatenate([x, e[None]])[rows] for x, e in zip(table, pad))
 
 
-# Members of one stacked pass of :func:`_kalman_cohort`: bounds the memory of
+# Members of one stacked pass of :func:`_kalman_runs`: bounds the memory of
 # its stored moments on big cohorts.
 _COHORT_CHUNK = 64
 
 
-def _kalman_cohort(spec: ModelSpec, participants):
-    """Yield the Kalman filter of each participant (objects with ``Y``,
+def _cohort(spec: ModelSpec, participants, n_particles=None, seed=None, store=True):
+    """Yield the filter of each participant (objects with ``Y``,
     ``missing``, ``U`` and ``timestamps``) in order, with the (T-1, n, n)
-    transition matrices of its steps.  Public filters are a cohort of one,
-    and CLI ``filter`` a cohort of all participants; each participant
-    equals its own call bit for bit.
+    transition matrices of its steps: the Kalman filter, or with
+    ``n_particles`` the particle filter, each participant's draws from its
+    own generator seeded with ``seed``.  Every filter of the package runs
+    here: a public filter as a cohort of one (:func:`_alone`), CLI
+    ``filter --method kalman`` a cohort of all participants, and a particle
+    fit one cohort per point, whose participants yield their per-ping
+    log-likelihood terms in place of a :class:`FilterResult` (``store``
+    false).  Each participant equals its own call bit for bit.  The spec
+    is not checked here.
 
-    Every series is checked first, and the steps of all of them come from
-    one :func:`~emastate.model._cohort_steps` call; one stored
-    :func:`_kalman_stack` pass runs per chunk of ``_COHORT_CHUNK``
-    participants, padded as in a pooled fit (identity steps from
-    :func:`_gap_steps`, unobserved pings).  The first participant whose
-    series, gaps or filter fails raises what its own call would, after the
-    participants before it are yielded.
+    The cohort is staged once, in the order one participant's own call
+    meets the checks: the filter's own (Gaussian channels for the Kalman
+    filter, at least 100 particles); each series in turn (:func:`_series`,
+    and for the particle filter the observation checks of
+    :func:`_observation_density`) until one fails; the steps of the
+    series before it from one :func:`~emastate.model._cohort_steps` call;
+    and for the particle filter the initial covariance's factor and the
+    step noises' from one :func:`~emastate.model._step_roots` call.  The
+    Kalman filter then runs in stacked chunks (:func:`_kalman_runs`), the
+    particle filter participant by participant (:func:`_particle_pass`).
+    The first participant whose series, gaps, noise factor or filter fails
+    raises what its own call would, after the participants before it are
+    yielded.
     """
-    _require_gaussian(spec)
+    particle = n_particles is not None
+    if not particle:
+        _require_gaussian(spec)
+    elif n_particles < 100:
+        raise EmaError("PARTICLES_TOO_FEW", f"need >= 100 particles, got {n_particles}")
     series, pending = [], None
     for p in participants:
         try:
-            series.append(_series(spec, p.Y, p.missing, p.U, p.timestamps))
+            s = _series(spec, p.Y, p.missing, p.U, p.timestamps)
+            series.append(s + ((_observation_density(spec, *s[:2]),) if particle else ()))
         except EmaError as err:
             pending = err
             break
     with np.errstate(over="ignore"):    # an overflowing gap is the gap kernel's error
         gaps = [np.diff(s[3]) for s in series]
-    table, rows, kept, err = _cohort_steps(spec, gaps)
-    del series[kept:]
+    (A_d, Sigma_d, G_d), rows, kept, err = _cohort_steps(spec, gaps)
     pending = err or pending        # a cut participant comes before a failing series
+    if particle:
+        try:        # the initial covariance fails each participant's own call after its gaps
+            L0 = psd_sqrt(spec.initial_cov) if kept else None
+            roots, kept, pending = _step_roots(Sigma_d, rows, kept, pending)
+        except EmaError as bad:
+            kept, pending = 0, bad
+    series = [(*s, r[:max(len(s[0]) - 1, 0)]) for s, r in zip(series[:kept], rows)]  # + its steps
 
+    if particle:
+        runs = (_particle_pass(spec, y, missing, u, density, L0, (A_d[k], G_d[k], roots[k]),
+                               n_particles, seed, store)
+                for y, missing, u, _, density, k in series)
+    else:
+        runs = _kalman_runs(spec, series, (A_d, Sigma_d, G_d), rows)
+    for (y, missing, _, timestamps, *_, k), (moments, ll, total) in zip(series, runs):
+        yield ((FilterResult(timestamps, *moments, ll, total, int(missing.any(axis=1).sum()),
+                             missing) if store else ll), A_d[k])
+    if pending is not None:
+        raise pending
+
+
+def _kalman_runs(spec: ModelSpec, series, table, rows):
+    """The stored moments, per-ping log-likelihood terms and total of
+    each checked series (see :func:`_cohort`), from one stored
+    :func:`_kalman_stack` pass per chunk of ``_COHORT_CHUNK`` series,
+    padded as in a pooled fit (identity steps from :func:`_gap_steps`,
+    unobserved pings); a series whose filter fails raises in its turn."""
     for lo in range(0, len(series), _COHORT_CHUNK):
         chunk = series[lo:lo + _COHORT_CHUNK]
         y, obs, u, lengths = _stack_series(chunk, spec.n_obs, spec.n_inputs)
         steps = rows[lo:lo + len(chunk), :max(y.shape[1] - 1, 0)]
         res = _kalman_stack(y, obs, u, spec.initial_mean, spec.initial_cov, spec.H,
                             spec.Theta, _gap_steps(table, steps), store=True, lengths=lengths)
-        pm, pP, fm, fP = res.moments
-        for r, (_, missing, _, timestamps) in enumerate(chunk):
+        for r, k in enumerate(lengths):
             res.raise_failure(r)
-            k = lengths[r]
-            yield (FilterResult(timestamps, pm[r, :k], pP[r, :k], fm[r, :k], fP[r, :k],
-                                res.loglik[r, :k], float(res.total[r]),
-                                int(missing.any(axis=1).sum()), missing),
-                   table[0][steps[r, :max(k - 1, 0)]])
-    if pending is not None:
-        raise pending
+            yield [x[r, :k] for x in res.moments], res.loglik[r, :k], float(res.total[r])
 
 
 def kalman_smooth(spec: ModelSpec, y, missing=None, u=None,
@@ -858,7 +901,7 @@ def kalman_smooth(spec: ModelSpec, y, missing=None, u=None,
     inverse of a predicted covariance is taken, so a singular one (a
     noiseless random-walk state) needs no special case.
     """
-    f, A = _kalman(spec, y, missing, u, timestamps)
+    f, A = _alone(spec, y, missing, u, timestamps)
     a, P = f.predicted_mean, f.predicted_cov
     T, n = a.shape
     if not T:
@@ -1099,15 +1142,15 @@ def _observation_density(spec: ModelSpec, y: np.ndarray, missing: np.ndarray):
 
 
 @np.errstate(all="ignore")      # non-finite states are caught by the checks below
-def _particle_pass(spec: ModelSpec, y, n_particles: int, rng_seed: int, missing,
-                   u, timestamps, store: bool):
-    """The bootstrap recursion of :func:`particle_filter`.
+def _particle_pass(spec: ModelSpec, y, missing, u, density, L0, steps, n_particles: int,
+                   rng_seed: int, store: bool):
+    """The bootstrap recursion of :func:`particle_filter` over one series
+    staged by :func:`_cohort`: its checked data, its observation
+    ``density``, the factor ``L0`` of the initial covariance, and the steps
+    (A, G, L) into each ping after the first, L L' the step's noise.
 
-    Returns (timestamps, missing, per-ping log-likelihood terms, moments);
-    the moments (predicted and filtered means and covariances) only with
-    ``store``.  The step into ping k+1 takes its row of the step table of
-    :func:`~emastate.model._cohort_steps`, whose noises
-    :func:`~emastate.model._step_roots` factors.
+    Returns the moments (predicted and filtered means and covariances; None
+    without ``store``), the per-ping log-likelihood terms and their sum.
     The particles are one state-major array P (n, N), stepped as
     A P + G u + L Z' with Z the (N, n) normal block: the random stream and
     the log-likelihood terms are those of an (N, n) array bit for bit, and
@@ -1123,22 +1166,8 @@ def _particle_pass(spec: ModelSpec, y, n_particles: int, rng_seed: int, missing,
     whole recursion runs under one ``np.errstate``, so its log-sum-exps
     call :func:`_lse`.
     """
-    if n_particles < 100:
-        raise EmaError("PARTICLES_TOO_FEW", f"need >= 100 particles, got {n_particles}")
-    y, missing, u, timestamps = _series(spec, y, missing, u, timestamps)
-    density = _observation_density(spec, y, missing)
     T, n, N = y.shape[0], spec.n_states, n_particles
-    (A_d, Sigma_d, G_d), rows, _, err = _cohort_steps(spec, [np.diff(timestamps)])
-    if err is not None:
-        raise err
-
     rng = np.random.default_rng(rng_seed)
-    L0 = psd_sqrt(spec.initial_cov)
-    chol, _, err = _step_roots(Sigma_d, rows)
-    if err is not None:
-        raise err
-    steps = [x[rows[0]] for x in (A_d, G_d, chol)]     # into each ping after the first
-
     P = spec.initial_mean[:, None] + L0 @ rng.standard_normal((N, n)).T
     log_w = flat_log_w = np.full(N, -np.log(N))
     wts = flat_wts = np.exp(flat_log_w - _lse(flat_log_w))
@@ -1184,7 +1213,7 @@ def _particle_pass(spec: ModelSpec, y, n_particles: int, rng_seed: int, missing,
             P = P.take(_systematic_resample(wts, rng), axis=1)
             log_w, wts = flat_log_w, flat_wts
 
-    return timestamps, missing, ll, (pred_m, pred_P, filt_m, filt_P) if store else None
+    return ((pred_m, pred_P, filt_m, filt_P) if store else None), ll, float(ll.sum())
 
 
 def particle_filter(spec: ModelSpec, y, n_particles: int, rng_seed: int,
@@ -1198,10 +1227,9 @@ def particle_filter(spec: ModelSpec, y, n_particles: int, rng_seed: int,
     the plain mean, and either way the estimator of the likelihood itself is
     unbiased.  An observation density that is NaN or +inf raises
     ``NON_FINITE``; weights that all vanish raise ``DEGENERATE_WEIGHTS``.
+    A spec that fails :func:`~emastate.model.validate_model` raises its
+    first error, as in the Kalman filters.
     Particles are stored state-major, (n_states, n_particles), so the
     per-particle work of a ping runs over contiguous rows.
     """
-    timestamps, missing, ll, moments = _particle_pass(
-        spec, y, n_particles, rng_seed, missing, u, timestamps, store=True)
-    return FilterResult(timestamps, *moments, ll, float(ll.sum()),
-                        int(missing.any(axis=1).sum()), missing)
+    return _alone(spec, y, missing, u, timestamps, n_particles=n_particles, seed=rng_seed)[0]

@@ -463,7 +463,8 @@ def require_valid(spec: ModelSpec) -> None:
 
 
 def _pin_random_walk_rows(A: np.ndarray, rw: frozenset[int], time_mode: str) -> np.ndarray:
-    # expm/logm keep pinned rows only to round-off; restore them exactly.
+    # a copy of A with the random-walk rows pinned exactly: fits never estimate
+    # them, and expm/logm keep them only to round-off
     A = A.copy()
     for i in rw:
         A[..., i, :] = 0.0
@@ -655,20 +656,22 @@ def _cohort_steps(spec: ModelSpec, gaps, drifts=None):
     return tuple(table), rows, kept, err
 
 
-def _step_roots(Sigma_d, rows):
-    """Factors L with L L' = Sigma_d[e] of a step table's noises (see
-    :func:`_cohort_steps`), from one Cholesky call.  Where a noise is
-    singular, the entries that ``rows`` uses are factored by
-    :func:`psd_sqrt` instead, once per distinct noise, in order of first
-    use.  A table whose noises are all one noise, bit for bit (discrete
-    time under drifts), is factored once.  Returns the factors, the number
-    of series before the first step whose noise cannot be factored (all of
-    them if none), and its error (or None)."""
+def _step_roots(Sigma_d, rows, kept, err):
+    """Factors L with L L' = Sigma_d[e] of a step table's noises, and the
+    cut of :func:`_cohort_steps` (``kept`` series, then ``err``) moved to
+    the first series with a step whose noise cannot be factored, if any;
+    that series comes before the cut, as ``rows`` is -1 past it.
+
+    The noises come from one Cholesky call.  Where a noise is singular, the
+    entries that ``rows`` uses are factored by :func:`psd_sqrt` instead,
+    once per distinct noise, in order of first use.  A table whose noises
+    are all one noise, bit for bit (discrete time under drifts), is
+    factored once."""
     if len(Sigma_d) > 1 and (Sigma_d.view(np.uint64) == Sigma_d[:1].view(np.uint64)).all():
-        roots, cut, err = _step_roots(Sigma_d[:1], np.minimum(rows, 0))
-        return np.broadcast_to(roots, Sigma_d.shape), cut, err
+        roots, kept, err = _step_roots(Sigma_d[:1], np.minimum(rows, 0), kept, err)
+        return np.broadcast_to(roots, Sigma_d.shape), kept, err
     try:
-        return np.linalg.cholesky(Sigma_d), len(rows), None
+        return np.linalg.cholesky(Sigma_d), kept, err
     except np.linalg.LinAlgError:       # some noise is singular
         roots, factors = np.zeros(np.shape(Sigma_d)), {}
     entries, first = np.unique(rows, return_index=True)
@@ -678,10 +681,10 @@ def _step_roots(Sigma_d, rows):
         if key not in factors:
             try:
                 factors[key] = psd_sqrt(Sigma_d[e])
-            except EmaError as err:
-                return roots, at // rows.shape[1], err
+            except EmaError as bad:
+                return roots, at // rows.shape[1], bad
         roots[e] = factors[key]
-    return roots, len(rows), None
+    return roots, kept, err
 
 
 def discretize(spec: ModelSpec, dt: float) -> ModelSpec:

@@ -426,8 +426,7 @@ def _simulate_cohort(spec: ModelSpec, cohort: list, rngs):
     """
     (A_d, S_d, G_d), rows, kept, pending = _cohort_steps(
         spec, [np.diff(c[0]) for c in cohort], [c[2] for c in cohort])
-    roots, cut, err = _step_roots(S_d, rows)
-    kept, pending = min(kept, cut), err or pending      # a root fails only before the cut
+    roots, kept, pending = _step_roots(S_d, rows, kept, pending)
     if not kept:
         return [], pending
     L_theta, L0 = psd_sqrt(spec.Theta), psd_sqrt(spec.initial_cov)

@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from scipy.special import gammaln, log_expit, logsumexp
 import emastate as es
 from emastate import filtering
 from emastate.errors import EmaError
-from emastate.filtering import (_logsumexp, _observation_density, _particle_pass,
-                                _resample_due, _series, _systematic_resample, _weighted_moments)
+from emastate.filtering import (_cohort, _logsumexp, _observation_density, _resample_due,
+                                _series, _systematic_resample, _weighted_moments)
 from emastate.model import _gap_transitions
 
 from oracles import (bootstrap_filter, ct_gaussian_joint, gaussian_joint,
@@ -429,6 +430,29 @@ def test_particles_too_few_rejected():
     assert exc.value.code == "PARTICLES_TOO_FEW"
 
 
+# one-state specs that validate_model rejects, and data the density would accept
+INVALID_PARTICLE_SPECS = {
+    "BAD_FAMILY": (dict(H=[[1.0], [1.0]], Theta=np.eye(2), channels=(
+        es.MeasurementChannel(family="poisson", link="log"),
+        es.MeasurementChannel(family="gaussain"))), [[1.0, 0.2], [2.0, 0.1], [0.0, -0.3]]),
+    "BAD_LINK": (dict(Theta=[[0.0]], channels=(
+        es.MeasurementChannel(family="poisson", link="sqrt"),)), [[1.0], [2.0]]),
+    "BAD_THRESHOLDS": (dict(Theta=[[0.0]], channels=(
+        es.MeasurementChannel(family="graded_response", thresholds=(1.0, 0.0)),)),
+        [[1.0], [3.0]]),
+}
+
+
+@pytest.mark.parametrize("code", INVALID_PARTICLE_SPECS)
+def test_particle_filter_rejects_a_spec_that_fails_validation(code):
+    matrices, y = INVALID_PARTICLE_SPECS[code]
+    spec = es.ModelSpec(A=[[0.5]], Sigma=[[1.0]], **matrices)
+    assert [c for c, _ in es.validate_model(spec).errors] == [code]
+    with pytest.raises(EmaError) as exc:
+        es.particle_filter(spec, np.array(y), 200, 1)
+    assert exc.value.code == code
+
+
 def test_particle_missing_channels_contribute_unit_weight():
     spec = es.ModelSpec(A=[[0.5]], Sigma=[[1.0]], Theta=[[0.5]])
     Y = np.array([[0.3], [np.nan], [0.1]])
@@ -727,10 +751,40 @@ def test_particle_filter_matches_reference_bit_for_bit(case):
 @pytest.mark.parametrize("case", PARTICLE_CASES)
 def test_likelihood_only_pass_equals_the_filter_bit_for_bit(case):
     spec, y, missing, times, u = _particle_case(case)
-    *_, ll, moments = _particle_pass(spec, y, 500, 9, missing, u, times, store=False)
-    assert moments is None
+    one = SimpleNamespace(Y=y, missing=missing, U=u, timestamps=times)
+    (ll, _), = _cohort(spec, [one], 500, 9, store=False)
+    assert ll.shape == (y.shape[0],)
     assert float(ll.sum()) == es.particle_filter(spec, y, 500, 9, missing, u,
                                                  timestamps=times).log_likelihood
+
+
+def _particle_cohort(case):
+    """The spec of a reference-comparison case and four participants cut
+    from its series: overlapping windows of different lengths, one of a
+    single ping."""
+    spec, y, missing, times, u = _particle_case(case)
+    T = y.shape[0]
+    return spec, [SimpleNamespace(Y=y[at], missing=missing[at], U=u[at], timestamps=times[at])
+                  for at in (slice(0, T // 2), slice(3, 4), slice(2, T), slice(5, 5 + T // 4))]
+
+
+@pytest.mark.parametrize("case", PARTICLE_CASES)
+def test_particle_cohort_equals_each_participant_s_own_call_bit_for_bit(case):
+    spec, people = _particle_cohort(case)
+    stored = list(_cohort(spec, people, 500, 4))
+    terms = list(_cohort(spec, people, 500, 4, store=False))
+    assert len(stored) == len(terms) == len(people)
+    for p, (r, A), (ll, A_lean) in zip(people, stored, terms):
+        want = es.particle_filter(spec, p.Y, 500, 4, p.missing, p.U, timestamps=p.timestamps)
+        for name in ("timestamps", "predicted_mean", "predicted_cov", "filtered_mean",
+                     "filtered_cov", "loglik_contributions", "missing"):
+            a, b = getattr(r, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert (r.log_likelihood, r.missing_handled) == (want.log_likelihood,
+                                                         want.missing_handled)
+        assert ll.tobytes() == r.loglik_contributions.tobytes()
+        assert A.shape == (max(p.Y.shape[0] - 1, 0), spec.n_states, spec.n_states)
+        assert A.tobytes() == A_lean.tobytes()
 
 
 @pytest.mark.parametrize("time_mode, tvp, distinct",

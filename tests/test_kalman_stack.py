@@ -261,11 +261,19 @@ def test_stored_term_is_positive_zero_where_only_another_member_observes():
 # --- the cohort pass of CLI filter: each participant's own call, bit for bit ---
 
 COHORT_MODELS = ["1x1 discrete", "2x2 discrete", "2x2 continuous"]
+PARTICLES = (200, 3)        # particle count and seed of the particle model's filters
 
 
 def _cohort_spec(model, **kw):
+    """A spec of one of ``COHORT_MODELS``, or of "particle continuous": the
+    continuous 2x2 model measured by a 5-category graded-response channel
+    and a log-link Poisson channel."""
     if model == "1x1 discrete":
         return es.ModelSpec(A=[[0.6]], Sigma=[[0.8]], G=[[0.3]], Theta=[[0.5]], **kw)
+    if model == "particle continuous":
+        kw["channels"] = (es.MeasurementChannel(family="graded_response", discrimination=1.5,
+                                                thresholds=(-1.5, -0.5, 0.5, 1.5)),
+                          es.MeasurementChannel(family="poisson", state_index=1, link="log"))
     A = [[0.5, 0.15], [-0.1, 0.6]] if model == "2x2 discrete" else [[-0.3, 0.1], [0.05, -0.5]]
     return es.ModelSpec(A=A, Sigma=[[1.0, 0.2], [0.2, 0.7]], G=[[0.3], [-0.2]],
                         H=[[1.0, 0.0], [0.4, 1.0]], Theta=[[0.5, 0.1], [0.1, 0.4]],
@@ -284,7 +292,8 @@ def _cohort_people(rng, spec, lengths, miss_frac=0.3):
         missing[rng.uniform(size=T) < 0.2] = True
         if i == 2:
             missing[:] = True
-        Y = np.where(missing, np.nan, rng.normal(size=(T, spec.n_obs)))
+        Y = np.where(missing, np.nan, rng.normal(size=(T, spec.n_obs)) if spec.all_gaussian
+                     else rng.integers(1, 4, size=(T, spec.n_obs)))     # categories, counts
         people.append(SimpleNamespace(pid=f"p{i + 1:03d}", Y=Y, missing=missing,
                                       U=rng.normal(size=(T, 1)),
                                       timestamps=np.cumsum(gaps) - gaps[0]))
@@ -292,6 +301,8 @@ def _cohort_people(rng, spec, lengths, miss_frac=0.3):
 
 
 def _own_call(spec, p):
+    if not spec.all_gaussian:
+        return es.particle_filter(spec, p.Y, *PARTICLES, p.missing, p.U, p.timestamps)
     if spec.time_mode == "continuous":
         return es.kalman_filter_ct(spec, p.timestamps, p.Y, p.missing, p.U)
     return es.kalman_filter(spec, p.Y, p.missing, p.U, timestamps=p.timestamps)
@@ -310,7 +321,7 @@ def test_cohort_pass_equals_each_participant_s_own_call_bit_for_bit(model, chunk
     rng = np.random.default_rng(COHORT_MODELS.index(model))
     spec = _cohort_spec(model)
     people = _cohort_people(rng, spec, [9, 1, 14, 6, 11, 14, 3, 8])
-    got = list(filtering._kalman_cohort(spec, people))
+    got = list(filtering._cohort(spec, people))
     assert len(got) == len(people)
     for p, (r, _) in zip(people, got):
         want = _own_call(spec, p)
@@ -350,7 +361,10 @@ def test_cli_filter_equals_the_per_participant_loop_byte_for_byte(model, tmp_pat
 def _failing(spec, people, kind, rng):
     """Make ``people`` fail in the given way.  With Theta = 0 and a zero
     initial covariance, a participant who observes ping 0 has a singular
-    innovation there; the others miss ping 0."""
+    innovation there; the others miss ping 0.  The particle model's
+    failures: a category its graded-response channel cannot take, and an
+    input that drives the Poisson channel's state, and so its rate, to
+    infinity."""
     for p in people:
         if kind == "SINGULAR_INNOVATION":
             p.missing[0] = False
@@ -367,12 +381,22 @@ def _failing(spec, people, kind, rng):
                 p.timestamps[5] = p.timestamps[4]
             elif kind == "gap overflow":          # exp(0.05 * 1e4) overflows
                 p.timestamps[6:] += 1e4
+            elif kind == "category":              # outside 1..5
+                p.missing[4, 0] = False
+                p.Y[4, 0] = 9.0
+            elif kind == "state overflow":        # the Poisson rate is inf at ping 2
+                p.U[1] = -1e308
+                p.missing[2, 1] = False
+                p.Y[2, 1] = 1.0
 
 
 DATA_ERRORS = {"1x1 discrete": ["NA_IN_U", "NON_FINITE"],
                "2x2 discrete": ["NA_IN_U", "NON_FINITE"],
                "2x2 continuous": ["NA_IN_U", "NON_FINITE", "NON_MONOTONE_TIME",
-                                  "gap overflow"]}
+                                  "gap overflow"],
+               "particle continuous": ["category", "gap overflow"]}
+RAISES = {"gap overflow": "NON_FINITE", "category": "INVALID_MODEL",
+          "state overflow": "NON_FINITE"}
 
 
 @pytest.mark.parametrize("model, data_error",
@@ -390,7 +414,8 @@ def test_cohort_pass_raises_the_first_failure_in_file_order(model, data_error,
     for p in people:
         _failing(spec, [p], "healthy", rng)
     first, second = (4, 5) if singular_first else (5, 4)
-    _failing(spec, [people[first]], "SINGULAR_INNOVATION", rng)
+    filter_error = "SINGULAR_INNOVATION" if spec.all_gaussian else "state overflow"
+    _failing(spec, [people[first]], filter_error, rng)
     _failing(spec, [people[second]], data_error, rng)
 
     with pytest.raises(EmaError) as want:
@@ -398,11 +423,11 @@ def test_cohort_pass_raises_the_first_failure_in_file_order(model, data_error,
             _own_call(spec, p)
     got = []
     with pytest.raises(EmaError) as err:
-        for r in filtering._kalman_cohort(spec, people):
+        for r in filtering._cohort(spec, people, *(() if spec.all_gaussian else PARTICLES)):
             got.append(r)
     assert (err.value.code, err.value.message) == (want.value.code, want.value.message)
-    assert err.value.code == ("SINGULAR_INNOVATION" if singular_first else
-                              "NON_FINITE" if data_error == "gap overflow" else data_error)
+    kind = filter_error if singular_first else data_error
+    assert err.value.code == RAISES.get(kind, kind)
     assert len(got) == 4
 
 

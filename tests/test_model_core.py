@@ -535,7 +535,7 @@ def test_step_roots_equal_psd_sqrt_per_entry_in_order_of_first_use(seed, n, entr
     for s, k in enumerate(lengths):
         rows[s, :k] = rng.integers(entries, size=k)
 
-    roots, kept, err = _step_roots(Sigma_d, rows)
+    roots, kept, err = _step_roots(Sigma_d, rows, len(rows), None)
     want_kept, want_err = len(rows), None
     for s, k in zip(*np.nonzero(rows >= 0)):     # every step, in order of use
         try:
